@@ -4,13 +4,16 @@ Two independent routes produce the same sets:
 
 * brute_force_oracle scans every permutation fixing the identity and keeps
   the ones accepted by validate -- trivially complete, order <= 10.
-* enumerate_skew_morphisms factors the search through kernel structure:
-  one-factor groups run quotient-lifting cells (_search_cyclic) and
-  multi-factor groups assemble tables from a kernel candidate, an additive
-  bijection of it, a recursively enumerated quotient morphism, and one
-  image per coset (_search_general).  Every completed table is revalidated
-  in full, so the searches stay sound however hard their cells prune; the
-  correctness burden is completeness, argued per search below.
+* enumerate_skew_morphisms factors the search through kernel structure.
+  One-factor groups (_search_cyclic) take direct products over a coprime
+  split of Z_n where the Kovacs-Nedela decomposition theorem applies, and
+  otherwise run quotient-lifting cells pruned by two proved rules, slot
+  cosets and the kernel-order rule (_lift_cell).  Multi-factor groups
+  assemble tables from a kernel candidate, an additive bijection of it, a
+  recursively enumerated quotient morphism, and one image per coset
+  (_search_general).  Every completed table is revalidated in full, so the
+  searches stay sound however hard their cells prune; the correctness
+  burden is completeness, argued per search below.
 
 Orders are always derived from tables; nothing assumes a bound on |phi|
 in terms of |A|.
@@ -21,17 +24,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from math import gcd
+from itertools import combinations, permutations
+from math import gcd, prod
 
 from .groups import (
     AbelianGroup,
     SizeGuardError,
+    crt_pair,
     enumerate_automorphisms,
     enumerate_subgroups,
     factorint,
     make_group,
+    multiplicative_order,
     quotient_group,
+    totient,
 )
 from .morphisms import SkewMorphism, is_smooth, try_validate
 
@@ -100,12 +106,25 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
     The walk phi(x) = phi(x-1) + u_{pi(x-1)} branches an unknown cvals entry
     (stride q_order) or an unknown orbit slot (absorbed into phi(x), whose
     residue is pinned).  Constraint web: svals prefix sums along the orbit
-    (svals[0] = svals[L] = 0) chained by orbit power values and by the
-    composition rule cvals[j+1] = svals[cvals[j]]; kernel additivity
+    (svals[0] = svals[L] = 0) chained by the power of each orbit slot and
+    by the composition rule cvals[j+1] = svals[cvals[j]]; kernel additivity
     phi(a + b) = phi(a) + phi(b) for kernel a; every closed table cycle has
     length dividing L and power sum divisible by its length.  Completed
     tables are revalidated by the caller's emit, so pruning only needs to
-    preserve completeness for the cell's own (q, k, L).
+    preserve completeness for the cell's own (q, k, L).  Two prunes rest on
+    these proofs:
+
+    * Slot cosets.  Slot i of the orbit of 1 holds an element congruent to
+      slot_res[i] mod mod_q, hence mod k, so its power is
+      cvals[slot_res[i] % k] before the slot is bound: the cell's own rule
+      that pi is constant on the cosets of <k>, applied early.
+    * Kernel order.  For a in K = <k> and any b, expanding
+      phi(a + b) = phi(b + a) gives phi(a) + phi(b) = phi(b) +
+      phi^pi(b)(a), so phi^(pi(b) - 1) fixes K pointwise.  phi maps K onto
+      itself as multiplication by the unit t with phi(k) = t*k, so
+      o = ord(t mod n/k) divides pi(b) - 1 for every b, and divides L.
+      Seeds with o not dividing L are skipped, and every power value must
+      be 1 mod o.
     """
     n = group.order
     add = group.add_table
@@ -116,6 +135,7 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
     for j in range(L):
         slot_res[j] = cur
         cur = q_perm[cur]
+    slot_coset = [r % k for r in slot_res]
 
     table: list[int | None] = [None] * n
     table[0] = 0
@@ -127,10 +147,10 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
     svals: list[int | None] = [None] * (L + 1)
     svals[0] = 0
     svals[L] = 0
-    pi_orbit: list[int | None] = [None] * L
     cvals: list[int | None] = [None] * k
     c_used: set[int] = set()
     c_one = 1 % L
+    kernel_order = 1  # ord(phi on <k>), fixed once the seed phi(k) is chosen
     peer = list(range(n))
     plen = [0] * n
 
@@ -146,8 +166,6 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
                 slots[slot] = None
             elif kind == "s":
                 svals[slot] = None
-            elif kind == "po":
-                pi_orbit[slot] = None
             elif kind == "c":
                 c_used.discard(cvals[slot])
                 cvals[slot] = None
@@ -156,7 +174,7 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
                 plen[slot] = entry[3]
 
     def c_admissible(j: int, val: int) -> bool:
-        if val % q_order != q_power[j]:
+        if val % q_order != q_power[j] or (val - 1) % kernel_order:
             return False
         if val in c_used:
             return False
@@ -167,42 +185,28 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
         while dirty:
             dirty = False
             for i in range(L):
-                a, b, r = svals[i], svals[i + 1], pi_orbit[i]
+                a, b = svals[i], svals[i + 1]
+                j = slot_coset[i]
+                r = cvals[j]
                 if r is None:
                     if a is not None and b is not None:
                         r = (b - a) % L
-                        pi_orbit[i] = r
-                        journal.append(("po", i))
-                        dirty = True
-                else:
-                    if a is not None and b is None:
-                        svals[i + 1] = (a + r) % L
-                        journal.append(("s", i + 1))
-                        dirty = True
-                    elif b is not None and a is None:
-                        svals[i] = (b - r) % L
-                        journal.append(("s", i))
-                        dirty = True
-                    elif a is not None and b is not None and (a + r) % L != b:
-                        return False
-                u = slots[i]
-                if u is not None:
-                    j = u % k
-                    cv = cvals[j]
-                    r = pi_orbit[i]
-                    if cv is None and r is not None:
                         if not c_admissible(j, r):
                             return False
                         cvals[j] = r
                         c_used.add(r)
                         journal.append(("c", j))
                         dirty = True
-                    elif cv is not None and r is None:
-                        pi_orbit[i] = cv
-                        journal.append(("po", i))
-                        dirty = True
-                    elif cv is not None and r is not None and cv != r:
-                        return False
+                elif a is not None and b is None:
+                    svals[i + 1] = (a + r) % L
+                    journal.append(("s", i + 1))
+                    dirty = True
+                elif b is not None and a is None:
+                    svals[i] = (b - r) % L
+                    journal.append(("s", i))
+                    dirty = True
+                elif a is not None and b is not None and (a + r) % L != b:
+                    return False
             for j in range(k):
                 cj = cvals[j]
                 if cj is None:
@@ -367,12 +371,13 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
             v = t * k
             if v % mod_q != res_target[k]:
                 continue
+            kernel_order = multiplicative_order(t, size)
+            if L % kernel_order:
+                continue
             journal1: list = []
             if set_entry(k, v, journal1) and propagate(journal1):
                 walk(1)
             undo(journal1)
-        if size == 1:
-            walk(1)
     undo(journal0)
 
 
@@ -397,23 +402,64 @@ def _skew_type_of(perm_power, order, modulus) -> int:
     return modulus // kernel if modulus else 1
 
 
-def _search_cyclic(group: AbelianGroup):
-    """Enumerate skew morphisms of a one-factor group Z_n by quotient lifting.
+def coprime_split(n: int) -> tuple[int, int] | None:
+    """A split n = n1*n2 with gcd(n1, n2) = gcd(n1, phi(n2)) = gcd(phi(n1), n2) = 1.
 
-    Every skew morphism phi of Z_n induces skew morphisms on the quotients
-    Z_d for each d between its skew-type k and n (phi preserves all
-    subgroups of its kernel <k>), its power function is constant exactly on
-    the cosets of <k>, and |phi| equals the orbit length L of the generator
-    (power values are exact in Z_L).  The search picks d = n/p for the
-    prime p with the largest prime-power part of n, enumerates Z_d
-    recursively, and lifts each quotient morphism q: table entries are
-    pinned mod d, leaving p candidates per entry.  Skew-types k not
-    dividing d get fallback cells pinned mod k by the quotient morphisms of
-    Z_k instead.  Soundness is the caller's revalidation of every completed
-    table; completeness needs only the cell with the true (q, k, L) to
-    reach each morphism, and duplicate finds are removed by the caller.
+    n1 and n2 are unions of the prime-power parts of n, n1 holding the
+    smallest prime; the first such split found is returned, None if there
+    is none.
+    """
+    parts = [p**e for p, e in sorted(factorint(n).items())]
+    for size in range(len(parts) - 1):
+        for rest in combinations(parts[1:], size):
+            n1 = prod(rest, start=parts[0])
+            n2 = n // n1
+            if gcd(n1, totient(n2)) == 1 and gcd(totient(n1), n2) == 1:
+                return n1, n2
+    return None
+
+
+def _search_cyclic(group: AbelianGroup):
+    """Enumerate skew morphisms of a one-factor group Z_n.
+
+    Decomposition first.  When coprime_split finds n = n1*n2, every skew
+    morphism of Z_n is the direct product, under the CRT isomorphism
+    Z_n = Z_n1 x Z_n2, of a skew morphism of Z_n1 and one of Z_n2
+    (Kovacs and Nedela, Decomposition of skew-morphisms of cyclic groups,
+    Ars Math. Contemp. 4 (2011)).  So the products of the two recursively
+    enumerated sets are complete, and each is revalidated before it is
+    kept.
+
+    Otherwise, quotient lifting.  Every skew morphism phi of Z_n induces
+    skew morphisms on the quotients Z_d for each d between its skew-type k
+    and n (phi preserves all subgroups of its kernel <k>), its power
+    function is constant exactly on the cosets of <k>, and |phi| equals the
+    orbit length L of the generator (power values are exact in Z_L).  Each
+    proper skew-type k < n divides d = n/p for some prime p and is
+    designated to the first such p.  The search enumerates Z_d recursively
+    and lifts each quotient morphism q in _lift_cell: table entries are
+    pinned mod d, leaving p candidates per entry, and each cell prunes by
+    slot cosets and by the kernel-order rule, both proved there.
+    Soundness is the caller's revalidation of every completed table;
+    completeness needs only the cell with the true (q, k, L) to reach each
+    morphism, and duplicate finds are removed by the caller.
     """
     n = group.order
+    split = coprime_split(n)
+    if split is not None:
+        n1, n2 = split
+        e1 = crt_pair(1, n1, 0, n2)[0]
+        e2 = crt_pair(0, n1, 1, n2)[0]
+        for a in cached_enumeration((n1,)).morphisms:
+            for b in cached_enumeration((n2,)).morphisms:
+                table = tuple(
+                    (e1 * a.perm[x % n1] + e2 * b.perm[x % n2]) % n for x in range(n)
+                )
+                sm = try_validate(group, table)
+                if sm is not None:
+                    yield sm
+        return
+
     out: list[SkewMorphism] = []
     primes = sorted(factorint(n))
 

@@ -42,6 +42,14 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
+def totient(n: int) -> int:
+    """Euler's phi: the number of units mod n."""
+    out = n
+    for p in factorint(n):
+        out = out // p * (p - 1)
+    return out
+
+
 def multiplicative_order(a: int, n: int) -> int:
     """Least k >= 1 with a**k == 1 mod n.  Requires gcd(a, n) == 1."""
     if n < 1:

@@ -14,7 +14,7 @@ CSV_HEADER = "group,order,total,autos,proper,smooth,nonsmooth,ms"
 
 
 class MalformedRecord(ValueError):
-    """Structurally broken record: not a JSON object or missing fields."""
+    """Structurally broken record: not a JSON object, missing fields, or mistyped arrays."""
 
 
 def to_record(sm: SkewMorphism) -> dict[str, Any]:
@@ -44,11 +44,15 @@ def parse_record(text: str) -> dict[str, Any]:
     missing = [f for f in RECORD_FIELDS if f not in data]
     if missing:
         raise MalformedRecord(f"missing fields: {', '.join(missing)}")
+    for name in ("perm", "power", "kernel"):
+        value = data[name]
+        if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+            raise MalformedRecord(f"{name} is not an integer array")
     return data
 
 
 def check_record(data: dict[str, Any]) -> list[str]:
-    """Revalidate a record; returns the names of mismatched fields.
+    """Revalidate a record from parse_record; returns the mismatched fields.
 
     The permutation is revalidated from scratch and every derived field is
     compared against the stored one.  A perm that is not a bijection or not
@@ -60,8 +64,6 @@ def check_record(data: dict[str, Any]) -> list[str]:
     except (TypeError, ValueError) as exc:
         raise MalformedRecord(f"bad group field: {exc}") from exc
     perm = data["perm"]
-    if not isinstance(perm, list) or not all(isinstance(v, int) for v in perm):
-        raise MalformedRecord("perm is not an integer array")
     if not is_bijection(perm, group.order):
         return ["perm"]
     sm = try_validate(group, tuple(perm))
@@ -71,17 +73,15 @@ def check_record(data: dict[str, Any]) -> list[str]:
     if data["order"] != sm.order:
         mismatches.append("order")
     stored_power = data["power"]
-    if (
-        not isinstance(stored_power, list)
-        or len(stored_power) != group.order
-        or any((int(v) - sm.power[i]) % sm.order != 0 for i, v in enumerate(stored_power))
+    if len(stored_power) != group.order or any(
+        (v - sm.power[i]) % sm.order != 0 for i, v in enumerate(stored_power)
     ):
         mismatches.append("power")
     if bool(data["smooth"]) != is_smooth(sm):
         mismatches.append("smooth")
     if data["skew_type"] != skew_type(sm):
         mismatches.append("skew_type")
-    if list(data["kernel"]) != list(kernel(sm).members):
+    if data["kernel"] != list(kernel(sm).members):
         mismatches.append("kernel")
     if bool(data["proper"]) != sm.is_proper:
         mismatches.append("proper")

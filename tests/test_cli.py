@@ -133,6 +133,23 @@ def test_construct_round_trip(capsys, tmp_path):
     assert run_cli(capsys, "check", "--file", str(garbage), "--quiet")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("kernel", 5), ("power", [0, "1", 2]), ("power", [0, 1.5, 2]), ("perm", {"0": 0})],
+)
+def test_check_mistyped_field_exit_2(capsys, tmp_path, field, value):
+    code, _, _ = run_cli(capsys, "construct", "root", "--n", "9", "--k", "3", "--s", "8",
+                         "--out", str(tmp_path / "root.json"), "--quiet")
+    assert code == 0
+    record = json.loads((tmp_path / "root.json").read_text())
+    record[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(record))
+    code, _, err = run_cli(capsys, "check", "--file", str(bad), "--quiet")
+    assert code == 2
+    assert f"{field} is not an integer array" in err
+
+
 def test_construct_csm_and_nse(capsys):
     code, out, _ = run_cli(capsys, "construct", "csm", "--n", "6", "--k", "2",
                            "--r", "1", "--s", "1", "--t", "2", "--quiet")

@@ -1,9 +1,12 @@
+from math import lcm
+
 import pytest
 
 from skewmorph.enumeration import (
     EnumerationReport,
     brute_force_oracle,
     cached_enumeration,
+    coprime_split,
     enumerate_skew_morphisms,
     smooth_only_predicate,
     theorem2_necessary,
@@ -15,8 +18,9 @@ from skewmorph.groups import (
     make_group,
     parse_group_literal,
     perm_power,
+    primary_split,
 )
-from skewmorph.morphisms import conjugate, is_smooth, try_validate
+from skewmorph.morphisms import conjugate, is_smooth, kernel, relabel, try_validate
 
 
 def test_oracle_z5_all_automorphisms():
@@ -163,3 +167,53 @@ def test_non_cyclic_enumeration_cross_sections():
     assert report.total == report.smooth + report.nonsmooth
     report33 = cached_enumeration((3, 3))
     assert (report33.total, report33.automorphisms) == (64, 48)
+
+
+@pytest.mark.parametrize("n", [12, 15, 18, 20, 21, 24, 28])
+def test_cyclic_route_equals_general_route(n):
+    """Z_n on the cyclic route equals its primary split on the general route.
+
+    Z15 takes the coprime decomposition; the others run the pruned lifting
+    cells, including cells with k equal to the quotient order.
+    """
+    cyclic = make_group([n])
+    split, _, back = primary_split(cyclic)
+    assert len(split.factors) == 2
+    carried = {relabel(sm, back, cyclic).perm for sm in cached_enumeration(split.factors).morphisms}
+    assert carried == {sm.perm for sm in cached_enumeration((n,)).morphisms}
+
+
+def _order_on(perm, members):
+    order = 1
+    for a in members:
+        length, x = 1, perm[a]
+        while x != a:
+            x = perm[x]
+            length += 1
+        order = lcm(order, length)
+    return order
+
+
+def test_kernel_order_divides_every_power_minus_one():
+    """phi^(pi(b) - 1) fixes Ker phi pointwise, for every skew morphism of Z_n."""
+    for n in range(2, 31):
+        for sm in cached_enumeration((n,)).morphisms:
+            o = _order_on(sm.perm, kernel(sm).members)
+            assert all((p - 1) % o == 0 for p in sm.power), (n, sm.perm)
+
+
+@pytest.mark.parametrize(
+    "n,expected",
+    [(45, (9, 5)), (33, (3, 11)), (15, (3, 5)), (30, None), (39, None), (42, None), (27, None), (1, None)],
+)
+def test_coprime_split(n, expected):
+    assert coprime_split(n) == expected
+
+
+@pytest.mark.parametrize(
+    "n,expected", [(35, (24, 24, 0)), (45, (40, 24, 16)), (51, (32, 32, 0))]
+)
+def test_decomposed_orders(n, expected):
+    report = cached_enumeration((n,))
+    assert (report.total, report.automorphisms, report.nonsmooth) == expected
+    assert (report.nonsmooth == 0) == smooth_only_predicate(n)

@@ -19,6 +19,10 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
+# largest group order `check` revalidates without --max-order; validation
+# builds an order x order addition table
+CHECK_GUARD = 256
+
 
 def _open_out(path: str | None) -> IO[str]:
     if path is None or path == "-":
@@ -110,11 +114,14 @@ def cmd_check(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"check: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         data = records.parse_record(text)
+        guard = args.max_order or CHECK_GUARD
+        if make_group(data["group"]).order > guard:
+            raise SizeGuardError(f"group order exceeds check guard {guard}; raise --max-order")
         mismatches = records.check_record(data)
     except records.MalformedRecord as exc:
         print(f"check: malformed record: {exc}", file=sys.stderr)

@@ -11,9 +11,12 @@ Two independent routes produce the same sets:
   cosets and the kernel-order rule (_lift_cell).  Multi-factor groups
   assemble tables from a kernel candidate, an additive bijection of it, a
   recursively enumerated quotient morphism, and one image per coset
-  (_search_general).  Every completed table is revalidated in full, so the
-  searches stay sound however hard their cells prune; the correctness
-  burden is completeness, argued per search below.
+  (_search_general); they search one candidate per Aut(A)-orbit of
+  subgroups, keep the finds whose kernel is exactly that candidate, and
+  conjugate those onto the rest of the orbit.  Every completed table and
+  every conjugate is revalidated in full, so the searches stay sound
+  however hard their cells prune; the correctness burden is completeness,
+  argued per search below.
 
 Orders are always derived from tables; nothing assumes a bound on |phi|
 in terms of |A|.
@@ -39,7 +42,7 @@ from .groups import (
     quotient_group,
     totient,
 )
-from .morphisms import SkewMorphism, is_smooth, try_validate
+from .morphisms import SkewMorphism, as_skew_morphism, conjugate, is_smooth, try_validate
 
 ORACLE_GUARD = 10
 CYCLIC_GUARD = 64
@@ -419,7 +422,7 @@ def coprime_split(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _search_cyclic(group: AbelianGroup):
+def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
     """Enumerate skew morphisms of a one-factor group Z_n.
 
     Decomposition first.  When coprime_split finds n = n1*n2, every skew
@@ -450,8 +453,8 @@ def _search_cyclic(group: AbelianGroup):
         n1, n2 = split
         e1 = crt_pair(1, n1, 0, n2)[0]
         e2 = crt_pair(0, n1, 1, n2)[0]
-        for a in cached_enumeration((n1,)).morphisms:
-            for b in cached_enumeration((n2,)).morphisms:
+        for a in cached_enumeration((n1,), max_order).morphisms:
+            for b in cached_enumeration((n2,), max_order).morphisms:
                 table = tuple(
                     (e1 * a.perm[x % n1] + e2 * b.perm[x % n2]) % n for x in range(n)
                 )
@@ -485,7 +488,7 @@ def _search_cyclic(group: AbelianGroup):
         if not designated[p]:
             continue
         d = n // p
-        lift_report = cached_enumeration((d,) if d > 1 else ())
+        lift_report = cached_enumeration((d,) if d > 1 else (), max_order)
         for q in lift_report.morphisms:
             k_d = _skew_type_of(q.power, q.order, d)
             for k in designated[p]:
@@ -497,14 +500,18 @@ def _search_cyclic(group: AbelianGroup):
     yield from out
 
 
-def _search_morphisms(group: AbelianGroup):
-    """Yield every skew morphism of the group, in search order."""
+def _search_morphisms(group: AbelianGroup, max_order: int | None = None):
+    """Yield every skew morphism of the group, in search order.
+
+    max_order is the caller's size guard, passed on to every recursive
+    enumeration of a factor or quotient.
+    """
     if group.order == 1:
         yield try_validate(group, (0,))
     elif len(group.factors) == 1:
-        yield from _search_cyclic(group)
+        yield from _search_cyclic(group, max_order)
     else:
-        yield from _search_general(group)
+        yield from _search_general(group, max_order)
 
 
 def _subgroup_automorphisms(group: AbelianGroup, sub) -> list[dict[int, int]]:
@@ -546,30 +553,43 @@ def _subgroup_automorphisms(group: AbelianGroup, sub) -> list[dict[int, int]]:
     return out
 
 
-def _search_general(group: AbelianGroup):
+def _search_general(group: AbelianGroup, max_order: int | None = None):
     """Enumerate skew morphisms of a multi-factor group by kernel shape.
 
     The power function of a skew morphism is 1 exactly on its kernel K, a
     nontrivial subgroup; phi restricted to K is an additive bijection, phi
     permutes the K-cosets as a (recursively enumerated) skew morphism of
     A/K, and phi(a + r) = phi(a) + phi(r) for a in K pins the whole table
-    once one image per coset is chosen.  Looping over all subgroups as
-    kernel candidates and revalidating every assembled table is therefore
-    complete; a morphism whose kernel strictly contains the candidate is
-    found again under its true kernel and deduplicated by the caller.
+    once one image per coset is chosen.  So assembling every such table for
+    a proper kernel candidate K0, revalidating it, and keeping the tables
+    whose power is 1 exactly on K0 finds every morphism with kernel K0.
+
+    One candidate per Aut(A)-orbit of subgroups suffices.  Let phi have
+    power pi and let sigma be in Aut(A).  Then psi = sigma phi sigma^-1
+    satisfies psi(a + b) = sigma(phi(sigma^-1 a) + phi^pi(sigma^-1 a)(sigma^-1 b))
+    = psi(a) + psi^pi(sigma^-1 a)(b), so psi is a skew morphism with power
+    pi . sigma^-1, |psi| = |phi| and Ker psi = sigma(Ker phi).  Fixing one
+    sigma_K with sigma_K(K0) = K for each K in the orbit of K0, conjugation
+    by sigma_K maps {phi : Ker phi = K0} one-to-one onto {psi : Ker psi = K}.
+    The finds for K0 and their conjugates (revalidated by conjugate) are
+    therefore complete, and nothing is yielded twice, because different
+    kernels give different morphisms.  The automorphisms, kernel A, come
+    from enumerate_automorphisms, whose list also generates the orbits.
     """
     n = group.order
     add = group.add_table
-    out: list[SkewMorphism] = []
-
-    for theta in enumerate_automorphisms(group):
-        sm = try_validate(group, theta.table)
-        assert sm is not None
-        out.append(sm)
+    autos = enumerate_automorphisms(group)
+    out = [as_skew_morphism(theta) for theta in autos]
+    searched: set[tuple[int, ...]] = set()
 
     for sub in enumerate_subgroups(group):
-        if sub.size == 1 or sub.size == n:
+        if sub.size == 1 or sub.size == n or sub.members in searched:
             continue  # proper morphisms have nontrivial proper kernels
+        orbit = {}  # each subgroup K in the orbit of sub -> sigma with sigma(sub) = K
+        for sigma in autos:
+            orbit.setdefault(tuple(sorted(sigma.table[a] for a in sub.members)), sigma)
+        searched.update(orbit)
+        members = set(sub.members)
         quotient, proj = quotient_group(group, sub)
         t = quotient.order
         coset_elems: list[list[int]] = [[] for _ in range(t)]
@@ -577,8 +597,9 @@ def _search_general(group: AbelianGroup):
             coset_elems[proj[x]].append(x)
         reps = [cells[0] for cells in coset_elems]
         kernel_auts = _subgroup_automorphisms(group, sub)
-        induced = cached_enumeration(quotient.factors)
+        induced = cached_enumeration(quotient.factors, max_order)
         nonzero = [j for j in range(t) if j != proj[0]]
+        found: list[SkewMorphism] = []
 
         table = [0] * n
         for tau in induced.morphisms:
@@ -590,7 +611,9 @@ def _search_general(group: AbelianGroup):
                     if idx == len(nonzero):
                         sm = try_validate(group, tuple(table))
                         if sm is not None:
-                            out.append(sm)
+                            one = 1 % sm.order
+                            if {a for a in range(n) if sm.power[a] == one} == members:
+                                found.append(sm)
                         return
                     j = nonzero[idx]
                     r = reps[j]
@@ -600,6 +623,7 @@ def _search_general(group: AbelianGroup):
                         place(idx + 1)
 
                 place(0)
+        out.extend(conjugate(sm, sigma) for sigma in orbit.values() for sm in found)
     yield from out
 
 
@@ -616,7 +640,7 @@ def enumerate_skew_morphisms(
         )
     start = time.perf_counter()
     found = {}
-    for sm in _search_morphisms(group):
+    for sm in _search_morphisms(group, max_order):
         found.setdefault(sm.perm, sm)
     elapsed = (time.perf_counter() - start) * 1000.0
     return EnumerationReport.from_morphisms(group, found.values(), elapsed)

@@ -37,14 +37,14 @@ def to_json_line(sm: SkewMorphism) -> str:
 def parse_record(text: str) -> dict[str, Any]:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, oversized ints, deep nesting
         raise MalformedRecord(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedRecord("record is not a JSON object")
     missing = [f for f in RECORD_FIELDS if f not in data]
     if missing:
         raise MalformedRecord(f"missing fields: {', '.join(missing)}")
-    for name in ("perm", "power", "kernel"):
+    for name in ("group", "perm", "power", "kernel"):
         value = data[name]
         if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
             raise MalformedRecord(f"{name} is not an integer array")

@@ -2,11 +2,21 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewmorph.cli import main
-from skewmorph.records import CSV_HEADER, check_record, parse_record, to_record
+from skewmorph.enumeration import cached_enumeration
+from skewmorph.records import (
+    CSV_HEADER,
+    RECORD_FIELDS,
+    MalformedRecord,
+    check_record,
+    parse_record,
+    to_record,
+)
 from skewmorph.groups import make_group
 from skewmorph.morphisms import validate
 
@@ -148,6 +158,78 @@ def test_check_mistyped_field_exit_2(capsys, tmp_path, field, value):
     code, _, err = run_cli(capsys, "check", "--file", str(bad), "--quiet")
     assert code == 2
     assert f"{field} is not an integer array" in err
+
+
+def test_check_size_guard_exit_3(capsys, tmp_path):
+    n = 100000
+    record = {"group": [n], "perm": list(range(n)), "order": 1, "power": [0] * n,
+              "smooth": True, "skew_type": 1, "kernel": list(range(n)), "proper": False}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(record))
+    code, _, err = run_cli(capsys, "check", "--file", str(path), "--quiet")
+    assert code == 3
+    assert "guard" in err
+    small = tmp_path / "z9.json"
+    run_cli(capsys, "construct", "root", "--n", "9", "--k", "3", "--s", "8", "--out", str(small))
+    assert run_cli(capsys, "check", "--file", str(small), "--max-order", "8", "--quiet")[0] == 3
+    assert run_cli(capsys, "check", "--file", str(small), "--max-order", "9", "--quiet")[0] == 0
+
+
+def test_check_unreadable_text_exit_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    for path in (deep, binary):
+        assert run_cli(capsys, "check", "--file", str(path), "--quiet")[0] == 2
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+def _assert_check_exit(text):
+    """`check` ends in a documented exit code; parse_record rejects exit with 2."""
+    try:
+        parse_record(text)
+        rejected = False
+    except MalformedRecord:
+        rejected = True
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "record.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        code = main(["check", "--file", path, "--quiet"])
+    assert code in (0, 1, 2, 3)
+    if rejected:
+        assert code == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+def test_check_fuzz_arbitrary_json(value):
+    _assert_check_exit(json.dumps(value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    factors=st.sampled_from([(9,), (2, 4), (3, 3)]),
+    index=st.integers(0, 7),
+    field=st.sampled_from(RECORD_FIELDS),
+    value=JSON_VALUES | st.lists(st.integers(-3, 20), max_size=10),
+    drop=st.booleans(),
+)
+def test_check_fuzz_mutated_records(factors, index, field, value, drop):
+    morphisms = cached_enumeration(factors).morphisms
+    record = to_record(morphisms[-1 - index % len(morphisms)])
+    if drop:
+        del record[field]
+    else:
+        record[field] = value
+    _assert_check_exit(json.dumps(record))
 
 
 def test_construct_csm_and_nse(capsys):

@@ -1,9 +1,13 @@
+import hashlib
+from functools import lru_cache
 from math import lcm
 
 import pytest
 
+from skewmorph import enumeration
 from skewmorph.enumeration import (
     EnumerationReport,
+    _search_general,
     brute_force_oracle,
     cached_enumeration,
     coprime_split,
@@ -82,6 +86,17 @@ def test_enumeration_guard_and_override():
     assert enumerate_skew_morphisms(make_group([9]), max_order=9).total == 10
 
 
+def test_max_order_reaches_the_recursion(monkeypatch):
+    """A raised guard also covers the quotients the search enumerates (Z10 for Z20)."""
+    monkeypatch.setattr(enumeration, "CYCLIC_GUARD", 8)
+    fresh = lru_cache(maxsize=None)(enumeration.cached_enumeration.__wrapped__)
+    monkeypatch.setattr(enumeration, "cached_enumeration", fresh)
+    with pytest.raises(SizeGuardError):
+        enumerate_skew_morphisms(make_group([20]))
+    report = enumerate_skew_morphisms(make_group([20]), max_order=20)
+    assert (report.total, report.automorphisms, report.nonsmooth) == (24, 8, 0)
+
+
 def test_report_counts_consistent():
     report = cached_enumeration((12,))
     assert report.total == report.automorphisms + report.proper
@@ -117,7 +132,7 @@ def test_every_automorphism_is_enumerated():
 
 
 def test_output_closed_under_conjugation_and_powers():
-    for factors in ((9,), (2, 4)):
+    for factors in ((9,), (2, 4), (3, 3), (2, 2, 2)):
         group = make_group(factors)
         report = cached_enumeration(factors)
         perms = {sm.perm for sm in report.morphisms}
@@ -167,6 +182,37 @@ def test_non_cyclic_enumeration_cross_sections():
     assert report.total == report.smooth + report.nonsmooth
     report33 = cached_enumeration((3, 3))
     assert (report33.total, report33.automorphisms) == (64, 48)
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2), (3, 3), (2, 6), (4, 4), (2, 2, 4)])
+def test_general_search_yields_each_morphism_once(factors):
+    """One search per Aut(A)-orbit of kernels, exact kernels only: no duplicates."""
+    perms = [sm.perm for sm in _search_general(make_group(factors))]
+    assert len(perms) == len(set(perms)) == cached_enumeration(factors).total
+
+
+# sha256 of repr(sorted perm list), pinned before the search ran once per
+# Aut(A)-orbit of kernels; these groups are beyond the oracle's reach.
+NONCYCLIC_PINS = {
+    (2, 2): (6, "3006c2cfe12e0c3258386f794ac83c121621de425c8237bd4992f558c317ac66"),
+    (2, 4): (16, "87469e649584fd65f36b20bde3296240c59511ed135b160e5268c3a9d736501e"),
+    (2, 2, 2): (168, "9e3919964a4414a26074012c132eb3f4c48aa118056d85b2b08dd7c9f788059f"),
+    (3, 3): (64, "755831a0412b82f6627a5a1d6b2c76018257d60a005997a562697fefb8b96083"),
+    (2, 6): (24, "b639d182552c644744520d02a830d505c9c4847c5963425c39fe3f2c877f2a7c"),
+    (2, 8): (56, "d78b95b38f1703c39c7fc6c20e7401a0966c3a5aaee36561c4d82543c36ae6a8"),
+    (4, 4): (120, "707bba301f256cfb511f890d637507423d9215702417577e91bf278e617de061"),
+    (2, 2, 4): (288, "f2906f1e101349bc96b6c088e43439a2ffbd4738399de071a1a785e0bd6e7dda"),
+    (3, 6): (96, "960af534fd94d67ca1b7e7f1fd6d5164145d8dc8505f766caba17d70b1baaba0"),
+    (2, 10): (48, "fcd6537f032aa569095e381c284dcf391eb8069242ed1b1e44c2dfa109bb18cd"),
+    (5, 5): (768, "3aa59dabe62492a992aebc35e4f6d93ac1a3f1c366b9e96a92ea279d975c7148"),
+}
+
+
+@pytest.mark.parametrize("factors", sorted(NONCYCLIC_PINS))
+def test_noncyclic_morphism_sets_pinned(factors):
+    report = cached_enumeration(factors)
+    digest = hashlib.sha256(repr([sm.perm for sm in report.morphisms]).encode()).hexdigest()
+    assert (report.total, digest) == NONCYCLIC_PINS[factors]
 
 
 @pytest.mark.parametrize("n", [12, 15, 18, 20, 21, 24, 28])

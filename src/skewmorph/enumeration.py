@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations, permutations
 from math import gcd, prod
+from typing import Iterable
 
 from .groups import (
     AbelianGroup,
@@ -646,7 +647,21 @@ def enumerate_skew_morphisms(
     return EnumerationReport.from_morphisms(group, found.values(), elapsed)
 
 
-@lru_cache(maxsize=None)
+def _memoized(fn):
+    """lru_cache keyed on the normalized (factors, max_order): the calls
+    f((6,)), f((6,), None) and f([6], max_order=None) share one entry."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def call(factors: Iterable[int], max_order: int | None = None):
+        return cached(tuple(factors), max_order)
+
+    call.cache_info = cached.cache_info
+    call.cache_clear = cached.cache_clear
+    return call
+
+
+@_memoized
 def cached_enumeration(factors: tuple[int, ...], max_order: int | None = None) -> EnumerationReport:
     return enumerate_skew_morphisms(make_group(factors), max_order)
 

@@ -4,6 +4,10 @@ A group is given by a list of cyclic factors (each at least 2); the empty
 list is the trivial group.  Elements are the integers 0..order-1 under a
 fixed mixed-radix encoding with the *last* factor least significant, and
 0 is the identity.  All values are immutable and all operations are pure.
+
+The hot paths use `add_table` and `neg_list`, which are built from the
+factors alone, one factor at a time (see `AbelianGroup.add_table`), not
+with the checked per-element `add` and `neg`.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as _cartesian
+from itertools import chain, product as _cartesian
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Sequence
 
@@ -176,16 +180,31 @@ class AbelianGroup:
 
     @cached_property
     def add_table(self) -> list[list[int]]:
-        """Full addition table; add_table[a][b] == add(a, b)."""
-        n = self.order
-        rows: list[list[int]] = []
-        for a in range(n):
-            rows.append([self.add(a, b) for b in range(n)])
-        return rows
+        """Full addition table; add_table[a][b] == add(a, b).
+
+        Built factor by factor.  In G x Z_f the element a = hi*f + lo adds
+        to b = hi'*f + lo' as (hi + hi')*f + (lo + lo') % f, so the row of a
+        is G's row of hi with each entry h replaced by the run h*f .. h*f+f-1
+        rotated left by lo.
+        """
+        table = [[0]]
+        for f in self.factors:
+            runs = [list(range(h * f, h * f + f)) for h in range(len(table))]
+            rotated = [[run[lo:] + run[:lo] for run in runs] for lo in range(f)]
+            table = [
+                list(chain.from_iterable(map(blocks.__getitem__, row)))
+                for row in table
+                for blocks in rotated
+            ]
+        return table
 
     @cached_property
     def neg_list(self) -> list[int]:
-        return [self.neg(a) for a in range(self.order)]
+        """neg_list[a] == neg(a), built factor by factor like add_table."""
+        negs = [0]
+        for f in self.factors:
+            negs = [h * f + -lo % f for h in negs for lo in range(f)]
+        return negs
 
 
 def make_group(factors: Iterable[int]) -> AbelianGroup:
@@ -243,13 +262,18 @@ def abelian_group_presentations(n: int) -> list[AbelianGroup]:
 
 @dataclass(frozen=True)
 class Subgroup:
+    """A subgroup as its sorted member tuple; generators are found on first use."""
+
     group: AbelianGroup
     members: tuple[int, ...]
-    generators: tuple[int, ...]
 
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        return minimal_generators(self.group, self.members)
 
     def __contains__(self, a: int) -> bool:
         return a in self._member_set
@@ -299,14 +323,14 @@ def subgroup_from_members(group: AbelianGroup, members: Iterable[int]) -> Subgro
     mset = frozenset(members)
     if not _is_closed(group, mset):
         raise ValueError("member set is not closed under addition")
-    return Subgroup(group, tuple(sorted(mset)), minimal_generators(group, mset))
+    return Subgroup(group, tuple(sorted(mset)))
 
 
 def subgroup_generated_by(group: AbelianGroup, gens: Iterable[int]) -> Subgroup:
     span: frozenset[int] = frozenset([0])
     for g in gens:
         span = _closure(group, span, g)
-    return Subgroup(group, tuple(sorted(span)), minimal_generators(group, span))
+    return Subgroup(group, tuple(sorted(span)))
 
 
 def enumerate_subgroups(group: AbelianGroup, guard: int = SUBGROUP_GUARD) -> list[Subgroup]:
@@ -374,14 +398,16 @@ def perm_order(p: Sequence[int]) -> int:
 
 
 def perm_power(p: Sequence[int], k: int) -> tuple[int, ...]:
-    """p**k with negative k via the inverse; cycle-wise, so cheap for any k."""
-    n = len(p)
-    out = [0] * n
-    for cyc in cycles(p):
-        L = len(cyc)
-        shift = k % L
-        for i, x in enumerate(cyc):
-            out[x] = cyc[(i + shift) % L]
+    """p**k with negative k via the inverse, by repeated squaring."""
+    if k < 0:
+        p, k = invert(p), -k
+    out: Sequence[int] = range(len(p))
+    while k:
+        if k & 1:
+            out = list(map(p.__getitem__, out))
+        k >>= 1
+        if k:
+            p = list(map(p.__getitem__, p))
     return tuple(out)
 
 

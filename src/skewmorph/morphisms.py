@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
+from operator import ne
 from typing import Iterable, Sequence
 
 from .groups import (
@@ -24,6 +25,7 @@ from .groups import (
     enumerate_automorphisms,
     invert,
     is_bijection,
+    perm_power,
     quotient_group,
     subgroup_from_members,
 )
@@ -76,82 +78,67 @@ class SkewMorphism:
         return self.perm
 
 
-def _cycle_positions(perm: Sequence[int]) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    cycs = cycles(perm)
-    pos: list[tuple[int, int]] = [(0, 0)] * len(perm)
-    for ci, cyc in enumerate(cycs):
-        for off, x in enumerate(cyc):
-            pos[x] = (ci, off)
-    return cycs, pos
-
-
 def _derive_power(group: AbelianGroup, perm: Sequence[int], explain: bool):
-    """Shared validation core; returns (order, power) or a rejection triple."""
+    """Shared validation core; returns (order, power) or a rejection triple.
+
+    For each a the displacement D_a(b) = perm[a+b] - perm[a] must equal
+    perm**j for some j, which is then pi(a).  j is pinned mod m = |perm| by
+    CRT on the shift of D_a at the leaders of a few pinning cycles whose
+    lengths have lcm m, so any valid j agrees with it mod m.  D_a is then
+    compared with perm**j at every b, which also covers the other cycles.
+    D_0 = perm since perm[0] = 0, so pi(0) = 1 needs no check.
+    """
     n = group.order
     if not is_bijection(perm, n):
         return None, ("not-bijection", None, None)
     if perm[0] != 0:
         return None, ("identity-moved", 0, None)
-    cycs, pos = _cycle_positions(perm)
+    pinning = []  # (leader, length, offset of each element in the cycle)
     m = 1
-    for cyc in cycs:
-        m = lcm(m, len(cyc))
+    for cyc in sorted(cycles(perm), key=len, reverse=True):
+        if m % len(cyc):
+            m = lcm(m, len(cyc))
+            pinning.append((cyc[0], len(cyc), dict(zip(cyc, range(len(cyc))))))
     add = group.add_table
     neg = group.neg_list
-    power = []
-    for a in range(n):
+    perm_at = perm.__getitem__
+    powers: dict[int, tuple[int, ...]] = {}
+    power = [1 % m]
+    for a in range(1, n):
         row = add[a]
-        shift_row = add[neg[perm[a]]]
-        # displacement D_a(b) = perm[a+b] - perm[a]; must equal perm**j.
-        # j is pinned by the shift of D_a on one representative per cycle,
-        # merged by CRT, then verified pointwise.
+        shift_at = add[neg[perm[a]]].__getitem__
         res, mod = 0, 1
-        ok = True
-        for cyc in cycs:
-            rep = cyc[0]
-            y = shift_row[perm[row[rep]]]
-            ci, off = pos[y]
-            if cycs[ci] is not cyc:
-                ok = False
-                break
-            merged = crt_pair(res, mod, (off - pos[rep][1]) % len(cyc), len(cyc))
+        for leader, length, offsets in pinning:
+            off = offsets.get(shift_at(perm[row[leader]]))
+            merged = None if off is None else crt_pair(res, mod, off, length)
             if merged is None:
-                ok = False
                 break
             res, mod = merged
-        if ok:
-            j = res % m
-            for b in range(n):
-                y = shift_row[perm[row[b]]]
-                ci, off = pos[b]
-                cyc = cycs[ci]
-                if cyc[(off + j) % len(cyc)] != y:
-                    ok = False
-                    break
-        if not ok:
-            if not explain:
-                return None, ("no-power", a, None)
-            return None, ("no-power", a, _smallest_power_witness(group, perm, cycs, pos, m, a))
-        power.append(j)
+        else:
+            target = powers.get(res)
+            if target is None:
+                target = powers[res] = perm_power(perm, res)
+            if not any(map(ne, target, map(shift_at, map(perm_at, row)))):
+                power.append(res)
+                continue
+        if not explain:
+            return None, ("no-power", a, None)
+        return None, ("no-power", a, _smallest_power_witness(group, perm, m, a))
     return (m, tuple(power)), None
 
 
-def _smallest_power_witness(group, perm, cycs, pos, m, a) -> int:
-    """Smallest b at which no remaining power of perm matches D_a."""
-    add = group.add_table
-    neg = group.neg_list
-    row = add[a]
-    shift_row = add[neg[perm[a]]]
-    candidates = set(range(m))
+def _smallest_power_witness(group: AbelianGroup, perm: Sequence[int], m: int, a: int) -> int:
+    """Smallest b at which no power of perm matches D_a."""
+    row = group.add_table[a]
+    shift_row = group.add_table[group.neg_list[perm[a]]]
+    where = {x: (cyc, off) for cyc in cycles(perm) for off, x in enumerate(cyc)}
+    candidates = range(m)
     for b in range(group.order):
         y = shift_row[perm[row[b]]]
-        ci, off = pos[b]
-        cyc = cycs[ci]
-        L = len(cyc)
-        keep = {j for j in candidates if cyc[(off + j) % L] == y}
-        if not keep:
+        cyc, off = where[b]
+        candidates = [j for j in candidates if cyc[(off + j) % len(cyc)] == y]
+        if not candidates:
             return b
-        candidates = keep
     return group.order - 1  # unreachable for a genuinely failing a
 
 

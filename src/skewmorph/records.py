@@ -6,7 +6,7 @@ import json
 from typing import Any
 
 from .groups import is_bijection, make_group
-from .morphisms import SkewMorphism, is_smooth, kernel, skew_type, try_validate
+from .morphisms import SkewMorphism, is_smooth, kernel, try_validate
 
 RECORD_FIELDS = ("group", "perm", "order", "power", "smooth", "skew_type", "kernel", "proper")
 
@@ -18,14 +18,15 @@ class MalformedRecord(ValueError):
 
 
 def to_record(sm: SkewMorphism) -> dict[str, Any]:
+    ker = kernel(sm)
     return {
         "group": list(sm.group.factors),
         "perm": list(sm.perm),
         "order": sm.order,
         "power": list(sm.power),
         "smooth": is_smooth(sm),
-        "skew_type": skew_type(sm),
-        "kernel": list(kernel(sm).members),
+        "skew_type": sm.group.order // ker.size,
+        "kernel": list(ker.members),
         "proper": sm.is_proper,
     }
 
@@ -79,9 +80,10 @@ def check_record(data: dict[str, Any]) -> list[str]:
         mismatches.append("power")
     if bool(data["smooth"]) != is_smooth(sm):
         mismatches.append("smooth")
-    if data["skew_type"] != skew_type(sm):
+    ker = kernel(sm)
+    if data["skew_type"] != group.order // ker.size:
         mismatches.append("skew_type")
-    if data["kernel"] != list(kernel(sm).members):
+    if data["kernel"] != list(ker.members):
         mismatches.append("kernel")
     if bool(data["proper"]) != sm.is_proper:
         mismatches.append("proper")

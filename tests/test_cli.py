@@ -285,3 +285,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 4
+
+
+def test_package_imports_only_the_standard_library():
+    """The package stays pure Python with no runtime dependency."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import skewmorph, skewmorph.cli\n"
+        "tops = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(json.dumps(sorted(tops - set(sys.stdlib_module_names) - {'skewmorph'})))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -97,6 +97,17 @@ def test_max_order_reaches_the_recursion(monkeypatch):
     assert (report.total, report.automorphisms, report.nonsmooth) == (24, 8, 0)
 
 
+def test_cached_enumeration_shares_one_entry_per_group():
+    """Positional, explicit-None and keyword calls hit the same cache entry."""
+    before = cached_enumeration.cache_info()
+    first = cached_enumeration((2, 3))
+    assert cached_enumeration((2, 3), None) is first
+    assert cached_enumeration([2, 3], max_order=None) is first
+    after = cached_enumeration.cache_info()
+    assert after.currsize - before.currsize <= 1
+    assert after.hits - before.hits >= 2
+
+
 def test_report_counts_consistent():
     report = cached_enumeration((12,))
     assert report.total == report.automorphisms + report.proper

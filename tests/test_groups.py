@@ -75,6 +75,8 @@ def test_group_laws(factors, data):
     assert g.add(a, b) == g.add(b, a)
     assert g.add(g.add(a, b), c) == g.add(a, g.add(b, c))
     assert g.add(a, g.neg(a)) == 0
+    assert g.add_table[a][b] == g.add(a, b)
+    assert g.neg_list[a] == g.neg(a)
 
 
 def test_addition_is_group_table_exhaustively_small():
@@ -216,6 +218,13 @@ def test_subgroup_generators_are_minimal_for_cyclic():
     g = make_group([2, 3])  # cyclic of order 6 in split form
     whole = subgroup_from_members(g, range(6))
     assert len(whole.generators) == 1
+
+
+def test_subgroup_generators_are_minimal_for_non_cyclic():
+    g = make_group([2, 4])
+    whole = subgroup_from_members(g, range(8))
+    assert len(whole.generators) == 2
+    assert subgroup_generated_by(g, whole.generators) == whole
 
 
 def test_parse_group_literal():

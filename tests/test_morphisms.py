@@ -274,3 +274,77 @@ def test_automorphism_iff_power_constant_one():
         group = make_group(factors)
         for sm in cached_enumeration(factors).morphisms:
             assert sm.is_automorphism == is_homomorphism(group, sm.perm)
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the validation core against a naive validator
+# ---------------------------------------------------------------------------
+
+DIFFERENTIAL_GROUPS = [(), (8,), (12,), (2, 2), (2, 4), (3, 3)]
+
+
+def naive_validate(group, perm):
+    """(order, power) or (reason, element), straight from the definition.
+
+    For every a it tries each power perm**j, j < |perm|, against
+    perm(a + b) == perm(a) + perm**j(b) for all b, using the checked add.
+    """
+    n = group.order
+    if sorted(perm) != list(range(n)):
+        return "not-bijection", None
+    if perm[0] != 0:
+        return "identity-moved", 0
+    powers = [tuple(range(n))]
+    while True:
+        nxt = tuple(perm[x] for x in powers[-1])
+        if nxt == powers[0]:
+            break
+        powers.append(nxt)
+    power = []
+    for a in range(n):
+        js = [
+            j
+            for j, pw in enumerate(powers)
+            if all(perm[group.add(a, b)] == group.add(perm[a], pw[b]) for b in range(n))
+        ]
+        if not js:
+            return "no-power", a
+        power.append(js[0])
+    return len(powers), tuple(power)
+
+
+@st.composite
+def differential_inputs(draw):
+    from skewmorph.enumeration import cached_enumeration
+
+    factors = draw(st.sampled_from(DIFFERENTIAL_GROUPS))
+    group = make_group(factors)
+    n = group.order
+    if draw(st.booleans()):
+        perm = (0,) + tuple(draw(st.permutations(range(1, n))))
+    else:
+        morphisms = cached_enumeration(factors).morphisms
+        perm = list(draw(st.sampled_from(morphisms)).perm)
+        if n > 2 and draw(st.booleans()):  # a near miss: swap two images
+            i, j = draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2, unique=True))
+            perm[i], perm[j] = perm[j], perm[i]
+        perm = tuple(perm)
+    return group, perm
+
+
+@given(differential_inputs())
+@settings(max_examples=300, deadline=None)
+def test_validation_core_matches_naive_validator(case):
+    group, perm = case
+    expected = naive_validate(group, perm)
+    fast = try_validate(group, perm)
+    if isinstance(expected[0], int):
+        assert fast is not None
+        assert (fast.order, fast.power) == expected
+        sm = validate(group, perm)
+        assert (sm.order, sm.power) == expected
+    else:
+        assert fast is None
+        with pytest.raises(SkewMorphismRejection) as info:
+            validate(group, perm)
+        assert (info.value.reason, info.value.element) == expected

@@ -45,7 +45,6 @@ from .morphisms import (
 from .constructions import (
     CsmParams,
     DirectProductRejection,
-    NseParams,
     FamilyConsistencyError,
     ParameterRejection,
     RootParams,

@@ -39,6 +39,14 @@ def _info(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def group_order(text: str) -> int:
+    """argparse type of the group-order flags: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a group order >= 1")
+    return value
+
+
 def _parse_groups_flag(text: str) -> list[AbelianGroup]:
     return [parse_group_literal(part) for part in text.split(",") if part.strip()]
 
@@ -185,13 +193,13 @@ def _verify_theorem1(args) -> int:
 
 
 def _verify_csm(args) -> int:
-    ns = [args.n] if args.n else range(2, args.max_n + 1)
+    ns = [args.n] if args.n is not None else range(2, args.max_n + 1)
     for n in ns:
         family = {
             constructions.csm_construct(p).perm
             for p in constructions.enumerate_csm_params(n)
         }
-        report = enumeration.cached_enumeration((n,), args.max_order)
+        report = enumeration.cached_enumeration((n,) if n > 1 else (), args.max_order)
         smooth_proper = {
             sm.perm for sm in report.morphisms if sm.is_proper and morphisms.is_smooth(sm)
         }
@@ -304,16 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("census", parents=[common], help="summary counts per group as CSV")
-    p.add_argument("--cyclic-from", type=int, default=None)
-    p.add_argument("--cyclic-to", type=int, default=None)
+    p.add_argument("--cyclic-from", type=group_order, default=None)
+    p.add_argument("--cyclic-to", type=group_order, default=None)
     p.add_argument("--groups", default=None, help="comma-separated group literals")
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=["theorem1", "csm", "identities", "theorem2"])
-    p.add_argument("--max-n", type=int, default=20)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--max-n", type=group_order, default=20)
+    p.add_argument("--n", type=group_order, default=None)
     p.add_argument("--groups", default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -335,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reciprocal", parents=[common],
                        help="count (and list) reciprocal pairs for Z_m and Z_n")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=group_order, required=True)
+    p.add_argument("--n", type=group_order, required=True)
     p.add_argument("--list", action="store_true")
     p.set_defaults(func=cmd_reciprocal)
     return parser

@@ -14,6 +14,7 @@ from math import gcd
 
 from .groups import (
     AbelianGroup,
+    SizeGuardError,
     factorint,
     invert,
     make_group,
@@ -136,7 +137,7 @@ def enumerate_csm_params(n: int, guard: int = 128) -> list[CsmParams]:
     caller at the table level.
     """
     if n > guard:
-        raise ParameterRejection("n", f"n={n} exceeds guard {guard}")
+        raise SizeGuardError(f"n={n} exceeds csm parameter guard {guard}")
     found = []
     for k in range(2, n):
         if n % k != 0:
@@ -248,16 +249,6 @@ def pns_witness_two(e: int) -> SkewMorphism:
 # ---------------------------------------------------------------------------
 # Proper skew morphisms of Z_p x Z_p
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NseParams:
-    p: int
-    d: int
-    nu: int
-    r: int
-    k: int  # multiplicative order of r mod p
-    b: int  # kernel element a^b, found by search
 
 
 def nse_construct(p: int, d: int, nu: int, r: int) -> SkewMorphism:

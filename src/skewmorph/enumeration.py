@@ -38,6 +38,8 @@ from .groups import (
     enumerate_automorphisms,
     enumerate_subgroups,
     factorint,
+    invariant_factors,
+    isomorphisms,
     make_group,
     multiplicative_order,
     quotient_group,
@@ -516,42 +518,15 @@ def _search_morphisms(group: AbelianGroup, max_order: int | None = None):
 
 
 def _subgroup_automorphisms(group: AbelianGroup, sub) -> list[dict[int, int]]:
-    """Additive bijections of a subgroup onto itself, as element maps."""
-    add = group.add_table
-    members = sub.members
-    gens = sub.generators
-    out: list[dict[int, int]] = []
+    """Additive bijections of a subgroup onto itself, as element maps.
 
-    def extend(i: int, mapping: dict[int, int]) -> None:
-        if i == len(gens):
-            if len(set(mapping.values())) == len(mapping):
-                out.append(mapping)
-            return
-        g = gens[i]
-        order = group.element_order(g)
-        for img in members:
-            if group.scalar(order, img) != 0:
-                continue
-            bigger = dict(mapping)
-            ok = True
-            gc = 0
-            imgc = 0
-            for _ in range(1, order):
-                gc = add[gc][g]
-                imgc = add[imgc][img]
-                for x, y in mapping.items():
-                    z = add[x][gc]
-                    w = add[y][imgc]
-                    if bigger.setdefault(z, w) != w:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                extend(i + 1, bigger)
-
-    extend(0, {0: 0})
-    return out
+    With iso0 one isomorphism from the invariant-factor group onto the
+    subgroup, they are iso . iso0^-1 over every such isomorphism iso.
+    """
+    orders = [group.element_order(x) for x in sub.members]
+    factors = invariant_factors(orders)
+    isos = list(isomorphisms(factors, sub.members, group.add_table, orders))
+    return [dict(zip(isos[0], iso)) for iso in isos]
 
 
 def _search_general(group: AbelianGroup, max_order: int | None = None):

@@ -8,6 +8,13 @@ fixed mixed-radix encoding with the *last* factor least significant, and
 The hot paths use `add_table` and `neg_list`, which are built from the
 factors alone, one factor at a time (see `AbelianGroup.add_table`), not
 with the checked per-element `add` and `neg`.
+
+Structure rests on one search, `isomorphisms`: it assigns images to the
+standard basis of Z_f1 x ... x Z_fr and yields every isomorphism onto a
+group given by an element list and an addition table.  Automorphisms are
+the isomorphisms of a group onto itself; a quotient takes its invariant
+factors from the element orders (`invariant_factors`) and its element names
+from the first isomorphism onto the coset table.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product as _cartesian
 from math import gcd, lcm, prod
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 SUBGROUP_GUARD = 256
 
@@ -136,9 +143,6 @@ class AbelianGroup:
         for c, w, f in zip(coords, self.weights, self.factors):
             a += (c % f) * w
         return a
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def _check(self, a: int) -> None:
         if not 0 <= a < self.order:
@@ -440,32 +444,52 @@ def is_homomorphism(group: AbelianGroup, table: Sequence[int]) -> bool:
     return True
 
 
-def enumerate_automorphisms(
-    group: AbelianGroup, guard: int = SUBGROUP_GUARD
-) -> list[Automorphism]:
-    """All automorphisms, by assigning images of the standard basis.
+def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... of an abelian group, from its element orders.
 
-    The induced map e_i -> g_i is a homomorphism exactly when factors[i]*g_i
-    vanishes; bijectivity is enforced incrementally on the partial span.
+    |A[p^i]| = #{x : p^i x = 0} = p^(r_1 + ... + r_i), where r_i counts the
+    cyclic factors of order at least p^i in the primary decomposition; so the
+    k-th largest invariant factor carries p^#{i : r_i >= k}.
     """
-    if group.order > guard:
-        raise SizeGuardError(f"order {group.order} exceeds automorphism guard {guard}")
-    n = group.order
-    if n == 1:
-        return [Automorphism(group, (0,))]
-    factors = group.factors
-    weights = group.weights
-    add = group.add_table
-    candidates = [
-        [x for x in range(n) if group.scalar(f, x) == 0] for f in factors
-    ]
-    results: list[Automorphism] = []
+    orders = list(orders)
+    largest_first: list[int] = []
+    for p, e in factorint(len(orders)).items():
+        sizes = [sum(1 for o in orders if p**i % o == 0) for i in range(e + 1)]
+        ranks = [factorint(sizes[i] // sizes[i - 1]).get(p, 0) for i in range(1, e + 1)]
+        for k in range(ranks[0]):
+            if k == len(largest_first):
+                largest_first.append(1)
+            largest_first[k] *= p ** sum(1 for r in ranks if r > k)
+    return tuple(reversed(largest_first))
 
-    # partial[x] = image of x, for x in the span of the first i basis vectors
-    def extend(i: int, partial: dict[int, int]) -> None:
-        if i == len(factors):
-            table = tuple(partial[x] for x in range(n))
-            results.append(Automorphism(group, table))
+
+def isomorphisms(
+    factors: Sequence[int],
+    elements: Sequence[int],
+    add: Sequence[Sequence[int]],
+    orders: Sequence[int],
+) -> Iterator[tuple[int, ...]]:
+    """Every isomorphism from make_group(factors) onto a group given by its elements.
+
+    The target's identity is 0, add[x][y] is its sum of x and y, and
+    orders[i] is the order of elements[i].  Each isomorphism is yielded as a
+    table indexed by the source's elements.  It is fixed by the images g_i of
+    the standard basis: e_i -> g_i extends to an injective homomorphism only
+    if g_i has order exactly factors[i], and injectivity is checked on every
+    partial span.  A full span with distinct images is onto, since both
+    groups have prod(factors) elements.  The basis is assigned last factor
+    first, which is the largest in invariant-factor form.
+    """
+    n = prod(factors)
+    if n != len(elements):
+        return
+    weights = make_group(factors).weights
+    candidates = [[x for x, o in zip(elements, orders) if o == f] for f in factors]
+
+    # partial[x] = image of x, for x in the span of the basis vectors after i
+    def extend(i: int, partial: dict[int, int]) -> Iterator[tuple[int, ...]]:
+        if i < 0:
+            yield tuple(partial[x] for x in range(n))
             return
         w = weights[i]
         for g in candidates[i]:
@@ -481,158 +505,30 @@ def enumerate_automorphisms(
                         ok = False
                         break
                     taken.add(v)
-                    bigger[add[x][c * w]] = v
+                    bigger[x + c * w] = v
                 if not ok:
                     break
             if ok:
-                extend(i + 1, bigger)
+                yield from extend(i - 1, bigger)
 
-    extend(0, {0: 0})
-    results.sort(key=lambda a: a.table)
-    return results
+    yield from extend(len(factors) - 1, {0: 0})
+
+
+def enumerate_automorphisms(
+    group: AbelianGroup, guard: int = SUBGROUP_GUARD
+) -> list[Automorphism]:
+    """All automorphisms, sorted by table: the isomorphisms of the group onto itself."""
+    if group.order > guard:
+        raise SizeGuardError(f"order {group.order} exceeds automorphism guard {guard}")
+    elements = range(group.order)
+    orders = [group.element_order(x) for x in elements]
+    tables = isomorphisms(group.factors, elements, group.add_table, orders)
+    return [Automorphism(group, table) for table in sorted(tables)]
 
 
 # ---------------------------------------------------------------------------
-# Quotients and structure decomposition
+# Quotients
 # ---------------------------------------------------------------------------
-
-
-def _abstract_orders(n: int, add: Callable[[int, int], int]) -> list[int]:
-    orders = [1] * n
-    for x in range(1, n):
-        k, y = 1, x
-        while y != 0:
-            y = add(y, x)
-            k += 1
-        orders[x] = k
-    return orders
-
-
-def _p_basis(elems: list[int], add: Callable[[int, int], int], p: int) -> list[int]:
-    """Basis of an abelian p-group given as element list (0 = identity)."""
-    if len(elems) == 1:
-        return []
-    index = {e: i for i, e in enumerate(elems)}
-    orders = {e: 1 for e in elems}
-    for e in elems:
-        k, y = 1, e
-        while y != 0:
-            y = add(y, e)
-            k += 1
-        orders[e] = k
-    g = max(elems, key=lambda e: (orders[e], -index[e]))
-    # cosets of <g>
-    cyc = [0]
-    y = g
-    while y != 0:
-        cyc.append(y)
-        y = add(y, g)
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    coset_members: list[list[int]] = []
-    for e in elems:
-        if e in coset_of:
-            continue
-        cid = len(reps)
-        members = sorted(add(e, c) for c in cyc)
-        for mm in members:
-            coset_of[mm] = cid
-        reps.append(members[0])
-        coset_members.append(members)
-
-    def qadd(i: int, j: int) -> int:
-        return coset_of[add(reps[i], reps[j])]
-
-    zero_cid = coset_of[0]
-    if zero_cid != 0:  # keep 0 as the identity of the quotient
-        reps[0], reps[zero_cid] = reps[zero_cid], reps[0]
-        coset_members[0], coset_members[zero_cid] = coset_members[zero_cid], coset_members[0]
-        coset_of = {e: (0 if c == zero_cid else (zero_cid if c == 0 else c)) for e, c in coset_of.items()}
-    qbasis = _p_basis(list(range(len(reps))), qadd, p)
-    lifts = []
-    for qb in qbasis:
-        lift = min(coset_members[qb], key=lambda e: (orders[e], e))
-        lifts.append(lift)
-    return [g] + lifts
-
-
-def _decompose_abstract(
-    n: int, add: Callable[[int, int], int]
-) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """Invariant factors (ascending divisibility) and coordinates per element."""
-    if n == 1:
-        return (), [()]
-    orders = _abstract_orders(n, add)
-    exponent = lcm(*orders)
-    primes = sorted(factorint(n))
-
-    def scalar(k: int, x: int) -> int:
-        y = 0
-        k %= exponent
-        b = x
-        while k:
-            if k & 1:
-                y = add(y, b)
-            b = add(b, b)
-            k >>= 1
-        return y
-
-    # CRT projectors onto the Sylow components
-    proj: dict[int, int] = {}
-    for p in primes:
-        v = factorint(exponent).get(p, 0)
-        t = exponent // p**v
-        u = pow(t, -1, p**v) if v else 0
-        proj[p] = (u * t) % exponent
-
-    all_factors: dict[int, list[int]] = {}
-    coord_maps: dict[int, dict[int, tuple[int, ...]]] = {}
-    for p in primes:
-        comp = sorted(x for x in range(n) if _is_prime_power_order(orders[x], p))
-        basis = _p_basis(comp, add, p)
-        b_orders = [orders[b] for b in basis]
-        span: dict[int, tuple[int, ...]] = {}
-        for combo in _cartesian(*(range(q) for q in b_orders)):
-            e = 0
-            for c, b in zip(combo, basis):
-                e = add(e, scalar(c, b))
-            span[e] = combo
-        assert len(span) == len(comp) == prod(b_orders), "p-basis is not a basis"
-        all_factors[p] = b_orders
-        coord_maps[p] = span
-
-    rank = max(len(v) for v in all_factors.values())
-    inv_desc = []
-    for j in range(rank):
-        d = 1
-        for p in primes:
-            if j < len(all_factors[p]):
-                d *= all_factors[p][j]
-        inv_desc.append(d)
-    factors = tuple(reversed(inv_desc))
-
-    coords: list[tuple[int, ...]] = []
-    for x in range(n):
-        per_slot = []
-        for j in range(rank):
-            r, mmod = 0, 1
-            for p in primes:
-                if j < len(all_factors[p]):
-                    xp = scalar(proj[p], x)
-                    cp = coord_maps[p][xp][j]
-                    merged = crt_pair(r, mmod, cp, all_factors[p][j])
-                    assert merged is not None
-                    r, mmod = merged
-            per_slot.append(r)
-        coords.append(tuple(reversed(per_slot)))
-    assert len(set(coords)) == n, "decomposition coordinates are not bijective"
-    return factors, coords
-
-
-def _is_prime_power_order(k: int, p: int) -> bool:
-    while k % p == 0:
-        k //= p
-    return k == 1
 
 
 def quotient_group(
@@ -641,7 +537,10 @@ def quotient_group(
     """Quotient in invariant-factor form plus the projection map.
 
     The projection sends an element index of `group` to an element index of
-    the quotient and is a surjective homomorphism with kernel = sub.
+    the quotient and is a surjective homomorphism with kernel = sub.  The
+    cosets are numbered in order of their least member, and the first
+    isomorphism from the invariant-factor group onto their addition table
+    names them.
     """
     members = frozenset(sub.members if isinstance(sub, Subgroup) else sub)
     if not _is_closed(group, members):
@@ -657,14 +556,18 @@ def quotient_group(
         reps.append(x)
         for b in members:
             coset_of[add[x][b]] = cid
-
-    def qadd(i: int, j: int) -> int:
-        return coset_of[add[reps[i]][reps[j]]]
-
-    factors, coords = _decompose_abstract(len(reps), qadd)
-    quotient = make_group(factors)
-    proj = tuple(quotient.index_of(coords[coset_of[x]]) for x in range(n))
-    return quotient, proj
+    cosets = range(len(reps))
+    table = [[coset_of[add[r][s]] for s in reps] for r in reps]
+    orders = []
+    for c in cosets:
+        k, y = 1, c
+        while y != 0:
+            y = table[y][c]
+            k += 1
+        orders.append(k)
+    factors = invariant_factors(orders)
+    name = invert(next(isomorphisms(factors, cosets, table, orders)))
+    return make_group(factors), tuple(name[coset_of[x]] for x in range(n))
 
 
 # ---------------------------------------------------------------------------

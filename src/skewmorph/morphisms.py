@@ -74,9 +74,6 @@ class SkewMorphism:
             tables.append(compose(self.perm, tables[-1]))
         return tables
 
-    def sort_key(self) -> tuple[int, ...]:
-        return self.perm
-
 
 def _derive_power(group: AbelianGroup, perm: Sequence[int], explain: bool):
     """Shared validation core; returns (order, power) or a rejection triple.
@@ -200,10 +197,6 @@ def skew_type(sm: SkewMorphism) -> int:
     return sm.group.order // kernel(sm).size
 
 
-def power_of(sm: SkewMorphism, j: int) -> tuple[int, ...]:
-    return sm.power_tables[j % sm.order]
-
-
 def conjugate(sm: SkewMorphism, theta: Automorphism) -> SkewMorphism:
     """theta . phi . theta^-1, revalidated (always succeeds for automorphisms)."""
     if theta.group != sm.group:
@@ -321,17 +314,15 @@ class SkewProductGroup:
 
 
 def skew_product_group(sm: SkewMorphism) -> SkewProductGroup:
-    """Build L_A<phi>; verifies that the |A|*|phi| pair names are distinct."""
+    """Build L_A<phi>; verifies that the |A|*|phi| pair names are distinct.
+
+    L_a . phi^i sends 0 to a, so two names with different a differ, and two
+    with the same a differ exactly when their powers phi^i do.
+    """
     n = sm.group.order
     pairs = tuple((a, i) for a in range(n) for i in range(sm.order))
-    spg = SkewProductGroup(sm, pairs)
-    seen = set()
-    for p in pairs:
-        t = spg.pair_table(p)
-        assert t not in seen, "skew product factorization is not exact"
-        seen.add(t)
-    assert len(seen) == n * sm.order
-    return spg
+    assert len(set(sm.power_tables)) == sm.order, "skew product factorization is not exact"
+    return SkewProductGroup(sm, pairs)
 
 
 def core_of_translations(spg: SkewProductGroup) -> Subgroup:

@@ -73,6 +73,38 @@ def test_guard_exit_3(capsys):
     assert "guard" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--cyclic-from", "-2", "--cyclic-to", "1"),
+        ("census", "--cyclic-from", "1", "--cyclic-to", "0"),
+        ("reciprocal", "--m", "0", "--n", "3"),
+        ("reciprocal", "--m", "3", "--n", "-4"),
+        ("verify", "theorem1", "--max-n", "-5"),
+        ("verify", "csm", "--n", "0"),
+    ],
+    ids=["cyclic-from", "cyclic-to", "reciprocal-m", "reciprocal-n", "max-n", "verify-n"],
+)
+def test_order_flags_below_one_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--quiet")
+    assert code == 2
+    assert "group order" in err
+    assert out == ""
+
+
+def test_order_flags_accept_one(capsys):
+    code, out, _ = run_cli(capsys, "census", "--cyclic-from", "1", "--cyclic-to", "1", "--quiet")
+    assert code == 0
+    assert out.splitlines()[1].startswith("Z1,")
+    assert run_cli(capsys, "verify", "csm", "--n", "1", "--quiet")[0] == 0
+
+
+def test_verify_csm_guard_exit_3(capsys):
+    code, _, err = run_cli(capsys, "verify", "csm", "--n", "200", "--max-order", "256", "--quiet")
+    assert code == 3
+    assert "guard" in err
+
+
 def test_census_rows(capsys, tmp_path):
     path = tmp_path / "census.csv"
     code, _, _ = run_cli(capsys, "census", "--cyclic-from", "4", "--cyclic-to", "5",

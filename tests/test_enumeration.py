@@ -1,5 +1,6 @@
 import hashlib
 from functools import lru_cache
+from itertools import permutations
 from math import lcm
 
 import pytest
@@ -8,6 +9,7 @@ from skewmorph import enumeration
 from skewmorph.enumeration import (
     EnumerationReport,
     _search_general,
+    _subgroup_automorphisms,
     brute_force_oracle,
     cached_enumeration,
     coprime_split,
@@ -19,6 +21,7 @@ from skewmorph.enumeration import (
 from skewmorph.groups import (
     SizeGuardError,
     enumerate_automorphisms,
+    enumerate_subgroups,
     make_group,
     parse_group_literal,
     perm_power,
@@ -274,3 +277,21 @@ def test_decomposed_orders(n, expected):
     report = cached_enumeration((n,))
     assert (report.total, report.automorphisms, report.nonsmooth) == expected
     assert (report.nonsmooth == 0) == smooth_only_predicate(n)
+
+
+@pytest.mark.parametrize("factors", [(2, 4), (4, 4), (2, 2, 4), (2, 12)])
+def test_subgroup_automorphisms_are_the_additive_bijections(factors):
+    group = make_group(factors)
+    add = group.add_table
+    for sub in enumerate_subgroups(group):
+        if sub.size > 8:
+            continue
+        members = sub.members
+        brute = set()
+        for rest in permutations(members[1:]):
+            image = dict(zip(members, (0,) + rest))
+            if all(image[add[a][b]] == add[image[a]][image[b]] for a in members for b in members):
+                brute.add(tuple(sorted(image.items())))
+        found = [tuple(sorted(theta.items())) for theta in _subgroup_automorphisms(group, sub)]
+        assert len(found) == len(set(found))
+        assert set(found) == brute, sub.members

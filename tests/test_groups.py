@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd, prod
 
 import pytest
@@ -12,7 +12,9 @@ from skewmorph.groups import (
     cycles,
     enumerate_automorphisms,
     enumerate_subgroups,
+    invariant_factors,
     invert,
+    is_homomorphism,
     make_group,
     multiplicative_order,
     parse_group_literal,
@@ -172,6 +174,40 @@ def test_automorphisms_form_a_group():
                 assert compose(t1, t2) in autos
 
 
+def _rank_merge(primary_factors):
+    """Invariant factors, ascending: the k-th largest factor is the product of
+    the k-th largest power of each prime among the primary factors."""
+    by_prime = {}
+    for q in primary_factors:
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        by_prime.setdefault(p, []).append(q)
+    columns = [sorted(powers, reverse=True) for powers in by_prime.values()]
+    rank = max(map(len, columns), default=0)
+    return tuple(reversed([prod(c[k] for c in columns if k < len(c)) for k in range(rank)]))
+
+
+def test_invariant_factors_match_rank_merge():
+    for n in range(1, 129):
+        for g in abelian_group_presentations(n):
+            orders = [g.element_order(x) for x in range(n)]
+            assert invariant_factors(orders) == _rank_merge(g.factors), g.label
+
+
+@pytest.mark.parametrize(
+    "group",
+    [g for n in range(1, 9) for g in abelian_group_presentations(n)],
+    ids=lambda g: g.label,
+)
+def test_automorphisms_are_the_additive_bijections(group):
+    n = group.order
+    brute = [
+        (0,) + rest
+        for rest in permutations(range(1, n))
+        if is_homomorphism(group, (0,) + rest)
+    ]
+    assert [a.table for a in enumerate_automorphisms(group)] == brute
+
+
 def test_perm_power_and_order():
     ident = tuple(range(6))
     assert perm_order(ident) == 1
@@ -212,6 +248,25 @@ def test_quotient_projection_is_surjective_homomorphism(factors, data):
     for a in range(g.order):
         for b in range(g.order):
             assert proj[g.add(a, b)] == q.add(proj[a], proj[b])
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [g.factors for n in range(1, 25) for g in abelian_group_presentations(n)]
+    + [(2, 6), (3, 6), (2, 12), (2, 2, 6), (6, 4)],
+)
+def test_every_quotient_is_a_surjection_onto_invariant_factors(factors):
+    """First isomorphism theorem: proj onto q with kernel K makes q = G/K."""
+    g = make_group(factors)
+    add = g.add_table
+    for sub in enumerate_subgroups(g):
+        q, proj = quotient_group(g, sub)
+        assert all(b % a == 0 for a, b in zip(q.factors, q.factors[1:]))
+        assert sorted(set(proj)) == list(range(q.order))
+        assert tuple(x for x in range(g.order) if proj[x] == 0) == sub.members
+        qadd = q.add_table
+        for a in range(g.order):
+            assert all(proj[add[a][b]] == qadd[proj[a]][proj[b]] for b in range(g.order))
 
 
 def test_subgroup_generators_are_minimal_for_cyclic():

@@ -53,7 +53,7 @@ def _parse_groups_flag(text: str) -> list[AbelianGroup]:
 
 def _report(group: AbelianGroup, args) -> enumeration.EnumerationReport:
     if getattr(args, "oracle", False):
-        guard = args.max_order if args.max_order else enumeration.ORACLE_GUARD
+        guard = args.max_order if args.max_order is not None else enumeration.ORACLE_GUARD
         return enumeration.brute_force_oracle(group, guard)
     return enumeration.enumerate_skew_morphisms(group, args.max_order)
 
@@ -127,7 +127,7 @@ def cmd_check(args) -> int:
         return EXIT_USAGE
     try:
         data = records.parse_record(text)
-        guard = args.max_order or CHECK_GUARD
+        guard = args.max_order if args.max_order is not None else CHECK_GUARD
         if make_group(data["group"]).order > guard:
             raise SizeGuardError(f"group order exceeds check guard {guard}; raise --max-order")
         mismatches = records.check_record(data)
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Skew morphisms of finite abelian groups: enumeration, constructions, verification.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-order", type=int, default=None,
+    common.add_argument("--max-order", type=group_order, default=None,
                         help="override the enumeration size guard")
     common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--quiet", action="store_true", help="suppress progress messages")

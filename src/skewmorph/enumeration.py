@@ -13,7 +13,13 @@ Two independent routes produce the same sets:
   recursively enumerated quotient morphism, and one image per coset
   (_search_general); they search one candidate per Aut(A)-orbit of
   subgroups, keep the finds whose kernel is exactly that candidate, and
-  conjugate those onto the rest of the orbit.  Every completed table and
+  conjugate those onto the rest of the orbit.  The cosets are placed one
+  quotient orbit at a time, and after each orbit a region check
+  (_region_holds) tests the defining identity on the finished, phi-closed
+  part of the table, so most tables die before they are complete.  Cold
+  times on a 2-core x86-64 host, with full validation of every table
+  before: Z2xZ12 0.35 s (3.5 s), Z2xZ14 1.1 s (4.4 s), Z3xZ9 4.2 s
+  (19.4 s), Z2xZ2xZ6 4.6 s (18.4 s).  Every completed table and
   every conjugate is revalidated in full, so the searches stay sound
   however hard their cells prune; the correctness burden is completeness,
   argued per search below.
@@ -28,13 +34,15 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations, permutations
-from math import gcd, prod
+from math import gcd, lcm, prod
+from operator import itemgetter
 from typing import Iterable
 
 from .groups import (
     AbelianGroup,
     SizeGuardError,
     crt_pair,
+    cycles,
     enumerate_automorphisms,
     enumerate_subgroups,
     factorint,
@@ -42,10 +50,18 @@ from .groups import (
     isomorphisms,
     make_group,
     multiplicative_order,
+    perm_power,
     quotient_group,
     totient,
 )
-from .morphisms import SkewMorphism, as_skew_morphism, conjugate, is_smooth, try_validate
+from .morphisms import (
+    SkewMorphism,
+    as_skew_morphism,
+    conjugate,
+    is_smooth,
+    pin_power,
+    try_validate,
+)
 
 ORACLE_GUARD = 10
 CYCLIC_GUARD = 64
@@ -529,6 +545,113 @@ def _subgroup_automorphisms(group: AbelianGroup, sub) -> list[dict[int, int]]:
     return [dict(zip(isos[0], iso)) for iso in isos]
 
 
+def _orbit_plan(group: AbelianGroup, coset_elems, zero: int, tau: SkewMorphism):
+    """Order the nonzero cosets by tau-orbit, shortest orbit first.
+
+    Returns (order, checks).  checks[i] is None unless placing order[i]
+    completes a tau-orbit; then it is (region, new, tests) for the
+    phi-closed region R = K u (cosets of the orbits placed so far).  region
+    is R as a set, new lists the elements that joined R since the last
+    check, and tests holds, for every placed coset j with representative r,
+    the tuple (r, pi_tau(j), at_bs, at_rbs): itemgetters that pick, from a
+    table, its entries at the b in R with r + b in R, and at the r + b.
+    These b include all of K, at least two elements, so the itemgetters
+    return tuples.  The cosets of the orbit just placed come first, since
+    their entries are the new ones.  All of it depends on tau only, not on
+    the table.
+    """
+    add = group.add_table
+    region = set(coset_elems[zero])
+    new: list[int] = []
+    order: list[int] = []
+    checks: list = []
+    for orbit in sorted(cycles(tau.perm), key=len):
+        if orbit[0] == zero:
+            continue
+        for j in orbit:
+            new += coset_elems[j]
+        region = region.union(new)
+        order += orbit
+        tests = []
+        for j in orbit + order[: -len(orbit)]:
+            r = coset_elems[j][0]
+            row = add[r]
+            bs = [b for b in sorted(region) if row[b] in region]
+            tests.append((r, tau.power[j], itemgetter(*bs), itemgetter(*(row[b] for b in bs))))
+        checks.extend([None] * (len(orbit) - 1))
+        checks.append((region, new, tests))
+        new = []
+    return order, checks
+
+
+def _cycles_on(table, members) -> list[tuple[dict[int, int], int]]:
+    """The cycles of length > 1 of a table on a table-closed set of members,
+    each as (offset of each member along the cycle, length)."""
+    out = []
+    seen = set()
+    for start in members:
+        if start in seen:
+            continue
+        offsets = {start: 0}
+        length = 1
+        x = table[start]
+        while x not in offsets:  # x == start on a table-closed set
+            offsets[x] = length
+            length += 1
+            x = table[x]
+        seen.update(offsets)
+        if length > 1:
+            out.append((offsets, length))
+    return out
+
+
+def _region_holds(group: AbelianGroup, table, region, new, tests, tau_order: int, pinning):
+    """The defining identity on the final entries of a phi-closed region.
+
+    For each test (r, e0, at_bs, at_rbs) of _orbit_plan: some e = e0 (mod
+    tau_order) has table[r + b] - table[r] = phi**e(b) at every usable b
+    (b and r + b in R), with phi the table restricted to region.  As in
+    _derive_power, e is pinned by CRT (pin_power) over the cycles of phi|R,
+    longest first, each at one usable element while its length can still
+    refine the modulus, and then compared at every usable b, as tuples.
+    Once every usable cycle's length divides the modulus, phi**e agrees at
+    every usable b for all e in the pinned class, so the comparison is
+    exact.  The proof that this keeps every skew morphism is in
+    _search_general.
+
+    pinning lists the cycles of phi on the region of the previous check, as
+    (offset of each member, length); the elements in new close into cycles
+    of their own, since both regions are phi-closed.  Returns the cycles of
+    phi|R, longest first, for the next check, or None when a test fails.
+    """
+    add = group.add_table
+    neg = group.neg_list
+    pinning = sorted(pinning + _cycles_on(table, new), key=itemgetter(1), reverse=True)
+    powers: dict[int, tuple[int, ...]] = {}
+    for r, e0, at_bs, at_rbs in tests:
+        row = add[r]
+        shift = add[neg[table[r]]]
+        pins = []
+        m = tau_order
+        for offsets, length in pinning:
+            if m % length:
+                for b in offsets:
+                    if row[b] in region:
+                        pins.append((b, length, offsets))
+                        m = lcm(m, length)
+                        break
+        pinned = pin_power(pins, row, shift.__getitem__, table, e0, tau_order)
+        if pinned is None:
+            return None
+        # phi**e on R reads only entries in R, because R is phi-closed
+        target = powers.get(pinned[0])
+        if target is None:
+            target = powers[pinned[0]] = perm_power(table, pinned[0])
+        if at_bs(target) != itemgetter(*at_rbs(table))(shift):
+            return None
+    return pinning
+
+
 def _search_general(group: AbelianGroup, max_order: int | None = None):
     """Enumerate skew morphisms of a multi-factor group by kernel shape.
 
@@ -551,6 +674,32 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
     therefore complete, and nothing is yielded twice, because different
     kernels give different morphisms.  The automorphisms, kernel A, come
     from enumerate_automorphisms, whose list also generates the orbits.
+
+    A table dies as soon as a phi-closed region of it breaks the identity.
+    The nonzero cosets are placed tau-orbit by tau-orbit (_orbit_plan).
+    phi maps the coset j onto the coset tau(j), so once every coset of a
+    tau-orbit is placed, R = K u (cosets of the completed orbits) is
+    phi-closed and its entries are final.  _region_holds then requires, for
+    every placed coset representative r, some e = pi_tau(r mod K) (mod |tau|)
+    with phi(r + b) - phi(r) = phi^e(b) for every b in R with r + b in R.
+    Every skew morphism phi with quotient tau passes, for three reasons:
+
+    * The condition is the defining identity phi(r + b) = phi(r) +
+      phi^pi(r)(b), restricted to entries that are already final: r, b and
+      r + b lie in R, and so does phi^pi(r)(b), since R is phi-closed.  So
+      e = pi(r) satisfies it.
+    * pi(r) = pi_tau(r mod K) (mod |tau|).  Projecting the identity onto
+      A/K gives tau(r + b) = tau(r) + tau^pi(r)(b) there for every b, so
+      pi(r) is a valid power for tau at r mod K; two valid powers at one
+      point give the same permutation tau^j, so they agree mod |tau|.
+    * Checking representatives suffices.  The kernel placement phi(a + x) =
+      theta(a) + phi(x) for a in K gives D_(a+r)(b) = phi(a + r + b) -
+      phi(a + r) = phi(r + b) - phi(r) = D_r(b), and a + r and r share
+      their coset, hence pi_tau and, R being a union of cosets, the usable
+      b.  On K itself D_a = phi, with e = 1.
+
+    Completed tables are still revalidated and filtered by exact kernel, so
+    the check only has to keep every morphism, never to prove one.
     """
     n = group.order
     add = group.add_table
@@ -574,31 +723,37 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
         reps = [cells[0] for cells in coset_elems]
         kernel_auts = _subgroup_automorphisms(group, sub)
         induced = cached_enumeration(quotient.factors, max_order)
-        nonzero = [j for j in range(t) if j != proj[0]]
         found: list[SkewMorphism] = []
 
         table = [0] * n
         for tau in induced.morphisms:
+            order, checks = _orbit_plan(group, coset_elems, proj[0], tau)
             for theta in kernel_auts:
                 for a, fa in theta.items():
                     table[a] = fa
 
-                def place(idx: int) -> None:
-                    if idx == len(nonzero):
+                def place(idx: int, pinning) -> None:
+                    if idx == len(order):
                         sm = try_validate(group, tuple(table))
                         if sm is not None:
                             one = 1 % sm.order
                             if {a for a in range(n) if sm.power[a] == one} == members:
                                 found.append(sm)
                         return
-                    j = nonzero[idx]
+                    j = order[idx]
                     r = reps[j]
+                    check = checks[idx]
                     for y in coset_elems[tau.perm[j]]:
                         for a, fa in theta.items():
                             table[add[a][r]] = add[fa][y]
-                        place(idx + 1)
+                        if check is None:
+                            place(idx + 1, pinning)
+                        else:
+                            grown = _region_holds(group, table, *check, tau.order, pinning)
+                            if grown is not None:
+                                place(idx + 1, grown)
 
-                place(0)
+                place(0, _cycles_on(table, sub.members))
         out.extend(conjugate(sm, sigma) for sigma in orbit.values() for sm in found)
     yield from out
 

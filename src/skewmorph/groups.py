@@ -266,7 +266,7 @@ def abelian_group_presentations(n: int) -> list[AbelianGroup]:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup as its sorted member tuple; generators are found on first use."""
+    """A subgroup as its sorted member tuple."""
 
     group: AbelianGroup
     members: tuple[int, ...]
@@ -274,10 +274,6 @@ class Subgroup:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    @cached_property
-    def generators(self) -> tuple[int, ...]:
-        return minimal_generators(self.group, self.members)
 
     def __contains__(self, a: int) -> bool:
         return a in self._member_set
@@ -303,24 +299,6 @@ def _is_closed(group: AbelianGroup, members: frozenset[int]) -> bool:
         return False
     add = group.add_table
     return all(add[x][y] in members for x in members for y in members)
-
-
-def minimal_generators(group: AbelianGroup, members: Iterable[int]) -> tuple[int, ...]:
-    """Greedy minimal generating sequence: maximize the span at every step."""
-    target = frozenset(members)
-    span: frozenset[int] = frozenset([0])
-    gens: list[int] = []
-    while span != target:
-        best = None
-        best_size = len(span)
-        for x in sorted(target - span):
-            size = len(_closure(group, span, x))
-            if size > best_size:
-                best, best_size = x, size
-        assert best is not None, "generator search stalled; input not closed?"
-        gens.append(best)
-        span = _closure(group, span, best)
-    return tuple(gens)
 
 
 def subgroup_from_members(group: AbelianGroup, members: Iterable[int]) -> Subgroup:

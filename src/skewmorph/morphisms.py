@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from operator import ne
+from operator import itemgetter, ne
 from typing import Iterable, Sequence
 
 from .groups import (
@@ -75,15 +75,35 @@ class SkewMorphism:
         return tables
 
 
+def pin_power(pins, row, shift_at, perm, res: int, mod: int) -> tuple[int, int] | None:
+    """Pin the exponent j of a displacement D(b) = shift_at(perm[row[b]]).
+
+    Each pin (b, length, offsets) names an element b of a cycle of perm, of
+    the given length, with offsets mapping each cycle member to its position.
+    perm**j(b) = D(b) holds exactly when j = offsets[D(b)] - offsets[b] mod
+    length, so the pins' congruences are merged by CRT into j = res (mod
+    mod).  Returns the merged (res, mod), or None when D(b) leaves the cycle
+    of b or two congruences conflict: then no j satisfies D(b) = perm**j(b)
+    at every pin.
+    """
+    for b, length, offsets in pins:
+        off = offsets.get(shift_at(perm[row[b]]))
+        merged = None if off is None else crt_pair(res, mod, off - offsets[b], length)
+        if merged is None:
+            return None
+        res, mod = merged
+    return res, mod
+
+
 def _derive_power(group: AbelianGroup, perm: Sequence[int], explain: bool):
     """Shared validation core; returns (order, power) or a rejection triple.
 
     For each a the displacement D_a(b) = perm[a+b] - perm[a] must equal
     perm**j for some j, which is then pi(a).  j is pinned mod m = |perm| by
-    CRT on the shift of D_a at the leaders of a few pinning cycles whose
-    lengths have lcm m, so any valid j agrees with it mod m.  D_a is then
-    compared with perm**j at every b, which also covers the other cycles.
-    D_0 = perm since perm[0] = 0, so pi(0) = 1 needs no check.
+    pin_power at the leaders of a few pinning cycles whose lengths have lcm
+    m, so any valid j agrees with it mod m.  D_a is then compared with
+    perm**j at every b, which also covers the other cycles.  D_0 = perm
+    since perm[0] = 0, so pi(0) = 1 needs no check.
     """
     n = group.order
     if not is_bijection(perm, n):
@@ -104,14 +124,9 @@ def _derive_power(group: AbelianGroup, perm: Sequence[int], explain: bool):
     for a in range(1, n):
         row = add[a]
         shift_at = add[neg[perm[a]]].__getitem__
-        res, mod = 0, 1
-        for leader, length, offsets in pinning:
-            off = offsets.get(shift_at(perm[row[leader]]))
-            merged = None if off is None else crt_pair(res, mod, off, length)
-            if merged is None:
-                break
-            res, mod = merged
-        else:
+        pinned = pin_power(pinning, row, shift_at, perm, 0, 1)
+        if pinned is not None:
+            res = pinned[0]
             target = powers.get(res)
             if target is None:
                 target = powers[res] = perm_power(perm, res)
@@ -331,27 +346,21 @@ def core_of_translations(spg: SkewProductGroup) -> Subgroup:
     Computed at the permutation level: a belongs iff every phi-power
     conjugate of the translation by a is again a translation by a member.
     The translation subgroup is normalized by translations (A abelian), so
-    phi-power conjugates decide normality.
+    phi-power conjugates decide normality.  conj(x) = phi^-i(a + phi^i(x))
+    is the translation by c = conj(0) = phi^-i(a) iff a + phi^i(x) =
+    phi^i(c + x) for every x; both sides are built as whole rows by
+    itemgetter and compared as tuples.
     """
     sm = spg.morphism
-    n = sm.group.order
     add = sm.group.add_table
-    surviving = []
-    for a in range(n):
-        ok = True
-        for i in range(1, sm.order):
-            pw = sm.power_tables[i]
-            pw_inv = sm.power_tables[sm.order - i]
-            # conj(x) = phi^-i(a + phi^i(x)); translation iff equals x + conj(0)
-            base = pw_inv[add[a][pw[0]]]
-            row = add[base]
-            if any(pw_inv[add[a][pw[x]]] != row[x] for x in range(1, n)):
-                ok = False
-                break
-        if ok:
-            surviving.append(a)
-    sub = subgroup_from_members(sm.group, surviving)
-    return sub
+    shifted = [itemgetter(*row) for row in add]  # shifted[c](t)[x] = t[c + x]
+    surviving = list(range(sm.group.order))
+    for i in range(1, sm.order):
+        pw = sm.power_tables[i]
+        pw_inv = sm.power_tables[sm.order - i]
+        through = itemgetter(*pw)  # through(row)[x] = row[phi^i(x)]
+        surviving = [a for a in surviving if through(add[a]) == shifted[pw_inv[a]](pw)]
+    return subgroup_from_members(sm.group, surviving)
 
 
 def is_corefree_cyclic_part(spg: SkewProductGroup) -> bool:

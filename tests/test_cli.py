@@ -82,8 +82,14 @@ def test_guard_exit_3(capsys):
         ("reciprocal", "--m", "3", "--n", "-4"),
         ("verify", "theorem1", "--max-n", "-5"),
         ("verify", "csm", "--n", "0"),
+        ("enumerate", "Z6", "--max-order", "0"),
+        ("enumerate", "Z3xZ3", "--oracle", "--max-order", "0"),
+        ("check", "--file", "unread.json", "--max-order", "0"),
     ],
-    ids=["cyclic-from", "cyclic-to", "reciprocal-m", "reciprocal-n", "max-n", "verify-n"],
+    ids=[
+        "cyclic-from", "cyclic-to", "reciprocal-m", "reciprocal-n", "max-n", "verify-n",
+        "enumerate-max-order", "oracle-max-order", "check-max-order",
+    ],
 )
 def test_order_flags_below_one_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--quiet")
@@ -97,6 +103,19 @@ def test_order_flags_accept_one(capsys):
     assert code == 0
     assert out.splitlines()[1].startswith("Z1,")
     assert run_cli(capsys, "verify", "csm", "--n", "1", "--quiet")[0] == 0
+
+
+def test_max_order_is_the_guard_everywhere(capsys, tmp_path):
+    """--max-order is the guard itself on every route, never a stand-in for the default."""
+    record = tmp_path / "z9.json"
+    run_cli(capsys, "construct", "root", "--n", "9", "--k", "3", "--s", "8", "--out", str(record))
+    for argv, order in [
+        (("enumerate", "Z6"), 6),
+        (("enumerate", "Z3xZ3", "--oracle"), 9),
+        (("check", "--file", str(record)), 9),
+    ]:
+        assert run_cli(capsys, *argv, "--max-order", str(order - 1), "--quiet")[0] == 3, argv
+        assert run_cli(capsys, *argv, "--max-order", str(order), "--quiet")[0] == 0, argv
 
 
 def test_verify_csm_guard_exit_3(capsys):

@@ -8,6 +8,9 @@ import pytest
 from skewmorph import enumeration
 from skewmorph.enumeration import (
     EnumerationReport,
+    _cycles_on,
+    _orbit_plan,
+    _region_holds,
     _search_general,
     _subgroup_automorphisms,
     brute_force_oracle,
@@ -20,14 +23,23 @@ from skewmorph.enumeration import (
 )
 from skewmorph.groups import (
     SizeGuardError,
+    cycles,
     enumerate_automorphisms,
     enumerate_subgroups,
     make_group,
     parse_group_literal,
     perm_power,
     primary_split,
+    quotient_group,
 )
-from skewmorph.morphisms import conjugate, is_smooth, kernel, relabel, try_validate
+from skewmorph.morphisms import (
+    conjugate,
+    is_smooth,
+    kernel,
+    quotient_skew,
+    relabel,
+    try_validate,
+)
 
 
 def test_oracle_z5_all_automorphisms():
@@ -206,7 +218,8 @@ def test_general_search_yields_each_morphism_once(factors):
 
 
 # sha256 of repr(sorted perm list), pinned before the search ran once per
-# Aut(A)-orbit of kernels; these groups are beyond the oracle's reach.
+# Aut(A)-orbit of kernels (Z2xZ12 and Z2xZ14: before the region check);
+# these groups are beyond the oracle's reach.
 NONCYCLIC_PINS = {
     (2, 2): (6, "3006c2cfe12e0c3258386f794ac83c121621de425c8237bd4992f558c317ac66"),
     (2, 4): (16, "87469e649584fd65f36b20bde3296240c59511ed135b160e5268c3a9d736501e"),
@@ -219,6 +232,8 @@ NONCYCLIC_PINS = {
     (3, 6): (96, "960af534fd94d67ca1b7e7f1fd6d5164145d8dc8505f766caba17d70b1baaba0"),
     (2, 10): (48, "fcd6537f032aa569095e381c284dcf391eb8069242ed1b1e44c2dfa109bb18cd"),
     (5, 5): (768, "3aa59dabe62492a992aebc35e4f6d93ac1a3f1c366b9e96a92ea279d975c7148"),
+    (2, 12): (80, "b37e9cb3f8d291ea25263a40c93d5ef620ba6c58ed9df6ea0beff0d520623f19"),
+    (2, 14): (72, "b1a84153b48c18761117436e496ddd7d1f6d3675eaf6a1f23d99ebe47d201dd6"),
 }
 
 
@@ -227,6 +242,109 @@ def test_noncyclic_morphism_sets_pinned(factors):
     report = cached_enumeration(factors)
     digest = hashlib.sha256(repr([sm.perm for sm in report.morphisms]).encode()).hexdigest()
     assert (report.total, digest) == NONCYCLIC_PINS[factors]
+
+
+def _region_plan(sm):
+    """The kernel, the quotient morphism and the region checks, in search
+    order, that the general search runs for sm's own kernel."""
+    group = sm.group
+    sub = kernel(sm)
+    quotient, proj = quotient_group(group, sub)
+    coset_elems = [[] for _ in range(quotient.order)]
+    for x in range(group.order):
+        coset_elems[proj[x]].append(x)
+    tau = quotient_skew(sm, sub)
+    _, checks = _orbit_plan(group, coset_elems, proj[0], tau)
+    return sub, tau, [check for check in checks if check is not None]
+
+
+def _passes_regions(table, sub, tau, checks):
+    pinning = _cycles_on(table, sub.members)
+    for check in checks:
+        pinning = _region_holds(sub.group, table, *check, tau.order, pinning)
+        if pinning is None:
+            return False
+    return True
+
+
+def _assert_region_checks_pass(morphisms):
+    """Each morphism survives every tau-orbit prefix of its own table,
+    reading only entries inside the region, which it maps into itself."""
+    for sm in morphisms:
+        sub, tau, checks = _region_plan(sm)
+        pinning = _cycles_on(sm.perm, sub.members)
+        for check in checks:
+            region = check[0]
+            assert all(sm.perm[x] in region for x in region)
+            hidden = [sm.perm[x] if x in region else 0 for x in range(len(sm.perm))]
+            assert _region_holds(sm.group, hidden, *check, tau.order, pinning) is not None
+            pinning = _region_holds(sm.group, sm.perm, *check, tau.order, pinning)
+            assert pinning is not None, sm.perm
+
+
+@pytest.mark.parametrize("factors", sorted(NONCYCLIC_PINS))
+def test_every_morphism_passes_its_own_region_checks(factors):
+    """Completeness of the region check on everything the search finds."""
+    _assert_region_checks_pass(cached_enumeration(factors).morphisms)
+
+
+@pytest.mark.parametrize("factors", [(2, 4), (2, 2, 2), (3, 3)])
+def test_oracle_morphisms_pass_their_own_region_checks(factors):
+    """The same on morphisms found without the search, so a check that
+    drops morphisms cannot hide them from this test."""
+    _assert_region_checks_pass(brute_force_oracle(make_group(factors)).morphisms)
+
+
+def test_closed_form_morphisms_pass_their_own_region_checks():
+    """Also without the search: the Z5xZ5 family with r = 4 has the tau-orbits
+    {1, 4} and {2, 3}, so its first region holds pairs with r + b outside it."""
+    from skewmorph.constructions import nse_construct, nse_params_range
+
+    _assert_region_checks_pass(nse_construct(5, *params) for params in nse_params_range(5))
+
+
+def _moving_quotients(factors):
+    """Each proper morphism whose quotient morphism moves a coset, with its
+    region plan and one tau-orbit of length > 1."""
+    for sm in cached_enumeration(factors).morphisms:
+        sub, tau, checks = _region_plan(sm)
+        orbit = next((cyc for cyc in cycles(tau.perm) if len(cyc) > 1), None)
+        if orbit is not None:
+            yield sm, sub, tau, checks, orbit
+
+
+def test_region_check_enforces_the_quotient_power():
+    """On the whole group, a power class shifted off pi_tau is rejected."""
+    checked = 0
+    for factors in ((3, 3), (3, 6)):
+        for sm, _, tau, checks, _ in _moving_quotients(factors):
+            region, _, tests = checks[-1]
+            assert len(region) == len(sm.perm)
+            shifted = [(r, (e0 + 1) % tau.order, *picks) for r, e0, *picks in tests]
+            every = sorted(region)
+            assert _region_holds(sm.group, sm.perm, region, every, tests, tau.order, []) is not None
+            assert _region_holds(sm.group, sm.perm, region, every, shifted, tau.order, []) is None
+            checked += 1
+    assert checked == 32
+
+
+def test_region_check_rejects_swapped_coset_images():
+    """Near misses: exchange the images of two cosets in one tau-orbit."""
+    group = make_group((3, 3))
+    add = group.add_table
+    checked = 0
+    for sm, sub, tau, checks, orbit in _moving_quotients(group.factors):
+        _, proj = quotient_group(group, sub)
+        r1, r2 = (proj.index(j) for j in orbit[:2])
+        swapped = list(sm.perm)
+        for a in sub.members:
+            swapped[add[a][r1]] = sm.perm[add[a][r2]]
+            swapped[add[a][r2]] = sm.perm[add[a][r1]]
+        assert _passes_regions(sm.perm, sub, tau, checks)
+        assert try_validate(group, swapped) is None
+        assert not _passes_regions(swapped, sub, tau, checks)
+        checked += 1
+    assert checked == 16
 
 
 @pytest.mark.parametrize("n", [12, 15, 18, 20, 21, 24, 28])

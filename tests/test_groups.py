@@ -21,7 +21,6 @@ from skewmorph.groups import (
     perm_order,
     perm_power,
     quotient_group,
-    subgroup_from_members,
     subgroup_generated_by,
 )
 
@@ -267,19 +266,6 @@ def test_every_quotient_is_a_surjection_onto_invariant_factors(factors):
         qadd = q.add_table
         for a in range(g.order):
             assert all(proj[add[a][b]] == qadd[proj[a]][proj[b]] for b in range(g.order))
-
-
-def test_subgroup_generators_are_minimal_for_cyclic():
-    g = make_group([2, 3])  # cyclic of order 6 in split form
-    whole = subgroup_from_members(g, range(6))
-    assert len(whole.generators) == 1
-
-
-def test_subgroup_generators_are_minimal_for_non_cyclic():
-    g = make_group([2, 4])
-    whole = subgroup_from_members(g, range(8))
-    assert len(whole.generators) == 2
-    assert subgroup_generated_by(g, whole.generators) == whole
 
 
 def test_parse_group_literal():

@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import IO, Sequence
+from contextlib import contextmanager
+from typing import IO, Iterator, Sequence
 
 from . import constructions, enumeration, morphisms, records
 from .groups import AbelianGroup, InvalidFactorError, SizeGuardError, make_group, parse_group_literal
@@ -19,15 +20,36 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
-# largest group order `check` revalidates without --max-order; validation
-# builds an order x order addition table
+# largest group order `check`, `construct` and `verify theorem2` handle
+# without --max-order; each builds an order x order addition table
 CHECK_GUARD = 256
 
 
-def _open_out(path: str | None) -> IO[str]:
+class UsageError(Exception):
+    """A flag that names something unusable, such as an unwritable --out."""
+
+
+@contextmanager
+def _output(path: str | None) -> Iterator[IO[str]]:
+    """The --out stream: stdout for None or "-", else the file, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8")
+        yield sys.stdout
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"--out: {exc}") from exc
+    with handle:
+        yield handle
+
+
+def _check_guard(order: int, args) -> None:
+    """Raise SizeGuardError above the guard, before any table is built."""
+    guard = args.max_order if args.max_order is not None else CHECK_GUARD
+    if order > guard:
+        raise SizeGuardError(
+            f"group order {order} exceeds {args.command} guard {guard}; raise --max-order"
+        )
 
 
 def _emit(out: IO[str], line: str) -> None:
@@ -61,13 +83,9 @@ def _report(group: AbelianGroup, args) -> enumeration.EnumerationReport:
 def cmd_enumerate(args) -> int:
     group = parse_group_literal(args.group)
     report = _report(group, args)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for sm in report.morphisms:
             _emit(out, records.to_json_line(sm))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     _info(args, f"{group.label}: {report.total} skew morphisms "
                 f"({report.automorphisms} automorphisms, {report.nonsmooth} non-smooth)")
     return EXIT_OK
@@ -84,19 +102,18 @@ def cmd_census(args) -> int:
     if not groups:
         print("census: nothing to do (use --groups or --cyclic-from/--cyclic-to)", file=sys.stderr)
         return EXIT_USAGE
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _emit(out, records.CSV_HEADER)
         for group in groups:
             report = _report(group, args)
             _emit(out, records.census_row(group.label, report))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
 def cmd_construct(args) -> int:
+    # a non-positive p is left to nse_construct to reject
+    order = max(args.p, 0) ** 2 if args.family == "nse" else args.n
+    _check_guard(order, args)
     try:
         if args.family == "csm":
             sm = constructions.csm_construct(
@@ -109,12 +126,8 @@ def cmd_construct(args) -> int:
     except constructions.ParameterRejection as exc:
         print(f"construct {args.family}: {exc}", file=sys.stderr)
         return EXIT_MATH
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _emit(out, records.to_json_line(sm))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -127,9 +140,7 @@ def cmd_check(args) -> int:
         return EXIT_USAGE
     try:
         data = records.parse_record(text)
-        guard = args.max_order if args.max_order is not None else CHECK_GUARD
-        if make_group(data["group"]).order > guard:
-            raise SizeGuardError(f"group order exceeds check guard {guard}; raise --max-order")
+        _check_guard(make_group(data["group"]).order, args)
         mismatches = records.check_record(data)
     except records.MalformedRecord as exc:
         print(f"check: malformed record: {exc}", file=sys.stderr)
@@ -155,8 +166,7 @@ def cmd_reciprocal(args) -> int:
         for b in rep_n.morphisms
         if morphisms.is_reciprocal_pair(a, b)
     ]
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _emit(out, json.dumps({"m": args.m, "n": args.n, "count": len(pairs)}))
         if args.list:
             for a, b in pairs:
@@ -164,9 +174,6 @@ def cmd_reciprocal(args) -> int:
                     {"phi": records.to_record(a), "phi_tilde": records.to_record(b)},
                     separators=(",", ":"),
                 ))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -270,6 +277,7 @@ def _verify_theorem2(args) -> int:
         if group.is_cyclic:
             print(f"verify theorem2: {group.label} is cyclic; use theorem1", file=sys.stderr)
             return EXIT_USAGE
+        _check_guard(group.order, args)
         necessary = enumeration.theorem2_necessary(group)
         if necessary:
             _info(args, f"{group.label}: necessary condition holds; no witness required")
@@ -370,7 +378,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_USAGE
     try:
         return args.func(args)
-    except InvalidFactorError as exc:
+    except (InvalidFactorError, UsageError) as exc:
         print(f"skewmorph: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SizeGuardError as exc:

@@ -16,13 +16,10 @@ Two independent routes produce the same sets:
   conjugate those onto the rest of the orbit.  The cosets are placed one
   quotient orbit at a time, and after each orbit a region check
   (_region_holds) tests the defining identity on the finished, phi-closed
-  part of the table, so most tables die before they are complete.  Cold
-  times on a 2-core x86-64 host, with full validation of every table
-  before: Z2xZ12 0.35 s (3.5 s), Z2xZ14 1.1 s (4.4 s), Z3xZ9 4.2 s
-  (19.4 s), Z2xZ2xZ6 4.6 s (18.4 s).  Every completed table and
-  every conjugate is revalidated in full, so the searches stay sound
-  however hard their cells prune; the correctness burden is completeness,
-  argued per search below.
+  part of the table, so most tables die before they are complete.  Every
+  completed table and every conjugate is revalidated in full, so the
+  searches stay sound however hard their cells prune; the correctness
+  burden is completeness, argued per search below.
 
 Orders are always derived from tables; nothing assumes a bound on |phi|
 in terms of |A|.
@@ -60,6 +57,7 @@ from .morphisms import (
     conjugate,
     is_smooth,
     pin_power,
+    skew_type,
     try_validate,
 )
 
@@ -130,11 +128,10 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
     residue is pinned).  Constraint web: svals prefix sums along the orbit
     (svals[0] = svals[L] = 0) chained by the power of each orbit slot and
     by the composition rule cvals[j+1] = svals[cvals[j]]; kernel additivity
-    phi(a + b) = phi(a) + phi(b) for kernel a; every closed table cycle has
-    length dividing L and power sum divisible by its length.  Completed
-    tables are revalidated by the caller's emit, so pruning only needs to
-    preserve completeness for the cell's own (q, k, L).  Two prunes rest on
-    these proofs:
+    phi(a + b) = phi(a) + phi(b) for kernel a.  Every completed table is
+    revalidated before it is kept, so pruning only needs to preserve
+    completeness for the cell's own (q, k, L).  Two prunes rest on these
+    proofs:
 
     * Slot cosets.  Slot i of the orbit of 1 holds an element congruent to
       slot_res[i] mod mod_q, hence mod k, so its power is
@@ -147,6 +144,11 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
       o = ord(t mod n/k) divides pi(b) - 1 for every b, and divides L.
       Seeds with o not dividing L are skipped, and every power value must
       be 1 mod o.
+
+    Every write turns a free (None) entry of a value-indexed list into a
+    value: table and its inverse used, slots and its inverse slot_of, svals,
+    cvals and its inverse c_used.  So a journal is the list of (list, index)
+    pairs it wrote, and undo frees them.
     """
     n = group.order
     add = group.add_table
@@ -161,46 +163,33 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
 
     table: list[int | None] = [None] * n
     table[0] = 0
-    used = [False] * n
-    used[0] = True
+    used: list[int | None] = [None] * n
+    used[0] = 0
     slots: list[int | None] = [None] * L
     slots[0] = 1
-    slot_of: dict[int, int] = {1: 0}
+    slot_of: list[int | None] = [None] * n
+    slot_of[1] = 0
     svals: list[int | None] = [None] * (L + 1)
     svals[0] = 0
     svals[L] = 0
     cvals: list[int | None] = [None] * k
-    c_used: set[int] = set()
+    c_used: list[int | None] = [None] * L
     c_one = 1 % L
     kernel_order = 1  # ord(phi on <k>), fixed once the seed phi(k) is chosen
-    peer = list(range(n))
-    plen = [0] * n
 
     def undo(journal):
-        for entry in reversed(journal):
-            kind = entry[0]
-            slot = entry[1]
-            if kind == "t":
-                used[table[slot]] = False
-                table[slot] = None
-            elif kind == "sl":
-                del slot_of[slots[slot]]
-                slots[slot] = None
-            elif kind == "s":
-                svals[slot] = None
-            elif kind == "c":
-                c_used.discard(cvals[slot])
-                cvals[slot] = None
-            else:  # "p": path endpoint restore
-                peer[slot] = entry[2]
-                plen[slot] = entry[3]
+        for values, i in journal:
+            values[i] = None
 
-    def c_admissible(j: int, val: int) -> bool:
+    def set_c(j: int, val: int, journal) -> bool:
         if val % q_order != q_power[j] or (val - 1) % kernel_order:
             return False
-        if val in c_used:
+        if c_used[val] is not None or (val == c_one and j != 0):
             return False
-        return val != c_one or j == 0
+        cvals[j] = val
+        c_used[val] = j
+        journal += ((cvals, j), (c_used, val))
+        return True
 
     def propagate(journal) -> bool:
         dirty = True
@@ -208,24 +197,19 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
             dirty = False
             for i in range(L):
                 a, b = svals[i], svals[i + 1]
-                j = slot_coset[i]
-                r = cvals[j]
+                r = cvals[slot_coset[i]]
                 if r is None:
                     if a is not None and b is not None:
-                        r = (b - a) % L
-                        if not c_admissible(j, r):
+                        if not set_c(slot_coset[i], (b - a) % L, journal):
                             return False
-                        cvals[j] = r
-                        c_used.add(r)
-                        journal.append(("c", j))
                         dirty = True
                 elif a is not None and b is None:
                     svals[i + 1] = (a + r) % L
-                    journal.append(("s", i + 1))
+                    journal.append((svals, i + 1))
                     dirty = True
                 elif b is not None and a is None:
                     svals[i] = (b - r) % L
-                    journal.append(("s", i))
+                    journal.append((svals, i))
                     dirty = True
                 elif a is not None and b is not None and (a + r) % L != b:
                     return False
@@ -238,14 +222,11 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
                 sv = svals[cj]
                 if sv is None and succ is not None:
                     svals[cj] = succ
-                    journal.append(("s", cj))
+                    journal.append((svals, cj))
                     dirty = True
                 elif sv is not None and succ is None:
-                    if not c_admissible(jn, sv):
+                    if not set_c(jn, sv, journal):
                         return False
-                    cvals[jn] = sv
-                    c_used.add(sv)
-                    journal.append(("c", jn))
                     dirty = True
                 elif sv is not None and succ is not None and sv != succ:
                     return False
@@ -255,11 +236,11 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
         cur = slots[j]
         if cur is not None:
             return cur == v
-        if v in slot_of or v == 0 or v % mod_q != slot_res[j]:
+        if slot_of[v] is not None or v == 0 or v % mod_q != slot_res[j]:
             return False
         slots[j] = v
         slot_of[v] = j
-        journal.append(("sl", j))
+        journal += ((slots, j), (slot_of, v))
         before = slots[(j - 1) % L]
         if before is not None and not set_entry(before, v, journal):
             return False
@@ -274,44 +255,14 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
         cur = table[x]
         if cur is not None:
             return cur == v
-        if used[v] or v % mod_q != res_target[x]:
+        if used[v] is not None or v % mod_q != res_target[x]:
             return False
-        a, b = peer[x], peer[v]
-        if a == v:
-            length = plen[x] + 1
-            if L % length != 0:
-                return False  # every cycle length divides the order
-            total = 0
-            e = v
-            for step in range(length):
-                cv = cvals[e % k]
-                if cv is None:
-                    total = -1
-                    break
-                total += cv
-                if step + 1 < length:
-                    e = table[e]
-            if total >= 0 and total % length != 0:
-                return False  # power sum over a cycle vanishes mod its length
-        else:
-            length = plen[x] + plen[v] + 1
-            journal.append(("p", a, peer[a], plen[a]))
-            journal.append(("p", b, peer[b], plen[b]))
-            peer[a] = b
-            peer[b] = a
-            plen[a] = plen[b] = length
         table[x] = v
-        used[v] = True
-        journal.append(("t", x))
-        j = slot_of.get(x)
-        if j is not None:
-            nxt = (j + 1) % L
-            target = slots[nxt]
-            if target is not None:
-                if target != v:
-                    return False
-            elif not bind_slot(nxt, v, journal):
-                return False
+        used[v] = x
+        journal += ((table, x), (used, v))
+        j = slot_of[x]
+        if j is not None and not bind_slot((j + 1) % L, v, journal):
+            return False
         # phi(a + b) = phi(a) + phi(b) for kernel a
         row = add[x]
         vrow = add[v]
@@ -341,12 +292,8 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
             assign(x, val)
             return
         for guess in range(q_power[j], L, q_order):
-            if not c_admissible(j, guess):
-                continue
-            journal: list = [("c", j)]
-            cvals[j] = guess
-            c_used.add(guess)
-            if propagate(journal):
+            journal: list = []
+            if set_c(j, guess, journal) and propagate(journal):
                 assign(x, guess)
             undo(journal)
 
@@ -367,7 +314,7 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
         else:
             target = res_target[x]
             candidates = tuple(
-                v for v in range(1, n) if not used[v] and v % mod_q == target
+                v for v in range(1, n) if used[v] is None and v % mod_q == target
             )
         for v in candidates:
             journal = []
@@ -379,49 +326,25 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
                 walk(x + 1)
             undo(journal)
 
-    journal0: list = [("c", 0)]
-    cvals[0] = c_one
-    c_used.add(c_one)
-    if c_one % q_order == q_power[0] and propagate(journal0):
-        # seed the kernel first: phi restricted to <k> is an automorphism,
-        # so phi(k) is a unit multiple of k; additivity then fans every
-        # later assignment out across its kernel coset.
-        size = n // k
-        for t in range(1, size):
-            if gcd(t, size) != 1:
-                continue
-            v = t * k
-            if v % mod_q != res_target[k]:
-                continue
-            kernel_order = multiplicative_order(t, size)
-            if L % kernel_order:
-                continue
-            journal1: list = []
-            if set_entry(k, v, journal1) and propagate(journal1):
-                walk(1)
-            undo(journal1)
-    undo(journal0)
-
-
-def _cell_orbit_bounds(q_perm, mod_q, q_order, n, k, L) -> bool:
-    """Shared admissibility of a cell: L multiple of |q|, orbit capacity."""
-    if L % q_order != 0 or k > L:
-        return False
-    ell1 = 1
-    start = 1 % mod_q
-    cur = q_perm[start]
-    while cur != start:
-        ell1 += 1
-        cur = q_perm[cur]
-    if L % ell1 != 0:
-        return False
-    return L <= ell1 * (n // mod_q)
-
-
-def _skew_type_of(perm_power, order, modulus) -> int:
-    one = 1 % order
-    kernel = sum(1 for v in perm_power if v == one)
-    return modulus // kernel if modulus else 1
+    if not (set_c(0, c_one, []) and propagate([])):
+        return
+    # seed the kernel first: phi restricted to <k> is an automorphism, so
+    # phi(k) is a unit multiple of k; additivity then fans every later
+    # assignment out across its kernel coset.
+    size = n // k
+    for t in range(1, size):
+        if gcd(t, size) != 1:
+            continue
+        v = t * k
+        if v % mod_q != res_target[k]:
+            continue
+        kernel_order = multiplicative_order(t, size)
+        if L % kernel_order:
+            continue
+        journal: list = []
+        if set_entry(k, v, journal) and propagate(journal):
+            walk(1)
+        undo(journal)
 
 
 def coprime_split(n: int) -> tuple[int, int] | None:
@@ -484,37 +407,27 @@ def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
 
     out: list[SkewMorphism] = []
     primes = sorted(factorint(n))
-
-    def multiplicity(m: int, p: int) -> int:
-        v = 0
-        while m % p == 0:
-            m //= p
-            v += 1
-        return v
-
     # every proper skew-type k < n divides n/p for some prime p; designate
-    # each k to the first such prime so each type is searched exactly once
+    # each k to the first p dividing n/k, so each type is searched once
     designated: dict[int, list[int]] = {p: [] for p in primes}
     for k in range(1, n):
-        if n % k:
-            continue
-        for p in primes:
-            if multiplicity(k, p) < multiplicity(n, p):
-                designated[p].append(k)
-                break
+        if n % k == 0:
+            designated[next(p for p in primes if (n // k) % p == 0)].append(k)
 
     for p in primes:
-        if not designated[p]:
-            continue
         d = n // p
         lift_report = cached_enumeration((d,) if d > 1 else (), max_order)
         for q in lift_report.morphisms:
-            k_d = _skew_type_of(q.power, q.order, d)
+            k_d = skew_type(q)
+            # the orbit of 1 reduces onto its q-orbit, of length ell1, and
+            # meets each of the n/d lifts of a residue at most once
+            ell1 = len(next(c for c in cycles(q.perm) if 1 % d in c))
             for k in designated[p]:
-                if k % k_d != 0 or d % k != 0:
+                if k % k_d != 0:
                     continue
-                for L in range(q.order, n, q.order):
-                    if _cell_orbit_bounds(q.perm, d, q.order, n, k, L):
+                # L is a multiple of |q|, and the k distinct cvals lie in Z_L
+                for L in range(q.order, min(n, ell1 * (n // d) + 1), q.order):
+                    if k <= L:
                         _lift_cell(group, k, d, q.perm, q.power, q.order, L, out)
     yield from out
 
@@ -761,7 +674,8 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
 def enumerate_skew_morphisms(
     group: AbelianGroup, max_order: int | None = None
 ) -> EnumerationReport:
-    """Complete enumeration via the seeded DFS; oracle-equal wherever both run."""
+    """Every skew morphism of the group, by the route for its shape
+    (_search_morphisms); oracle-equal wherever both run."""
     guard = max_order if max_order is not None else (
         CYCLIC_GUARD if group.is_cyclic else GENERAL_GUARD
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .groups import is_bijection, make_group
+from .groups import make_group
 from .morphisms import SkewMorphism, is_smooth, kernel, try_validate
 
 RECORD_FIELDS = ("group", "perm", "order", "power", "smooth", "skew_type", "kernel", "proper")
@@ -64,10 +64,7 @@ def check_record(data: dict[str, Any]) -> list[str]:
         group = make_group(int(f) for f in data["group"])
     except (TypeError, ValueError) as exc:
         raise MalformedRecord(f"bad group field: {exc}") from exc
-    perm = data["perm"]
-    if not is_bijection(perm, group.order):
-        return ["perm"]
-    sm = try_validate(group, tuple(perm))
+    sm = try_validate(group, data["perm"])
     if sm is None:
         return ["perm"]
     mismatches = []

@@ -113,9 +113,37 @@ def test_max_order_is_the_guard_everywhere(capsys, tmp_path):
         (("enumerate", "Z6"), 6),
         (("enumerate", "Z3xZ3", "--oracle"), 9),
         (("check", "--file", str(record)), 9),
+        (("construct", "root", "--n", "9", "--k", "3", "--s", "8"), 9),
+        (("verify", "theorem2", "--groups", "Z32xZ2"), 64),
     ]:
-        assert run_cli(capsys, *argv, "--max-order", str(order - 1), "--quiet")[0] == 3, argv
+        code, _, err = run_cli(capsys, *argv, "--max-order", str(order - 1), "--quiet")
+        assert code == 3 and "guard" in err, argv
         assert run_cli(capsys, *argv, "--max-order", str(order), "--quiet")[0] == 0, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "root", "--n", "4096", "--k", "1", "--s", "4095"),
+    ("construct", "csm", "--n", "9000000000", "--k", "2", "--r", "1", "--s", "1", "--t", "1"),
+    ("construct", "nse", "--p", "17", "--d", "1", "--nu", "1", "--r", "2"),
+    ("verify", "theorem2", "--groups", "Z64xZ64"),
+])
+def test_table_builders_stop_at_the_default_guard(capsys, argv):
+    """construct and verify theorem2 check the order before building a table."""
+    code, _, err = run_cli(capsys, *argv, "--quiet")
+    assert code == 3
+    assert "guard" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "Z5"),
+    ("census", "--groups", "Z4"),
+    ("construct", "root", "--n", "9", "--k", "3", "--s", "8"),
+    ("reciprocal", "--m", "3", "--n", "4"),
+])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "out"), "--quiet")
+    assert code == 2
+    assert "--out" in err and "Traceback" not in err
 
 
 def test_verify_csm_guard_exit_3(capsys):
@@ -182,12 +210,12 @@ def test_construct_round_trip(capsys, tmp_path):
     assert code == 1
     assert "smooth" in err
 
-    broken = dict(record, perm=[0] * 9)
-    badperm = tmp_path / "badperm.json"
-    badperm.write_text(json.dumps(broken))
-    code, _, err = run_cli(capsys, "check", "--file", str(badperm), "--quiet")
-    assert code == 1
-    assert "perm" in err
+    for perm in ([0] * 9, record["perm"][:-1]):  # not a bijection; wrong length
+        badperm = tmp_path / "badperm.json"
+        badperm.write_text(json.dumps(dict(record, perm=perm)))
+        code, _, err = run_cli(capsys, "check", "--file", str(badperm), "--quiet")
+        assert code == 1
+        assert "perm" in err
 
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")

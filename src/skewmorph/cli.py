@@ -73,17 +73,36 @@ def _parse_groups_flag(text: str) -> list[AbelianGroup]:
     return [parse_group_literal(part) for part in text.split(",") if part.strip()]
 
 
+def _enumeration_guard(group: AbelianGroup, args) -> int:
+    """The size guard `_report` applies to the group."""
+    if getattr(args, "oracle", False):
+        return args.max_order if args.max_order is not None else enumeration.ORACLE_GUARD
+    return enumeration.search_guard(group, args.max_order)
+
+
+def _check_enumeration_guards(groups: Sequence[AbelianGroup], args) -> None:
+    """Raise SizeGuardError for a group over its guard.  Run before --out is
+    opened, so that a refused run leaves no file behind, and --out before
+    any enumeration, so that an unwritable path is reported at once."""
+    for group in groups:
+        guard = _enumeration_guard(group, args)
+        if group.order > guard:
+            raise SizeGuardError(
+                f"order {group.order} exceeds enumeration guard {guard}; raise --max-order"
+            )
+
+
 def _report(group: AbelianGroup, args) -> enumeration.EnumerationReport:
     if getattr(args, "oracle", False):
-        guard = args.max_order if args.max_order is not None else enumeration.ORACLE_GUARD
-        return enumeration.brute_force_oracle(group, guard)
+        return enumeration.brute_force_oracle(group, _enumeration_guard(group, args))
     return enumeration.enumerate_skew_morphisms(group, args.max_order)
 
 
 def cmd_enumerate(args) -> int:
     group = parse_group_literal(args.group)
-    report = _report(group, args)
+    _check_enumeration_guards([group], args)
     with _output(args.out) as out:
+        report = _report(group, args)
         for sm in report.morphisms:
             _emit(out, records.to_json_line(sm))
     _info(args, f"{group.label}: {report.total} skew morphisms "
@@ -102,6 +121,7 @@ def cmd_census(args) -> int:
     if not groups:
         print("census: nothing to do (use --groups or --cyclic-from/--cyclic-to)", file=sys.stderr)
         return EXIT_USAGE
+    _check_enumeration_guards(groups, args)
     with _output(args.out) as out:
         _emit(out, records.CSV_HEADER)
         for group in groups:
@@ -158,15 +178,16 @@ def cmd_check(args) -> int:
 def cmd_reciprocal(args) -> int:
     group_m = make_group([args.m] if args.m > 1 else [])
     group_n = make_group([args.n] if args.n > 1 else [])
-    rep_m = enumeration.enumerate_skew_morphisms(group_m, args.max_order)
-    rep_n = enumeration.enumerate_skew_morphisms(group_n, args.max_order)
-    pairs = [
-        (a, b)
-        for a in rep_m.morphisms
-        for b in rep_n.morphisms
-        if morphisms.is_reciprocal_pair(a, b)
-    ]
+    _check_enumeration_guards([group_m, group_n], args)
     with _output(args.out) as out:
+        rep_m = enumeration.enumerate_skew_morphisms(group_m, args.max_order)
+        rep_n = enumeration.enumerate_skew_morphisms(group_n, args.max_order)
+        pairs = [
+            (a, b)
+            for a in rep_m.morphisms
+            for b in rep_n.morphisms
+            if morphisms.is_reciprocal_pair(a, b)
+        ]
         _emit(out, json.dumps({"m": args.m, "n": args.n, "count": len(pairs)}))
         if args.list:
             for a, b in pairs:

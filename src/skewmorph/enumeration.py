@@ -64,6 +64,8 @@ from .morphisms import (
 ORACLE_GUARD = 10
 CYCLIC_GUARD = 64
 GENERAL_GUARD = 32
+# reports kept by cached_enumeration, least recently used dropped first
+ENUMERATION_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -671,14 +673,20 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
     yield from out
 
 
+def search_guard(group: AbelianGroup, max_order: int | None = None) -> int:
+    """The largest order enumerate_skew_morphisms takes: max_order when
+    given, else CYCLIC_GUARD or GENERAL_GUARD by the group's shape."""
+    if max_order is not None:
+        return max_order
+    return CYCLIC_GUARD if group.is_cyclic else GENERAL_GUARD
+
+
 def enumerate_skew_morphisms(
     group: AbelianGroup, max_order: int | None = None
 ) -> EnumerationReport:
     """Every skew morphism of the group, by the route for its shape
     (_search_morphisms); oracle-equal wherever both run."""
-    guard = max_order if max_order is not None else (
-        CYCLIC_GUARD if group.is_cyclic else GENERAL_GUARD
-    )
+    guard = search_guard(group, max_order)
     if group.order > guard:
         raise SizeGuardError(
             f"order {group.order} exceeds enumeration guard {guard}; raise --max-order"
@@ -692,9 +700,10 @@ def enumerate_skew_morphisms(
 
 
 def _memoized(fn):
-    """lru_cache keyed on the normalized (factors, max_order): the calls
-    f((6,)), f((6,), None) and f([6], max_order=None) share one entry."""
-    cached = lru_cache(maxsize=None)(fn)
+    """lru_cache of ENUMERATION_CACHE_SIZE entries keyed on the normalized
+    (factors, max_order): the calls f((6,)), f((6,), None) and
+    f([6], max_order=None) share one entry."""
+    cached = lru_cache(maxsize=ENUMERATION_CACHE_SIZE)(fn)
 
     @wraps(fn)
     def call(factors: Iterable[int], max_order: int | None = None):

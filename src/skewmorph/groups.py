@@ -284,21 +284,34 @@ class Subgroup:
 
 
 def _closure(group: AbelianGroup, base: frozenset[int], g: int) -> frozenset[int]:
-    # base must already be a subgroup; the result is the union of base + k*g.
+    # base must already be a subgroup; the result is the union of base + k*g,
+    # and k stops at the first multiple of g in base, whose coset repeats.
     add = group.add_table
     out = set(base)
     shift = g
-    while shift != 0:
+    while shift not in base:
         out.update(add[x][shift] for x in base)
         shift = add[shift][g]
     return frozenset(out)
 
 
 def _is_closed(group: AbelianGroup, members: frozenset[int]) -> bool:
+    """Whether members is closed under addition, i.e. a subgroup.
+
+    The span of members is grown one generator at a time from {0}, and the
+    answer is no as soon as it leaves members; a span that stays inside is
+    all of members, hence a subgroup.  Each new generator at least doubles
+    the span, so there are at most log2 |members| closures.
+    """
     if 0 not in members:
         return False
-    add = group.add_table
-    return all(add[x][y] in members for x in members for y in members)
+    span = frozenset([0])
+    for g in members:
+        if g not in span:
+            span = _closure(group, span, g)
+            if not span <= members:
+                return False
+    return True
 
 
 def subgroup_from_members(group: AbelianGroup, members: Iterable[int]) -> Subgroup:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from operator import itemgetter, ne
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .groups import (
@@ -99,43 +99,83 @@ def _derive_power(group: AbelianGroup, perm: Sequence[int], explain: bool):
     """Shared validation core; returns (order, power) or a rejection triple.
 
     For each a the displacement D_a(b) = perm[a+b] - perm[a] must equal
-    perm**j for some j, which is then pi(a).  j is pinned mod m = |perm| by
-    pin_power at the leaders of a few pinning cycles whose lengths have lcm
-    m, so any valid j agrees with it mod m.  D_a is then compared with
-    perm**j at every b, which also covers the other cycles.  D_0 = perm
-    since perm[0] = 0, so pi(0) = 1 needs no check.
+    perm**j for some j, which is then pi(a).  `power_at` pins j mod
+    m = |perm| by pin_power at the leaders of a few pinning cycles whose
+    lengths have lcm m, so any valid j agrees with it mod m, and then
+    compares D_a with perm**j as one whole row.
+
+    Only the rows of X, the union of the cycles of perm through the basis
+    elements g (group.weights), are compared; pi follows everywhere else by
+    a recurrence (Jajcay-Siran, Discrete Math. 244 (2002)).  Iterating the
+    identity along the orbit of g gives perm**i(g + b) = perm**i(g) +
+    perm**sigma_g(i)(b), with sigma_g(i) the sum of pi(perm**j(g)) over
+    j < i.  So if the identity holds at x and on the orbit of g, then
+
+        phi(x+g+b) = phi(x) + phi^pi(x)(g+b)
+                   = phi(x) + phi^pi(x)(g) + phi^sigma_g(pi(x))(b)
+                   = phi(x+g) + phi^sigma_g(pi(x))(b),
+
+    and the identity holds at x+g with pi(x+g) = sigma_g(pi(x)) mod m.
+    D_0 = perm since perm[0] = 0, so pi(0) = 1, and each a > 0 is x + g with
+    x = a - g < a for g the weight of a's leading nonzero coordinate; by
+    induction on a the identity holds on all of <X> = A.  The exponent is
+    unique mod m, so pi is the tuple a comparison of every row would give.
+
+    On rejection the failing a is one met in X; with explain, the rows are
+    rescanned from a = 1 so that the smallest failing a is reported.
     """
     n = group.order
     if not is_bijection(perm, n):
         return None, ("not-bijection", None, None)
     if perm[0] != 0:
         return None, ("identity-moved", 0, None)
+    perm_cycles = cycles(perm)
     pinning = []  # (leader, length, offset of each element in the cycle)
     m = 1
-    for cyc in sorted(cycles(perm), key=len, reverse=True):
+    for cyc in sorted(perm_cycles, key=len, reverse=True):
         if m % len(cyc):
             m = lcm(m, len(cyc))
             pinning.append((cyc[0], len(cyc), dict(zip(cyc, range(len(cyc))))))
     add = group.add_table
     neg = group.neg_list
-    perm_at = perm.__getitem__
     powers: dict[int, tuple[int, ...]] = {}
-    power = [1 % m]
-    for a in range(1, n):
+
+    def power_at(a: int) -> int | None:
+        """pi(a), or None when no power of perm matches D_a."""
         row = add[a]
-        shift_at = add[neg[perm[a]]].__getitem__
-        pinned = pin_power(pinning, row, shift_at, perm, 0, 1)
-        if pinned is not None:
-            res = pinned[0]
-            target = powers.get(res)
-            if target is None:
-                target = powers[res] = perm_power(perm, res)
-            if not any(map(ne, target, map(shift_at, map(perm_at, row)))):
-                power.append(res)
-                continue
-        if not explain:
-            return None, ("no-power", a, None)
-        return None, ("no-power", a, _smallest_power_witness(group, perm, m, a))
+        shift_row = add[neg[perm[a]]]
+        pinned = pin_power(pinning, row, shift_row.__getitem__, perm, 0, 1)
+        if pinned is None:
+            return None
+        res = pinned[0]
+        target = powers.get(res)
+        if target is None:
+            target = powers[res] = perm_power(perm, res)
+        return res if target == itemgetter(*itemgetter(*row)(perm))(shift_row) else None
+
+    basis = group.weights
+    basis_set = set(basis)
+    power = [1 % m] * n
+    for cyc in perm_cycles:
+        if not basis_set.isdisjoint(cyc):
+            for a in cyc:
+                res = power_at(a)
+                if res is None:
+                    if not explain:
+                        return None, ("no-power", a, None)
+                    a = next(b for b in range(1, n) if power_at(b) is None)
+                    return None, ("no-power", a, _smallest_power_witness(group, perm, m, a))
+                power[a] = res
+    # the weights descend, so [g, top) holds the a whose leading nonzero
+    # coordinate is g's; taken smallest g first, a - g is always filled
+    for g, top in reversed(tuple(zip(basis, (n,) + basis[:-1]))):
+        sigma = [0]
+        x = g
+        for _ in range(m - 1):
+            sigma.append((sigma[-1] + power[x]) % m)
+            x = perm[x]
+        for a in range(g, top):
+            power[a] = sigma[power[a - g]]
     return (m, tuple(power)), None
 
 

@@ -7,6 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewmorph import enumeration
 from skewmorph.cli import main
 from skewmorph.enumeration import cached_enumeration
 from skewmorph.records import (
@@ -139,11 +140,30 @@ def test_table_builders_stop_at_the_default_guard(capsys, argv):
     ("census", "--groups", "Z4"),
     ("construct", "root", "--n", "9", "--k", "3", "--s", "8"),
     ("reciprocal", "--m", "3", "--n", "4"),
+    ("enumerate", "Z40"),
 ])
-def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+def test_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
+    """--out is opened before any enumeration runs, so its failure is immediate."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before --out was opened")
+
+    monkeypatch.setattr(enumeration, "_search_morphisms", refuse)
     code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "out"), "--quiet")
     assert code == 2
     assert "--out" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "Z65"),
+    ("enumerate", "Z3xZ4", "--oracle"),
+    ("census", "--groups", "Z4,Z65"),
+    ("reciprocal", "--m", "3", "--n", "65"),
+])
+def test_over_guard_run_leaves_no_file(capsys, tmp_path, argv):
+    path = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, "--out", str(path), "--quiet")
+    assert code == 3 and "guard" in err
+    assert not path.exists()
 
 
 def test_verify_csm_guard_exit_3(capsys):

@@ -123,6 +123,11 @@ def test_cached_enumeration_shares_one_entry_per_group():
     assert after.hits - before.hits >= 2
 
 
+def test_cached_enumeration_is_bounded():
+    maxsize = cached_enumeration.cache_info().maxsize
+    assert maxsize is not None and maxsize == enumeration.ENUMERATION_CACHE_SIZE
+
+
 def test_report_counts_consistent():
     report = cached_enumeration((12,))
     assert report.total == report.automorphisms + report.proper

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations, product
 from math import gcd, prod
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from skewmorph.groups import (
     InvalidFactorError,
     SizeGuardError,
+    _is_closed,
     abelian_group_presentations,
     compose,
     cycles,
@@ -135,6 +137,27 @@ def test_enumerate_subgroups_sorted_and_lagrange():
     for s in subs:
         assert g.order % s.size == 0
         assert 0 in s.members
+
+
+def _closed_by_pairs(group, members):
+    """The O(|S|^2) predicate: 0 in S and S + S inside S."""
+    add = group.add_table
+    return 0 in members and all(add[x][y] in members for x in members for y in members)
+
+
+def test_is_closed_matches_the_pairwise_check():
+    """Every subgroup up to order 32, as is, less one member, plus one non-member."""
+    rng = random.Random(32)
+    for n in range(1, 33):
+        for g in abelian_group_presentations(n):
+            for sub in enumerate_subgroups(g):
+                members = frozenset(sub.members)
+                outside = [x for x in range(g.order) if x not in members]
+                variants = [members, members - {rng.choice(sub.members)}]
+                if outside:
+                    variants.append(members | {rng.choice(outside)})
+                for s in variants:
+                    assert _is_closed(g, s) == _closed_by_pairs(g, s), (g.label, sorted(s))
 
 
 def test_subgroup_guard():

@@ -1,3 +1,6 @@
+import random
+from math import prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -332,10 +335,7 @@ def differential_inputs(draw):
     return group, perm
 
 
-@given(differential_inputs())
-@settings(max_examples=300, deadline=None)
-def test_validation_core_matches_naive_validator(case):
-    group, perm = case
+def _assert_matches_naive(group, perm):
     expected = naive_validate(group, perm)
     fast = try_validate(group, perm)
     if isinstance(expected[0], int):
@@ -348,3 +348,58 @@ def test_validation_core_matches_naive_validator(case):
         with pytest.raises(SkewMorphismRejection) as info:
             validate(group, perm)
         assert (info.value.reason, info.value.element) == expected
+
+
+@given(differential_inputs())
+@settings(max_examples=300, deadline=None)
+def test_validation_core_matches_naive_validator(case):
+    _assert_matches_naive(*case)
+
+
+# the groups of CYCLIC_PINS and NONCYCLIC_PINS (test_enumeration.py) up to order 24
+PINNED_GROUPS_TO_24 = [(n,) for n in range(2, 25)] + [
+    (2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (2, 8), (4, 4), (2, 2, 4), (3, 6), (2, 10), (2, 12),
+]
+RANDOM_PERMS = 20
+
+
+def _differential_cases(factors):
+    """Every morphism, one transposition near miss of each, and random perms fixing 0."""
+    from skewmorph.enumeration import cached_enumeration
+
+    rng = random.Random(repr(factors))
+    n = prod(factors)
+    for sm in cached_enumeration(factors).morphisms:
+        yield sm.perm
+        if n > 2:
+            i, j = rng.sample(range(1, n), 2)
+            perm = list(sm.perm)
+            perm[i], perm[j] = perm[j], perm[i]
+            yield tuple(perm)
+    for _ in range(RANDOM_PERMS):
+        rest = list(range(1, n))
+        rng.shuffle(rest)
+        yield (0, *rest)
+
+
+@pytest.mark.parametrize("factors", PINNED_GROUPS_TO_24, ids=lambda f: make_group(f).label)
+def test_validation_core_matches_naive_validator_exhaustively(factors):
+    group = make_group(factors)
+    for perm in _differential_cases(factors):
+        _assert_matches_naive(group, perm)
+
+
+def test_validation_compares_only_the_orbit_of_one(monkeypatch):
+    """On Z_n only the rows of the orbit of 1 are pinned and compared;
+    the power function elsewhere comes from the orbit recurrence."""
+    from skewmorph import morphisms
+    from skewmorph.constructions import csm_construct, enumerate_csm_params
+    from skewmorph.groups import cycles
+
+    sm = csm_construct(enumerate_csm_params(64)[-1])
+    orbit = next(cyc for cyc in cycles(sm.perm) if 1 in cyc)
+    calls = []
+    real = morphisms.pin_power
+    monkeypatch.setattr(morphisms, "pin_power", lambda *args: calls.append(args) or real(*args))
+    assert validate(sm.group, sm.perm) == sm
+    assert 0 < len(calls) <= len(orbit) < 64

@@ -73,11 +73,8 @@ def _parse_groups_flag(text: str) -> list[AbelianGroup]:
     return [parse_group_literal(part) for part in text.split(",") if part.strip()]
 
 
-def _enumeration_guard(group: AbelianGroup, args) -> int:
-    """The size guard `_report` applies to the group."""
-    if getattr(args, "oracle", False):
-        return args.max_order if args.max_order is not None else enumeration.ORACLE_GUARD
-    return enumeration.search_guard(group, args.max_order)
+def _oracle_guard(args) -> int:
+    return args.max_order if args.max_order is not None else enumeration.ORACLE_GUARD
 
 
 def _check_enumeration_guards(groups: Sequence[AbelianGroup], args) -> None:
@@ -85,16 +82,17 @@ def _check_enumeration_guards(groups: Sequence[AbelianGroup], args) -> None:
     opened, so that a refused run leaves no file behind, and --out before
     any enumeration, so that an unwritable path is reported at once."""
     for group in groups:
-        guard = _enumeration_guard(group, args)
-        if group.order > guard:
+        if not getattr(args, "oracle", False):
+            enumeration.check_search_guard(group, args.max_order)
+        elif group.order > _oracle_guard(args):
             raise SizeGuardError(
-                f"order {group.order} exceeds enumeration guard {guard}; raise --max-order"
+                f"order {group.order} exceeds oracle guard {_oracle_guard(args)}; raise --max-order"
             )
 
 
 def _report(group: AbelianGroup, args) -> enumeration.EnumerationReport:
     if getattr(args, "oracle", False):
-        return enumeration.brute_force_oracle(group, _enumeration_guard(group, args))
+        return enumeration.brute_force_oracle(group, _oracle_guard(args))
     return enumeration.enumerate_skew_morphisms(group, args.max_order)
 
 

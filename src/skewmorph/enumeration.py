@@ -7,8 +7,10 @@ Two independent routes produce the same sets:
 * enumerate_skew_morphisms factors the search through kernel structure.
   One-factor groups (_search_cyclic) take direct products over a coprime
   split of Z_n where the Kovacs-Nedela decomposition theorem applies, and
-  otherwise run quotient-lifting cells pruned by two proved rules, slot
-  cosets and the kernel-order rule (_lift_cell).  Multi-factor groups
+  otherwise run quotient-lifting cells (_lift_cell).  A cell writes phi one
+  coset of its kernel <k> at a time, re-checks only the power constraints
+  a write touched, and prunes by two proved rules, slot cosets and the
+  kernel-order rule.  Multi-factor groups
   assemble tables from a kernel candidate, an additive bijection of it, a
   recursively enumerated quotient morphism, and one image per coset
   (_search_general); they search one candidate per Aut(A)-orbit of
@@ -36,6 +38,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .groups import (
+    SUBGROUP_GUARD,
     AbelianGroup,
     SizeGuardError,
     crt_pair,
@@ -129,11 +132,10 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
     (stride q_order) or an unknown orbit slot (absorbed into phi(x), whose
     residue is pinned).  Constraint web: svals prefix sums along the orbit
     (svals[0] = svals[L] = 0) chained by the power of each orbit slot and
-    by the composition rule cvals[j+1] = svals[cvals[j]]; kernel additivity
-    phi(a + b) = phi(a) + phi(b) for kernel a.  Every completed table is
-    revalidated before it is kept, so pruning only needs to preserve
-    completeness for the cell's own (q, k, L).  Two prunes rest on these
-    proofs:
+    by the composition rule cvals[j+1] = svals[cvals[j]].  Every completed
+    table is revalidated before it is kept, so pruning only needs to
+    preserve completeness for the cell's own (q, k, L).  Two prunes rest on
+    these proofs:
 
     * Slot cosets.  Slot i of the orbit of 1 holds an element congruent to
       slot_res[i] mod mod_q, hence mod k, so its power is
@@ -147,8 +149,27 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
       Seeds with o not dividing L are skipped, and every power value must
       be 1 mod o.
 
-    Every write turns a free (None) entry of a value-indexed list into a
-    value: table and its inverse used, slots and its inverse slot_of, svals,
+    Coset writes.  The seed phi(k) = t*k fixes phi on K as a -> t*a, and pi
+    is 1 on K, so phi(x + a) = phi(x) + phi(a) = phi(x) + t*a: one entry
+    phi(x) = v fixes the whole coset x + <k>, and maps it onto v + <k>
+    since t is a unit mod n/k.  set_entry writes all n/k entries at once
+    (the seed writes K as the coset of 0), so the table is always a union of
+    cosets, and so is its image.  It is therefore kept per coset: image[c]
+    is phi(c) for c < k (None while unset), taken[c'] is the c whose coset
+    maps onto c' + <k>, and table expands image over the set cosets (its
+    other entries are stale and never read).  The residue check at x covers
+    the coset: q, of kernel <k_q> with k_q | k, is additive on <k> mod
+    mod_q, and the seed pins t*k = q(k) mod mod_q.
+
+    Incremental propagation.  The table side (image, taken, slots, slot_of)
+    never writes svals or cvals, so only a cvals write can start
+    propagation, and propagate re-checks just the constraints a write
+    touched: a cvals[j] write re-checks the orbit slots in coset j and the
+    composition links j - 1 and j; an svals[i] write re-checks slots i - 1
+    and i and the link c_used[i], whose cvals value is i.
+
+    Every journaled write turns a free (None) entry of a list into a value:
+    image and its inverse taken, slots and its inverse slot_of, svals,
     cvals and its inverse c_used.  So a journal is the list of (list, index)
     pairs it wrote, and undo frees them.
     """
@@ -162,11 +183,13 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
         slot_res[j] = cur
         cur = q_perm[cur]
     slot_coset = [r % k for r in slot_res]
+    coset_slots: list[list[int]] = [[] for _ in range(k)]
+    for i, j in enumerate(slot_coset):
+        coset_slots[j].append(i)
 
-    table: list[int | None] = [None] * n
-    table[0] = 0
-    used: list[int | None] = [None] * n
-    used[0] = 0
+    table = [0] * n
+    image: list[int | None] = [None] * k
+    taken: list[int | None] = [None] * k
     slots: list[int | None] = [None] * L
     slots[0] = 1
     slot_of: list[int | None] = [None] * n
@@ -193,158 +216,157 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
         journal += ((cvals, j), (c_used, val))
         return True
 
-    def propagate(journal) -> bool:
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(L):
+    def propagate(j0: int, journal) -> bool:
+        """Close the power web after the write of cvals[j0]."""
+        slot_work = list(coset_slots[j0])
+        link_work = [j0, (j0 - 1) % k]
+
+        def put_c(j: int, val: int) -> bool:
+            if not set_c(j, val, journal):
+                return False
+            slot_work.extend(coset_slots[j])
+            link_work.extend((j, (j - 1) % k))
+            return True
+
+        def put_s(i: int, val: int) -> None:
+            svals[i] = val
+            journal.append((svals, i))
+            slot_work.extend((i - 1, i))
+            if c_used[i] is not None:
+                link_work.append(c_used[i])
+
+        while slot_work or link_work:
+            if slot_work:
+                # slot i: svals[i + 1] = svals[i] + cvals[slot_coset[i]]
+                i = slot_work.pop()
                 a, b = svals[i], svals[i + 1]
-                r = cvals[slot_coset[i]]
+                j = slot_coset[i]
+                r = cvals[j]
                 if r is None:
-                    if a is not None and b is not None:
-                        if not set_c(slot_coset[i], (b - a) % L, journal):
-                            return False
-                        dirty = True
-                elif a is not None and b is None:
-                    svals[i + 1] = (a + r) % L
-                    journal.append((svals, i + 1))
-                    dirty = True
-                elif b is not None and a is None:
-                    svals[i] = (b - r) % L
-                    journal.append((svals, i))
-                    dirty = True
-                elif a is not None and b is not None and (a + r) % L != b:
-                    return False
-            for j in range(k):
-                cj = cvals[j]
-                if cj is None:
-                    continue
-                jn = (j + 1) % k
-                succ = cvals[jn]
-                sv = svals[cj]
-                if sv is None and succ is not None:
-                    svals[cj] = succ
-                    journal.append((svals, cj))
-                    dirty = True
-                elif sv is not None and succ is None:
-                    if not set_c(jn, sv, journal):
+                    if a is not None and b is not None and not put_c(j, (b - a) % L):
                         return False
-                    dirty = True
-                elif sv is not None and succ is not None and sv != succ:
+                elif b is None:
+                    if a is not None:
+                        put_s(i + 1, (a + r) % L)
+                elif a is None:
+                    put_s(i, (b - r) % L)
+                elif (a + r) % L != b:
                     return False
+                continue
+            # link j: cvals[j + 1] = svals[cvals[j]]
+            j = link_work.pop()
+            cj = cvals[j]
+            if cj is None:
+                continue
+            jn = (j + 1) % k
+            succ = cvals[jn]
+            sv = svals[cj]
+            if sv is None:
+                if succ is not None:
+                    put_s(cj, succ)
+            elif succ is None:
+                if not put_c(jn, sv):
+                    return False
+            elif sv != succ:
+                return False
         return True
 
     def bind_slot(j: int, v: int, journal) -> bool:
-        cur = slots[j]
-        if cur is not None:
-            return cur == v
-        if slot_of[v] is not None or v == 0 or v % mod_q != slot_res[j]:
-            return False
-        slots[j] = v
-        slot_of[v] = j
-        journal += ((slots, j), (slot_of, v))
-        before = slots[(j - 1) % L]
-        if before is not None and not set_entry(before, v, journal):
-            return False
-        after = slots[(j + 1) % L]
-        if after is not None:
-            return set_entry(v, after, journal)
-        if table[v] is not None:
-            return bind_slot((j + 1) % L, table[v], journal)
-        return True
+        # bind slot j to v, then follow the orbit while the table knows the
+        # image of the slot just bound
+        while True:
+            cur = slots[j]
+            if cur is not None:
+                return cur == v
+            if slot_of[v] is not None or v == 0 or v % mod_q != slot_res[j]:
+                return False
+            slots[j] = v
+            slot_of[v] = j
+            journal += ((slots, j), (slot_of, v))
+            before = slots[(j - 1) % L]
+            if before is not None and not set_entry(before, v, journal):
+                return False
+            j = (j + 1) % L
+            after = slots[j]
+            if after is not None:
+                return set_entry(v, after, journal)
+            if image[v % k] is None:
+                return True
+            v = table[v]
 
     def set_entry(x: int, v: int, journal) -> bool:
-        cur = table[x]
-        if cur is not None:
-            return cur == v
-        if used[v] is not None or v % mod_q != res_target[x]:
+        c = x % k
+        if image[c] is not None:
+            return table[x] == v
+        if taken[v % k] is not None or v % mod_q != res_target[x]:
             return False
-        table[x] = v
-        used[v] = x
-        journal += ((table, x), (used, v))
-        j = slot_of[x]
-        if j is not None and not bind_slot((j + 1) % L, v, journal):
-            return False
-        # phi(a + b) = phi(a) + phi(b) for kernel a
-        row = add[x]
-        vrow = add[v]
-        if x % k == 0:
-            for b2 in range(1, n):
-                tb = table[b2]
-                if tb is not None and b2 != x:
-                    if not set_entry(row[b2], vrow[tb], journal):
-                        return False
-        else:
-            for a2 in range(k, n, k):
-                ta = table[a2]
-                if ta is not None:
-                    if not set_entry(add[a2][x], add[ta][v], journal):
-                        return False
+        # phi(c + m*k) = phi(c) + m*t*k over the coset c + <k>
+        image[c] = phi_c = add[v][neg[kernel_images[x // k]]]
+        taken[v % k] = c
+        journal += ((image, c), (taken, v % k))
+        table[c::k] = kernel_at(add[phi_c])
+        for i in coset_slots[c]:
+            y = slots[i]
+            if y is not None and not bind_slot((i + 1) % L, table[y], journal):
+                return False
         return True
 
     def walk(x: int) -> None:
-        if x == n:
-            sm = try_validate(group, tuple(table))  # type: ignore[arg-type]
+        # fill phi(x), phi(x + 1), ... by phi(y) = phi(y - 1) + u_pi(y - 1):
+        # the forced steps share one journal, and each branch recurses
+        journal: list = []
+        while x < n:
+            j = (x - 1) % k
+            val = cvals[j]
+            if val is None:
+                for guess in range(q_power[j], L, q_order):
+                    branch: list = []
+                    if set_c(j, guess, branch) and propagate(j, branch):
+                        walk(x)
+                    undo(branch)
+                break
+            base = table[x - 1]
+            u = slots[val]
+            if u is not None:
+                if not set_entry(x, add[base][u], journal):
+                    break
+            elif image[x % k] is not None:
+                if not bind_slot(val, add[table[x]][neg[base]], journal):
+                    break
+            else:
+                neg_base = neg[base]
+                for v in [v for v in range(res_target[x], n, mod_q) if taken[v % k] is None]:
+                    branch = []
+                    if set_entry(x, v, branch) and bind_slot(val, add[v][neg_base], branch):
+                        walk(x + 1)
+                    undo(branch)
+                break
+            x += 1
+        else:
+            sm = try_validate(group, tuple(table))
             if sm is not None:
                 out.append(sm)
-            return
-        j = (x - 1) % k
-        val = cvals[j]
-        if val is not None:
-            assign(x, val)
-            return
-        for guess in range(q_power[j], L, q_order):
-            journal: list = []
-            if set_c(j, guess, journal) and propagate(journal):
-                assign(x, guess)
-            undo(journal)
+        undo(journal)
 
-    def assign(x: int, val: int) -> None:
-        prev = x - 1
-        u = slots[val]
-        base = table[prev]
-        if u is not None:
-            journal: list = []
-            if set_entry(x, add[base][u], journal) and propagate(journal):
-                walk(x + 1)
-            undo(journal)
-            return
-        neg_base = neg[base]
-        cur = table[x]
-        if cur is not None:
-            candidates = (cur,)  # already forced; only consistency remains
-        else:
-            target = res_target[x]
-            candidates = tuple(
-                v for v in range(1, n) if used[v] is None and v % mod_q == target
-            )
-        for v in candidates:
-            journal = []
-            if (
-                set_entry(x, v, journal)
-                and bind_slot(val, add[v][neg_base], journal)
-                and propagate(journal)
-            ):
-                walk(x + 1)
-            undo(journal)
-
-    if not (set_c(0, c_one, []) and propagate([])):
+    if not (set_c(0, c_one, []) and propagate(0, [])):
         return
-    # seed the kernel first: phi restricted to <k> is an automorphism, so
-    # phi(k) is a unit multiple of k; additivity then fans every later
-    # assignment out across its kernel coset.
+    # seed the kernel: phi restricted to <k> is an automorphism, so phi(k) is
+    # a unit multiple t*k, and set_entry(0, 0) writes a -> t*a on all of <k>.
+    # kernel_images[m] = phi(m*k), and kernel_at(add[w]) reads w + phi(m*k)
+    # for m = 0..n/k - 1 (a tuple, as n/k >= 2 for a proper type k < n)
     size = n // k
     for t in range(1, size):
         if gcd(t, size) != 1:
             continue
-        v = t * k
-        if v % mod_q != res_target[k]:
+        if t * k % mod_q != res_target[k]:
             continue
         kernel_order = multiplicative_order(t, size)
         if L % kernel_order:
             continue
+        kernel_images = [m * t * k % n for m in range(size)]
+        kernel_at = itemgetter(*kernel_images)
         journal: list = []
-        if set_entry(k, v, journal) and propagate(journal):
+        if set_entry(0, 0, journal):
             walk(1)
         undo(journal)
 
@@ -385,8 +407,9 @@ def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
     proper skew-type k < n divides d = n/p for some prime p and is
     designated to the first such p.  The search enumerates Z_d recursively
     and lifts each quotient morphism q in _lift_cell: table entries are
-    pinned mod d, leaving p candidates per entry, and each cell prunes by
-    slot cosets and by the kernel-order rule, both proved there.
+    pinned mod d, leaving p candidates per entry, each entry fixes its whole
+    coset of <k>, and each cell prunes by slot cosets and by the
+    kernel-order rule, all proved there.
     Soundness is the caller's revalidation of every completed table;
     completeness needs only the cell with the true (q, k, L) to reach each
     morphism, and duplicate finds are removed by the caller.
@@ -675,10 +698,21 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
 
 def search_guard(group: AbelianGroup, max_order: int | None = None) -> int:
     """The largest order enumerate_skew_morphisms takes: max_order when
-    given, else CYCLIC_GUARD or GENERAL_GUARD by the group's shape."""
-    if max_order is not None:
-        return max_order
-    return CYCLIC_GUARD if group.is_cyclic else GENERAL_GUARD
+    given, else CYCLIC_GUARD or GENERAL_GUARD by the group's shape.  A group
+    of more than one factor takes _search_general, which lists its subgroups
+    and automorphisms, so its guard never exceeds SUBGROUP_GUARD."""
+    if max_order is None:
+        max_order = CYCLIC_GUARD if group.is_cyclic else GENERAL_GUARD
+    return max_order if len(group.factors) == 1 else min(max_order, SUBGROUP_GUARD)
+
+
+def check_search_guard(group: AbelianGroup, max_order: int | None = None) -> None:
+    """Raise SizeGuardError when the group's order exceeds search_guard."""
+    guard = search_guard(group, max_order)
+    if group.order > guard:
+        capped = search_guard(group, group.order) < group.order
+        hint = "the multi-factor route stops there" if capped else "raise --max-order"
+        raise SizeGuardError(f"order {group.order} exceeds enumeration guard {guard}; {hint}")
 
 
 def enumerate_skew_morphisms(
@@ -686,11 +720,7 @@ def enumerate_skew_morphisms(
 ) -> EnumerationReport:
     """Every skew morphism of the group, by the route for its shape
     (_search_morphisms); oracle-equal wherever both run."""
-    guard = search_guard(group, max_order)
-    if group.order > guard:
-        raise SizeGuardError(
-            f"order {group.order} exceeds enumeration guard {guard}; raise --max-order"
-        )
+    check_search_guard(group, max_order)
     start = time.perf_counter()
     found = {}
     for sm in _search_morphisms(group, max_order):

@@ -158,6 +158,7 @@ def test_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
     ("enumerate", "Z3xZ4", "--oracle"),
     ("census", "--groups", "Z4,Z65"),
     ("reciprocal", "--m", "3", "--n", "65"),
+    ("enumerate", "Z2xZ150", "--max-order", "300"),
 ])
 def test_over_guard_run_leaves_no_file(capsys, tmp_path, argv):
     path = tmp_path / "out"

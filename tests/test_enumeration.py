@@ -1,7 +1,7 @@
 import hashlib
 from functools import lru_cache
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -419,6 +419,25 @@ def test_cyclic_route_equals_general_route(n):
     assert carried == {sm.perm for sm in cached_enumeration((n,)).morphisms}
 
 
+@pytest.mark.parametrize("n,tables", [(30, 60), (36, 130), (39, 87)])
+def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tables):
+    """Pins how hard the lifting cells prune: a cold enumeration, quotients
+    and decomposed products included, revalidates exactly this many tables,
+    so a check that stops firing shows here and not only as lost time.  A
+    fresh cache per n makes the count independent of test order."""
+    calls = []
+
+    def counted(group, table):
+        calls.append(table)
+        return try_validate(group, table)
+
+    monkeypatch.setattr(enumeration, "try_validate", counted)
+    fresh = lru_cache(maxsize=None)(enumeration.cached_enumeration.__wrapped__)
+    monkeypatch.setattr(enumeration, "cached_enumeration", fresh)
+    enumerate_skew_morphisms(make_group([n]))
+    assert len(calls) == tables
+
+
 def _order_on(perm, members):
     order = 1
     for a in members:
@@ -436,6 +455,57 @@ def test_kernel_order_divides_every_power_minus_one():
         for sm in cached_enumeration((n,)).morphisms:
             o = _order_on(sm.perm, kernel(sm).members)
             assert all((p - 1) % o == 0 for p in sm.power), (n, sm.perm)
+
+
+def _closed_form_morphisms():
+    from skewmorph.constructions import (
+        ParameterRejection,
+        csm_construct,
+        enumerate_csm_params,
+        nse_construct,
+        nse_params_range,
+        root_construct,
+        root_params,
+    )
+
+    for n in (12, 24, 36, 40):
+        yield from (csm_construct(params) for params in enumerate_csm_params(n))
+    for n in (8, 9, 18, 25, 27, 32, 36):
+        for k in range(1, n + 1):
+            for s in range(n):
+                try:
+                    yield root_construct(root_params(n, k, s))
+                except ParameterRejection:
+                    pass
+    for p in (3, 5):
+        yield from (nse_construct(p, *params) for params in nse_params_range(p))
+
+
+def test_phi_shifts_each_kernel_coset_by_a_unit_multiple():
+    """The coset writes of the cyclic lifting cell, checked on routes that
+    do not use them: phi(x + a) = phi(x) + phi(a) for a in Ker phi = <g>,
+    and phi(m*g) = m*t*g with t a unit mod |Ker phi|.  The oracle covers
+    Z2..Z10; the closed forms reach Z40 and, for nse, Z_p x Z_p."""
+    oracle = (sm for n in range(2, 11) for sm in brute_force_oracle(make_group([n])).morphisms)
+    checked = 0
+    for sm in (*oracle, *_closed_form_morphisms()):
+        perm, add = sm.perm, sm.group.add_table
+        members = kernel(sm).members
+        assert all(
+            perm[add[x][a]] == add[perm[x]][perm[a]]
+            for x in range(sm.group.order)
+            for a in members
+        ), sm.perm
+        size, g = len(members), members[1]
+        multiples = [0]
+        while len(multiples) < size:
+            multiples.append(add[multiples[-1]][g])
+        assert sorted(multiples) == list(members)  # Ker phi = <g>
+        t = multiples.index(perm[g])
+        assert gcd(t, size) == 1, sm.perm
+        assert [perm[a] for a in multiples] == [multiples[m * t % size] for m in range(size)]
+        checked += 1
+    assert checked == 43 + 227
 
 
 @pytest.mark.parametrize(

@@ -19,8 +19,8 @@ from .groups import (
     invert,
     make_group,
     multiplicative_order,
-    permute_factors,
-    primary_split,
+    primary_pieces,
+    remap,
 )
 from .morphisms import (
     SkewMorphism,
@@ -221,10 +221,14 @@ def root_construct(params: RootParams) -> SkewMorphism:
     return sm
 
 
+def _require_odd_prime(p: int) -> None:
+    if p < 3 or factorint(p) != {p: 1}:
+        raise ParameterRejection("p", f"p={p} is not an odd prime")
+
+
 def pns_witness_odd(p: int, e: int) -> SkewMorphism:
     """Non-smooth witness on Z_{p^e}: phi(x) = -x - p^(e-1) x(x-1)/2, order 2p."""
-    if p < 3 or any(p % d == 0 for d in range(2, p)):
-        raise ParameterRejection("p", f"p={p} is not an odd prime")
+    _require_odd_prime(p)
     if e < 2:
         raise ParameterRejection("e", f"need e >= 2, got {e}")
     n = p**e
@@ -258,8 +262,7 @@ def nse_construct(p: int, d: int, nu: int, r: int) -> SkewMorphism:
     x-exponent r*j and a-exponent r*i + d*j(j-1)*r*nu/2 + beta*j, where
     b = a^beta is the unique kernel element making the table validate.
     """
-    if p < 3 or any(p % q == 0 for q in range(2, p)):
-        raise ParameterRejection("p", f"p={p} is not an odd prime")
+    _require_odd_prime(p)
     if not 1 <= d < p or not 1 <= nu < p:
         raise ParameterRejection("d/nu", f"d={d}, nu={nu} must lie in [1, p)")
     if not 2 <= r < p:
@@ -344,13 +347,12 @@ def direct_product(sm_a: SkewMorphism, sm_b: SkewMorphism) -> SkewMorphism:
     return sm
 
 
-def _witness_plan(primary: AbelianGroup) -> tuple[str, tuple, list[int]] | None:
+def _witness_plan(factors: tuple[int, ...]) -> tuple[str, tuple, list[int]] | None:
     """Pick a non-smooth seed among the primary factors.
 
     Returns (kind, args, positions) with positions the factor indices the
     seed consumes, or None when none of the witness families applies.
     """
-    factors = primary.factors
     by_prime: dict[int, list[int]] = {}
     for idx, f in enumerate(factors):
         (p, e), = factorint(f).items()
@@ -376,16 +378,17 @@ def nonsmooth_witness(group: AbelianGroup) -> SkewMorphism | None:
 
     None is a guarantee only for cyclic groups of smooth-only order; for
     non-cyclic groups it just means the constructions at hand do not apply.
-    The witness is built on a convenient factorization and carried back to
-    `group` along an explicit isomorphism.
+    The witness is built on the primary pieces of the factors, with the
+    seed's pieces first, and carried back to `group` along the inverse of
+    the one isomorphism remap gives onto that arrangement.
     """
-    primary, fwd, back = primary_split(group)
-    plan = _witness_plan(primary)
+    pieces = primary_pieces(group)
+    plan = _witness_plan(tuple(q for _, q in pieces))
     if plan is None:
         return None
     kind, args, positions = plan
-    rest = [i for i in range(len(primary.factors)) if i not in positions]
-    arranged, fwd2, _ = permute_factors(primary, positions + rest)
+    rest = [i for i in range(len(pieces)) if i not in positions]
+    arranged, fwd = remap(group, [pieces[i] for i in positions + rest])
 
     if kind == "pns_odd":
         seed = pns_witness_odd(*args)
@@ -399,7 +402,6 @@ def nonsmooth_witness(group: AbelianGroup) -> SkewMorphism | None:
     witness = direct_product(seed, identity_morphism(rest_group))
     assert witness.group == arranged
 
-    iso = invert(tuple(fwd2[fwd[x]] for x in range(group.order)))
-    out = relabel(witness, iso, group)
+    out = relabel(witness, invert(fwd), group)
     assert not is_smooth(out)
     return out

@@ -7,10 +7,12 @@ Two independent routes produce the same sets:
 * enumerate_skew_morphisms factors the search through kernel structure.
   One-factor groups (_search_cyclic) take direct products over a coprime
   split of Z_n where the Kovacs-Nedela decomposition theorem applies, and
-  otherwise run quotient-lifting cells (_lift_cell).  A cell writes phi one
-  coset of its kernel <k> at a time, re-checks only the power constraints
-  a write touched, and prunes by two proved rules, slot cosets and the
-  kernel-order rule.  Multi-factor groups
+  otherwise run quotient-lifting cells (_lift_cell).  A cell holds phi
+  only per coset of its kernel <k>, one image per coset, walks the defining
+  constraint only up to x = k (every later step would re-check one of
+  those), re-checks only the power constraints a write touched, and prunes
+  by two proved rules, slot cosets and the kernel-order rule.  Each route
+  yields every morphism exactly once.  Multi-factor groups
   assemble tables from a kernel candidate, an additive bijection of it, a
   recursively enumerated quotient morphism, and one image per coset
   (_search_general); they search one candidate per Aut(A)-orbit of
@@ -152,14 +154,22 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
     Coset writes.  The seed phi(k) = t*k fixes phi on K as a -> t*a, and pi
     is 1 on K, so phi(x + a) = phi(x) + phi(a) = phi(x) + t*a: one entry
     phi(x) = v fixes the whole coset x + <k>, and maps it onto v + <k>
-    since t is a unit mod n/k.  set_entry writes all n/k entries at once
-    (the seed writes K as the coset of 0), so the table is always a union of
-    cosets, and so is its image.  It is therefore kept per coset: image[c]
-    is phi(c) for c < k (None while unset), taken[c'] is the c whose coset
-    maps onto c' + <k>, and table expands image over the set cosets (its
-    other entries are stale and never read).  The residue check at x covers
-    the coset: q, of kernel <k_q> with k_q | k, is additive on <k> mod
-    mod_q, and the seed pins t*k = q(k) mod mod_q.
+    since t is a unit mod n/k.  set_entry fixes all n/k entries at once
+    (the seed fixes K as the coset of 0), so phi is held per coset only:
+    for c < k, image[c] is the addition-table row of phi(c) (None while
+    unset), so phi(c + m*k) = image[c][kernel_images[m]] with
+    kernel_images[m] = m*t*k, and taken[c'] is the c whose coset maps onto
+    c' + <k>.  The table is expanded once, at a leaf, for revalidation.
+    The residue check at x covers the coset: q, of kernel <k_q> with
+    k_q | k, is additive on <k> mod mod_q, and the seed pins t*k = q(k) mod
+    mod_q.
+
+    The walk stops at x = k.  The coset writes give phi(y + m*k) = phi(y) +
+    m*t*k, and pi(y + m*k) = pi(y) since pi is constant on the cosets of
+    <k>.  So the walk constraint phi(x) = phi(x-1) + phi^pi(x-1)(1) at
+    x = c + m*k is the constraint at c for 0 < c < k, and the one at k for
+    c = 0: once x = 1..k are checked, every later step re-checks one of
+    them, and every coset is set.
 
     Incremental propagation.  The table side (image, taken, slots, slot_of)
     never writes svals or cvals, so only a cvals write can start
@@ -176,7 +186,6 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
     n = group.order
     add = group.add_table
     neg = group.neg_list
-    res_target = [q_perm[x % mod_q] for x in range(n)]
     slot_res = [0] * L
     cur = 1 % mod_q
     for j in range(L):
@@ -187,7 +196,6 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
     for i, j in enumerate(slot_coset):
         coset_slots[j].append(i)
 
-    table = [0] * n
     image: list[int | None] = [None] * k
     taken: list[int | None] = [None] * k
     slots: list[int | None] = [None] * L
@@ -290,33 +298,35 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
             after = slots[j]
             if after is not None:
                 return set_entry(v, after, journal)
-            if image[v % k] is None:
+            row = image[v % k]
+            if row is None:
                 return True
-            v = table[v]
+            v = row[kernel_images[v // k]]
 
     def set_entry(x: int, v: int, journal) -> bool:
         c = x % k
-        if image[c] is not None:
-            return table[x] == v
-        if taken[v % k] is not None or v % mod_q != res_target[x]:
+        row = image[c]
+        if row is not None:
+            return row[kernel_images[x // k]] == v
+        if taken[v % k] is not None or v % mod_q != q_perm[x % mod_q]:
             return False
         # phi(c + m*k) = phi(c) + m*t*k over the coset c + <k>
-        image[c] = phi_c = add[v][neg[kernel_images[x // k]]]
+        image[c] = row = add[add[v][neg[kernel_images[x // k]]]]
         taken[v % k] = c
         journal += ((image, c), (taken, v % k))
-        table[c::k] = kernel_at(add[phi_c])
         for i in coset_slots[c]:
             y = slots[i]
-            if y is not None and not bind_slot((i + 1) % L, table[y], journal):
+            if y is not None and not bind_slot((i + 1) % L, row[kernel_images[y // k]], journal):
                 return False
         return True
 
     def walk(x: int) -> None:
-        # fill phi(x), phi(x + 1), ... by phi(y) = phi(y - 1) + u_pi(y - 1):
-        # the forced steps share one journal, and each branch recurses
+        # fill phi(x), phi(x + 1), ..., phi(k) by phi(y) = phi(y - 1) +
+        # u_pi(y - 1): the forced steps share one journal, and each branch
+        # recurses
         journal: list = []
-        while x < n:
-            j = (x - 1) % k
+        while x <= k:
+            j = x - 1
             val = cvals[j]
             if val is None:
                 for guess in range(q_power[j], L, q_order):
@@ -325,17 +335,18 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
                         walk(x)
                     undo(branch)
                 break
-            base = table[x - 1]
+            base = image[j][0]
             u = slots[val]
             if u is not None:
                 if not set_entry(x, add[base][u], journal):
                     break
             elif image[x % k] is not None:
-                if not bind_slot(val, add[table[x]][neg[base]], journal):
+                phi_x = image[x % k][kernel_images[x // k]]
+                if not bind_slot(val, add[phi_x][neg[base]], journal):
                     break
             else:
                 neg_base = neg[base]
-                for v in [v for v in range(res_target[x], n, mod_q) if taken[v % k] is None]:
+                for v in [v for v in range(q_perm[x % mod_q], n, mod_q) if taken[v % k] is None]:
                     branch = []
                     if set_entry(x, v, branch) and bind_slot(val, add[v][neg_base], branch):
                         walk(x + 1)
@@ -343,7 +354,7 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
                 break
             x += 1
         else:
-            sm = try_validate(group, tuple(table))
+            sm = try_validate(group, tuple(row[w] for w in kernel_images for row in image))
             if sm is not None:
                 out.append(sm)
         undo(journal)
@@ -351,20 +362,18 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
     if not (set_c(0, c_one, []) and propagate(0, [])):
         return
     # seed the kernel: phi restricted to <k> is an automorphism, so phi(k) is
-    # a unit multiple t*k, and set_entry(0, 0) writes a -> t*a on all of <k>.
-    # kernel_images[m] = phi(m*k), and kernel_at(add[w]) reads w + phi(m*k)
-    # for m = 0..n/k - 1 (a tuple, as n/k >= 2 for a proper type k < n)
+    # a unit multiple t*k, and set_entry(0, 0) fixes a -> t*a on all of <k>;
+    # kernel_images[m] = phi(m*k)
     size = n // k
     for t in range(1, size):
         if gcd(t, size) != 1:
             continue
-        if t * k % mod_q != res_target[k]:
+        if t * k % mod_q != q_perm[k % mod_q]:
             continue
         kernel_order = multiplicative_order(t, size)
         if L % kernel_order:
             continue
         kernel_images = [m * t * k % n for m in range(size)]
-        kernel_at = itemgetter(*kernel_images)
         journal: list = []
         if set_entry(0, 0, journal):
             walk(1)
@@ -412,7 +421,9 @@ def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
     kernel-order rule, all proved there.
     Soundness is the caller's revalidation of every completed table;
     completeness needs only the cell with the true (q, k, L) to reach each
-    morphism, and duplicate finds are removed by the caller.
+    morphism.  No morphism is found twice: it has one reduction q, one
+    skew-type k, one order L and one seed t, and the walk branches on
+    distinct values.
     """
     n = group.order
     split = coprime_split(n)
@@ -719,14 +730,13 @@ def enumerate_skew_morphisms(
     group: AbelianGroup, max_order: int | None = None
 ) -> EnumerationReport:
     """Every skew morphism of the group, by the route for its shape
-    (_search_morphisms); oracle-equal wherever both run."""
+    (_search_morphisms); oracle-equal wherever both run.  A route that
+    yields one morphism twice fails the report's assertion."""
     check_search_guard(group, max_order)
     start = time.perf_counter()
-    found = {}
-    for sm in _search_morphisms(group, max_order):
-        found.setdefault(sm.perm, sm)
+    found = list(_search_morphisms(group, max_order))
     elapsed = (time.perf_counter() - start) * 1000.0
-    return EnumerationReport.from_morphisms(group, found.values(), elapsed)
+    return EnumerationReport.from_morphisms(group, found, elapsed)
 
 
 def _memoized(fn):

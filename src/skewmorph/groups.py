@@ -416,10 +416,6 @@ class Automorphism:
     def __call__(self, a: int) -> int:
         return self.table[a]
 
-    @cached_property
-    def inverse(self) -> "Automorphism":
-        return Automorphism(self.group, invert(self.table))
-
 
 def is_homomorphism(group: AbelianGroup, table: Sequence[int]) -> bool:
     add = group.add_table
@@ -566,36 +562,34 @@ def quotient_group(
 # ---------------------------------------------------------------------------
 
 
+def primary_pieces(group: AbelianGroup) -> list[tuple[int, int]]:
+    """The pieces (i, p**e) of every prime power p**e exactly dividing factor
+    i, factor by factor and primes ascending: the CRT split of each factor."""
+    return [(i, p**e) for i, f in enumerate(group.factors) for p, e in sorted(factorint(f).items())]
+
+
+def remap(
+    group: AbelianGroup, pieces: Sequence[tuple[int, int]]
+) -> tuple[AbelianGroup, tuple[int, ...]]:
+    """The homomorphism a -> (coords(a)[i] % q for (i, q) in pieces).
+
+    Returns (target, table) with target the group of the moduli q in piece
+    order.  The map is an isomorphism whenever the pieces of each factor are
+    its primary pieces (primary_pieces), in any order.
+    """
+    target = make_group(q for _, q in pieces)
+    table = []
+    for a in range(group.order):
+        cs = group.coords(a)
+        table.append(target.index_of([cs[i] % q for i, q in pieces]))
+    return target, tuple(table)
+
+
 def primary_split(group: AbelianGroup) -> tuple[AbelianGroup, tuple[int, ...], tuple[int, ...]]:
     """Split every factor into prime powers (CRT), keeping factor order.
 
     Returns (split_group, fwd, back) with fwd a group isomorphism table from
     `group` to `split_group` and back its inverse.
     """
-    pieces_per_factor: list[list[int]] = []
-    for f in group.factors:
-        pieces_per_factor.append([p**e for p, e in sorted(factorint(f).items())])
-    split = make_group(q for pieces in pieces_per_factor for q in pieces)
-    fwd = []
-    for a in range(group.order):
-        cs = group.coords(a)
-        out: list[int] = []
-        for c, pieces in zip(cs, pieces_per_factor):
-            out.extend(c % q for q in pieces)
-        fwd.append(split.index_of(out))
-    back = invert(fwd)
-    return split, tuple(fwd), tuple(back)
-
-
-def permute_factors(
-    group: AbelianGroup, order: Sequence[int]
-) -> tuple[AbelianGroup, tuple[int, ...], tuple[int, ...]]:
-    """Reorder the factor list; returns (new_group, fwd, back) as tables."""
-    assert sorted(order) == list(range(len(group.factors)))
-    target = make_group(group.factors[i] for i in order)
-    fwd = []
-    for a in range(group.order):
-        cs = group.coords(a)
-        fwd.append(target.index_of([cs[i] for i in order]))
-    back = invert(fwd)
-    return target, tuple(fwd), tuple(back)
+    split, fwd = remap(group, primary_pieces(group))
+    return split, fwd, invert(fwd)

@@ -253,13 +253,10 @@ def skew_type(sm: SkewMorphism) -> int:
 
 
 def conjugate(sm: SkewMorphism, theta: Automorphism) -> SkewMorphism:
-    """theta . phi . theta^-1, revalidated (always succeeds for automorphisms)."""
+    """theta . phi . theta^-1: the transport of phi along theta (relabel)."""
     if theta.group != sm.group:
         raise ValueError("automorphism acts on a different group")
-    table = compose(theta.table, compose(sm.perm, theta.inverse.table))
-    out = try_validate(sm.group, table)
-    assert out is not None, "conjugate of a skew morphism failed validation"
-    return out
+    return relabel(sm, theta.table, sm.group)
 
 
 def equivalence_classes(morphisms: Sequence[SkewMorphism]) -> list[list[SkewMorphism]]:

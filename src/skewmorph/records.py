@@ -14,28 +14,45 @@ CSV_HEADER = "group,order,total,autos,proper,smooth,nonsmooth,ms"
 
 
 class MalformedRecord(ValueError):
-    """Structurally broken record: not a JSON object, missing fields, or mistyped arrays."""
+    """Structurally broken record: not a JSON object, missing fields, or mistyped fields."""
+
+
+def _derived_fields(sm: SkewMorphism) -> dict[str, Any]:
+    """Every record field after group and perm, in RECORD_FIELDS order, as
+    derived from a validated morphism; power and kernel are tuples."""
+    ker = kernel(sm)
+    return {
+        "order": sm.order,
+        "power": sm.power,
+        "smooth": is_smooth(sm),
+        "skew_type": sm.group.order // ker.size,
+        "kernel": ker.members,
+        "proper": sm.is_proper,
+    }
 
 
 def to_record(sm: SkewMorphism) -> dict[str, Any]:
-    ker = kernel(sm)
-    return {
-        "group": list(sm.group.factors),
-        "perm": list(sm.perm),
-        "order": sm.order,
-        "power": list(sm.power),
-        "smooth": is_smooth(sm),
-        "skew_type": sm.group.order // ker.size,
-        "kernel": list(ker.members),
-        "proper": sm.is_proper,
-    }
+    record: dict[str, Any] = {"group": list(sm.group.factors), "perm": list(sm.perm)}
+    for name, value in _derived_fields(sm).items():
+        record[name] = list(value) if isinstance(value, tuple) else value
+    return record
 
 
 def to_json_line(sm: SkewMorphism) -> str:
     return json.dumps(to_record(sm), separators=(",", ":"))
 
 
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_record(text: str) -> dict[str, Any]:
+    """Parse one record and check its schema; raises MalformedRecord.
+
+    JSON booleans are not integers here, although Python's bool is an int:
+    the four arrays hold integers, order and skew_type are integers, and
+    smooth and proper are booleans.
+    """
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad syntax, oversized ints, deep nesting
@@ -47,18 +64,25 @@ def parse_record(text: str) -> dict[str, Any]:
         raise MalformedRecord(f"missing fields: {', '.join(missing)}")
     for name in ("group", "perm", "power", "kernel"):
         value = data[name]
-        if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+        if not isinstance(value, list) or not all(_is_integer(v) for v in value):
             raise MalformedRecord(f"{name} is not an integer array")
+    for name in ("order", "skew_type"):
+        if not _is_integer(data[name]):
+            raise MalformedRecord(f"{name} is not an integer")
+    for name in ("smooth", "proper"):
+        if not isinstance(data[name], bool):
+            raise MalformedRecord(f"{name} is not a boolean")
     return data
 
 
 def check_record(data: dict[str, Any]) -> list[str]:
     """Revalidate a record from parse_record; returns the mismatched fields.
 
-    The permutation is revalidated from scratch and every derived field is
-    compared against the stored one.  A perm that is not a bijection or not
-    a skew morphism reports as a 'perm' mismatch.  Stored power entries are
-    compared modulo the derived order.
+    The permutation is revalidated from scratch, and the fields to_record
+    derives from it are compared with the stored ones in RECORD_FIELDS
+    order.  A perm that is not a bijection or not a skew morphism reports
+    as a 'perm' mismatch.  Stored power entries are compared modulo the
+    derived order.
     """
     try:
         group = make_group(int(f) for f in data["group"])
@@ -67,24 +91,9 @@ def check_record(data: dict[str, Any]) -> list[str]:
     sm = try_validate(group, data["perm"])
     if sm is None:
         return ["perm"]
-    mismatches = []
-    if data["order"] != sm.order:
-        mismatches.append("order")
-    stored_power = data["power"]
-    if len(stored_power) != group.order or any(
-        (v - sm.power[i]) % sm.order != 0 for i, v in enumerate(stored_power)
-    ):
-        mismatches.append("power")
-    if bool(data["smooth"]) != is_smooth(sm):
-        mismatches.append("smooth")
-    ker = kernel(sm)
-    if data["skew_type"] != group.order // ker.size:
-        mismatches.append("skew_type")
-    if data["kernel"] != list(ker.members):
-        mismatches.append("kernel")
-    if bool(data["proper"]) != sm.is_proper:
-        mismatches.append("proper")
-    return mismatches
+    power = tuple(v % sm.order for v in data["power"])
+    stored = dict(data, power=power, kernel=tuple(data["kernel"]))
+    return [name for name, value in _derived_fields(sm).items() if stored[name] != value]
 
 
 def census_row(label: str, report) -> str:

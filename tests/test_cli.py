@@ -245,7 +245,16 @@ def test_construct_round_trip(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("kernel", 5), ("power", [0, "1", 2]), ("power", [0, 1.5, 2]), ("perm", {"0": 0})],
+    [
+        ("kernel", 5),
+        ("power", [0, "1", 2]),
+        ("power", [0, 1.5, 2]),
+        ("perm", {"0": 0}),
+        ("perm", [False, True]),
+        ("group", [True]),
+        ("power", [0, True, 2]),
+        ("kernel", [False]),
+    ],
 )
 def test_check_mistyped_field_exit_2(capsys, tmp_path, field, value):
     code, _, _ = run_cli(capsys, "construct", "root", "--n", "9", "--k", "3", "--s", "8",
@@ -258,6 +267,32 @@ def test_check_mistyped_field_exit_2(capsys, tmp_path, field, value):
     code, _, err = run_cli(capsys, "check", "--file", str(bad), "--quiet")
     assert code == 2
     assert f"{field} is not an integer array" in err
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("order", 1.0, "order is not an integer"),
+        ("order", True, "order is not an integer"),
+        ("skew_type", "1", "skew_type is not an integer"),
+        ("skew_type", False, "skew_type is not an integer"),
+        ("smooth", 1, "smooth is not a boolean"),
+        ("proper", None, "proper is not a boolean"),
+    ],
+)
+def test_check_mistyped_scalar_exit_2(capsys, tmp_path, field, value, message):
+    """A scalar of the wrong JSON type is malformed, even where Python would
+    compare it equal to the derived value (1.0 == 1, True == 1, 0 == False)."""
+    record = to_record(cached_enumeration((2,)).morphisms[0])
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(record))
+    assert run_cli(capsys, "check", "--file", str(good), "--quiet")[0] == 0
+    record[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(record))
+    code, _, err = run_cli(capsys, "check", "--file", str(bad), "--quiet")
+    assert code == 2
+    assert message in err
 
 
 def test_check_size_guard_exit_3(capsys, tmp_path):
@@ -373,6 +408,15 @@ def test_records_round_trip():
     sm = validate(make_group([9]), tuple((-x - 3 * x * (x - 1) // 2) % 9 for x in range(9)))
     record = parse_record(json.dumps(to_record(sm)))
     assert check_record(record) == []
+
+
+def test_check_compares_power_modulo_the_order():
+    sm = validate(make_group([9]), tuple((-x - 3 * x * (x - 1) // 2) % 9 for x in range(9)))
+    shifted = [v + sm.order * i for i, v in enumerate(sm.power)]
+    assert check_record(to_record(sm) | {"power": shifted}) == []
+    assert check_record(to_record(sm) | {"power": shifted[:-1]}) == ["power"]
+    shifted[1] += 1
+    assert check_record(to_record(sm) | {"power": shifted}) == ["power"]
 
 
 def test_module_entry_point():

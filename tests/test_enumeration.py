@@ -419,6 +419,16 @@ def test_cyclic_route_equals_general_route(n):
     assert carried == {sm.perm for sm in cached_enumeration((n,)).morphisms}
 
 
+def test_a_route_yielding_a_morphism_twice_fails_loudly(monkeypatch):
+    """enumerate_skew_morphisms passes the search's finds straight through,
+    so a duplicate is an error, not silently merged."""
+    group = make_group([6])
+    found = list(enumeration._search_morphisms(group))
+    monkeypatch.setattr(enumeration, "_search_morphisms", lambda g, m=None: iter(found + found[:1]))
+    with pytest.raises(AssertionError):
+        enumerate_skew_morphisms(group)
+
+
 @pytest.mark.parametrize("n,tables", [(30, 60), (36, 130), (39, 87)])
 def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tables):
     """Pins how hard the lifting cells prune: a cold enumeration, quotients

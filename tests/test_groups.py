@@ -22,7 +22,9 @@ from skewmorph.groups import (
     parse_group_literal,
     perm_order,
     perm_power,
+    primary_pieces,
     quotient_group,
+    remap,
     subgroup_generated_by,
 )
 
@@ -298,6 +300,28 @@ def test_parse_group_literal():
     for bad in ("", "Q5", "Z", "Z0", "Z6+Z2"):
         with pytest.raises(InvalidFactorError):
             parse_group_literal(bad)
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_remap_of_primary_pieces_is_an_isomorphism(n):
+    """For each group of order n, in primary and in invariant-factor form,
+    remap along its primary pieces, in order and reversed, is a bijective
+    homomorphism onto the group of those pieces' moduli."""
+    for primary in abelian_group_presentations(n):
+        orders = [primary.element_order(x) for x in range(n)]
+        for group in (primary, make_group(invariant_factors(orders))):
+            add = group.add_table
+            pieces = primary_pieces(group)
+            for arranged in (pieces, pieces[::-1]):
+                target, table = remap(group, arranged)
+                assert target.factors == tuple(q for _, q in arranged)
+                assert sorted(table) == list(range(n))
+                sums = target.add_table
+                assert all(
+                    table[add[a][b]] == sums[table[a]][table[b]]
+                    for a in range(n)
+                    for b in range(n)
+                )
 
 
 def test_abelian_group_presentations():

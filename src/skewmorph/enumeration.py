@@ -10,8 +10,9 @@ Two independent routes produce the same sets:
   otherwise run quotient-lifting cells (_lift_cell).  A cell holds phi
   only per coset of its kernel <k>, one image per coset, walks the defining
   constraint only up to x = k (every later step would re-check one of
-  those), re-checks only the power constraints a write touched, and prunes
-  by two proved rules, slot cosets and the kernel-order rule.  Each route
+  those), re-checks only the power constraints a write touched, prunes by
+  two proved rules, slot cosets and the kernel-order rule, and searches
+  one phi(1) per orbit of units = 1 mod the quotient order.  Each route
   yields every morphism exactly once.  Multi-factor groups
   assemble tables from a kernel candidate, an additive bijection of it, a
   recursively enumerated quotient morphism, and one image per coset
@@ -25,8 +26,9 @@ Two independent routes produce the same sets:
   searches stay sound however hard their cells prune; the correctness
   burden is completeness, argued per search below.
 
-Orders are always derived from tables; nothing assumes a bound on |phi|
-in terms of |A|.
+Orders are always derived from tables.  The one bound on |phi| a search
+uses is the published one for Z_n, that |phi| divides n*phi(n), and only
+to skip cells (_search_cyclic).
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .morphisms import (
     conjugate,
     is_smooth,
     pin_power,
+    relabel,
     skew_type,
     try_validate,
 )
@@ -182,6 +185,25 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
     image and its inverse taken, slots and its inverse slot_of, svals,
     cvals and its inverse c_used.  So a journal is the list of (list, index)
     pairs it wrote, and undo frees them.
+
+    Unit-conjugation orbits.  Let u be a unit mod n with u = 1 (mod mod_q),
+    and psi = u.phi.u^-1, a skew morphism with power x -> pi(u^-1 x) (see
+    _search_general).  Then psi lies in the same cell with the same seed t:
+    psi = q mod mod_q since u = 1 there; its kernel is u<k> = <k>, and
+    psi(k) = u*phi(u^-1 k) = t*k, so L and t are unchanged; and u^-1 x = x
+    (mod k) since k | mod_q, so psi has the same cvals.  As u^-1 - 1 lies
+    in <k> and phi(1 + a) = phi(1) + t*a for a in <k>, psi(1) = u*(phi(1) +
+    t*(u^-1 - 1)), that is psi(1) - t = u*(phi(1) - t).  So conjugation by
+    the units u = 1 (mod mod_q) maps the cell's solutions onto themselves
+    and moves phi(1) - t along the orbits of w -> u*w.  The walk's first
+    branch, phi(1), therefore tries only the least v0 of each orbit, and
+    each find is then conjugated by one fixed u_v, u_v*(v0 - t) = v - t,
+    for every other v in its orbit.  Conjugation by u_v maps the solutions
+    with phi(1) = v0 one to one onto those with phi(1) = v (u_v^-1 maps
+    them back), so the expansion is complete and yields each morphism
+    once: conjugates of one find differ at 1.  (phi(1) is forced, not
+    branched, only for k = 1 or L = 1, where phi(1) = t, an orbit of one.)
+    Each conjugate is revalidated by relabel.
     """
     n = group.order
     add = group.add_table
@@ -346,7 +368,12 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
                     break
             else:
                 neg_base = neg[base]
-                for v in [v for v in range(q_perm[x % mod_q], n, mod_q) if taken[v % k] is None]:
+                images = range(q_perm[x % mod_q], n, mod_q)
+                if x == 1:
+                    # the least phi(1) of each orbit; the finds are
+                    # conjugated onto the rest
+                    images = [v for v in images if all(v < w for w in conjugators(v))]
+                for v in [v for v in images if taken[v % k] is None]:
                     branch = []
                     if set_entry(x, v, branch) and bind_slot(val, add[v][neg_base], branch):
                         walk(x + 1)
@@ -361,6 +388,18 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
 
     if not (set_c(0, c_one, []) and propagate(0, [])):
         return
+    # the units u != 1 with u = 1 (mod mod_q): conjugation by them maps the
+    # cell's solutions onto themselves
+    units = [u for u in range(1 + mod_q, n, mod_q) if gcd(u, n) == 1]
+
+    def conjugators(v0: int) -> dict[int, int]:
+        # each other phi(1) = t + u*(v0 - t) of v0's orbit, with one u
+        found: dict[int, int] = {}
+        for u in units:
+            found.setdefault((t + u * (v0 - t)) % n, u)
+        found.pop(v0, None)
+        return found
+
     # seed the kernel: phi restricted to <k> is an automorphism, so phi(k) is
     # a unit multiple t*k, and set_entry(0, 0) fixes a -> t*a on all of <k>;
     # kernel_images[m] = phi(m*k)
@@ -374,10 +413,16 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
         if L % kernel_order:
             continue
         kernel_images = [m * t * k % n for m in range(size)]
+        start = len(out)
         journal: list = []
         if set_entry(0, 0, journal):
             walk(1)
         undo(journal)
+        out.extend(
+            relabel(sm, [u * x % n for x in range(n)], group)
+            for sm in out[start:]
+            for u in conjugators(sm.perm[1]).values()
+        )
 
 
 def coprime_split(n: int) -> tuple[int, int] | None:
@@ -417,13 +462,16 @@ def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
     designated to the first such p.  The search enumerates Z_d recursively
     and lifts each quotient morphism q in _lift_cell: table entries are
     pinned mod d, leaving p candidates per entry, each entry fixes its whole
-    coset of <k>, and each cell prunes by slot cosets and by the
-    kernel-order rule, all proved there.
+    coset of <k>, each cell prunes by slot cosets and by the kernel-order
+    rule, and it searches one phi(1) per unit-conjugation orbit, all proved
+    there.  Orders L that do not divide n*phi(n) are skipped: the order of
+    every skew morphism of Z_n divides n*phi(n) (Kovacs and Nedela, the
+    paper cited above).
     Soundness is the caller's revalidation of every completed table;
     completeness needs only the cell with the true (q, k, L) to reach each
     morphism.  No morphism is found twice: it has one reduction q, one
-    skew-type k, one order L and one seed t, and the walk branches on
-    distinct values.
+    skew-type k, one order L and one seed t, the walk branches on distinct
+    values, and the conjugates of a find differ at 1.
     """
     n = group.order
     split = coprime_split(n)
@@ -442,6 +490,7 @@ def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
         return
 
     out: list[SkewMorphism] = []
+    bound = n * totient(n)
     primes = sorted(factorint(n))
     # every proper skew-type k < n divides n/p for some prime p; designate
     # each k to the first p dividing n/k, so each type is searched once
@@ -463,7 +512,7 @@ def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
                     continue
                 # L is a multiple of |q|, and the k distinct cvals lie in Z_L
                 for L in range(q.order, min(n, ell1 * (n // d) + 1), q.order):
-                    if k <= L:
+                    if k <= L and bound % L == 0:
                         _lift_cell(group, k, d, q.perm, q.power, q.order, L, out)
     yield from out
 
@@ -472,11 +521,10 @@ def _search_morphisms(group: AbelianGroup, max_order: int | None = None):
     """Yield every skew morphism of the group, in search order.
 
     max_order is the caller's size guard, passed on to every recursive
-    enumeration of a factor or quotient.
+    enumeration of a factor or quotient.  The trivial group has no factor
+    and takes _search_general, whose automorphism list is its identity.
     """
-    if group.order == 1:
-        yield try_validate(group, (0,))
-    elif len(group.factors) == 1:
+    if len(group.factors) == 1:
         yield from _search_cyclic(group, max_order)
     else:
         yield from _search_general(group, max_order)

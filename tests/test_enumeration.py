@@ -22,6 +22,7 @@ from skewmorph.enumeration import (
     verify_theorem1,
 )
 from skewmorph.groups import (
+    Automorphism,
     SizeGuardError,
     cycles,
     enumerate_automorphisms,
@@ -31,6 +32,7 @@ from skewmorph.groups import (
     perm_power,
     primary_split,
     quotient_group,
+    totient,
 )
 from skewmorph.morphisms import (
     conjugate,
@@ -38,6 +40,7 @@ from skewmorph.morphisms import (
     kernel,
     quotient_skew,
     relabel,
+    skew_type,
     try_validate,
 )
 
@@ -405,17 +408,20 @@ def test_region_check_rejects_swapped_coset_images():
     assert checked == 16
 
 
-@pytest.mark.parametrize("n", [12, 15, 18, 20, 21, 24, 28])
+@pytest.mark.parametrize("n", [12, 15, 18, 20, 21, 24, 28, 30, 36])
 def test_cyclic_route_equals_general_route(n):
     """Z_n on the cyclic route equals its primary split on the general route.
 
     Z15 takes the coprime decomposition; the others run the pruned lifting
-    cells, including cells with k equal to the quotient order.
+    cells, including cells with k equal to the quotient order, which the
+    unit-conjugation orbit cut shrinks most on Z30 (Z2xZ3xZ5) and Z36
+    (Z4xZ9).  Z36 is above GENERAL_GUARD, so the guard is set to n.
     """
     cyclic = make_group([n])
     split, _, back = primary_split(cyclic)
-    assert len(split.factors) == 2
-    carried = {relabel(sm, back, cyclic).perm for sm in cached_enumeration(split.factors).morphisms}
+    assert len(split.factors) > 1
+    general = cached_enumeration(split.factors, n)
+    carried = {relabel(sm, back, cyclic).perm for sm in general.morphisms}
     assert carried == {sm.perm for sm in cached_enumeration((n,)).morphisms}
 
 
@@ -429,23 +435,65 @@ def test_a_route_yielding_a_morphism_twice_fails_loudly(monkeypatch):
         enumerate_skew_morphisms(group)
 
 
-@pytest.mark.parametrize("n,tables", [(30, 60), (36, 130), (39, 87)])
-def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tables):
+@pytest.mark.parametrize("n,tables,conjugates", [(30, 47, 12), (36, 108, 13), (39, 42, 22)])
+def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tables, conjugates):
     """Pins how hard the lifting cells prune: a cold enumeration, quotients
-    and decomposed products included, revalidates exactly this many tables,
-    so a check that stops firing shows here and not only as lost time.  A
-    fresh cache per n makes the count independent of test order."""
+    and decomposed products included, revalidates exactly this many
+    completed tables and expands exactly this many finds by unit
+    conjugation, so a check that stops firing, or an orbit cut that stops
+    expanding, shows here and not only as lost time or lost morphisms.  A
+    fresh cache per n makes the counts independent of test order."""
     calls = []
+    expanded = []
 
     def counted(group, table):
         calls.append(table)
         return try_validate(group, table)
 
+    def transported(sm, iso, target):
+        expanded.append(iso)
+        return relabel(sm, iso, target)
+
     monkeypatch.setattr(enumeration, "try_validate", counted)
+    monkeypatch.setattr(enumeration, "relabel", transported)
     fresh = lru_cache(maxsize=None)(enumeration.cached_enumeration.__wrapped__)
     monkeypatch.setattr(enumeration, "cached_enumeration", fresh)
     enumerate_skew_morphisms(make_group([n]))
-    assert len(calls) == tables
+    assert (len(calls), len(expanded)) == (tables, conjugates)
+
+
+@pytest.mark.parametrize("n", sorted(CYCLIC_PINS))
+def test_order_divides_n_times_totient(n):
+    """The Kovacs-Nedela order bound that _search_cyclic skips cells by."""
+    assert all(n * totient(n) % sm.order == 0 for sm in cached_enumeration((n,)).morphisms)
+
+
+def test_unit_conjugation_preserves_the_lifting_cell():
+    """The lemma behind the orbit cut of _lift_cell, checked on every
+    enumerated morphism and not through the cell's code: for phi of skew
+    type k with phi(k) = t*k and any unit u = 1 (mod k), psi = u.phi.u^-1
+    is enumerated, has phi's order, skew type and reduction mod k, and
+    psi(1) - t = u*(phi(1) - t).  The cut uses the units u = 1 (mod d) for
+    the quotient order d, a multiple of k, so they are among these."""
+    checked = 0
+    for n in range(2, 41):
+        group = make_group([n])
+        morphisms = cached_enumeration((n,)).morphisms
+        perms = {sm.perm for sm in morphisms}
+        for sm in morphisms:
+            k = skew_type(sm)
+            t, rest = divmod(sm.perm[k], k)
+            assert rest == 0 and gcd(t, n // k) == 1
+            for u in range(1, n, k):
+                if gcd(u, n) != 1:
+                    continue
+                psi = conjugate(sm, Automorphism(group, tuple(u * x % n for x in range(n))))
+                assert psi.perm in perms
+                assert (psi.order, skew_type(psi)) == (sm.order, k)
+                assert all(psi.perm[x] % k == sm.perm[x] % k for x in range(n))
+                assert psi.perm[1] == (t + u * (sm.perm[1] - t)) % n
+                checked += 1
+    assert checked == 13229
 
 
 def _order_on(perm, members):

@@ -34,6 +34,10 @@ from .morphisms import (
 )
 
 
+# largest n enumerate_csm_params takes
+CSM_GUARD = 128
+
+
 class ParameterRejection(ValueError):
     """Constructor parameters violate a stated condition."""
 
@@ -130,14 +134,14 @@ def csm_construct(params: CsmParams) -> SkewMorphism:
     return sm
 
 
-def enumerate_csm_params(n: int, guard: int = 128) -> list[CsmParams]:
+def enumerate_csm_params(n: int) -> list[CsmParams]:
     """All parameter tuples passing (a)-(d), in lexicographic (k, r, s, t) order.
 
     Distinct tuples may define equal morphisms; deduplication is left to the
     caller at the table level.
     """
-    if n > guard:
-        raise SizeGuardError(f"n={n} exceeds csm parameter guard {guard}")
+    if n > CSM_GUARD:
+        raise SizeGuardError(f"n={n} exceeds csm parameter guard {CSM_GUARD}")
     found = []
     for k in range(2, n):
         if n % k != 0:

@@ -123,27 +123,26 @@ def brute_force_oracle(group: AbelianGroup, guard: int = ORACLE_GUARD) -> Enumer
     return EnumerationReport.from_morphisms(group, found, elapsed)
 
 
-def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
-    """One search cell for Z_n: find every skew morphism phi with
+def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
+    """One search cell for Z_n: every skew morphism phi with
 
-    * phi reduced mod mod_q equal to the quotient morphism q (table entries
-      are pinned to q_perm[x mod mod_q] mod mod_q, power values to
-      q_power[j] mod q_order),
-    * power function constant exactly on cosets of <k> (k | mod_q), with
-      the k values cvals[j] pairwise distinct, 1 only at j = 0,
+    * phi reduced mod d equal to the quotient morphism q of Z_d (d =
+      q.group.order),
+    * power function constant exactly on cosets of <k> (k | d), with the
+      k values cvals[j] pairwise distinct, 1 only at j = 0,
     * orbit of the generator 1 of length exactly L (= |phi|).
 
     The walk phi(x) = phi(x-1) + u_{pi(x-1)} branches an unknown cvals entry
-    (stride q_order) or an unknown orbit slot (absorbed into phi(x), whose
-    residue is pinned).  Constraint web: svals prefix sums along the orbit
-    (svals[0] = svals[L] = 0) chained by the power of each orbit slot and
-    by the composition rule cvals[j+1] = svals[cvals[j]].  Every completed
-    table is revalidated before it is kept, so pruning only needs to
-    preserve completeness for the cell's own (q, k, L).  Two prunes rest on
-    these proofs:
+    (over the class of q's power at x - 1 mod |q|) or an unknown orbit slot
+    (absorbed into phi(x), over the lifts of q(x)).  Constraint web: svals
+    prefix sums along the orbit (svals[0] = svals[L] = 0) chained by the
+    power of each orbit slot and by the composition rule cvals[j+1] =
+    svals[cvals[j]].  Every completed table is revalidated before it is
+    kept, so pruning only needs to preserve completeness for the cell's own
+    (q, k, L).  Two prunes rest on these proofs:
 
     * Slot cosets.  Slot i of the orbit of 1 holds an element congruent to
-      slot_res[i] mod mod_q, hence mod k, so its power is
+      slot_res[i] = q^i(1) mod d, hence mod k, so its power is
       cvals[slot_res[i] % k] before the slot is bound: the cell's own rule
       that pi is constant on the cosets of <k>, applied early.
     * Kernel order.  For a in K = <k> and any b, expanding
@@ -161,11 +160,37 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
     (the seed fixes K as the coset of 0), so phi is held per coset only:
     for c < k, image[c] is the addition-table row of phi(c) (None while
     unset), so phi(c + m*k) = image[c][kernel_images[m]] with
-    kernel_images[m] = m*t*k, and taken[c'] is the c whose coset maps onto
-    c' + <k>.  The table is expanded once, at a leaf, for revalidation.
-    The residue check at x covers the coset: q, of kernel <k_q> with
-    k_q | k, is additive on <k> mod mod_q, and the seed pins t*k = q(k) mod
-    mod_q.
+    kernel_images[m] = m*t*k.  The table is expanded once, at a leaf, for
+    revalidation.
+
+    Congruence by construction.  Lemma: q maps <k> onto itself, q(k) is a
+    multiple of k, and q permutes the cosets of <k> in Z_d.  Proof: the
+    kernel <k_q> of q has k_q | k (_search_cyclic pairs q only with such
+    k), so <k> is a subgroup of <k_q>.  q restricted to <k_q> is an
+    automorphism of a cyclic group, so it maps each subgroup of <k_q>,
+    <k> among them, onto itself.  For a in <k_q>, pi_q(a) = 1 gives
+    q(a + c) = q(a) + q(c), so q(c + m*k) = q(c) + m*q(k), and q maps
+    c + <k> onto q(c) + <k>.  Every value the cell writes is congruent to
+    q (table entries mod d, powers mod |q|), so nothing is re-checked
+    against q:
+
+    * the walk draws phi(x) from the lifts of q(x) and cvals guesses from
+      the class of q's power;
+    * a forced entry phi(x-1) + phi^pi(x-1)(1), a forced slot phi(x) -
+      phi(x-1), and the image of a bound slot follow q's defining identity
+      q(x) = q(x-1) + q^pi_q(x-1)(1) and its orbit of 1, since slot i is
+      congruent to q^i(1) and |q| is the length of that orbit;
+    * a coset write phi(c + m*k) = phi(c) + m*t*k follows q(c + m*k) =
+      q(c) + m*q(k), since the seed ranges over t = q(k)/k (mod d/k);
+    * svals and cvals forced by the power web are sums and compositions of
+      congruent powers, so they follow q's sigma and pi (L is a multiple
+      of |q|, and svals[L] = 0 = sigma_q(|q|) mod |q|).
+
+    So distinct cosets c < k have phi(c) in distinct cosets of <k> and
+    phi is injective wherever it is set; no slot is bound to 0 (q^i(1) is
+    nonzero for d > 1, and for d = 1, k = 1 and the seed fixes phi = t*x
+    whole); and cvals is 1 only at j = 0, because the seed writes
+    c_used[1 % L] = 0 once and never undoes it.
 
     The walk stops at x = k.  The coset writes give phi(y + m*k) = phi(y) +
     m*t*k, and pi(y + m*k) = pi(y) since pi is constant on the cosets of
@@ -174,27 +199,27 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
     c = 0: once x = 1..k are checked, every later step re-checks one of
     them, and every coset is set.
 
-    Incremental propagation.  The table side (image, taken, slots, slot_of)
-    never writes svals or cvals, so only a cvals write can start
-    propagation, and propagate re-checks just the constraints a write
-    touched: a cvals[j] write re-checks the orbit slots in coset j and the
+    Incremental propagation.  The table side (image, slots, slot_of) never
+    writes svals or cvals, so only a cvals write can start propagation,
+    and propagate re-checks just the constraints a write touched: a
+    cvals[j] write re-checks the orbit slots in coset j and the
     composition links j - 1 and j; an svals[i] write re-checks slots i - 1
     and i and the link c_used[i], whose cvals value is i.
 
     Every journaled write turns a free (None) entry of a list into a value:
-    image and its inverse taken, slots and its inverse slot_of, svals,
-    cvals and its inverse c_used.  So a journal is the list of (list, index)
-    pairs it wrote, and undo frees them.
+    image, slots and its inverse slot_of, svals, cvals and its inverse
+    c_used.  So a journal is the list of (list, index) pairs it wrote, and
+    undo frees them.
 
-    Unit-conjugation orbits.  Let u be a unit mod n with u = 1 (mod mod_q),
+    Unit-conjugation orbits.  Let u be a unit mod n with u = 1 (mod d),
     and psi = u.phi.u^-1, a skew morphism with power x -> pi(u^-1 x) (see
     _search_general).  Then psi lies in the same cell with the same seed t:
-    psi = q mod mod_q since u = 1 there; its kernel is u<k> = <k>, and
+    psi = q mod d since u = 1 there; its kernel is u<k> = <k>, and
     psi(k) = u*phi(u^-1 k) = t*k, so L and t are unchanged; and u^-1 x = x
-    (mod k) since k | mod_q, so psi has the same cvals.  As u^-1 - 1 lies
+    (mod k) since k | d, so psi has the same cvals.  As u^-1 - 1 lies
     in <k> and phi(1 + a) = phi(1) + t*a for a in <k>, psi(1) = u*(phi(1) +
     t*(u^-1 - 1)), that is psi(1) - t = u*(phi(1) - t).  So conjugation by
-    the units u = 1 (mod mod_q) maps the cell's solutions onto themselves
+    the units u = 1 (mod d) maps the cell's solutions onto themselves
     and moves phi(1) - t along the orbits of w -> u*w.  The walk's first
     branch, phi(1), therefore tries only the least v0 of each orbit, and
     each find is then conjugated by one fixed u_v, u_v*(v0 - t) = v - t,
@@ -206,20 +231,21 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
     Each conjugate is revalidated by relabel.
     """
     n = group.order
+    d = q.group.order
     add = group.add_table
     neg = group.neg_list
+    out: list[SkewMorphism] = []
     slot_res = [0] * L
-    cur = 1 % mod_q
+    cur = 1 % d
     for j in range(L):
         slot_res[j] = cur
-        cur = q_perm[cur]
+        cur = q.perm[cur]
     slot_coset = [r % k for r in slot_res]
     coset_slots: list[list[int]] = [[] for _ in range(k)]
     for i, j in enumerate(slot_coset):
         coset_slots[j].append(i)
 
     image: list[int | None] = [None] * k
-    taken: list[int | None] = [None] * k
     slots: list[int | None] = [None] * L
     slots[0] = 1
     slot_of: list[int | None] = [None] * n
@@ -229,7 +255,6 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
     svals[L] = 0
     cvals: list[int | None] = [None] * k
     c_used: list[int | None] = [None] * L
-    c_one = 1 % L
     kernel_order = 1  # ord(phi on <k>), fixed once the seed phi(k) is chosen
 
     def undo(journal):
@@ -237,9 +262,7 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
             values[i] = None
 
     def set_c(j: int, val: int, journal) -> bool:
-        if val % q_order != q_power[j] or (val - 1) % kernel_order:
-            return False
-        if c_used[val] is not None or (val == c_one and j != 0):
+        if (val - 1) % kernel_order or c_used[val] is not None:
             return False
         cvals[j] = val
         c_used[val] = j
@@ -308,7 +331,7 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
             cur = slots[j]
             if cur is not None:
                 return cur == v
-            if slot_of[v] is not None or v == 0 or v % mod_q != slot_res[j]:
+            if slot_of[v] is not None:
                 return False
             slots[j] = v
             slot_of[v] = j
@@ -330,12 +353,9 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
         row = image[c]
         if row is not None:
             return row[kernel_images[x // k]] == v
-        if taken[v % k] is not None or v % mod_q != q_perm[x % mod_q]:
-            return False
         # phi(c + m*k) = phi(c) + m*t*k over the coset c + <k>
         image[c] = row = add[add[v][neg[kernel_images[x // k]]]]
-        taken[v % k] = c
-        journal += ((image, c), (taken, v % k))
+        journal.append((image, c))
         for i in coset_slots[c]:
             y = slots[i]
             if y is not None and not bind_slot((i + 1) % L, row[kernel_images[y // k]], journal):
@@ -351,7 +371,7 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
             j = x - 1
             val = cvals[j]
             if val is None:
-                for guess in range(q_power[j], L, q_order):
+                for guess in range(q.power[j], L, q.order):
                     branch: list = []
                     if set_c(j, guess, branch) and propagate(j, branch):
                         walk(x)
@@ -368,12 +388,12 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
                     break
             else:
                 neg_base = neg[base]
-                images = range(q_perm[x % mod_q], n, mod_q)
+                images = range(q.perm[x % d], n, d)
                 if x == 1:
                     # the least phi(1) of each orbit; the finds are
                     # conjugated onto the rest
                     images = [v for v in images if all(v < w for w in conjugators(v))]
-                for v in [v for v in images if taken[v % k] is None]:
+                for v in images:
                     branch = []
                     if set_entry(x, v, branch) and bind_slot(val, add[v][neg_base], branch):
                         walk(x + 1)
@@ -386,11 +406,11 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
                 out.append(sm)
         undo(journal)
 
-    if not (set_c(0, c_one, []) and propagate(0, [])):
-        return
-    # the units u != 1 with u = 1 (mod mod_q): conjugation by them maps the
+    if not (set_c(0, 1 % L, []) and propagate(0, [])):
+        return out
+    # the units u != 1 with u = 1 (mod d): conjugation by them maps the
     # cell's solutions onto themselves
-    units = [u for u in range(1 + mod_q, n, mod_q) if gcd(u, n) == 1]
+    units = [u for u in range(1 + d, n, d) if gcd(u, n) == 1]
 
     def conjugators(v0: int) -> dict[int, int]:
         # each other phi(1) = t + u*(v0 - t) of v0's orbit, with one u
@@ -402,12 +422,11 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
 
     # seed the kernel: phi restricted to <k> is an automorphism, so phi(k) is
     # a unit multiple t*k, and set_entry(0, 0) fixes a -> t*a on all of <k>;
+    # t*k = q(k) (mod d), and q(k) is a multiple of k (lemma above);
     # kernel_images[m] = phi(m*k)
     size = n // k
-    for t in range(1, size):
+    for t in range(q.perm[k % d] // k, size, d // k):
         if gcd(t, size) != 1:
-            continue
-        if t * k % mod_q != q_perm[k % mod_q]:
             continue
         kernel_order = multiplicative_order(t, size)
         if L % kernel_order:
@@ -423,6 +442,7 @@ def _lift_cell(group, k, mod_q, q_perm, q_power, q_order, L, out):
             for sm in out[start:]
             for u in conjugators(sm.perm[1]).values()
         )
+    return out
 
 
 def coprime_split(n: int) -> tuple[int, int] | None:
@@ -513,7 +533,7 @@ def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
                 # L is a multiple of |q|, and the k distinct cvals lie in Z_L
                 for L in range(q.order, min(n, ell1 * (n // d) + 1), q.order):
                     if k <= L and bound % L == 0:
-                        _lift_cell(group, k, d, q.perm, q.power, q.order, L, out)
+                        out += _lift_cell(group, q, k, L)
     yield from out
 
 
@@ -757,11 +777,13 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
 
 def search_guard(group: AbelianGroup, max_order: int | None = None) -> int:
     """The largest order enumerate_skew_morphisms takes: max_order when
-    given, else CYCLIC_GUARD or GENERAL_GUARD by the group's shape.  A group
-    of more than one factor takes _search_general, which lists its subgroups
-    and automorphisms, so its guard never exceeds SUBGROUP_GUARD."""
+    given, else CYCLIC_GUARD or GENERAL_GUARD by the route _search_morphisms
+    takes, which goes by the factor count: a split cyclic literal such as
+    Z5xZ7 takes the general route and its guard.  A group of more than one
+    factor takes _search_general, which lists its subgroups and
+    automorphisms, so its guard never exceeds SUBGROUP_GUARD."""
     if max_order is None:
-        max_order = CYCLIC_GUARD if group.is_cyclic else GENERAL_GUARD
+        max_order = CYCLIC_GUARD if len(group.factors) == 1 else GENERAL_GUARD
     return max_order if len(group.factors) == 1 else min(max_order, SUBGROUP_GUARD)
 
 
@@ -816,13 +838,7 @@ def smooth_only_predicate(n: int) -> bool:
     """Whether n = 2**e * n1 with e <= 4 and n1 odd square-free."""
     if n < 1:
         raise ValueError("n must be positive")
-    e = 0
-    while n % 2 == 0:
-        n //= 2
-        e += 1
-    if e > 4:
-        return False
-    return all(v == 1 for v in factorint(n).values()) if n > 1 else True
+    return all(e <= (4 if p == 2 else 1) for p, e in factorint(n).items())
 
 
 def theorem2_necessary(group: AbelianGroup) -> bool:
@@ -835,19 +851,9 @@ def theorem2_necessary(group: AbelianGroup) -> bool:
         raise ValueError(
             "theorem2_necessary applies to non-cyclic groups; use smooth_only_predicate(n)"
         )
-    odd = group.order
-    while odd % 2 == 0:
-        odd //= 2
-    if any(v > 1 for v in factorint(odd).values()) if odd > 1 else False:
-        return False
-    for f in group.factors:
-        two_part = 1
-        while f % 2 == 0:
-            f //= 2
-            two_part *= 2
-        if two_part >= 32:
-            return False
-    return True
+    # the odd part of the order square-free, and each factor's 2-part below 32
+    odd = group.order // (group.order & -group.order)
+    return smooth_only_predicate(odd) and all(f & -f < 32 for f in group.factors)
 
 
 @dataclass(frozen=True)

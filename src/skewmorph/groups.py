@@ -275,13 +275,6 @@ class Subgroup:
     def size(self) -> int:
         return len(self.members)
 
-    def __contains__(self, a: int) -> bool:
-        return a in self._member_set
-
-    @cached_property
-    def _member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
 
 def _closure(group: AbelianGroup, base: frozenset[int], g: int) -> frozenset[int]:
     # base must already be a subgroup; the result is the union of base + k*g,
@@ -328,10 +321,10 @@ def subgroup_generated_by(group: AbelianGroup, gens: Iterable[int]) -> Subgroup:
     return Subgroup(group, tuple(sorted(span)))
 
 
-def enumerate_subgroups(group: AbelianGroup, guard: int = SUBGROUP_GUARD) -> list[Subgroup]:
+def enumerate_subgroups(group: AbelianGroup) -> list[Subgroup]:
     """Every subgroup exactly once, sorted by (size, member tuple)."""
-    if group.order > guard:
-        raise SizeGuardError(f"order {group.order} exceeds subgroup guard {guard}")
+    if group.order > SUBGROUP_GUARD:
+        raise SizeGuardError(f"order {group.order} exceeds subgroup guard {SUBGROUP_GUARD}")
     trivial = frozenset([0])
     seen = {trivial}
     frontier = [trivial]
@@ -412,9 +405,6 @@ class Automorphism:
 
     group: AbelianGroup
     table: tuple[int, ...]
-
-    def __call__(self, a: int) -> int:
-        return self.table[a]
 
 
 def is_homomorphism(group: AbelianGroup, table: Sequence[int]) -> bool:
@@ -501,12 +491,10 @@ def isomorphisms(
     yield from extend(len(factors) - 1, {0: 0})
 
 
-def enumerate_automorphisms(
-    group: AbelianGroup, guard: int = SUBGROUP_GUARD
-) -> list[Automorphism]:
+def enumerate_automorphisms(group: AbelianGroup) -> list[Automorphism]:
     """All automorphisms, sorted by table: the isomorphisms of the group onto itself."""
-    if group.order > guard:
-        raise SizeGuardError(f"order {group.order} exceeds automorphism guard {guard}")
+    if group.order > SUBGROUP_GUARD:
+        raise SizeGuardError(f"order {group.order} exceeds automorphism guard {SUBGROUP_GUARD}")
     elements = range(group.order)
     orders = [group.element_order(x) for x in elements]
     tables = isomorphisms(group.factors, elements, group.add_table, orders)

@@ -464,9 +464,13 @@ def quotient_skew(sm: SkewMorphism, sub: Subgroup | Iterable[int]) -> SkewMorphi
 
 
 def is_reciprocal_pair(sm: SkewMorphism, sm_tilde: SkewMorphism) -> bool:
-    """Order-divisibility plus the crossed power conditions for (Z_m, Z_n)."""
-    if not sm.group.is_cyclic or not sm_tilde.group.is_cyclic:
-        raise ValueError("reciprocal pairs are defined for cyclic groups")
+    """Order-divisibility plus the crossed power conditions for (Z_m, Z_n).
+
+    Both groups must have at most one factor: element x is read as x*1 and
+    n - 1 as -1, which holds only in the one-factor presentation of Z_n.
+    """
+    if len(sm.group.factors) > 1 or len(sm_tilde.group.factors) > 1:
+        raise ValueError("reciprocal pairs are defined for one-factor cyclic groups Z_n")
     m = sm.group.order
     n = sm_tilde.group.order
     if n % sm.order != 0 or m % sm_tilde.order != 0:

@@ -7,7 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewmorph import enumeration
+from skewmorph import constructions, enumeration, morphisms
 from skewmorph.cli import main
 from skewmorph.enumeration import cached_enumeration
 from skewmorph.records import (
@@ -18,7 +18,7 @@ from skewmorph.records import (
     parse_record,
     to_record,
 )
-from skewmorph.groups import make_group
+from skewmorph.groups import make_group, subgroup_generated_by
 from skewmorph.morphisms import validate
 
 
@@ -208,6 +208,30 @@ def test_verify_suites_pass(capsys):
     assert run_cli(capsys, "verify", "csm", "--n", "6", "--quiet")[0] == 0
     assert run_cli(capsys, "verify", "identities", "--groups", "Z6,Z9", "--quiet")[0] == 0
     assert run_cli(capsys, "verify", "theorem2", "--groups", "Z3xZ3,Z32xZ2", "--quiet")[0] == 0
+    # the necessary condition holds, so no witness is needed
+    assert run_cli(capsys, "verify", "theorem2", "--groups", "Z2xZ4", "--quiet")[0] == 0
+
+
+@pytest.mark.parametrize("suite,target,name,stub,argv", [
+    ("theorem1", enumeration, "smooth_only_predicate", lambda n: False, ("--max-n", "2")),
+    ("csm", constructions, "enumerate_csm_params", lambda n: [], ("--n", "6")),
+    ("identities", morphisms, "core", lambda sm: subgroup_generated_by(sm.group, []),
+     ("--groups", "Z6")),
+    ("theorem2", constructions, "nonsmooth_witness", lambda group: None, ("--groups", "Z3xZ3")),
+])
+def test_verify_suite_disagreement_exits_1(capsys, monkeypatch, suite, target, name, stub, argv):
+    """Each suite reports a disagreement with the library as exit 1 and one
+    JSON line on stdout naming the suite."""
+    monkeypatch.setattr(target, name, stub)
+    code, out, _ = run_cli(capsys, "verify", suite, *argv, "--quiet")
+    assert code == 1
+    assert json.loads(out)["suite"] == suite
+
+
+def test_bare_census_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "census")
+    assert code == 2 and out == ""
+    assert "nothing to do" in err
 
 
 def test_verify_theorem2_rejects_cyclic(capsys):

@@ -6,6 +6,7 @@ from math import gcd, lcm
 import pytest
 
 from skewmorph import enumeration
+from skewmorph.constructions import nonsmooth_witness
 from skewmorph.enumeration import (
     EnumerationReport,
     _cycles_on,
@@ -24,9 +25,11 @@ from skewmorph.enumeration import (
 from skewmorph.groups import (
     Automorphism,
     SizeGuardError,
+    abelian_group_presentations,
     cycles,
     enumerate_automorphisms,
     enumerate_subgroups,
+    factorint,
     make_group,
     parse_group_literal,
     perm_power,
@@ -99,6 +102,8 @@ def test_enumeration_guard_and_override():
         enumerate_skew_morphisms(make_group([65]))
     with pytest.raises(SizeGuardError):
         enumerate_skew_morphisms(make_group([2, 18]))  # non-cyclic guard is 32
+    with pytest.raises(SizeGuardError):
+        enumerate_skew_morphisms(make_group([5, 7]))  # two factors: the general route
     with pytest.raises(SizeGuardError):
         enumerate_skew_morphisms(make_group([9]), max_order=8)
     assert enumerate_skew_morphisms(make_group([9]), max_order=9).total == 10
@@ -197,6 +202,21 @@ def test_theorem2_necessary():
         theorem2_necessary(make_group([6]))
     with pytest.raises(ValueError):
         theorem2_necessary(make_group([2, 3]))  # cyclic despite two factors
+
+
+def test_theorem2_necessary_fails_exactly_where_a_witness_is_built():
+    """The arithmetic test against the independent encoding of the witness
+    families in constructions (_witness_plan), on every non-cyclic
+    presentation of order <= 64."""
+    groups = [
+        group
+        for n in range(1, 65)
+        for group in abelian_group_presentations(n)
+        if not group.is_cyclic
+    ]
+    assert len(groups) == 53
+    for group in groups:
+        assert theorem2_necessary(group) == (nonsmooth_witness(group) is None), group.label
 
 
 def test_verify_theorem1_to_20():
@@ -539,12 +559,43 @@ def _closed_form_morphisms():
         yield from (nse_construct(p, *params) for params in nse_params_range(p))
 
 
+@lru_cache(maxsize=None)
+def _oracle_morphisms(n):
+    return brute_force_oracle(make_group([n])).morphisms
+
+
+def test_reductions_permute_the_cosets_of_the_skew_type():
+    """The lemma behind the congruence argument of _lift_cell, checked on
+    morphisms found with the cell (enumeration, Z2..Z48) and without it
+    (oracle, Z2..Z10): for phi of skew type k on Z_n and a prime p with
+    k | d = n/p, the reduction q = phi mod d is well defined, q(k) is a
+    multiple of k, and q(c + a) - q(c) lies in <k> for every c and every
+    a in <k> of Z_d."""
+    oracle = [sm for n in range(2, 11) for sm in _oracle_morphisms(n)]
+    found = [sm for n in range(2, 49) for sm in cached_enumeration((n,)).morphisms]
+    checked = 0
+    for sm in oracle + found:
+        n, k = sm.group.order, skew_type(sm)
+        for p in factorint(n):
+            d = n // p
+            if d % k:
+                continue
+            q = [sm.perm[x] % d for x in range(d)]
+            assert all(sm.perm[x] % d == q[x % d] for x in range(n)), sm.perm
+            assert q[k % d] % k == 0, (sm.perm, d)
+            assert all(
+                (q[(c + a) % d] - q[c]) % k == 0 for c in range(d) for a in range(0, d, k)
+            ), (sm.perm, d)
+            checked += 1
+    assert checked == 49 + 2011
+
+
 def test_phi_shifts_each_kernel_coset_by_a_unit_multiple():
     """The coset writes of the cyclic lifting cell, checked on routes that
     do not use them: phi(x + a) = phi(x) + phi(a) for a in Ker phi = <g>,
     and phi(m*g) = m*t*g with t a unit mod |Ker phi|.  The oracle covers
     Z2..Z10; the closed forms reach Z40 and, for nse, Z_p x Z_p."""
-    oracle = (sm for n in range(2, 11) for sm in brute_force_oracle(make_group([n])).morphisms)
+    oracle = (sm for n in range(2, 11) for sm in _oracle_morphisms(n))
     checked = 0
     for sm in (*oracle, *_closed_form_morphisms()):
         perm, add = sm.perm, sm.group.add_table

@@ -164,7 +164,7 @@ def test_is_closed_matches_the_pairwise_check():
 
 def test_subgroup_guard():
     with pytest.raises(SizeGuardError):
-        enumerate_subgroups(make_group([17, 17]), guard=256)
+        enumerate_subgroups(make_group([17, 17]))
 
 
 def _gl2_count(p):

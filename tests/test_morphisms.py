@@ -1,5 +1,5 @@
 import random
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +9,7 @@ from skewmorph.groups import (
     enumerate_automorphisms,
     make_group,
     subgroup_generated_by,
+    totient,
 )
 from skewmorph.morphisms import (
     SkewMorphismRejection,
@@ -234,6 +235,55 @@ def test_reciprocal_requires_cyclic_groups(pns9):
     other = identity_morphism(make_group([2, 2]))
     with pytest.raises(ValueError):
         is_reciprocal_pair(pns9, other)
+    # Z2xZ3 is cyclic, but its element 1 is not a generator of one factor
+    split = identity_morphism(make_group([2, 3]))
+    with pytest.raises(ValueError):
+        is_reciprocal_pair(split, split)
+    with pytest.raises(ValueError):
+        is_reciprocal_pair(identity_morphism(Z6), split)
+
+
+def _cyclic_morphisms(n):
+    from skewmorph.enumeration import cached_enumeration
+
+    return cached_enumeration((n,) if n > 1 else ()).morphisms
+
+
+@pytest.mark.parametrize("m,n,divisible,reciprocal", [(3, 6, 6, 4), (6, 6, 16, 8)])
+def test_reciprocal_crossed_power_conditions_reject(m, n, divisible, reciprocal):
+    """Of the pairs that pass the order test (|phi| divides n, |phi~|
+    divides m), the crossed power conditions reject some."""
+    passing = [
+        (a, b)
+        for a in _cyclic_morphisms(m)
+        for b in _cyclic_morphisms(n)
+        if n % a.order == 0 and m % b.order == 0
+    ]
+    assert len(passing) == divisible
+    assert sum(is_reciprocal_pair(a, b) for a, b in passing) == reciprocal
+
+
+def test_reciprocal_relation_is_symmetric():
+    for m in range(1, 13):
+        for n in range(1, 13):
+            for a in _cyclic_morphisms(m):
+                for b in _cyclic_morphisms(n):
+                    assert is_reciprocal_pair(a, b) == is_reciprocal_pair(b, a), (a.perm, b.perm)
+
+
+def test_reciprocal_pair_unique_iff_orders_and_totients_coprime():
+    """(Z_m, Z_n) has exactly one reciprocal pair, the identities, iff
+    gcd(m, phi(n)) = gcd(phi(m), n) = 1: the criterion for a unique complete
+    regular dessin on K_{m,n}."""
+    for m in range(1, 17):
+        for n in range(1, 17):
+            count = sum(
+                is_reciprocal_pair(a, b)
+                for a in _cyclic_morphisms(m)
+                for b in _cyclic_morphisms(n)
+            )
+            unique = gcd(m, totient(n)) == 1 and gcd(totient(m), n) == 1
+            assert (count == 1) == unique, (m, n, count)
 
 
 def test_try_validate_matches_validate():

@@ -18,10 +18,16 @@ Two independent routes produce the same sets:
   recursively enumerated quotient morphism, and one image per coset
   (_search_general); they search one candidate per Aut(A)-orbit of
   subgroups, keep the finds whose kernel is exactly that candidate, and
-  conjugate those onto the rest of the orbit.  The cosets are placed one
-  quotient orbit at a time, and after each orbit a region check
-  (_region_holds) tests the defining identity on the finished, phi-closed
-  part of the table, so most tables die before they are complete.  Every
+  conjugate those onto the rest of the orbit.  Two more cuts use the
+  candidate's stabilizer in Aut(A) the same way: one (quotient morphism,
+  kernel bijection) pair per orbit of the stabilizer, and inside a pair
+  one image of the first placed coset representative per orbit of the
+  pair's stabilizer; the finds are conjugated onto the rest of each orbit
+  (_orbits gives every orbit's representative and transversal).  The
+  cosets are placed one quotient orbit at a time, and after each orbit a
+  region check (_region_holds) tests the defining identity on the
+  finished, phi-closed part of the table, so most tables die before they
+  are complete.  Every
   completed table and every conjugate is revalidated in full, so the
   searches stay sound however hard their cells prune; the correctness
   burden is completeness, argued per search below.
@@ -45,6 +51,7 @@ from .groups import (
     SUBGROUP_GUARD,
     AbelianGroup,
     SizeGuardError,
+    automorphism_count,
     crt_pair,
     cycles,
     enumerate_automorphisms,
@@ -72,6 +79,9 @@ from .morphisms import (
 ORACLE_GUARD = 10
 CYCLIC_GUARD = 64
 GENERAL_GUARD = 32
+# the most automorphisms _search_general lists: above Z2xZ2xZ2xZ4 (21,504),
+# the most of any group of order <= 32 but Z2^5 (9,999,360)
+AUTOMORPHISM_GUARD = 50_000
 # reports kept by cached_enumeration, least recently used dropped first
 ENUMERATION_CACHE_SIZE = 256
 
@@ -562,6 +572,40 @@ def _subgroup_automorphisms(group: AbelianGroup, sub) -> list[dict[int, int]]:
     return [dict(zip(isos[0], iso)) for iso in isos]
 
 
+def _orbits(points, sigmas, act):
+    """One representative per orbit of a group acting on points.
+
+    sigmas lists a group's elements, and act(sigma, x) is its action on the
+    hashable points, which it maps into points.  Yields (x, moves, stab)
+    for x the first point of each orbit in the order of points: moves maps
+    every other point of x's orbit to the first sigma carrying x there, and
+    stab lists the sigmas fixing x.
+    """
+    seen: set = set()
+    for x in points:
+        if x in seen:
+            continue
+        moves: dict = {}
+        stab = []
+        for sigma in sigmas:
+            y = act(sigma, x)
+            if y == x:
+                stab.append(sigma)
+            else:
+                moves.setdefault(y, sigma)
+        seen.add(x)
+        seen.update(moves)
+        yield x, moves, stab
+
+
+def _conjugated(p, perm) -> tuple[int, ...]:
+    """p . perm . p^-1, for permutations of range(len(perm)) as sequences."""
+    moved = [0] * len(perm)
+    for x, y in enumerate(perm):
+        moved[p[x]] = p[y]
+    return tuple(moved)
+
+
 def _orbit_plan(group: AbelianGroup, coset_elems, zero: int, tau: SkewMorphism):
     """Order the nonzero cosets by tau-orbit, shortest orbit first.
 
@@ -692,6 +736,42 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
     kernels give different morphisms.  The automorphisms, kernel A, come
     from enumerate_automorphisms, whose list also generates the orbits.
 
+    One (tau, theta) per orbit of Stab(K0) = {sigma in Aut(A) : sigma(K0) =
+    K0}.  Such a sigma induces the automorphism sigma_bar(x + K0) =
+    sigma(x) + K0 of A/K0 (through proj, sigma_bar . proj = proj . sigma).
+    Let phi have kernel K0, quotient tau and restriction theta = phi|K0, and
+    psi = sigma phi sigma^-1.  Then Ker psi = sigma(K0) = K0, psi|K0 =
+    sigma theta sigma^-1 since sigma^-1 maps K0 onto K0, and proj(psi(x))
+    = sigma_bar(tau(proj(sigma^-1 x))), so psi has quotient sigma_bar tau
+    sigma_bar^-1.  So conjugation by sigma maps the finds for (tau, theta)
+    one-to-one onto the finds for (sigma_bar tau sigma_bar^-1, sigma theta
+    sigma^-1), and sigma^-1 maps them back.  The search takes one tau per
+    Stab(K0)-orbit, then one theta per orbit of the tau's stabilizer in
+    Stab(K0): one pair per Stab(K0)-orbit of pairs.  The finds of each
+    searched pair are conjugated by one sigma per other theta of its orbit
+    (sigma fixing tau), and those of each tau by one sigma per other tau of
+    its orbit; so every pair (tau', theta') gets sigma1 . sigma2 applied to
+    the finds of its representative pair, with sigma1 carrying tau onto tau'
+    and sigma2 fixing tau and carrying theta onto sigma1^-1 theta' sigma1.
+    The expansion is complete, and yields each morphism once, because
+    different pairs give different morphisms.
+
+    One phi(r0) per orbit inside a pair.  Let r0 be the representative of
+    the first placed coset j0 = order[0], and G the sigmas of Stab(K0) that
+    fix tau and theta and whose sigma_bar fixes j0.  For sigma in G, psi =
+    sigma phi sigma^-1 is again a find of the pair, and with a = sigma^-1 r0
+    - r0 in K0 the kernel placement phi(r0 + a) = theta(a) + phi(r0) gives
+    psi(r0) = sigma(theta(sigma^-1 r0 - r0) + phi(r0)) = theta(r0 - sigma
+    r0) + sigma(phi(r0)), as sigma theta = theta sigma on K0.  The map y ->
+    theta(r0 - sigma r0) + sigma(y) is an action of G on the coset
+    tau(j0) + K0 (sigma_bar fixes tau(j0) = tau(sigma_bar j0)): composing
+    the maps of sigma and rho gives theta(r0 - sigma r0) + theta(sigma r0 -
+    sigma rho r0) + sigma rho y, the map of sigma rho.  So conjugation by a
+    sigma of G carrying y0 to y maps the finds with phi(r0) = y0 one-to-one
+    onto those with phi(r0) = y.  The walk tries only the first y0 of each
+    orbit at j0, and each find is conjugated by one sigma per other member
+    of its orbit; conjugates of one find differ at r0.
+
     A table dies as soon as a phi-closed region of it breaks the identity.
     The nonzero cosets are placed tau-orbit by tau-orbit (_orbit_plan).
     phi maps the coset j onto the coset tau(j), so once every coset of a
@@ -720,47 +800,84 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
     """
     n = group.order
     add = group.add_table
+    neg = group.neg_list
     autos = enumerate_automorphisms(group)
     out = [as_skew_morphism(theta) for theta in autos]
-    searched: set[tuple[int, ...]] = set()
+    # proper morphisms have nontrivial proper kernels
+    subgroups = {sub.members: sub for sub in enumerate_subgroups(group) if 1 < sub.size < n}
 
-    for sub in enumerate_subgroups(group):
-        if sub.size == 1 or sub.size == n or sub.members in searched:
-            continue  # proper morphisms have nontrivial proper kernels
-        orbit = {}  # each subgroup K in the orbit of sub -> sigma with sigma(sub) = K
-        for sigma in autos:
-            orbit.setdefault(tuple(sorted(sigma.table[a] for a in sub.members)), sigma)
-        searched.update(orbit)
-        members = set(sub.members)
+    def move_subgroup(sigma, members):
+        return tuple(sorted(sigma.table[a] for a in members))
+
+    for members, kernel_moves, stab in _orbits(subgroups, autos, move_subgroup):
+        sub = subgroups[members]
+        kernel_set = set(members)
         quotient, proj = quotient_group(group, sub)
         t = quotient.order
         coset_elems: list[list[int]] = [[] for _ in range(t)]
         for x in range(n):
             coset_elems[proj[x]].append(x)
         reps = [cells[0] for cells in coset_elems]
-        kernel_auts = _subgroup_automorphisms(group, sub)
-        induced = cached_enumeration(quotient.factors, max_order)
-        found: list[SkewMorphism] = []
+        # each sigma of Stab(K0) with the permutations it induces on the cosets
+        # (sigma_bar) and on the members of K0, by index
+        index = {a: i for i, a in enumerate(members)}
+        stab = [
+            (
+                sigma,
+                tuple(proj[sigma.table[r]] for r in reps),
+                tuple(index[sigma.table[a]] for a in members),
+            )
+            for sigma in stab
+        ]
+        taus = {tau.perm: tau for tau in cached_enumeration(quotient.factors, max_order).morphisms}
+        thetas = {
+            tuple(index[theta[a]] for a in members): theta
+            for theta in _subgroup_automorphisms(group, sub)
+        }
 
+        def move_tau(moving, perm):
+            return _conjugated(moving[1], perm)
+
+        def move_theta(moving, perm):
+            return _conjugated(moving[2], perm)
+
+        found: list[SkewMorphism] = []
         table = [0] * n
-        for tau in induced.morphisms:
+        for tau_perm, tau_moves, tau_stab in _orbits(taus, stab, move_tau):
+            tau = taus[tau_perm]
             order, checks = _orbit_plan(group, coset_elems, proj[0], tau)
-            for theta in kernel_auts:
+            j0 = order[0]
+            r0 = reps[j0]
+            tau_found: list[SkewMorphism] = []
+            for theta_key, theta_moves, pair_stab in _orbits(thetas, tau_stab, move_theta):
+                theta = thetas[theta_key]
                 for a, fa in theta.items():
                     table[a] = fa
+
+                def move_first(moving, y):
+                    s = moving[0].table
+                    return add[theta[add[r0][neg[s[r0]]]]][s[y]]
+
+                # one phi(r0) per orbit of the sigmas fixing tau, theta and r0's coset
+                fixing = [moving for moving in pair_stab if moving[1][j0] == j0]
+                firsts = {
+                    y0: moves
+                    for y0, moves, _ in _orbits(coset_elems[tau.perm[j0]], fixing, move_first)
+                }
+                pair_found: list[SkewMorphism] = []
 
                 def place(idx: int, pinning) -> None:
                     if idx == len(order):
                         sm = try_validate(group, tuple(table))
                         if sm is not None:
                             one = 1 % sm.order
-                            if {a for a in range(n) if sm.power[a] == one} == members:
-                                found.append(sm)
+                            if {a for a in range(n) if sm.power[a] == one} == kernel_set:
+                                pair_found.append(sm)
                         return
                     j = order[idx]
                     r = reps[j]
                     check = checks[idx]
-                    for y in coset_elems[tau.perm[j]]:
+                    for y in firsts if idx == 0 else coset_elems[tau.perm[j]]:
                         for a, fa in theta.items():
                             table[add[a][r]] = add[fa][y]
                         if check is None:
@@ -770,8 +887,22 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
                             if grown is not None:
                                 place(idx + 1, grown)
 
-                place(0, _cycles_on(table, sub.members))
-        out.extend(conjugate(sm, sigma) for sigma in orbit.values() for sm in found)
+                place(0, _cycles_on(table, members))
+                pair_found += [
+                    conjugate(sm, sigma)
+                    for sm in pair_found
+                    for sigma, _, _ in firsts[sm.perm[r0]].values()
+                ]
+                tau_found += pair_found
+                tau_found += [
+                    conjugate(sm, sigma) for sigma, _, _ in theta_moves.values() for sm in pair_found
+                ]
+            found += tau_found
+            found += [
+                conjugate(sm, sigma) for sigma, _, _ in tau_moves.values() for sm in tau_found
+            ]
+        out += found
+        out += [conjugate(sm, sigma) for sigma in kernel_moves.values() for sm in found]
     yield from out
 
 
@@ -788,12 +919,20 @@ def search_guard(group: AbelianGroup, max_order: int | None = None) -> int:
 
 
 def check_search_guard(group: AbelianGroup, max_order: int | None = None) -> None:
-    """Raise SizeGuardError when the group's order exceeds search_guard."""
+    """Raise SizeGuardError when the group's order exceeds search_guard, or
+    when it takes _search_general and has more than AUTOMORPHISM_GUARD
+    automorphisms (automorphism_count, so no table is listed)."""
     guard = search_guard(group, max_order)
     if group.order > guard:
         capped = search_guard(group, group.order) < group.order
         hint = "the multi-factor route stops there" if capped else "raise --max-order"
         raise SizeGuardError(f"order {group.order} exceeds enumeration guard {guard}; {hint}")
+    count = automorphism_count(group) if len(group.factors) != 1 else 0
+    if count > AUTOMORPHISM_GUARD:
+        raise SizeGuardError(
+            f"{group.label} has {count} automorphisms, above the multi-factor "
+            f"route's automorphism guard {AUTOMORPHISM_GUARD}"
+        )
 
 
 def enumerate_skew_morphisms(

@@ -491,6 +491,32 @@ def isomorphisms(
     yield from extend(len(factors) - 1, {0: 0})
 
 
+def automorphism_count(group: AbelianGroup) -> int:
+    """|Aut(A)| from the factors alone, by the closed form of Hillar and
+    Rhea, Automorphisms of finite abelian groups, Amer. Math. Monthly 114
+    (2007).
+
+    Aut(A) is the product of the automorphism groups of the p-parts.  For a
+    p-part Z_p^e_1 x ... x Z_p^e_k with e_1 <= ... <= e_k, let d_i be the
+    largest and c_i the least l with e_l = e_i.  Its count is the product
+    over i = 1..k of (p^d_i - p^(i-1)) * p^(e_i (k - d_i)) *
+    p^((e_i - 1)(k - c_i + 1)).
+    """
+    exponents: dict[int, list[int]] = {}
+    for f in group.factors:
+        for p, e in factorint(f).items():
+            exponents.setdefault(p, []).append(e)
+    count = 1
+    for p, es in exponents.items():
+        es.sort()
+        k = len(es)
+        for i, e in enumerate(es, 1):
+            c = es.index(e) + 1
+            d = c - 1 + es.count(e)
+            count *= (p**d - p ** (i - 1)) * p ** (e * (k - d) + (e - 1) * (k - c + 1))
+    return count
+
+
 def enumerate_automorphisms(group: AbelianGroup) -> list[Automorphism]:
     """All automorphisms, sorted by table: the isomorphisms of the group onto itself."""
     if group.order > SUBGROUP_GUARD:

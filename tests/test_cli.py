@@ -74,6 +74,19 @@ def test_guard_exit_3(capsys):
     assert "guard" in err
 
 
+def test_automorphism_guard_exit_3(capsys, monkeypatch, tmp_path):
+    """Z2^5 is within the order guard but has 9,999,360 automorphisms: the
+    guard counts them without listing one, before --out is opened."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("automorphisms listed")
+
+    monkeypatch.setattr(enumeration, "enumerate_automorphisms", refuse)
+    path = tmp_path / "out"
+    code, _, err = run_cli(capsys, "enumerate", "Z2xZ2xZ2xZ2xZ2", "--out", str(path), "--quiet")
+    assert code == 3 and "automorphism guard" in err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -30,6 +30,7 @@ from skewmorph.groups import (
     enumerate_automorphisms,
     enumerate_subgroups,
     factorint,
+    invert,
     make_group,
     parse_group_literal,
     perm_power,
@@ -262,6 +263,15 @@ NONCYCLIC_PINS = {
     (5, 5): (768, "3aa59dabe62492a992aebc35e4f6d93ac1a3f1c366b9e96a92ea279d975c7148"),
     (2, 12): (80, "b37e9cb3f8d291ea25263a40c93d5ef620ba6c58ed9df6ea0beff0d520623f19"),
     (2, 14): (72, "b1a84153b48c18761117436e496ddd7d1f6d3675eaf6a1f23d99ebe47d201dd6"),
+    # pinned before the stabilizer cuts, at 4 s to 90 s each
+    (3, 9): (172, "146a0b04f18b8e68dc439f733e5163b3eee1ac9c8b7ff5e7f463153220ac4454"),
+    (2, 2, 6): (560, "e5b312f52f50cb57bbe3a1377cbc4374e448d8e9f3001e7dea3a3c91c4573260"),
+    (2, 16): (224, "6dee88ddf8bc9aea5b972f435f3d7e6421d8a892a187ff2ead914b9acbfc618e"),
+    (4, 8): (448, "bff923790cd88600a2e3ee94cb4faba34e2c6ee27be50fba602d1b6dcbf129dc"),
+    (2, 2, 2, 2): (20160, "cff81e0cf7ee6e6c7934a7360cac5881894a47c899c3df5a1405d4a93a412bc5"),
+    (3, 3, 3): (13312, "331aa35025eb900eb0a3e68f337b5890aea84667a7540fc7f6fce1afe122b58f"),
+    (2, 2, 8): (984, "c094fa8416f191dbdf4b65b908dc2c9d244cc7e04c675099b1ac05aee2ed58f3"),
+    (2, 4, 4): (2304, "f9d485ecc656b5e995525ee05f88b849f4bdf7e33a2f8ee988ea14d15731925b"),
 }
 
 
@@ -350,8 +360,12 @@ def _passes_regions(table, sub, tau, checks):
 
 def _assert_region_checks_pass(morphisms):
     """Each morphism survives every tau-orbit prefix of its own table,
-    reading only entries inside the region, which it maps into itself."""
+    reading only entries inside the region, which it maps into itself.
+    Automorphisms are skipped: their kernel is the whole group, so their
+    plan has no region check."""
     for sm in morphisms:
+        if not sm.is_proper:
+            continue
         sub, tau, checks = _region_plan(sm)
         pinning = _cycles_on(sm.perm, sub.members)
         for check in checks:
@@ -482,6 +496,47 @@ def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tab
     assert (len(calls), len(expanded)) == (tables, conjugates)
 
 
+@pytest.mark.parametrize(
+    "factors,tables,conjugates",
+    [((2, 2, 4), 260, (42, 48, 8)), ((5, 5), 45, (240, 0, 27)), ((3, 6), 64, (24, 22, 10))],
+)
+def test_general_search_revalidates_a_pinned_number_of_tables(monkeypatch, factors, tables, conjugates):
+    """Pins how hard the general route prunes: a cold enumeration, quotients
+    included, revalidates exactly this many completed tables, and conjugates
+    exactly this many finds onto another kernel of the kernel's Aut(A)-orbit,
+    onto another (tau, theta) pair of the kernel's stabilizer orbit, and
+    onto another phi(r0) of the pair, in that order.  Each conjugate is
+    sorted by what it changes, so a cut that stops expanding shows here and
+    not only as lost time.  A fresh cache makes the counts independent of
+    test order."""
+    calls = []
+    expanded = [0, 0, 0]
+
+    def counted(group, table):
+        calls.append(table)
+        return try_validate(group, table)
+
+    def transported(sm, sigma):
+        psi = conjugate(sm, sigma)
+        sub = kernel(sm)
+        if kernel(psi) != sub:
+            expanded[0] += 1
+        elif quotient_skew(psi, sub) != quotient_skew(sm, sub) or any(
+            psi.perm[a] != sm.perm[a] for a in sub.members
+        ):
+            expanded[1] += 1
+        else:
+            expanded[2] += 1
+        return psi
+
+    monkeypatch.setattr(enumeration, "try_validate", counted)
+    monkeypatch.setattr(enumeration, "conjugate", transported)
+    fresh = lru_cache(maxsize=None)(enumeration.cached_enumeration.__wrapped__)
+    monkeypatch.setattr(enumeration, "cached_enumeration", fresh)
+    enumerate_skew_morphisms(make_group(factors))
+    assert (len(calls), tuple(expanded)) == (tables, conjugates)
+
+
 @pytest.mark.parametrize("n", sorted(CYCLIC_PINS))
 def test_order_divides_n_times_totient(n):
     """The Kovacs-Nedela order bound that _search_cyclic skips cells by."""
@@ -514,6 +569,56 @@ def test_unit_conjugation_preserves_the_lifting_cell():
                 assert psi.perm[1] == (t + u * (sm.perm[1] - t)) % n
                 checked += 1
     assert checked == 13229
+
+
+# the groups of the benchmark's noncyclic-sweep pool
+SWEEP_GROUPS = [
+    (2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (2, 8), (4, 4), (2, 2, 4), (3, 6), (2, 10), (5, 5)
+]
+
+
+def test_stabilizer_conjugation_preserves_the_kernel_assembly():
+    """The lemma behind both cuts of _search_general, checked on every
+    enumerated proper morphism of the sweep's groups and not through the
+    search's code: for phi with kernel K, quotient tau and restriction
+    theta = phi|K, and every automorphism sigma with sigma(K) = K, inducing
+    sigma_bar on A/K, psi = sigma phi sigma^-1 is enumerated, has kernel K,
+    quotient sigma_bar tau sigma_bar^-1 and restriction sigma theta
+    sigma^-1, and psi(r) = sigma(theta(sigma^-1 r - r) + phi(r)) at every r
+    whose coset sigma_bar fixes.  Automorphisms have kernel A, where this
+    is the closure under conjugation tested above."""
+    checked = 0
+    for factors in SWEEP_GROUPS:
+        group = make_group(factors)
+        n, add, neg = group.order, group.add_table, group.neg_list
+        morphisms = cached_enumeration(factors).morphisms
+        by_perm = {sm.perm: sm for sm in morphisms}
+        autos = enumerate_automorphisms(group)
+        for sm in morphisms:
+            if not sm.is_proper:
+                continue
+            phi = sm.perm
+            sub = kernel(sm)
+            _, proj = quotient_group(group, sub)
+            tau = quotient_skew(sm, sub).perm
+            for sigma in autos:
+                s = sigma.table
+                if sorted(s[a] for a in sub.members) != list(sub.members):
+                    continue
+                back = invert(s)
+                bar = {proj[x]: proj[s[x]] for x in range(n)}
+                perm = tuple(s[phi[back[x]]] for x in range(n))
+                assert perm in by_perm, (phi, s)
+                psi = by_perm[perm]
+                assert kernel(psi) == sub
+                assert all(proj[perm[s[x]]] == bar[tau[proj[x]]] for x in range(n))
+                assert all(perm[s[a]] == s[phi[a]] for a in sub.members)
+                for r in range(n):
+                    if bar[proj[r]] == proj[r]:
+                        a = add[back[r]][neg[r]]
+                        assert perm[r] == s[add[phi[a]][phi[r]]], (phi, s, r)
+                checked += 1
+    assert checked == 37216
 
 
 def _order_on(perm, members):

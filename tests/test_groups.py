@@ -10,6 +10,7 @@ from skewmorph.groups import (
     SizeGuardError,
     _is_closed,
     abelian_group_presentations,
+    automorphism_count,
     compose,
     cycles,
     enumerate_automorphisms,
@@ -186,6 +187,20 @@ def test_enumerate_automorphisms_counts():
 def test_cyclic_automorphism_count_is_totient(n):
     phi = sum(1 for t in range(1, n + 1) if gcd(t, n) == 1)
     assert len(enumerate_automorphisms(make_group([n]))) == phi
+
+
+def test_automorphism_count_is_the_closed_form():
+    """automorphism_count equals the listed automorphisms on every group of
+    order 16 to 32 but Z2^5, whose 9,999,360 tables are not listed."""
+    checked = 0
+    for n in range(16, 33):
+        for group in abelian_group_presentations(n):
+            if group.factors != (2, 2, 2, 2, 2):
+                assert automorphism_count(group) == len(enumerate_automorphisms(group)), group.label
+                checked += 1
+    assert checked == 34
+    assert automorphism_count(make_group([2, 2, 2, 2, 2])) == 9999360
+    assert automorphism_count(make_group([])) == 1
 
 
 def test_automorphisms_form_a_group():

@@ -7,13 +7,17 @@ Two independent routes produce the same sets:
 * enumerate_skew_morphisms factors the search through kernel structure.
   One-factor groups (_search_cyclic) take direct products over a coprime
   split of Z_n where the Kovacs-Nedela decomposition theorem applies, and
-  otherwise run quotient-lifting cells (_lift_cell).  A cell holds phi
-  only per coset of its kernel <k>, one image per coset, walks the defining
-  constraint only up to x = k (every later step would re-check one of
-  those), re-checks only the power constraints a write touched, prunes by
-  two proved rules, slot cosets and the kernel-order rule, and searches
-  one phi(1) per orbit of units = 1 mod the quotient order.  Each route
-  yields every morphism exactly once.  Multi-factor groups
+  otherwise run quotient-lifting cells (_lift_cell).  A cell runs in two
+  phases.  It first solves its power web, the powers on the cosets of its
+  kernel <k> and their prefix sums along the orbit of 1, which depends on
+  the quotient morphism, k and |phi| only, never on the table; a cell
+  whose web has no solution ends there.  Then, under each solution whose
+  powers are 1 mod the order of the seed phi on <k>, it walks the table:
+  it holds phi only per coset of <k>, one image per coset, walks the
+  defining constraint only up to x = k (every later step would re-check
+  one of those), and searches one phi(1) per orbit of units = 1 mod the
+  quotient order.  Each route yields every morphism exactly once.
+  Multi-factor groups
   assemble tables from a kernel candidate, an additive bijection of it, a
   recursively enumerated quotient morphism, and one image per coset
   (_search_general); they search one candidate per Aut(A)-orbit of
@@ -142,26 +146,61 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
       k values cvals[j] pairwise distinct, 1 only at j = 0,
     * orbit of the generator 1 of length exactly L (= |phi|).
 
-    The walk phi(x) = phi(x-1) + u_{pi(x-1)} branches an unknown cvals entry
-    (over the class of q's power at x - 1 mod |q|) or an unknown orbit slot
-    (absorbed into phi(x), over the lifts of q(x)).  Constraint web: svals
-    prefix sums along the orbit (svals[0] = svals[L] = 0) chained by the
-    power of each orbit slot and by the composition rule cvals[j+1] =
-    svals[cvals[j]].  Every completed table is revalidated before it is
-    kept, so pruning only needs to preserve completeness for the cell's own
-    (q, k, L).  Two prunes rest on these proofs:
+    A cell runs in two phases: first it solves its power web, once for
+    all its seeds phi(k) = t*k, then for each seed it walks the table under
+    each solution that the seed's kernel-order rule keeps.  Every
+    completed table is revalidated before it is kept, so pruning only
+    needs to preserve completeness for the cell's own (q, k, L).
 
-    * Slot cosets.  Slot i of the orbit of 1 holds an element congruent to
+    The power web.  Its unknowns are cvals, the power on each coset of
+    <k>, and svals[i] = sigma(i), the sum of pi(phi^j(1)) over j < i, mod
+    L.  Every morphism of the cell satisfies all of its constraints:
+
+    * Slot cosets.  Slot i of the orbit of 1, phi^i(1), is congruent to
       slot_res[i] = q^i(1) mod d, hence mod k, so its power is
-      cvals[slot_res[i] % k] before the slot is bound: the cell's own rule
-      that pi is constant on the cosets of <k>, applied early.
-    * Kernel order.  For a in K = <k> and any b, expanding
-      phi(a + b) = phi(b + a) gives phi(a) + phi(b) = phi(b) +
-      phi^pi(b)(a), so phi^(pi(b) - 1) fixes K pointwise.  phi maps K onto
-      itself as multiplication by the unit t with phi(k) = t*k, so
-      o = ord(t mod n/k) divides pi(b) - 1 for every b, and divides L.
-      Seeds with o not dividing L are skipped, and every power value must
-      be 1 mod o.
+      cvals[slot_res[i] % k], and svals[i + 1] = svals[i] +
+      cvals[slot_res[i] % k], with svals[0] = svals[L] = 0 (the orbit of 1
+      has length L = |phi|).
+    * Composition.  cvals[j + 1] = svals[cvals[j]]: the recurrence pi(x +
+      1) = sigma(pi(x)) of _derive_power, at the basis weight 1, read at x
+      = j in coset j.
+    * Distinct values.  pi is constant exactly on the cosets of <k>, so
+      the k values differ, and cvals[0] = 1 since 0 is in the kernel.
+    * Kernel order.  For a in K = <k> and any b, expanding phi(a + b) =
+      phi(b + a) gives phi(a) + phi(b) = phi(b) + phi^pi(b)(a), so
+      phi^(pi(b) - 1) fixes K pointwise.  phi maps K onto itself as
+      multiplication by the unit t with phi(k) = t*k, so o = ord(t mod
+      n/k) divides pi(b) - 1 for every b, and divides L.  Seeds with o not
+      dividing L are skipped, and every power value must be 1 mod o.
+    * Congruence.  Every power is congruent mod |q| to q's power at its
+      reduction (lemma below).
+
+    These read only q, k, L and o, never the table: the coset of slot i is
+    fixed by q before phi(1) is known, and only the kernel-order rule reads
+    the seed.  So the web is solved once per cell without that rule, and
+    each seed keeps the solutions whose values are all 1 mod its o: the
+    complete assignments that meet every constraint, the same set that a
+    search checking the rule at every write would reach.  solve branches
+    the least unset cvals[j] over the class of q's power at j mod |q|, and
+    propagate closes the web after each write, re-checking just the
+    constraints it touched: a cvals[j] write re-checks the orbit slots in
+    coset j and the composition links j - 1 and j; an svals[i] write
+    re-checks slots i - 1 and i and the link c_used[i], whose cvals value
+    is i.  Once every cvals entry is set, svals follows from svals[0] along
+    the slots, so a leaf of solve is a complete solution, and each is
+    reached once (the branches at one j take distinct values).  A cell
+    whose web has no solution does no table work.
+
+    The table walk.  phi(x) = phi(x-1) + u_{pi(x-1)}, for u_i = phi^i(1),
+    reads pi(x-1) = powers[x-1] from the web solution and branches only an
+    unknown entry (absorbed into phi(x), over the lifts of q(x)).  The walk
+    never writes the web and reads it only there.  So the two phases reach
+    the same leaves as one walk that branched each cvals entry when it
+    first read it: that walk kept a leaf exactly when its cvals were a
+    complete solution of the web and its table completed under them, which
+    is what the two phases enumerate, each pair once.  The tables handed
+    to try_validate, and the finds expanded by relabel, are the same; only
+    their order differs.
 
     Coset writes.  The seed phi(k) = t*k fixes phi on K as a -> t*a, and pi
     is 1 on K, so phi(x + a) = phi(x) + phi(a) = phi(x) + t*a: one entry
@@ -184,8 +223,8 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     q (table entries mod d, powers mod |q|), so nothing is re-checked
     against q:
 
-    * the walk draws phi(x) from the lifts of q(x) and cvals guesses from
-      the class of q's power;
+    * the walk draws phi(x) from the lifts of q(x), and solve draws cvals
+      from the class of q's power;
     * a forced entry phi(x-1) + phi^pi(x-1)(1), a forced slot phi(x) -
       phi(x-1), and the image of a bound slot follow q's defining identity
       q(x) = q(x-1) + q^pi_q(x-1)(1) and its orbit of 1, since slot i is
@@ -199,8 +238,8 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     So distinct cosets c < k have phi(c) in distinct cosets of <k> and
     phi is injective wherever it is set; no slot is bound to 0 (q^i(1) is
     nonzero for d > 1, and for d = 1, k = 1 and the seed fixes phi = t*x
-    whole); and cvals is 1 only at j = 0, because the seed writes
-    c_used[1 % L] = 0 once and never undoes it.
+    whole); and cvals is 1 only at j = 0, because the web is solved from
+    cvals[0] = 1, which sets c_used[1 % L] = 0.
 
     The walk stops at x = k.  The coset writes give phi(y + m*k) = phi(y) +
     m*t*k, and pi(y + m*k) = pi(y) since pi is constant on the cosets of
@@ -208,13 +247,6 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     x = c + m*k is the constraint at c for 0 < c < k, and the one at k for
     c = 0: once x = 1..k are checked, every later step re-checks one of
     them, and every coset is set.
-
-    Incremental propagation.  The table side (image, slots, slot_of) never
-    writes svals or cvals, so only a cvals write can start propagation,
-    and propagate re-checks just the constraints a write touched: a
-    cvals[j] write re-checks the orbit slots in coset j and the
-    composition links j - 1 and j; an svals[i] write re-checks slots i - 1
-    and i and the link c_used[i], whose cvals value is i.
 
     Every journaled write turns a free (None) entry of a list into a value:
     image, slots and its inverse slot_of, svals, cvals and its inverse
@@ -229,16 +261,16 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     (mod k) since k | d, so psi has the same cvals.  As u^-1 - 1 lies
     in <k> and phi(1 + a) = phi(1) + t*a for a in <k>, psi(1) = u*(phi(1) +
     t*(u^-1 - 1)), that is psi(1) - t = u*(phi(1) - t).  So conjugation by
-    the units u = 1 (mod d) maps the cell's solutions onto themselves
-    and moves phi(1) - t along the orbits of w -> u*w.  The walk's first
-    branch, phi(1), therefore tries only the least v0 of each orbit, and
-    each find is then conjugated by one fixed u_v, u_v*(v0 - t) = v - t,
-    for every other v in its orbit.  Conjugation by u_v maps the solutions
-    with phi(1) = v0 one to one onto those with phi(1) = v (u_v^-1 maps
-    them back), so the expansion is complete and yields each morphism
-    once: conjugates of one find differ at 1.  (phi(1) is forced, not
-    branched, only for k = 1 or L = 1, where phi(1) = t, an orbit of one.)
-    Each conjugate is revalidated by relabel.
+    the units u = 1 (mod d) maps the cell's morphisms under one web
+    solution onto themselves and moves phi(1) - t along the orbits of
+    w -> u*w.  The walk's first branch, phi(1), therefore tries only the
+    least v0 of each orbit, and each find is then conjugated by one fixed
+    u_v, u_v*(v0 - t) = v - t, for every other v in its orbit.
+    Conjugation by u_v maps the solutions with phi(1) = v0 one to one onto
+    those with phi(1) = v (u_v^-1 maps them back), so the expansion is
+    complete and yields each morphism once: conjugates of one find differ
+    at 1.  (phi(1) is forced, not branched, only for k = 1 or L = 1, where
+    phi(1) = t, an orbit of one.)  Each conjugate is revalidated by relabel.
     """
     n = group.order
     d = q.group.order
@@ -255,24 +287,18 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     for i, j in enumerate(slot_coset):
         coset_slots[j].append(i)
 
-    image: list[int | None] = [None] * k
-    slots: list[int | None] = [None] * L
-    slots[0] = 1
-    slot_of: list[int | None] = [None] * n
-    slot_of[1] = 0
     svals: list[int | None] = [None] * (L + 1)
     svals[0] = 0
     svals[L] = 0
     cvals: list[int | None] = [None] * k
     c_used: list[int | None] = [None] * L
-    kernel_order = 1  # ord(phi on <k>), fixed once the seed phi(k) is chosen
 
     def undo(journal):
         for values, i in journal:
             values[i] = None
 
     def set_c(j: int, val: int, journal) -> bool:
-        if (val - 1) % kernel_order or c_used[val] is not None:
+        if c_used[val] is not None:
             return False
         cvals[j] = val
         c_used[val] = j
@@ -334,6 +360,32 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
                 return False
         return True
 
+    def solve(j: int) -> None:
+        # complete cvals from index j on; each solution is kept as a tuple
+        while j < k and cvals[j] is not None:
+            j += 1
+        if j == k:
+            solutions.append(tuple(cvals))
+            return
+        for guess in range(q.power[j], L, q.order):
+            journal: list = []
+            if set_c(j, guess, journal) and propagate(j, journal):
+                solve(j + 1)
+            undo(journal)
+
+    solutions: list[tuple[int, ...]] = []
+    if set_c(0, 1 % L, []) and propagate(0, []):
+        solve(1)
+    if not solutions:
+        return out
+
+    image: list[int | None] = [None] * k
+    slots: list[int | None] = [None] * L
+    slots[0] = 1
+    slot_of: list[int | None] = [None] * n
+    slot_of[1] = 0
+    powers: tuple[int, ...] = ()  # the web solution the walk runs under
+
     def bind_slot(j: int, v: int, journal) -> bool:
         # bind slot j to v, then follow the orbit while the table knows the
         # image of the slot just bound
@@ -378,16 +430,8 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
         # recurses
         journal: list = []
         while x <= k:
-            j = x - 1
-            val = cvals[j]
-            if val is None:
-                for guess in range(q.power[j], L, q.order):
-                    branch: list = []
-                    if set_c(j, guess, branch) and propagate(j, branch):
-                        walk(x)
-                    undo(branch)
-                break
-            base = image[j][0]
+            base = image[x - 1][0]
+            val = powers[x - 1]
             u = slots[val]
             if u is not None:
                 if not set_entry(x, add[base][u], journal):
@@ -404,7 +448,7 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
                     # conjugated onto the rest
                     images = [v for v in images if all(v < w for w in conjugators(v))]
                 for v in images:
-                    branch = []
+                    branch: list = []
                     if set_entry(x, v, branch) and bind_slot(val, add[v][neg_base], branch):
                         walk(x + 1)
                     undo(branch)
@@ -416,8 +460,6 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
                 out.append(sm)
         undo(journal)
 
-    if not (set_c(0, 1 % L, []) and propagate(0, [])):
-        return out
     # the units u != 1 with u = 1 (mod d): conjugation by them maps the
     # cell's solutions onto themselves
     units = [u for u in range(1 + d, n, d) if gcd(u, n) == 1]
@@ -438,14 +480,19 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     for t in range(q.perm[k % d] // k, size, d // k):
         if gcd(t, size) != 1:
             continue
-        kernel_order = multiplicative_order(t, size)
-        if L % kernel_order:
+        o = multiplicative_order(t, size)
+        if L % o:
+            continue
+        # the kernel-order rule: every power is 1 mod o
+        kept = [w for w in solutions if all((c - 1) % o == 0 for c in w)]
+        if not kept:
             continue
         kernel_images = [m * t * k % n for m in range(size)]
         start = len(out)
         journal: list = []
         if set_entry(0, 0, journal):
-            walk(1)
+            for powers in kept:
+                walk(1)
         undo(journal)
         out.extend(
             relabel(sm, [u * x % n for x in range(n)], group)
@@ -492,8 +539,8 @@ def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
     designated to the first such p.  The search enumerates Z_d recursively
     and lifts each quotient morphism q in _lift_cell: table entries are
     pinned mod d, leaving p candidates per entry, each entry fixes its whole
-    coset of <k>, each cell prunes by slot cosets and by the kernel-order
-    rule, and it searches one phi(1) per unit-conjugation orbit, all proved
+    coset of <k>, each cell solves its power web before it walks a table,
+    and it searches one phi(1) per unit-conjugation orbit, all proved
     there.  Orders L that do not divide n*phi(n) are skipped: the order of
     every skew morphism of Z_n divides n*phi(n) (Kovacs and Nedela, the
     paper cited above).

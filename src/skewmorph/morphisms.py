@@ -25,6 +25,7 @@ from .groups import (
     enumerate_automorphisms,
     invert,
     is_bijection,
+    perm_order,
     perm_power,
     quotient_group,
     subgroup_from_members,
@@ -221,9 +222,22 @@ def identity_morphism(group: AbelianGroup) -> SkewMorphism:
 
 
 def as_skew_morphism(theta: Automorphism) -> SkewMorphism:
-    sm = try_validate(theta.group, theta.table)
-    assert sm is not None and sm.is_automorphism
-    return sm
+    """An automorphism as the skew morphism of power 1 everywhere.
+
+    The check is exact without deriving pi: a bijection with theta(a + g)
+    = theta(a) + theta(g) for every a and every basis weight g is additive,
+    by induction over b written as a sum of weights in theta(a + b), and an
+    additive bijection satisfies the defining identity with pi = 1.  Its
+    order is the lcm of its cycle lengths."""
+    group, table = theta.group, theta.table
+    add = group.add_table
+    n = group.order
+    if not is_bijection(table, n) or any(
+        table[add[a][g]] != add[table[a]][table[g]] for g in group.weights for a in range(n)
+    ):
+        raise ValueError("not an automorphism")
+    m = perm_order(table)
+    return SkewMorphism(group, tuple(table), m, (1 % m,) * n)
 
 
 def is_smooth(sm: SkewMorphism) -> bool:

@@ -77,6 +77,19 @@ def test_criterion_2_theorem1_to_40():
     assert elapsed < 1800
 
 
+def test_criterion_2_theorem1_to_64():
+    """Theorem 1 up to n = 64, the default cyclic guard: non-smooth
+    morphisms exactly at the orders with 2^5 or an odd square dividing n."""
+    start = time.perf_counter()
+    verdict = verify_theorem1(64)
+    elapsed = time.perf_counter() - start
+    expected = (9, 18, 25, 27, 32, 36, 45, 49, 50, 54, 63, 64)
+    ok = verdict.ok and verdict.nonsmooth_orders == expected
+    _line(2, ok, f"non-smooth at {verdict.nonsmooth_orders} in {elapsed:.1f}s")
+    assert verdict.ok
+    assert verdict.nonsmooth_orders == expected
+
+
 def test_criterion_3_squarefree_census_cases():
     """n in {15, 33, 12, 24, 48}: zero non-smooth; 105 by predicate only."""
     counts = {}

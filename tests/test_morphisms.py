@@ -13,6 +13,7 @@ from skewmorph.groups import (
 )
 from skewmorph.morphisms import (
     SkewMorphismRejection,
+    as_skew_morphism,
     conjugate,
     core,
     core_of_translations,
@@ -317,6 +318,20 @@ def test_kernel_nontrivial_for_nontrivial_groups():
     for factors in ((4,), (9,), (2, 4), (3, 3), (16,)):
         for sm in cached_enumeration(factors).morphisms:
             assert kernel(sm).size > 1
+
+
+def test_as_skew_morphism_equals_full_validation():
+    """The automorphism shortcut gives the record that full validation
+    derives, and rejects a bijection that is not additive and an additive
+    map that is not a bijection."""
+    for factors in [(), (6,), (2, 4), (3, 3), (2, 2, 2)]:
+        group = make_group(factors)
+        for theta in enumerate_automorphisms(group):
+            assert as_skew_morphism(theta) == try_validate(group, theta.table)
+    group = make_group([2, 4])
+    for table in [(0, 2, 1, 3, 4, 5, 6, 7), (0,) * 8]:
+        with pytest.raises(ValueError):
+            as_skew_morphism(Automorphism(group, table))
 
 
 def test_automorphism_iff_power_constant_one():

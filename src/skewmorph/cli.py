@@ -115,6 +115,8 @@ def cmd_census(args) -> int:
     if args.cyclic_from is not None or args.cyclic_to is not None:
         lo = args.cyclic_from if args.cyclic_from is not None else 1
         hi = args.cyclic_to if args.cyclic_to is not None else lo
+        if lo > hi:
+            raise UsageError(f"census: empty range --cyclic-from {lo} --cyclic-to {hi}")
         groups.extend(make_group([n] if n > 1 else []) for n in range(lo, hi + 1))
     if not groups:
         print("census: nothing to do (use --groups or --cyclic-from/--cyclic-to)", file=sys.stderr)

@@ -13,10 +13,11 @@ Two independent routes produce the same sets:
   the quotient morphism, k and |phi| only, never on the table; a cell
   whose web has no solution ends there.  Then, under each solution whose
   powers are 1 mod the order of the seed phi on <k>, it walks the table:
-  it holds phi only per coset of <k>, one image per coset, walks the
-  defining constraint only up to x = k (every later step would re-check
-  one of those), and searches one phi(1) per orbit of units = 1 mod the
-  quotient order.  Each route yields every morphism exactly once.
+  it holds phi only per coset of <k>, one image per coset, closes the
+  table after each write under the defining identity at every known
+  point of the orbit of 1, so it branches only where nothing is forced,
+  and searches one phi(1) per orbit of units = 1 mod the quotient order.
+  Each route yields every morphism exactly once.
   Multi-factor groups
   assemble tables from a kernel candidate, an additive bijection of it, a
   recursively enumerated quotient morphism, and one image per coset
@@ -171,7 +172,8 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
       phi^(pi(b) - 1) fixes K pointwise.  phi maps K onto itself as
       multiplication by the unit t with phi(k) = t*k, so o = ord(t mod
       n/k) divides pi(b) - 1 for every b, and divides L.  Seeds with o not
-      dividing L are skipped, and every power value must be 1 mod o.
+      dividing L are skipped, and every power value must be 1 mod o.  For
+      k = 1, K is the whole group and phi = t*x, so L = o exactly.
     * Congruence.  Every power is congruent mod |q| to q's power at its
       reduction (lemma below).
 
@@ -191,16 +193,47 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     reached once (the branches at one j take distinct values).  A cell
     whose web has no solution does no table work.
 
-    The table walk.  phi(x) = phi(x-1) + u_{pi(x-1)}, for u_i = phi^i(1),
-    reads pi(x-1) = powers[x-1] from the web solution and branches only an
-    unknown entry (absorbed into phi(x), over the lifts of q(x)).  The walk
-    never writes the web and reads it only there.  So the two phases reach
-    the same leaves as one walk that branched each cvals entry when it
-    first read it: that walk kept a leaf exactly when its cvals were a
-    complete solution of the web and its table completed under them, which
-    is what the two phases enumerate, each pair once.  The tables handed
-    to try_validate, and the finds expanded by relabel, are the same; only
-    their order differs.
+    The composition rule.  Under a web solution, pi(c) = powers[c] on the
+    coset of c.  Write u_i = phi^i(1), the slots of the orbit of 1.  Every
+    morphism of the cell has, for each coset c < k and each slot s,
+
+        phi(c + u_s) = phi(c) + u_((s + pi(c)) mod L):
+
+    the defining identity phi(x + b) = phi(x) + phi^pi(x)(b) at x = c and
+    b = u_s has phi^pi(c)(phi^s(1)) = phi^(s + pi(c))(1), and the orbit
+    of 1 has length L.  The pair (c, s) stands for every x = c + m*k of
+    the coset: phi(x + u_s) = phi(c + u_s) + m*t*k and phi(x) = phi(c) +
+    m*t*k (coset writes, below), and pi(x) = pi(c).  At s = 0 the rule is
+    the walk step phi(c + 1) = phi(c) + u_pi(c); at c = 0 (pi(0) = 1) it
+    follows the orbit, phi(u_s) = u_(s + 1).  Once phi(c) and u_s are
+    known, fire applies it: it sets phi at c + u_s if slot s + pi(c) is
+    bound, binds that slot if phi(c + u_s) is known, and checks the two
+    against each other if both are.
+
+    The table walk.  Each write, of a coset by set_entry or of a slot by
+    bind_slot, is pushed on written, and close pops the writes and fires
+    every pair that the popped write may newly decide: a coset c0 as the
+    source of (c0, s) over the bound slots s, and as the target of (c, s)
+    with c + u_s in c0's coset (s in coset_slots[c0 - c]); a slot s0 as
+    the source of (c, s0) over the set cosets c, and as the target slot of
+    (c, s0 - pi(c)) when that pair's target coset is unset.  This closes
+    the table under the rule.  Writes only add values during close, and
+    u_0 = 1 is bound before every write.  So when the last of the writes
+    of phi(c), u_s and the coset of c + u_s is popped, all three are
+    known, and that write fires (c, s) as a source or as a target coset,
+    roles that skip no pair; a pair whose target coset stays unset is
+    fired when the last of phi(c), u_s and its target slot is popped.  So
+    when close returns, every pair with phi(c), u_s and one target known
+    has both targets known and equal to the rule's values.
+    The walk branches phi(c) at the least coset c that the closure left
+    unset, over the lifts of q(c), and never writes the web.  At a leaf
+    every coset is set, so every slot is bound (the rule at c = 0 follows
+    the orbit from u_0 = 1), and the table meets the rule at every pair,
+    b = 1 included.  The leaves are therefore the complete (table, cvals)
+    pairs, cvals a web solution that the seed keeps and the table closed
+    under the rule for it, each once: the branches at one coset take
+    distinct values, and every other value is forced by them.  Every
+    morphism of the cell is such a pair, as every rule holds on it.
 
     Coset writes.  The seed phi(k) = t*k fixes phi on K as a -> t*a, and pi
     is 1 on K, so phi(x + a) = phi(x) + phi(a) = phi(x) + t*a: one entry
@@ -223,12 +256,12 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     q (table entries mod d, powers mod |q|), so nothing is re-checked
     against q:
 
-    * the walk draws phi(x) from the lifts of q(x), and solve draws cvals
+    * the walk draws phi(c) from the lifts of q(c), and solve draws cvals
       from the class of q's power;
-    * a forced entry phi(x-1) + phi^pi(x-1)(1), a forced slot phi(x) -
-      phi(x-1), and the image of a bound slot follow q's defining identity
-      q(x) = q(x-1) + q^pi_q(x-1)(1) and its orbit of 1, since slot i is
-      congruent to q^i(1) and |q| is the length of that orbit;
+    * an entry phi(c) + u_(s + pi(c)) and a slot phi(c + u_s) - phi(c)
+      forced by the rule follow q's identity q(c + q^s(1)) = q(c) +
+      q^(s + pi_q(c))(1), since slot i is congruent to q^i(1), pi(c) to
+      pi_q(c) mod |q|, and |q| is the length of q's orbit of 1;
     * a coset write phi(c + m*k) = phi(c) + m*t*k follows q(c + m*k) =
       q(c) + m*q(k), since the seed ranges over t = q(k)/k (mod d/k);
     * svals and cvals forced by the power web are sums and compositions of
@@ -240,13 +273,6 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     nonzero for d > 1, and for d = 1, k = 1 and the seed fixes phi = t*x
     whole); and cvals is 1 only at j = 0, because the web is solved from
     cvals[0] = 1, which sets c_used[1 % L] = 0.
-
-    The walk stops at x = k.  The coset writes give phi(y + m*k) = phi(y) +
-    m*t*k, and pi(y + m*k) = pi(y) since pi is constant on the cosets of
-    <k>.  So the walk constraint phi(x) = phi(x-1) + phi^pi(x-1)(1) at
-    x = c + m*k is the constraint at c for 0 < c < k, and the one at k for
-    c = 0: once x = 1..k are checked, every later step re-checks one of
-    them, and every coset is set.
 
     Every journaled write turns a free (None) entry of a list into a value:
     image, slots and its inverse slot_of, svals, cvals and its inverse
@@ -269,8 +295,8 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     Conjugation by u_v maps the solutions with phi(1) = v0 one to one onto
     those with phi(1) = v (u_v^-1 maps them back), so the expansion is
     complete and yields each morphism once: conjugates of one find differ
-    at 1.  (phi(1) is forced, not branched, only for k = 1 or L = 1, where
-    phi(1) = t, an orbit of one.)  Each conjugate is revalidated by relabel.
+    at 1.  (For k = 1, phi = t*x is set whole by the seed, and nothing is
+    branched.)  Each conjugate is revalidated by relabel.
     """
     n = group.order
     d = q.group.order
@@ -385,80 +411,90 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     slot_of: list[int | None] = [None] * n
     slot_of[1] = 0
     powers: tuple[int, ...] = ()  # the web solution the walk runs under
+    # writes not yet closed over: coset c as c, slot s as k + s
+    written: list[int] = []
 
-    def bind_slot(j: int, v: int, journal) -> bool:
-        # bind slot j to v, then follow the orbit while the table knows the
-        # image of the slot just bound
-        while True:
-            cur = slots[j]
-            if cur is not None:
-                return cur == v
-            if slot_of[v] is not None:
-                return False
-            slots[j] = v
-            slot_of[v] = j
-            journal += ((slots, j), (slot_of, v))
-            before = slots[(j - 1) % L]
-            if before is not None and not set_entry(before, v, journal):
-                return False
-            j = (j + 1) % L
-            after = slots[j]
-            if after is not None:
-                return set_entry(v, after, journal)
-            row = image[v % k]
-            if row is None:
-                return True
-            v = row[kernel_images[v // k]]
-
-    def set_entry(x: int, v: int, journal) -> bool:
+    def set_entry(x: int, v: int, journal) -> None:
+        # the coset c + <k> of x is unset: phi(c + m*k) = phi(c) + m*t*k
         c = x % k
-        row = image[c]
-        if row is not None:
-            return row[kernel_images[x // k]] == v
-        # phi(c + m*k) = phi(c) + m*t*k over the coset c + <k>
-        image[c] = row = add[add[v][neg[kernel_images[x // k]]]]
+        image[c] = add[add[v][neg[kernel_images[x // k]]]]
         journal.append((image, c))
-        for i in coset_slots[c]:
-            y = slots[i]
-            if y is not None and not bind_slot((i + 1) % L, row[kernel_images[y // k]], journal):
+        written.append(c)
+
+    def bind_slot(s: int, v: int, journal) -> bool:
+        # slot s is free; v may not sit at another slot
+        if slot_of[v] is not None:
+            return False
+        slots[s] = v
+        slot_of[v] = s
+        journal += ((slots, s), (slot_of, v))
+        written.append(k + s)
+        return True
+
+    def fire(c: int, s: int, journal) -> bool:
+        # phi(c + u_s) = phi(c) + u_(s + pi(c)), with phi(c) and u_s known
+        row = image[c]
+        x = add[c][slots[s]]
+        s2 = (s + powers[c]) % L
+        u = slots[s2]
+        target = image[x % k]
+        if target is None:
+            if u is not None:
+                set_entry(x, row[u], journal)
+            return True
+        if u is None:
+            return bind_slot(s2, add[target[kernel_images[x // k]]][neg[row[0]]], journal)
+        return target[kernel_images[x // k]] == row[u]
+
+    def row_written(c0: int, journal) -> bool:
+        # phi(c0) as the source of c0 + u_s, then as the target of c + u_s
+        for s, b in enumerate(slots):
+            if b is not None and not fire(c0, s, journal):
+                return False
+        for c, row in enumerate(image):
+            if row is not None:
+                for s in coset_slots[(c0 - c) % k]:
+                    if slots[s] is not None and not fire(c, s, journal):
+                        return False
+        return True
+
+    def slot_written(s0: int, journal) -> bool:
+        # u_s0 as the source of c + u_s0, then as the target slot of c +
+        # u_s, s = s0 - pi(c), where that coset is unset (a set one has
+        # been or will be closed over as a row)
+        for c, row in enumerate(image):
+            if row is not None:
+                if not fire(c, s0, journal):
+                    return False
+                s = (s0 - powers[c]) % L
+                if slots[s] is not None and image[(c + slot_coset[s]) % k] is None:
+                    if not fire(c, s, journal):
+                        return False
+        return True
+
+    def close(journal) -> bool:
+        while written:
+            w = written.pop()
+            if not (row_written(w, journal) if w < k else slot_written(w - k, journal)):
+                written.clear()
                 return False
         return True
 
-    def walk(x: int) -> None:
-        # fill phi(x), phi(x + 1), ..., phi(k) by phi(y) = phi(y - 1) +
-        # u_pi(y - 1): the forced steps share one journal, and each branch
-        # recurses
-        journal: list = []
-        while x <= k:
-            base = image[x - 1][0]
-            val = powers[x - 1]
-            u = slots[val]
-            if u is not None:
-                if not set_entry(x, add[base][u], journal):
-                    break
-            elif image[x % k] is not None:
-                phi_x = image[x % k][kernel_images[x // k]]
-                if not bind_slot(val, add[phi_x][neg[base]], journal):
-                    break
-            else:
-                neg_base = neg[base]
-                images = range(q.perm[x % d], n, d)
-                if x == 1:
-                    # the least phi(1) of each orbit; the finds are
-                    # conjugated onto the rest
-                    images = [v for v in images if all(v < w for w in conjugators(v))]
-                for v in images:
-                    branch: list = []
-                    if set_entry(x, v, branch) and bind_slot(val, add[v][neg_base], branch):
-                        walk(x + 1)
-                    undo(branch)
-                break
-            x += 1
-        else:
+    def walk(c: int) -> None:
+        # branch phi(c) at the least coset that the closure left unset
+        while c < k and image[c] is not None:
+            c += 1
+        if c == k:
             sm = try_validate(group, tuple(row[w] for w in kernel_images for row in image))
             if sm is not None:
                 out.append(sm)
-        undo(journal)
+            return
+        for v in firsts if c == 1 else range(q.perm[c], n, d):
+            journal: list = []
+            set_entry(c, v, journal)
+            if close(journal):
+                walk(c + 1)
+            undo(journal)
 
     # the units u != 1 with u = 1 (mod d): conjugation by them maps the
     # cell's solutions onto themselves
@@ -481,19 +517,29 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
         if gcd(t, size) != 1:
             continue
         o = multiplicative_order(t, size)
-        if L % o:
+        if L % o or (k == 1 and L != o):
             continue
         # the kernel-order rule: every power is 1 mod o
         kept = [w for w in solutions if all((c - 1) % o == 0 for c in w)]
         if not kept:
             continue
         kernel_images = [m * t * k % n for m in range(size)]
+        # the first branch, phi(1), tries the least image of each orbit (the
+        # first one met in ascending order); the finds are conjugated onto
+        # the rest.  For k = 1, phi(1) = t is forced, not branched.
+        firsts: list[int] = []
+        met: set[int] = set()
+        for v in range(q.perm[1 % d], n, d) if k > 1 else ():
+            if v not in met:
+                firsts.append(v)
+                met.update(conjugators(v))
         start = len(out)
-        journal: list = []
-        if set_entry(0, 0, journal):
-            for powers in kept:
+        for powers in kept:
+            journal: list = []
+            set_entry(0, 0, journal)
+            if close(journal):
                 walk(1)
-        undo(journal)
+            undo(journal)
         out.extend(
             relabel(sm, [u * x % n for x in range(n)], group)
             for sm in out[start:]

@@ -247,6 +247,12 @@ def test_bare_census_is_a_usage_error(capsys):
     assert "nothing to do" in err
 
 
+def test_empty_cyclic_range_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "census", "--cyclic-from", "5", "--cyclic-to", "3")
+    assert code == 2 and out == ""
+    assert "--cyclic-from 5 --cyclic-to 3" in err and "nothing to do" not in err
+
+
 def test_verify_theorem2_rejects_cyclic(capsys):
     code, _, err = run_cli(capsys, "verify", "theorem2", "--groups", "Z9", "--quiet")
     assert code == 2

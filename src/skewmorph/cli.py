@@ -222,6 +222,10 @@ def _verify_theorem1(args) -> int:
 
 def _verify_csm(args) -> int:
     ns = [args.n] if args.n is not None else range(2, args.max_n + 1)
+    # both guards grow with n, so the largest n stands for every input
+    top = max(ns, default=1)
+    constructions.check_csm_guard(top)
+    _check_enumeration_guards([make_group([top] if top > 1 else [])], args)
     for n in ns:
         family = {
             constructions.csm_construct(p).perm
@@ -240,6 +244,7 @@ def _verify_csm(args) -> int:
 
 def _verify_identities(args) -> int:
     groups = _parse_groups_flag(args.groups) if args.groups else [make_group([6]), make_group([9])]
+    _check_enumeration_guards(groups, args)
     for group in groups:
         report = enumeration.enumerate_skew_morphisms(group, args.max_order)
         for sm in report.morphisms:
@@ -294,11 +299,13 @@ def _verify_theorem2(args) -> int:
     if not args.groups:
         print("verify theorem2: --groups is required", file=sys.stderr)
         return EXIT_USAGE
-    for group in _parse_groups_flag(args.groups):
+    groups = _parse_groups_flag(args.groups)
+    for group in groups:
         if group.is_cyclic:
             print(f"verify theorem2: {group.label} is cyclic; use theorem1", file=sys.stderr)
             return EXIT_USAGE
         _check_guard(group.order, args)
+    for group in groups:
         necessary = enumeration.theorem2_necessary(group)
         if necessary:
             _info(args, f"{group.label}: necessary condition holds; no witness required")

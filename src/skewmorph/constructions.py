@@ -134,14 +134,19 @@ def csm_construct(params: CsmParams) -> SkewMorphism:
     return sm
 
 
+def check_csm_guard(n: int) -> None:
+    """Raise SizeGuardError when n exceeds CSM_GUARD."""
+    if n > CSM_GUARD:
+        raise SizeGuardError(f"n={n} exceeds csm parameter guard {CSM_GUARD}")
+
+
 def enumerate_csm_params(n: int) -> list[CsmParams]:
     """All parameter tuples passing (a)-(d), in lexicographic (k, r, s, t) order.
 
     Distinct tuples may define equal morphisms; deduplication is left to the
     caller at the table level.
     """
-    if n > CSM_GUARD:
-        raise SizeGuardError(f"n={n} exceeds csm parameter guard {CSM_GUARD}")
+    check_csm_guard(n)
     found = []
     for k in range(2, n):
         if n % k != 0:

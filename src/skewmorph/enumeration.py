@@ -6,36 +6,39 @@ Two independent routes produce the same sets:
   the ones accepted by validate -- trivially complete, order <= 10.
 * enumerate_skew_morphisms factors the search through kernel structure.
   One-factor groups (_search_cyclic) take direct products over a coprime
-  split of Z_n where the Kovacs-Nedela decomposition theorem applies, and
-  otherwise run quotient-lifting cells (_lift_cell).  A cell runs in two
-  phases.  It first solves its power web, the powers on the cosets of its
-  kernel <k> and their prefix sums along the orbit of 1, which depends on
-  the quotient morphism, k and |phi| only, never on the table; a cell
-  whose web has no solution ends there.  Then, under each solution whose
-  powers are 1 mod the order of the seed phi on <k>, it walks the table:
-  it holds phi only per coset of <k>, one image per coset, closes the
-  table after each write under the defining identity at every known
-  point of the orbit of 1, so it branches only where nothing is forced,
-  and searches one phi(1) per orbit of units = 1 mod the quotient order.
-  Each route yields every morphism exactly once.
-  Multi-factor groups
-  assemble tables from a kernel candidate, an additive bijection of it, a
-  recursively enumerated quotient morphism, and one image per coset
-  (_search_general); they search one candidate per Aut(A)-orbit of
-  subgroups, keep the finds whose kernel is exactly that candidate, and
-  conjugate those onto the rest of the orbit.  Two more cuts use the
-  candidate's stabilizer in Aut(A) the same way: one (quotient morphism,
-  kernel bijection) pair per orbit of the stabilizer, and inside a pair
-  one image of the first placed coset representative per orbit of the
-  pair's stabilizer; the finds are conjugated onto the rest of each orbit
-  (_orbits gives every orbit's representative and transversal).  The
-  cosets are placed one quotient orbit at a time, and after each orbit a
-  region check (_region_holds) tests the defining identity on the
-  finished, phi-closed part of the table, so most tables die before they
-  are complete.  Every
-  completed table and every conjugate is revalidated in full, so the
-  searches stay sound however hard their cells prune; the correctness
-  burden is completeness, argued per search below.
+  split of Z_n where the Kovacs-Nedela decomposition theorem applies.
+  Otherwise they list the automorphisms x -> t*x, t a unit, and search
+  each proper skew type in quotient-lifting cells (_lift_cell).  A cell
+  runs in two phases.  It first solves its power web, the powers on the
+  cosets of its kernel <k> and their prefix sums along the orbit of 1,
+  which depends on the quotient morphism, k and |phi| only, never on the
+  table; a cell whose web has no solution ends there.  Then, under each
+  solution whose powers are 1 mod the order of the seed phi on <k>, it
+  walks the table: it holds phi only per coset of <k>, one image per
+  coset, closes the table after each write under the defining identity
+  at every known point of the orbit of 1, so it branches only where
+  nothing is forced, and searches one phi(1) per orbit of the units = 1
+  mod the quotient order.
+  Multi-factor groups assemble tables from a kernel candidate, an
+  additive bijection of it, a recursively enumerated quotient morphism,
+  and one image per coset (_search_general); they search one candidate
+  per Aut(A)-orbit of subgroups, keep the finds whose kernel is exactly
+  that candidate, and conjugate those onto the rest of the orbit.  Two
+  more cuts use the candidate's stabilizer in Aut(A) the same way: one
+  (quotient morphism, kernel bijection) pair per orbit of the
+  stabilizer, and inside a pair one image of the first placed coset
+  representative per orbit of the pair's stabilizer; the finds are
+  conjugated onto the rest of each orbit.  The cosets are placed one
+  quotient orbit at a time, and after each orbit a region check
+  (_region_holds) tests the defining identity on the finished,
+  phi-closed part of the table, so most tables die before they are
+  complete.
+  Every orbit cut, cyclic or not, takes its representatives and
+  transversals from one helper, groups._orbits.  Each route yields every
+  morphism exactly once.  Every completed table and every conjugate is
+  revalidated in full, so the searches stay sound however hard their
+  cells prune; the correctness burden is completeness, argued per search
+  below.
 
 Orders are always derived from tables.  The one bound on |phi| a search
 uses is the published one for Z_n, that |phi| divides n*phi(n), and only
@@ -55,7 +58,9 @@ from typing import Iterable
 from .groups import (
     SUBGROUP_GUARD,
     AbelianGroup,
+    Automorphism,
     SizeGuardError,
+    _orbits,
     automorphism_count,
     crt_pair,
     cycles,
@@ -107,7 +112,9 @@ class EnumerationReport:
         cls, group: AbelianGroup, found, elapsed_ms: float
     ) -> "EnumerationReport":
         morphisms = tuple(sorted(found, key=lambda sm: sm.perm))
-        assert len({sm.perm for sm in morphisms}) == len(morphisms)
+        # raised, not asserted, so that the check holds under python -O
+        if len({sm.perm for sm in morphisms}) != len(morphisms):
+            raise AssertionError(f"{group.label}: a route yielded a morphism twice")
         autos = sum(1 for sm in morphisms if sm.is_automorphism)
         smooth = sum(1 for sm in morphisms if is_smooth(sm))
         total = len(morphisms)
@@ -143,8 +150,9 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
 
     * phi reduced mod d equal to the quotient morphism q of Z_d (d =
       q.group.order),
-    * power function constant exactly on cosets of <k> (k | d), with the
-      k values cvals[j] pairwise distinct, 1 only at j = 0,
+    * power function constant exactly on cosets of <k> (k | d, k >= 2, so
+      phi is proper), with the k values cvals[j] pairwise distinct, 1 only
+      at j = 0,
     * orbit of the generator 1 of length exactly L (= |phi|).
 
     A cell runs in two phases: first it solves its power web, once for
@@ -172,8 +180,7 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
       phi^(pi(b) - 1) fixes K pointwise.  phi maps K onto itself as
       multiplication by the unit t with phi(k) = t*k, so o = ord(t mod
       n/k) divides pi(b) - 1 for every b, and divides L.  Seeds with o not
-      dividing L are skipped, and every power value must be 1 mod o.  For
-      k = 1, K is the whole group and phi = t*x, so L = o exactly.
+      dividing L are skipped, and every power value must be 1 mod o.
     * Congruence.  Every power is congruent mod |q| to q's power at its
       reduction (lemma below).
 
@@ -270,9 +277,8 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
 
     So distinct cosets c < k have phi(c) in distinct cosets of <k> and
     phi is injective wherever it is set; no slot is bound to 0 (q^i(1) is
-    nonzero for d > 1, and for d = 1, k = 1 and the seed fixes phi = t*x
-    whole); and cvals is 1 only at j = 0, because the web is solved from
-    cvals[0] = 1, which sets c_used[1 % L] = 0.
+    nonzero, as d >= k >= 2); and cvals is 1 only at j = 0, because the web
+    is solved from cvals[0] = 1, which sets c_used[1] = 0 (L >= k >= 2).
 
     Every journaled write turns a free (None) entry of a list into a value:
     image, slots and its inverse slot_of, svals, cvals and its inverse
@@ -290,13 +296,15 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     the units u = 1 (mod d) maps the cell's morphisms under one web
     solution onto themselves and moves phi(1) - t along the orbits of
     w -> u*w.  The walk's first branch, phi(1), therefore tries only the
-    least v0 of each orbit, and each find is then conjugated by one fixed
-    u_v, u_v*(v0 - t) = v - t, for every other v in its orbit.
-    Conjugation by u_v maps the solutions with phi(1) = v0 one to one onto
-    those with phi(1) = v (u_v^-1 maps them back), so the expansion is
-    complete and yields each morphism once: conjugates of one find differ
-    at 1.  (For k = 1, phi = t*x is set whole by the seed, and nothing is
-    branched.)  Each conjugate is revalidated by relabel.
+    least v0 of each orbit (_orbits over these units, a group), and each
+    find is then conjugated by one fixed u_v, u_v*(v0 - t) = v - t, for
+    every other v in its orbit.  Conjugation by u_v maps the solutions
+    with phi(1) = v0 one to one onto those with phi(1) = v (u_v^-1 maps
+    them back), so the expansion is complete and yields each morphism
+    once: conjugates of one find differ at 1.  Closing the seed sets no
+    coset but <k>: only u_0 = 1 is bound, and the one pair it fires, (0,
+    0), needs u_1 or phi(1).  So the walk's first branch is at 1.  Each
+    conjugate is revalidated by relabel.
     """
     n = group.order
     d = q.group.order
@@ -304,7 +312,7 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     neg = group.neg_list
     out: list[SkewMorphism] = []
     slot_res = [0] * L
-    cur = 1 % d
+    cur = 1
     for j in range(L):
         slot_res[j] = cur
         cur = q.perm[cur]
@@ -400,7 +408,7 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
             undo(journal)
 
     solutions: list[tuple[int, ...]] = []
-    if set_c(0, 1 % L, []) and propagate(0, []):
+    if set_c(0, 1, []) and propagate(0, []):
         solve(1)
     if not solutions:
         return out
@@ -468,8 +476,7 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
                     return False
                 s = (s0 - powers[c]) % L
                 if slots[s] is not None and image[(c + slot_coset[s]) % k] is None:
-                    if not fire(c, s, journal):
-                        return False
+                    fire(c, s, journal)  # sets the unset target coset; cannot fail
         return True
 
     def close(journal) -> bool:
@@ -496,17 +503,12 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
                 walk(c + 1)
             undo(journal)
 
-    # the units u != 1 with u = 1 (mod d): conjugation by them maps the
-    # cell's solutions onto themselves
-    units = [u for u in range(1 + d, n, d) if gcd(u, n) == 1]
+    # the units u = 1 (mod d): conjugation by them maps the cell's solutions
+    # onto themselves, and moves phi(1) to t + u*(phi(1) - t)
+    units = [u for u in range(1, n, d) if gcd(u, n) == 1]
 
-    def conjugators(v0: int) -> dict[int, int]:
-        # each other phi(1) = t + u*(v0 - t) of v0's orbit, with one u
-        found: dict[int, int] = {}
-        for u in units:
-            found.setdefault((t + u * (v0 - t)) % n, u)
-        found.pop(v0, None)
-        return found
+    def move_first(u: int, v: int) -> int:
+        return (t + u * (v - t)) % n
 
     # seed the kernel: phi restricted to <k> is an automorphism, so phi(k) is
     # a unit multiple t*k, and set_entry(0, 0) fixes a -> t*a on all of <k>;
@@ -517,22 +519,16 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
         if gcd(t, size) != 1:
             continue
         o = multiplicative_order(t, size)
-        if L % o or (k == 1 and L != o):
+        if L % o:
             continue
         # the kernel-order rule: every power is 1 mod o
         kept = [w for w in solutions if all((c - 1) % o == 0 for c in w)]
         if not kept:
             continue
         kernel_images = [m * t * k % n for m in range(size)]
-        # the first branch, phi(1), tries the least image of each orbit (the
-        # first one met in ascending order); the finds are conjugated onto
-        # the rest.  For k = 1, phi(1) = t is forced, not branched.
-        firsts: list[int] = []
-        met: set[int] = set()
-        for v in range(q.perm[1 % d], n, d) if k > 1 else ():
-            if v not in met:
-                firsts.append(v)
-                met.update(conjugators(v))
+        # the first branch, phi(1), tries the least image of each orbit; the
+        # finds are conjugated onto the rest
+        firsts = {v0: moves for v0, moves, _ in _orbits(range(q.perm[1], n, d), units, move_first)}
         start = len(out)
         for powers in kept:
             journal: list = []
@@ -543,7 +539,7 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
         out.extend(
             relabel(sm, [u * x % n for x in range(n)], group)
             for sm in out[start:]
-            for u in conjugators(sm.perm[1]).values()
+            for u in firsts[sm.perm[1]].values()
         )
     return out
 
@@ -576,25 +572,29 @@ def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
     enumerated sets are complete, and each is revalidated before it is
     kept.
 
-    Otherwise, quotient lifting.  Every skew morphism phi of Z_n induces
-    skew morphisms on the quotients Z_d for each d between its skew-type k
-    and n (phi preserves all subgroups of its kernel <k>), its power
-    function is constant exactly on the cosets of <k>, and |phi| equals the
-    orbit length L of the generator (power values are exact in Z_L).  Each
-    proper skew-type k < n divides d = n/p for some prime p and is
-    designated to the first such p.  The search enumerates Z_d recursively
-    and lifts each quotient morphism q in _lift_cell: table entries are
-    pinned mod d, leaving p candidates per entry, each entry fixes its whole
-    coset of <k>, each cell solves its power web before it walks a table,
-    and it searches one phi(1) per unit-conjugation orbit, all proved
-    there.  Orders L that do not divide n*phi(n) are skipped: the order of
-    every skew morphism of Z_n divides n*phi(n) (Kovacs and Nedela, the
-    paper cited above).
+    Otherwise, listing and quotient lifting.  The automorphisms of Z_n, of
+    skew type 1, are the maps x -> t*x for the units t, each checked by
+    as_skew_morphism.  Every proper skew morphism phi of Z_n has skew type
+    1 < k < n and induces skew morphisms on the quotients Z_d for each d
+    between k and n (phi preserves all subgroups of its kernel <k>), its
+    power function is constant exactly on the cosets of <k>, and |phi|
+    equals the orbit length L of the generator (power values are exact in
+    Z_L).  Each such k divides d = n/p for some prime p and is designated
+    to the first such p; a prime with no type designated is skipped, so
+    d >= k >= 2.  The search enumerates Z_d recursively and lifts each
+    quotient morphism q in _lift_cell: table entries are pinned mod d,
+    leaving p candidates per entry, each entry fixes its whole coset of
+    <k>, each cell solves its power web before it walks a table, and it
+    searches one phi(1) per unit-conjugation orbit, all proved there.
+    Orders L that do not divide n*phi(n) are skipped: the order of every
+    skew morphism of Z_n divides n*phi(n) (Kovacs and Nedela, the paper
+    cited above).
     Soundness is the caller's revalidation of every completed table;
     completeness needs only the cell with the true (q, k, L) to reach each
     morphism.  No morphism is found twice: it has one reduction q, one
-    skew-type k, one order L and one seed t, the walk branches on distinct
-    values, and the conjugates of a find differ at 1.
+    skew type k, one order L and one seed t, the walk branches on distinct
+    values, the conjugates of a find differ at 1, and the listed
+    automorphisms are the only finds of type 1.
     """
     n = group.order
     split = coprime_split(n)
@@ -612,25 +612,27 @@ def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
                     yield sm
         return
 
-    out: list[SkewMorphism] = []
+    # the automorphisms, skew type 1, are the maps x -> t*x for the units t
+    units = [t for t in range(1, n) if gcd(t, n) == 1]
+    out = [as_skew_morphism(Automorphism(group, tuple(t * x % n for x in range(n)))) for t in units]
     bound = n * totient(n)
     primes = sorted(factorint(n))
-    # every proper skew-type k < n divides n/p for some prime p; designate
-    # each k to the first p dividing n/k, so each type is searched once
-    designated: dict[int, list[int]] = {p: [] for p in primes}
-    for k in range(1, n):
+    # every proper skew type 1 < k < n divides n/p for some prime p;
+    # designate each k to the first p dividing n/k, so each type is searched
+    # once, and a prime with no type designated is skipped
+    designated: dict[int, list[int]] = {}
+    for k in range(2, n):
         if n % k == 0:
-            designated[next(p for p in primes if (n // k) % p == 0)].append(k)
+            designated.setdefault(next(p for p in primes if (n // k) % p == 0), []).append(k)
 
-    for p in primes:
-        d = n // p
-        lift_report = cached_enumeration((d,) if d > 1 else (), max_order)
-        for q in lift_report.morphisms:
+    for p, types in sorted(designated.items()):
+        d = n // p  # d >= k >= 2
+        for q in cached_enumeration((d,), max_order).morphisms:
             k_d = skew_type(q)
             # the orbit of 1 reduces onto its q-orbit, of length ell1, and
             # meets each of the n/d lifts of a residue at most once
-            ell1 = len(next(c for c in cycles(q.perm) if 1 % d in c))
-            for k in designated[p]:
+            ell1 = len(next(c for c in cycles(q.perm) if 1 in c))
+            for k in types:
                 if k % k_d != 0:
                     continue
                 # L is a multiple of |q|, and the k distinct cvals lie in Z_L
@@ -663,32 +665,6 @@ def _subgroup_automorphisms(group: AbelianGroup, sub) -> list[dict[int, int]]:
     factors = invariant_factors(orders)
     isos = list(isomorphisms(factors, sub.members, group.add_table, orders))
     return [dict(zip(isos[0], iso)) for iso in isos]
-
-
-def _orbits(points, sigmas, act):
-    """One representative per orbit of a group acting on points.
-
-    sigmas lists a group's elements, and act(sigma, x) is its action on the
-    hashable points, which it maps into points.  Yields (x, moves, stab)
-    for x the first point of each orbit in the order of points: moves maps
-    every other point of x's orbit to the first sigma carrying x there, and
-    stab lists the sigmas fixing x.
-    """
-    seen: set = set()
-    for x in points:
-        if x in seen:
-            continue
-        moves: dict = {}
-        stab = []
-        for sigma in sigmas:
-            y = act(sigma, x)
-            if y == x:
-                stab.append(sigma)
-            else:
-                moves.setdefault(y, sigma)
-        seen.add(x)
-        seen.update(moves)
-        yield x, moves, stab
 
 
 def _conjugated(p, perm) -> tuple[int, ...]:

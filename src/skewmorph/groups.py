@@ -527,6 +527,35 @@ def enumerate_automorphisms(group: AbelianGroup) -> list[Automorphism]:
     return [Automorphism(group, table) for table in sorted(tables)]
 
 
+def _orbits(points, sigmas, act):
+    """One representative per orbit of a group acting on points.
+
+    sigmas lists a group's elements, and act(sigma, x) is its action on
+    hashable points.  Yields (x, moves, stab) for x the first point of each
+    orbit in the order of points: moves maps every other point of x's
+    orbit to the first sigma carrying x there, and stab lists the sigmas
+    fixing x.  act may carry x outside points (equivalence_classes passes
+    any list of morphisms); moves records such images too, and x's orbit
+    is still never visited again.  The one orbit scan of the package: the
+    search cuts of enumeration and equivalence_classes use it.
+    """
+    seen: set = set()
+    for x in points:
+        if x in seen:
+            continue
+        moves: dict = {}
+        stab = []
+        for sigma in sigmas:
+            y = act(sigma, x)
+            if y == x:
+                stab.append(sigma)
+            else:
+                moves.setdefault(y, sigma)
+        seen.add(x)
+        seen.update(moves)
+        yield x, moves, stab
+
+
 # ---------------------------------------------------------------------------
 # Quotients
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .groups import (
     AbelianGroup,
     Automorphism,
     Subgroup,
+    _orbits,
     compose,
     crt_pair,
     cycles,
@@ -284,19 +285,15 @@ def equivalence_classes(morphisms: Sequence[SkewMorphism]) -> list[list[SkewMorp
     group = morphisms[0].group
     if any(sm.group != group for sm in morphisms):
         raise ValueError("morphisms live on different groups")
-    autos = enumerate_automorphisms(group)
     by_perm = {sm.perm: sm for sm in morphisms}
-    unassigned = set(by_perm)
-    classes: list[list[SkewMorphism]] = []
-    for perm in sorted(by_perm):
-        if perm not in unassigned:
-            continue
-        sm = by_perm[perm]
-        orbit = {conjugate(sm, theta).perm for theta in autos}
-        members = sorted(orbit & unassigned)
-        unassigned -= orbit
-        classes.append([by_perm[p] for p in members])
-    return classes
+
+    def move(theta, perm):
+        return conjugate(by_perm[perm], theta).perm
+
+    return [
+        [by_perm[p] for p in sorted(by_perm.keys() & {perm, *moves})]
+        for perm, moves, _ in _orbits(sorted(by_perm), enumerate_automorphisms(group), move)
+    ]
 
 
 def relabel(sm: SkewMorphism, iso: Sequence[int], target: AbelianGroup) -> SkewMorphism:
@@ -304,7 +301,8 @@ def relabel(sm: SkewMorphism, iso: Sequence[int], target: AbelianGroup) -> SkewM
     back = invert(iso)
     table = tuple(iso[sm.perm[back[x]]] for x in range(target.order))
     out = try_validate(target, table)
-    assert out is not None, "transport along an isomorphism failed validation"
+    if out is None:  # raised, not asserted, so that it holds under python -O
+        raise AssertionError("transport along an isomorphism failed validation")
     return out
 
 

@@ -186,6 +186,25 @@ def test_verify_csm_guard_exit_3(capsys):
     assert "guard" in err
 
 
+@pytest.mark.parametrize("argv,code", [
+    (("theorem2", "--groups", "Z2xZ2,Z3xZ3,Z4"), 2),
+    (("identities", "--groups", "Z6,Z2xZ18"), 3),
+    (("csm", "--max-n", "66"), 3),
+    (("csm", "--max-n", "130", "--max-order", "256"), 3),
+])
+def test_verify_checks_every_input_before_the_first_verdict(capsys, monkeypatch, argv, code):
+    """A suite refuses a bad input before it prints a verdict for a good one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before every input was checked")
+
+    monkeypatch.setattr(enumeration, "_search_morphisms", refuse)
+    monkeypatch.setattr(constructions, "nonsmooth_witness", refuse)
+    got, out, err = run_cli(capsys, "verify", *argv)
+    assert got == code
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(("skewmorph:", "verify theorem2:"))
+
+
 def test_census_rows(capsys, tmp_path):
     path = tmp_path / "census.csv"
     code, _, _ = run_cli(capsys, "census", "--cyclic-from", "4", "--cyclic-to", "5",

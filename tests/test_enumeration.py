@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import permutations
 from math import gcd, lcm
@@ -162,7 +165,9 @@ def test_z32_contains_the_closed_form_witness():
 
 
 def test_every_automorphism_is_enumerated():
-    for factors in ((9,), (12,), (2, 4)):
+    """The cyclic route lists x -> t*x over the units t; the isomorphism
+    search of enumerate_automorphisms is the independent check."""
+    for factors in [(9,), (12,), (2, 4)] + [(n,) for n in range(2, 65)]:
         group = make_group(factors)
         report = cached_enumeration(factors)
         perms = {sm.perm for sm in report.morphisms}
@@ -496,16 +501,49 @@ def test_a_route_yielding_a_morphism_twice_fails_loudly(monkeypatch):
         enumerate_skew_morphisms(group)
 
 
-@pytest.mark.parametrize("n,tables,conjugates", [(30, 47, 12), (36, 104, 13), (39, 40, 22)])
+def test_a_duplicate_fails_loudly_under_python_O():
+    """The duplicate check is raised, not asserted, so python -O keeps it."""
+    script = (
+        "from skewmorph import enumeration\n"
+        "from skewmorph.groups import make_group\n"
+        "group = make_group([6])\n"
+        "found = list(enumeration._search_morphisms(group))\n"
+        "enumeration._search_morphisms = lambda g, m=None: iter(found + found[:1])\n"
+        "try:\n"
+        "    enumeration.enumerate_skew_morphisms(group)\n"
+        "except AssertionError:\n"
+        "    print('refused')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "refused"
+
+
+@pytest.mark.parametrize(
+    "n,tables,conjugates",
+    [(30, 26, 12), (36, 69, 13), (39, 2, 22)],
+    ids=["Z30", "Z36", "Z39"],
+)
 def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tables, conjugates):
     """Pins how hard the lifting cells prune: a cold enumeration, quotients
     and decomposed products included, revalidates exactly this many
     completed tables and expands exactly this many finds by unit
     conjugation, so a check that stops firing, or an orbit cut that stops
-    expanding, shows here and not only as lost time or lost morphisms.  A
+    expanding, shows here and not only as lost time or lost morphisms.  The
+    automorphisms are listed, not searched, so no cell has skew type 1.  A
     fresh cache per n makes the counts independent of test order."""
     calls = []
     expanded = []
+    cell_types = set()
+    lift_cell = enumeration._lift_cell
+
+    def cell(group, q, k, L):
+        cell_types.add(k)
+        return lift_cell(group, q, k, L)
 
     def counted(group, table):
         calls.append(table)
@@ -517,15 +555,18 @@ def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tab
 
     monkeypatch.setattr(enumeration, "try_validate", counted)
     monkeypatch.setattr(enumeration, "relabel", transported)
+    monkeypatch.setattr(enumeration, "_lift_cell", cell)
     fresh = lru_cache(maxsize=None)(enumeration.cached_enumeration.__wrapped__)
     monkeypatch.setattr(enumeration, "cached_enumeration", fresh)
     enumerate_skew_morphisms(make_group([n]))
     assert (len(calls), len(expanded)) == (tables, conjugates)
+    assert cell_types and 1 not in cell_types
 
 
 @pytest.mark.parametrize(
     "factors,tables,conjugates",
-    [((2, 2, 4), 260, (42, 48, 8)), ((5, 5), 45, (240, 0, 27)), ((3, 6), 64, (24, 22, 10))],
+    [((2, 2, 4), 257, (42, 48, 8)), ((5, 5), 41, (240, 0, 27)), ((3, 6), 59, (24, 22, 10))],
+    ids=["Z2xZ2xZ4", "Z5xZ5", "Z3xZ6"],
 )
 def test_general_search_revalidates_a_pinned_number_of_tables(monkeypatch, factors, tables, conjugates):
     """Pins how hard the general route prunes: a cold enumeration, quotients

@@ -1,19 +1,22 @@
 """Closed-form skew morphism families for cyclic groups and Z_p x Z_p.
 
 Each constructor evaluates an explicit formula, then revalidates the table
-and asserts the advertised order, skew-type, kernel and power function.
+once and checks the advertised order, skew-type, kernel and power function.
 A failed parameter condition raises ParameterRejection naming the
-condition; a failed assertion would mean the implementation disagrees
-with the closed forms and is allowed to crash loudly.
+condition; a failed check raises FamilyConsistencyError, which would mean
+the implementation disagrees with the closed forms.  The checks are
+raised, not asserted, so that they hold under python -O.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as _cartesian
 from math import gcd
 
 from .groups import (
     AbelianGroup,
+    Automorphism,
     SizeGuardError,
     factorint,
     invert,
@@ -24,6 +27,7 @@ from .groups import (
 )
 from .morphisms import (
     SkewMorphism,
+    as_skew_morphism,
     identity_morphism,
     is_smooth,
     kernel,
@@ -47,7 +51,12 @@ class ParameterRejection(ValueError):
 
 
 class FamilyConsistencyError(RuntimeError):
-    """A uniqueness or existence guarantee of a closed-form family failed."""
+    """A closed-form family disagrees with its revalidated table."""
+
+
+def _require(holds: bool, message: str) -> None:
+    if not holds:
+        raise FamilyConsistencyError(message)
 
 
 def _geometric_sum(base: int, terms: int, modulus: int) -> int:
@@ -121,16 +130,20 @@ def csm_params(n: int, k: int, r: int, s: int, t: int) -> CsmParams:
 
 
 def csm_construct(params: CsmParams) -> SkewMorphism:
-    """phi(x) = x + r*k*(tau^x - 1)/(tau - 1) mod n, via the geometric sum."""
+    """phi(x) = x + r*k*(tau^x - 1)/(tau - 1) mod n, via a running geometric sum."""
     n, k, r = params.n, params.k, params.r
-    tv = tau(params.s, params.t)
-    table = tuple((x + r * k * _geometric_sum(tv, x, n)) % n for x in range(n))
-    sm = validate(make_group([n]), table)
-    assert sm.order == params.order, "smooth family order disagrees with condition (a)"
-    assert skew_type(sm) == k, "smooth family skew-type disagrees with k"
-    assert is_smooth(sm), "smooth family produced a non-smooth morphism"
+    tv = tau(params.s, params.t) % n
+    table, total, term = [], 0, 1  # total = 1 + tv + ... + tv**(x-1) mod n
+    for x in range(n):
+        table.append((x + r * k * total) % n)
+        total = (total + term) % n
+        term = (term * tv) % n
+    sm = validate(make_group([n]), tuple(table))
+    _require(sm.order == params.order, "smooth family order disagrees with condition (a)")
+    _require(skew_type(sm) == k, "smooth family skew-type disagrees with k")
+    _require(is_smooth(sm), "smooth family produced a non-smooth morphism")
     expected_power = tuple(pow(params.t, x, sm.order) for x in range(n))
-    assert sm.power == expected_power, "smooth family power function is not t^x"
+    _require(sm.power == expected_power, "smooth family power function is not t^x")
     return sm
 
 
@@ -214,19 +227,25 @@ def root_params(n: int, k: int, s: int) -> RootParams:
 
 
 def root_construct(params: RootParams) -> SkewMorphism:
-    """phi(x) = s*x - x(x-1)*n/(2k) mod n; phi^2 is an automorphism."""
+    """phi(x) = s*x - x(x-1)*n/(2k) mod n; phi^2 is an automorphism.
+
+    phi^2 is checked by as_skew_morphism, which tests additivity exactly:
+    a bijection is a skew morphism with pi = 1 everywhere iff it is
+    additive, so this is the same check as validating phi^2 and asking
+    for power 1, without deriving a power function."""
     n, k, s = params.n, params.k, params.s
     step = n // k
     table = tuple((s * x - (x * (x - 1) // 2) * step) % n for x in range(n))
     sm = validate(make_group([n]), table)
-    assert sm.order == params.order, "square-root family order is not 2kl"
-    assert skew_type(sm) == k, "square-root family skew-type is not k"
+    _require(sm.order == params.order, "square-root family order is not 2kl")
+    _require(skew_type(sm) == k, "square-root family skew-type is not k")
     m = sm.order
     expected_power = tuple((1 + 2 * x * params.w_inv * params.ell) % m for x in range(n))
-    assert sm.power == expected_power, "square-root family power function mismatch"
-    square = tuple(sm.perm[sm.perm[x]] for x in range(n))
-    sq = try_validate(sm.group, square)
-    assert sq is not None and sq.is_automorphism, "phi^2 is not an automorphism"
+    _require(sm.power == expected_power, "square-root family power function mismatch")
+    try:
+        as_skew_morphism(Automorphism(sm.group, tuple(sm.perm[y] for y in sm.perm)))
+    except ValueError:
+        raise FamilyConsistencyError("phi^2 is not an automorphism") from None
     return sm
 
 
@@ -242,9 +261,9 @@ def pns_witness_odd(p: int, e: int) -> SkewMorphism:
         raise ParameterRejection("e", f"need e >= 2, got {e}")
     n = p**e
     sm = root_construct(root_params(n, p, n - 1))
-    assert not is_smooth(sm)
+    _require(not is_smooth(sm), "odd square-root witness is smooth")
     m = sm.order
-    assert sm.power[1] == (m - 1) and sm.power[sm.perm[1]] == 3 % m
+    _require(sm.power[1] == m - 1 and sm.power[sm.perm[1]] == 3 % m, "odd witness power jump")
     return sm
 
 
@@ -254,8 +273,9 @@ def pns_witness_two(e: int) -> SkewMorphism:
         raise ParameterRejection("e", f"need e >= 5, got {e}")
     n = 2**e
     sm = root_construct(root_params(n, 4, n - 1))
-    assert not is_smooth(sm)
-    assert sm.order == 8 and sm.power[1] == 7 and sm.power[sm.perm[1]] == 3
+    _require(not is_smooth(sm), "2-power square-root witness is smooth")
+    _require(sm.order == 8, "2-power square-root witness order is not 8")
+    _require(sm.power[1] == 7 and sm.power[sm.perm[1]] == 3, "2-power witness power jump")
     return sm
 
 
@@ -268,38 +288,48 @@ def nse_construct(p: int, d: int, nu: int, r: int) -> SkewMorphism:
     """The proper skew morphism of Z_p x Z_p with parameters (d, nu, r).
 
     Basis (a, x) with a = (1,0) and x = (0,1); the image of a^i x^j has
-    x-exponent r*j and a-exponent r*i + d*j(j-1)*r*nu/2 + beta*j, where
-    b = a^beta is the unique kernel element making the table validate.
+    x-exponent r*j and a-exponent r*i + c*j(j-1) + beta*j with c =
+    d*r*nu/2, and its power is 1 + j*nu*k mod p*k, k = ord_p(r).  The
+    kernel shift b = a^beta is solved for, not searched:
+
+    Lemma.  A table of this shape with order p*k and that power function
+    validates only if beta = r*d*(nu/2 + 1/k) mod p.
+
+    Proof.  Write f(j) = c*j(j-1) + beta*j, so phi(i, j) = (r*i + f(j),
+    r*j) and phi^s(i, j) = (r^s*i + sum_{t<s} r^(s-1-t) f(r^t j), r^s j).
+    Take x = (0, 1), with pi(x) = e = 1 + nu*k, and b = (i', j') in the
+    defining identity phi(x + b) = phi(x) + phi^e(b).  The x-exponents
+    agree since r^e = r.  In the a-exponent, r^(e-1) = r^(nu*k) = 1 turns
+    each term r^(e-1-t) f(r^t j') into c*j'(r^t j' - 1) + beta*j', and
+    sum_{t<e} r^t = 1 (mod p): it is nu full periods of r, each summing to
+    (r^k - 1)/(r - 1) = 0 since r != 1, plus r^(nu*k) = 1.  So phi^e(b) has
+    a-exponent r*i' + c*j'^2 - e*c*j' + e*beta*j'.  After r*i' cancels,
+    the identity reads c*j'^2 + c*j' + beta*j' + beta = beta + c*j'^2 -
+    e*c*j' + e*beta*j', which at j' = 1 is (e - 1)*(beta - c) = 2c, that
+    is nu*k*(beta - c) = 2c.  Both nu and k lie in [1, p), so nu*k is a
+    unit mod p and beta = c + 2c/(nu*k) = r*d*(nu/2 + 1/k).  Sufficiency is
+    not claimed: the one table is revalidated, and any failure raises
+    FamilyConsistencyError.
     """
     _require_odd_prime(p)
     if not 1 <= d < p or not 1 <= nu < p:
         raise ParameterRejection("d/nu", f"d={d}, nu={nu} must lie in [1, p)")
     if not 2 <= r < p:
         raise ParameterRejection("r", f"r={r} must lie in [2, p)")
-    group = make_group([p, p])
     k = multiplicative_order(r, p)
     m = p * k
     inv2 = pow(2, -1, p)
+    c = d * r * nu * inv2
+    beta = r * d * (nu * inv2 + pow(k, -1, p))
+    shift = [(c * j * (j - 1) + beta * j) % p for j in range(p)]
+    table = tuple(((r * i + shift[j]) % p) * p + (r * j) % p for i in range(p) for j in range(p))
+    sm = try_validate(make_group([p, p]), table)
+    label = f"(p,d,nu,r)=({p},{d},{nu},{r})"
+    _require(sm is not None and sm.order == m, f"{label}: solved kernel shift fails to validate")
     expected_power = tuple((1 + j * nu * k) % m for i in range(p) for j in range(p))
-    # A second beta can validate too, but its table realizes a different
-    # parameter triple; the advertised power function pins down the right one.
-    hits: list[SkewMorphism] = []
-    for beta in range(p):
-        table = []
-        for i in range(p):
-            for j in range(p):
-                ai = (r * i + d * r * nu * inv2 * j * (j - 1) + beta * j) % p
-                table.append(ai * p + (r * j) % p)
-        sm = try_validate(group, tuple(table))
-        if sm is not None and sm.order == m and sm.power == expected_power:
-            hits.append(sm)
-    if len(hits) != 1:
-        raise FamilyConsistencyError(
-            f"expected exactly one kernel element b for (p,d,nu,r)=({p},{d},{nu},{r}), got {len(hits)}"
-        )
-    sm = hits[0]
-    assert kernel(sm).members == tuple(i * p for i in range(p)), "kernel is not <a>"
-    assert not is_smooth(sm), "Z_p x Z_p proper morphism should be non-smooth"
+    _require(sm.power == expected_power, f"{label}: power function is not 1 + j*nu*k")
+    _require(kernel(sm).members == tuple(i * p for i in range(p)), f"{label}: kernel is not <a>")
+    _require(not is_smooth(sm), f"{label}: Z_p x Z_p proper morphism should be non-smooth")
     return sm
 
 
@@ -347,12 +377,14 @@ def direct_product(sm_a: SkewMorphism, sm_b: SkewMorphism) -> SkewMorphism:
         for b in range(nb)
     )
     sm = try_validate(product, table)
-    assert sm is not None, "direct product passed the criterion but failed validation"
-    for a in range(sm_a.group.order):
-        for b in range(nb):
-            pw = sm.power[a * nb + b]
-            assert (pw - sm_a.power[a]) % sm_a.order == 0
-            assert (pw - sm_b.power[b]) % sm_b.order == 0
+    _require(sm is not None, "direct product passed the criterion but failed validation")
+    _require(
+        all(
+            (pw - pa) % sm_a.order == 0 and (pw - pb) % sm_b.order == 0
+            for pw, (pa, pb) in zip(sm.power, _cartesian(sm_a.power, sm_b.power))
+        ),
+        "direct product power is not congruent to both factors' powers",
+    )
     return sm
 
 
@@ -409,8 +441,8 @@ def nonsmooth_witness(group: AbelianGroup) -> SkewMorphism | None:
 
     rest_group = make_group(arranged.factors[len(positions):])
     witness = direct_product(seed, identity_morphism(rest_group))
-    assert witness.group == arranged
+    _require(witness.group == arranged, "witness product is not on the arranged group")
 
     out = relabel(witness, invert(fwd), group)
-    assert not is_smooth(out)
+    _require(not is_smooth(out), "non-smooth witness is smooth")
     return out

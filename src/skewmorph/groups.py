@@ -186,13 +186,16 @@ class AbelianGroup:
     def add_table(self) -> list[list[int]]:
         """Full addition table; add_table[a][b] == add(a, b).
 
-        Built factor by factor.  In G x Z_f the element a = hi*f + lo adds
-        to b = hi'*f + lo' as (hi + hi')*f + (lo + lo') % f, so the row of a
-        is G's row of hi with each entry h replaced by the run h*f .. h*f+f-1
-        rotated left by lo.
+        Built factor by factor.  The first factor's row of lo is the run
+        0 .. f-1 rotated left by lo, a slice of the run written twice.  In
+        G x Z_f the element a = hi*f + lo adds to b = hi'*f + lo' as
+        (hi + hi')*f + (lo + lo') % f, so the row of a is G's row of hi with
+        each entry h replaced by the run h*f .. h*f+f-1 rotated left by lo.
         """
-        table = [[0]]
-        for f in self.factors:
+        first = self.factors[0] if self.factors else 1
+        doubled = list(range(first)) * 2
+        table = [doubled[lo:lo + first] for lo in range(first)]
+        for f in self.factors[1:]:
             runs = [list(range(h * f, h * f + f)) for h in range(len(table))]
             rotated = [[run[lo:] + run[:lo] for run in runs] for lo in range(f)]
             table = [

@@ -370,11 +370,12 @@ class SkewProductGroup:
         """Exhaustive check that pair arithmetic matches permutation composition."""
         tables = {p: self.pair_table(p) for p in self.pairs}
         known = {t: p for p, t in tables.items()}
-        assert len(known) == len(self.pairs), "pair names collide as permutations"
+        if len(known) != len(self.pairs):
+            raise AssertionError("pair names collide as permutations")
         for p in self.pairs:
             for q in self.pairs:
-                composed = compose(tables[p], tables[q])
-                assert known.get(composed) == self.compose_pairs(p, q)
+                if known.get(compose(tables[p], tables[q])) != self.compose_pairs(p, q):
+                    raise AssertionError(f"pair arithmetic disagrees with composition at {p}, {q}")
 
 
 def skew_product_group(sm: SkewMorphism) -> SkewProductGroup:
@@ -385,7 +386,8 @@ def skew_product_group(sm: SkewMorphism) -> SkewProductGroup:
     """
     n = sm.group.order
     pairs = tuple((a, i) for a in range(n) for i in range(sm.order))
-    assert len(set(sm.power_tables)) == sm.order, "skew product factorization is not exact"
+    if len(set(sm.power_tables)) != sm.order:
+        raise AssertionError("skew product factorization is not exact")
     return SkewProductGroup(sm, pairs)
 
 
@@ -449,9 +451,10 @@ def quotient_skew(sm: SkewMorphism, sub: Subgroup | Iterable[int]) -> SkewMorphi
 
     Raises SkewMorphismRejection('coset-partition', a) when phi does not
     respect the partition.  Validation of the induced table and the power
-    congruence pi_bar(a_bar) = pi(a) mod |phi_bar| are asserted: they are
-    guaranteed whenever the partition comes from a normal subgroup of the
-    product group, so a failure here means a validation bug.
+    congruence pi_bar(a_bar) = pi(a) mod |phi_bar| are checked, raising
+    AssertionError even under python -O: they are guaranteed whenever the
+    partition comes from a normal subgroup of the product group, so a
+    failure here means a validation bug.
     """
     quotient, proj = quotient_group(sm.group, sub)
     n = sm.group.order
@@ -462,11 +465,10 @@ def quotient_skew(sm: SkewMorphism, sub: Subgroup | Iterable[int]) -> SkewMorphi
             raise SkewMorphismRejection("coset-partition", a)
     table = tuple(induced[c] for c in range(quotient.order))
     out = try_validate(quotient, table)
-    assert out is not None, "induced map on a phi-invariant partition failed validation"
-    for a in range(n):
-        assert (sm.power[a] - out.power[proj[a]]) % out.order == 0, (
-            "quotient power function disagrees with the original"
-        )
+    if out is None:
+        raise AssertionError("induced map on a phi-invariant partition failed validation")
+    if any((sm.power[a] - out.power[proj[a]]) % out.order for a in range(n)):
+        raise AssertionError("quotient power function disagrees with the original")
     return out
 
 

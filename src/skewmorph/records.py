@@ -42,16 +42,13 @@ def to_json_line(sm: SkewMorphism) -> str:
     return json.dumps(to_record(sm), separators=(",", ":"))
 
 
-def _is_integer(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def parse_record(text: str) -> dict[str, Any]:
     """Parse one record and check its schema; raises MalformedRecord.
 
-    JSON booleans are not integers here, although Python's bool is an int:
-    the four arrays hold integers, order and skew_type are integers, and
-    smooth and proper are booleans.
+    JSON booleans are not integers here, although Python's bool is an int
+    (`type(v) is int` refuses them, and json.loads makes no other int
+    subclass): the four arrays hold integers, order and skew_type are
+    integers, and smooth and proper are booleans.
     """
     try:
         data = json.loads(text)
@@ -64,10 +61,10 @@ def parse_record(text: str) -> dict[str, Any]:
         raise MalformedRecord(f"missing fields: {', '.join(missing)}")
     for name in ("group", "perm", "power", "kernel"):
         value = data[name]
-        if not isinstance(value, list) or not all(_is_integer(v) for v in value):
+        if not isinstance(value, list) or not all(type(v) is int for v in value):
             raise MalformedRecord(f"{name} is not an integer array")
     for name in ("order", "skew_type"):
-        if not _is_integer(data[name]):
+        if type(data[name]) is not int:
             raise MalformedRecord(f"{name} is not an integer")
     for name in ("smooth", "proper"):
         if not isinstance(data[name], bool):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from skewmorph.constructions import (
@@ -16,8 +20,8 @@ from skewmorph.constructions import (
     root_params,
     tau,
 )
-from skewmorph.groups import make_group, parse_group_literal
-from skewmorph.morphisms import identity_morphism, is_smooth, kernel, skew_type
+from skewmorph.groups import make_group, multiplicative_order, parse_group_literal
+from skewmorph.morphisms import identity_morphism, is_smooth, kernel, skew_type, try_validate
 
 
 def test_tau():
@@ -144,6 +148,72 @@ def test_nse_z3_all_triples():
         outs[(d, nu, r)] = sm.perm
     assert len(nse_params_range(3)) == 4
     assert len(set(outs.values())) == 4
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_nse_kernel_shift_is_the_closed_form(p):
+    """For every (d, nu, r), exactly one beta in Z_p gives a table that
+    validates with order p*k and the advertised power, and nse_construct's
+    closed form r*d*(nu/2 + 1/k) names it."""
+    group = make_group([p, p])
+    inv2 = pow(2, -1, p)
+    for d, nu, r in nse_params_range(p):
+        k = multiplicative_order(r, p)
+        power = tuple((1 + j * nu * k) % (p * k) for i in range(p) for j in range(p))
+        hits = []
+        for beta in range(p):
+            table = tuple(
+                ((r * i + d * r * nu * inv2 * j * (j - 1) + beta * j) % p) * p + (r * j) % p
+                for i in range(p)
+                for j in range(p)
+            )
+            sm = try_validate(group, table)
+            if sm is not None and sm.order == p * k and sm.power == power:
+                hits.append((beta, table))
+        assert [beta for beta, _ in hits] == [r * d * (nu * inv2 + pow(k, -1, p)) % p]
+        assert nse_construct(p, d, nu, r).perm == hits[0][1]
+
+
+def test_closed_form_checks_fire_under_python_O():
+    """The closed-form checks are raised, not asserted: with is_smooth
+    negated, every family's smoothness check and the witness check still
+    refuse under python -O, and so does quotient_skew's revalidation."""
+    script = (
+        "from skewmorph import constructions as c, morphisms as m\n"
+        "from skewmorph.groups import make_group\n"
+        "real = c.is_smooth\n"
+        "c.is_smooth = lambda sm: not real(sm)\n"
+        "builds = [\n"
+        "    lambda: c.csm_construct(c.csm_params(6, 2, 1, 1, 2)),\n"
+        "    lambda: c.nse_construct(3, 1, 1, 2),\n"
+        "    lambda: c.pns_witness_odd(3, 2),\n"
+        "    lambda: c.pns_witness_two(5),\n"
+        "    lambda: c.nonsmooth_witness(make_group([3, 3])),\n"
+        "]\n"
+        "refused = 0\n"
+        "for build in builds:\n"
+        "    try:\n"
+        "        build()\n"
+        "    except c.FamilyConsistencyError:\n"
+        "        refused += 1\n"
+        "sm = m.identity_morphism(make_group([4]))\n"
+        "m.try_validate = lambda group, table: None\n"
+        "try:\n"
+        "    m.quotient_skew(sm, [0, 2])\n"
+        "except AssertionError:\n"
+        "    refused += 1\n"
+        "print(refused)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "6"
 
 
 def test_nse_power_jump_at_x_generator():

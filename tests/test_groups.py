@@ -85,6 +85,21 @@ def test_group_laws(factors, data):
     assert g.neg_list[a] == g.neg(a)
 
 
+@pytest.mark.parametrize(
+    "group",
+    [g for n in range(1, 65) for g in abelian_group_presentations(n)]
+    + [make_group(f) for f in ((4, 2), (3, 2), (2, 3, 2), (5, 3, 4), (2, 8, 4))],
+    ids=lambda g: g.label,
+)
+def test_tables_equal_the_checked_arithmetic(group):
+    """add_table and neg_list, built from the factors, agree with the
+    checked per-element add and neg on every pair, in every presentation of
+    every order up to 64 and in some that are not in invariant-factor form."""
+    n = group.order
+    assert group.add_table == [[group.add(a, b) for b in range(n)] for a in range(n)]
+    assert group.neg_list == [group.neg(a) for a in range(n)]
+
+
 def test_addition_is_group_table_exhaustively_small():
     for factors in ([4], [2, 2], [2, 4], [3, 3], [16], [2, 2, 2]):
         g = make_group(factors)

@@ -468,3 +468,24 @@ def test_validation_compares_only_the_orbit_of_one(monkeypatch):
     monkeypatch.setattr(morphisms, "pin_power", lambda *args: calls.append(args) or real(*args))
     assert validate(sm.group, sm.perm) == sm
     assert 0 < len(calls) <= len(orbit) < 64
+
+
+def test_additive_square_check_is_validation_with_power_one():
+    """For every skew morphism of Z_n, n <= 32, as_skew_morphism accepts
+    its square exactly when validation gives the square power 1 everywhere,
+    the check root_construct makes on phi^2; squares of both kinds occur."""
+    from skewmorph.enumeration import cached_enumeration
+
+    seen = set()
+    for n in range(2, 33):
+        for sm in cached_enumeration((n,)).morphisms:
+            square = tuple(sm.perm[y] for y in sm.perm)
+            validated = try_validate(sm.group, square)
+            try:
+                as_skew_morphism(Automorphism(sm.group, square))
+                additive = True
+            except ValueError:
+                additive = False
+            assert additive == (validated is not None and validated.is_automorphism), (n, sm.perm)
+            seen.add(additive)
+    assert seen == {True, False}

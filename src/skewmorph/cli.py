@@ -135,14 +135,7 @@ def cmd_construct(args) -> int:
     order = max(args.p, 0) ** 2 if args.family == "nse" else args.n
     _check_guard(order, args)
     try:
-        if args.family == "csm":
-            sm = constructions.csm_construct(
-                constructions.csm_params(args.n, args.k, args.r, args.s, args.t)
-            )
-        elif args.family == "root":
-            sm = constructions.root_construct(constructions.root_params(args.n, args.k, args.s))
-        else:
-            sm = constructions.nse_construct(args.p, args.d, args.nu, args.r)
+        sm = args.build(args)
     except constructions.ParameterRejection as exc:
         print(f"construct {args.family}: {exc}", file=sys.stderr)
         return EXIT_MATH
@@ -162,10 +155,7 @@ def cmd_check(args) -> int:
         data = records.parse_record(text)
         _check_guard(make_group(data["group"]).order, args)
         mismatches = records.check_record(data)
-    except records.MalformedRecord as exc:
-        print(f"check: malformed record: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvalidFactorError as exc:
+    except (records.MalformedRecord, InvalidFactorError) as exc:
         print(f"check: malformed record: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if mismatches:
@@ -361,17 +351,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("construct", parents=[common], help="build a morphism from a family")
-    p.add_argument("family", choices=["csm", "root", "nse"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--nu", type=int, default=None)
-    p.set_defaults(func=cmd_construct)
+    p = sub.add_parser("construct", help="build a morphism from a family")
+    families = p.add_subparsers(dest="family", required=True)
+    # each family's required flags and construction; no abbreviations, so
+    # that --n of another family is refused, not read as nse's --nu
+    for family, flags, build in (
+        ("csm", "n k r s t",
+         lambda a: constructions.csm_construct(constructions.csm_params(a.n, a.k, a.r, a.s, a.t))),
+        ("root", "n k s",
+         lambda a: constructions.root_construct(constructions.root_params(a.n, a.k, a.s))),
+        ("nse", "p d nu r", lambda a: constructions.nse_construct(a.p, a.d, a.nu, a.r)),
+    ):
+        f = families.add_parser(family, parents=[common], allow_abbrev=False)
+        for flag in flags.split():
+            f.add_argument(f"--{flag}", type=int, required=True)
+        f.set_defaults(func=cmd_construct, build=build)
 
     p = sub.add_parser("check", parents=[common], help="revalidate a skew-morphism JSON record")
     p.add_argument("--file", required=True)
@@ -386,24 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_REQUIRED_FLAGS = {
-    "csm": ("n", "k", "r", "s", "t"),
-    "root": ("n", "k", "s"),
-    "nse": ("p", "d", "nu", "r"),
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.command == "construct":
-        missing = [f for f in _REQUIRED_FLAGS[args.family] if getattr(args, f) is None]
-        if missing:
-            print(f"construct {args.family}: missing --" + ", --".join(missing), file=sys.stderr)
-            return EXIT_USAGE
     try:
         return args.func(args)
     except (InvalidFactorError, UsageError) as exc:

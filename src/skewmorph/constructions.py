@@ -11,8 +11,9 @@ raised, not asserted, so that they hold under python -O.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _cartesian
+from itertools import islice, product as _cartesian
 from math import gcd
+from typing import Iterator
 
 from .groups import (
     AbelianGroup,
@@ -59,13 +60,13 @@ def _require(holds: bool, message: str) -> None:
         raise FamilyConsistencyError(message)
 
 
-def _geometric_sum(base: int, terms: int, modulus: int) -> int:
-    """1 + base + ... + base**(terms-1) mod modulus (0 terms -> 0)."""
-    total, p = 0, 1
-    for _ in range(terms):
-        total = (total + p) % modulus
-        p = (p * base) % modulus
-    return total
+def _geometric_sums(base: int, modulus: int) -> Iterator[int]:
+    """1 + base + ... + base**(i-1) mod modulus for i = 0, 1, 2, ... (0 at i = 0)."""
+    total, term = 0, 1
+    while True:
+        yield total
+        total = (total + term) % modulus
+        term = (term * base) % modulus
 
 
 def tau(s: int, t: int) -> int:
@@ -93,10 +94,8 @@ class CsmParams:
 def _csm_order(n: int, k: int, r: int, s: int) -> int:
     """Smallest m >= 1 with r * (1 + s + ... + s**(m-1)) = 0 mod n/k."""
     q = n // k
-    total, p = 0, 1
-    for m in range(1, q * multiplicative_order(s % q if q > 1 else 0, q) + 2):
-        total = (total + p) % q
-        p = (p * s) % q
+    bound = q * multiplicative_order(s % q if q > 1 else 0, q) + 2
+    for m, total in enumerate(islice(_geometric_sums(s, q), 1, bound), 1):
         if (r * total) % q == 0:
             return m
     raise AssertionError("geometric order search did not terminate")
@@ -119,9 +118,9 @@ def csm_params(n: int, k: int, r: int, s: int, t: int) -> CsmParams:
         raise ParameterRejection("b", f"t={t} is not a unit mod m={m}")
     if multiplicative_order(t, m) != k:
         raise ParameterRejection("b", f"t={t} does not have multiplicative order k={k} mod m={m}")
-    tv = _geometric_sum(s, t, q)  # tau(s, t) mod n/k
+    tv = next(islice(_geometric_sums(s, q), t, None))  # tau(s, t) mod n/k
     lhs = (s - 1) % q
-    rhs = (r * _geometric_sum(tv, k, q)) % q
+    rhs = (r * next(islice(_geometric_sums(tv, q), k, None))) % q
     if lhs != rhs:
         raise ParameterRejection("c", f"s-1 != r*(tau^k-1)/(tau-1) mod n/k for {(n, k, r, s, t)}")
     if pow(s, t - 1, q) != 1 % q:
@@ -133,12 +132,8 @@ def csm_construct(params: CsmParams) -> SkewMorphism:
     """phi(x) = x + r*k*(tau^x - 1)/(tau - 1) mod n, via a running geometric sum."""
     n, k, r = params.n, params.k, params.r
     tv = tau(params.s, params.t) % n
-    table, total, term = [], 0, 1  # total = 1 + tv + ... + tv**(x-1) mod n
-    for x in range(n):
-        table.append((x + r * k * total) % n)
-        total = (total + term) % n
-        term = (term * tv) % n
-    sm = validate(make_group([n]), tuple(table))
+    table = tuple((x + r * k * total) % n for x, total in zip(range(n), _geometric_sums(tv, n)))
+    sm = validate(make_group([n]), table)
     _require(sm.order == params.order, "smooth family order disagrees with condition (a)")
     _require(skew_type(sm) == k, "smooth family skew-type disagrees with k")
     _require(is_smooth(sm), "smooth family produced a non-smooth morphism")
@@ -171,6 +166,8 @@ def enumerate_csm_params(n: int) -> list[CsmParams]:
                     continue
                 m = _csm_order(n, k, r, s)
                 for t in range(m):
+                    # csm_params refuses a non-unit t too, but only after
+                    # recomputing m, which would double the cost here
                     if gcd(t, m) != 1:
                         continue
                     try:

@@ -34,7 +34,9 @@ Two independent routes produce the same sets:
   phi-closed part of the table, so most tables die before they are
   complete.
   Every orbit cut, cyclic or not, takes its representatives and
-  transversals from one helper, groups._orbits.  Each route yields every
+  transversals from groups._orbits and spreads its finds over the orbit
+  with _spread, which argues once why that is complete and yields each
+  morphism once.  Each route yields every
   morphism exactly once.  Every completed table and every conjugate is
   revalidated in full, so the searches stay sound however hard their
   cells prune; the correctness burden is completeness, argued per search
@@ -143,6 +145,22 @@ def brute_force_oracle(group: AbelianGroup, guard: int = ORACLE_GUARD) -> Enumer
             found.append(sm)
     elapsed = (time.perf_counter() - start) * 1000.0
     return EnumerationReport.from_morphisms(group, found, elapsed)
+
+
+def _spread(finds, moves, transport) -> list[SkewMorphism]:
+    """The finds at an orbit's first point x, and transport(sm, sigma) of
+    each for every sigma of moves, the first one carrying x to each other
+    point y of the orbit (_orbits).
+
+    Every symmetry cut searches x only, and proves that transport by a
+    sigma carrying x to y maps the morphisms at x (those whose kernel,
+    quotient, restriction or image the point fixes) one to one onto the
+    morphisms at y.  So the spread is complete, as the finds at x are.  It
+    yields each morphism once: the finds at x are distinct, a one-to-one
+    transport keeps those at y distinct, and morphisms at different points
+    differ.  Every transport is revalidated (relabel, conjugate).
+    """
+    return finds + [transport(sm, sigma) for sigma in moves.values() for sm in finds]
 
 
 def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
@@ -286,25 +304,18 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     undo frees them.
 
     Unit-conjugation orbits.  Let u be a unit mod n with u = 1 (mod d),
-    and psi = u.phi.u^-1, a skew morphism with power x -> pi(u^-1 x) (see
-    _search_general).  Then psi lies in the same cell with the same seed t:
+    and psi = u.phi.u^-1, a skew morphism with power x -> pi(u^-1 x)
+    (conjugate).  Then psi lies in the same cell with the same seed t:
     psi = q mod d since u = 1 there; its kernel is u<k> = <k>, and
     psi(k) = u*phi(u^-1 k) = t*k, so L and t are unchanged; and u^-1 x = x
     (mod k) since k | d, so psi has the same cvals.  As u^-1 - 1 lies
     in <k> and phi(1 + a) = phi(1) + t*a for a in <k>, psi(1) = u*(phi(1) +
     t*(u^-1 - 1)), that is psi(1) - t = u*(phi(1) - t).  So conjugation by
-    the units u = 1 (mod d) maps the cell's morphisms under one web
-    solution onto themselves and moves phi(1) - t along the orbits of
-    w -> u*w.  The walk's first branch, phi(1), therefore tries only the
-    least v0 of each orbit (_orbits over these units, a group), and each
-    find is then conjugated by one fixed u_v, u_v*(v0 - t) = v - t, for
-    every other v in its orbit.  Conjugation by u_v maps the solutions
-    with phi(1) = v0 one to one onto those with phi(1) = v (u_v^-1 maps
-    them back), so the expansion is complete and yields each morphism
-    once: conjugates of one find differ at 1.  Closing the seed sets no
-    coset but <k>: only u_0 = 1 is bound, and the one pair it fires, (0,
-    0), needs u_1 or phi(1).  So the walk's first branch is at 1.  Each
-    conjugate is revalidated by relabel.
+    a unit u = 1 (mod d) maps the seed's morphisms with phi(1) = v one to
+    one onto those with phi(1) = t + u*(v - t), and the point phi(1) is
+    what the cut fixes: the cell sets it with the seed, once per orbit of
+    these units (a group) on the lifts of q(1), walks the other cosets,
+    and spreads the finds by relabel along x -> u*x (_spread).
     """
     n = group.order
     d = q.group.order
@@ -487,20 +498,20 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
                 return False
         return True
 
-    def walk(c: int) -> None:
+    def walk(c: int, finds) -> None:
         # branch phi(c) at the least coset that the closure left unset
         while c < k and image[c] is not None:
             c += 1
         if c == k:
             sm = try_validate(group, tuple(row[w] for w in kernel_images for row in image))
             if sm is not None:
-                out.append(sm)
+                finds.append(sm)
             return
-        for v in firsts if c == 1 else range(q.perm[c], n, d):
+        for v in range(q.perm[c], n, d):
             journal: list = []
             set_entry(c, v, journal)
             if close(journal):
-                walk(c + 1)
+                walk(c + 1, finds)
             undo(journal)
 
     # the units u = 1 (mod d): conjugation by them maps the cell's solutions
@@ -509,6 +520,9 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
 
     def move_first(u: int, v: int) -> int:
         return (t + u * (v - t)) % n
+
+    def by_unit(sm: SkewMorphism, u: int) -> SkewMorphism:
+        return relabel(sm, [u * x % n for x in range(n)], group)
 
     # seed the kernel: phi restricted to <k> is an automorphism, so phi(k) is
     # a unit multiple t*k, and set_entry(0, 0) fixes a -> t*a on all of <k>;
@@ -526,21 +540,16 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
         if not kept:
             continue
         kernel_images = [m * t * k % n for m in range(size)]
-        # the first branch, phi(1), tries the least image of each orbit; the
-        # finds are conjugated onto the rest
-        firsts = {v0: moves for v0, moves, _ in _orbits(range(q.perm[1], n, d), units, move_first)}
-        start = len(out)
-        for powers in kept:
-            journal: list = []
-            set_entry(0, 0, journal)
-            if close(journal):
-                walk(1)
-            undo(journal)
-        out.extend(
-            relabel(sm, [u * x % n for x in range(n)], group)
-            for sm in out[start:]
-            for u in firsts[sm.perm[1]].values()
-        )
+        for v0, moves, _ in _orbits(range(q.perm[1], n, d), units, move_first):
+            finds: list[SkewMorphism] = []
+            for powers in kept:
+                journal: list = []
+                set_entry(0, 0, journal)
+                set_entry(1, v0, journal)
+                if close(journal):
+                    walk(2, finds)
+                undo(journal)
+            out += _spread(finds, moves, by_unit)
     return out
 
 
@@ -793,17 +802,11 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
     a proper kernel candidate K0, revalidating it, and keeping the tables
     whose power is 1 exactly on K0 finds every morphism with kernel K0.
 
-    One candidate per Aut(A)-orbit of subgroups suffices.  Let phi have
-    power pi and let sigma be in Aut(A).  Then psi = sigma phi sigma^-1
-    satisfies psi(a + b) = sigma(phi(sigma^-1 a) + phi^pi(sigma^-1 a)(sigma^-1 b))
-    = psi(a) + psi^pi(sigma^-1 a)(b), so psi is a skew morphism with power
-    pi . sigma^-1, |psi| = |phi| and Ker psi = sigma(Ker phi).  Fixing one
-    sigma_K with sigma_K(K0) = K for each K in the orbit of K0, conjugation
-    by sigma_K maps {phi : Ker phi = K0} one-to-one onto {psi : Ker psi = K}.
-    The finds for K0 and their conjugates (revalidated by conjugate) are
-    therefore complete, and nothing is yielded twice, because different
-    kernels give different morphisms.  The automorphisms, kernel A, come
-    from enumerate_automorphisms, whose list also generates the orbits.
+    One candidate per Aut(A)-orbit of subgroups suffices: conjugation by
+    sigma in Aut(A) maps the morphisms with kernel K0 one to one onto those
+    with kernel sigma(K0) (conjugate), so the finds for K0 are spread over
+    the orbit (_spread).  The automorphisms, kernel A, come from
+    enumerate_automorphisms, whose list also generates the orbits.
 
     One (tau, theta) per orbit of Stab(K0) = {sigma in Aut(A) : sigma(K0) =
     K0}.  Such a sigma induces the automorphism sigma_bar(x + K0) =
@@ -813,17 +816,12 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
     sigma theta sigma^-1 since sigma^-1 maps K0 onto K0, and proj(psi(x))
     = sigma_bar(tau(proj(sigma^-1 x))), so psi has quotient sigma_bar tau
     sigma_bar^-1.  So conjugation by sigma maps the finds for (tau, theta)
-    one-to-one onto the finds for (sigma_bar tau sigma_bar^-1, sigma theta
-    sigma^-1), and sigma^-1 maps them back.  The search takes one tau per
-    Stab(K0)-orbit, then one theta per orbit of the tau's stabilizer in
-    Stab(K0): one pair per Stab(K0)-orbit of pairs.  The finds of each
-    searched pair are conjugated by one sigma per other theta of its orbit
-    (sigma fixing tau), and those of each tau by one sigma per other tau of
-    its orbit; so every pair (tau', theta') gets sigma1 . sigma2 applied to
-    the finds of its representative pair, with sigma1 carrying tau onto tau'
-    and sigma2 fixing tau and carrying theta onto sigma1^-1 theta' sigma1.
-    The expansion is complete, and yields each morphism once, because
-    different pairs give different morphisms.
+    one to one onto the finds for (sigma_bar tau sigma_bar^-1, sigma theta
+    sigma^-1).  The search takes one tau per Stab(K0)-orbit, then one theta
+    per orbit of the tau's stabilizer in Stab(K0), and spreads the finds
+    over the theta orbit, then over the tau orbit: the pair (tau', theta')
+    is reached once, by sigma1 carrying tau onto tau' after sigma2 fixing
+    tau and carrying theta onto sigma1^-1 theta' sigma1.
 
     One phi(r0) per orbit inside a pair.  Let r0 be the representative of
     the first placed coset j0 = order[0], and G the sigmas of Stab(K0) that
@@ -836,10 +834,9 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
     tau(j0) + K0 (sigma_bar fixes tau(j0) = tau(sigma_bar j0)): composing
     the maps of sigma and rho gives theta(r0 - sigma r0) + theta(sigma r0 -
     sigma rho r0) + sigma rho y, the map of sigma rho.  So conjugation by a
-    sigma of G carrying y0 to y maps the finds with phi(r0) = y0 one-to-one
-    onto those with phi(r0) = y.  The walk tries only the first y0 of each
-    orbit at j0, and each find is conjugated by one sigma per other member
-    of its orbit; conjugates of one find differ at r0.
+    sigma of G carrying y0 to y maps the finds with phi(r0) = y0 one to one
+    onto those with phi(r0) = y.  The search sets phi(r0) to one y0 per
+    orbit before it places the other cosets, and spreads the finds.
 
     A table dies as soon as a phi-closed region of it breaks the identity.
     The nonzero cosets are placed tau-orbit by tau-orbit (_orbit_plan).
@@ -877,6 +874,10 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
 
     def move_subgroup(sigma, members):
         return tuple(sorted(sigma.table[a] for a in members))
+
+    def by_stabilizer(sm, moving):
+        # moving is (sigma, sigma_bar, sigma on K0), an entry of stab below
+        return conjugate(sm, moving[0])
 
     for members, kernel_moves, stab in _orbits(subgroups, autos, move_subgroup):
         sub = subgroups[members]
@@ -922,56 +923,44 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
                 theta = thetas[theta_key]
                 for a, fa in theta.items():
                     table[a] = fa
+                kernel_cycles = _cycles_on(table, members)
 
                 def move_first(moving, y):
                     s = moving[0].table
                     return add[theta[add[r0][neg[s[r0]]]]][s[y]]
 
+                def place(idx: int, y: int, pinning, finds) -> None:
+                    # phi(r) = y and its coset by theta, for r the representative
+                    # of order[idx], then the region check; then the next coset
+                    r = reps[order[idx]]
+                    for a, fa in theta.items():
+                        table[add[a][r]] = add[fa][y]
+                    check = checks[idx]
+                    if check is not None:
+                        pinning = _region_holds(group, table, *check, tau.order, pinning)
+                        if pinning is None:
+                            return
+                    idx += 1
+                    if idx < len(order):
+                        for y in coset_elems[tau.perm[order[idx]]]:
+                            place(idx, y, pinning, finds)
+                        return
+                    sm = try_validate(group, tuple(table))
+                    if sm is not None:
+                        one = 1 % sm.order
+                        if {a for a in range(n) if sm.power[a] == one} == kernel_set:
+                            finds.append(sm)
+
                 # one phi(r0) per orbit of the sigmas fixing tau, theta and r0's coset
                 fixing = [moving for moving in pair_stab if moving[1][j0] == j0]
-                firsts = {
-                    y0: moves
-                    for y0, moves, _ in _orbits(coset_elems[tau.perm[j0]], fixing, move_first)
-                }
                 pair_found: list[SkewMorphism] = []
-
-                def place(idx: int, pinning) -> None:
-                    if idx == len(order):
-                        sm = try_validate(group, tuple(table))
-                        if sm is not None:
-                            one = 1 % sm.order
-                            if {a for a in range(n) if sm.power[a] == one} == kernel_set:
-                                pair_found.append(sm)
-                        return
-                    j = order[idx]
-                    r = reps[j]
-                    check = checks[idx]
-                    for y in firsts if idx == 0 else coset_elems[tau.perm[j]]:
-                        for a, fa in theta.items():
-                            table[add[a][r]] = add[fa][y]
-                        if check is None:
-                            place(idx + 1, pinning)
-                        else:
-                            grown = _region_holds(group, table, *check, tau.order, pinning)
-                            if grown is not None:
-                                place(idx + 1, grown)
-
-                place(0, _cycles_on(table, members))
-                pair_found += [
-                    conjugate(sm, sigma)
-                    for sm in pair_found
-                    for sigma, _, _ in firsts[sm.perm[r0]].values()
-                ]
-                tau_found += pair_found
-                tau_found += [
-                    conjugate(sm, sigma) for sigma, _, _ in theta_moves.values() for sm in pair_found
-                ]
-            found += tau_found
-            found += [
-                conjugate(sm, sigma) for sigma, _, _ in tau_moves.values() for sm in tau_found
-            ]
-        out += found
-        out += [conjugate(sm, sigma) for sigma in kernel_moves.values() for sm in found]
+                for y0, moves, _ in _orbits(coset_elems[tau.perm[j0]], fixing, move_first):
+                    finds: list[SkewMorphism] = []
+                    place(0, y0, kernel_cycles, finds)
+                    pair_found += _spread(finds, moves, by_stabilizer)
+                tau_found += _spread(pair_found, theta_moves, by_stabilizer)
+            found += _spread(tau_found, tau_moves, by_stabilizer)
+        out += _spread(found, kernel_moves, conjugate)
     yield from out
 
 

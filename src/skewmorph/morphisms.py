@@ -193,7 +193,8 @@ def _smallest_power_witness(group: AbelianGroup, perm: Sequence[int], m: int, a:
         candidates = [j for j in candidates if cyc[(off + j) % len(cyc)] == y]
         if not candidates:
             return b
-    return group.order - 1  # unreachable for a genuinely failing a
+    # unreachable for a failing a; raised, not asserted, so that it holds under python -O
+    raise AssertionError(f"no power mismatch found at a={a}")
 
 
 def try_validate(group: AbelianGroup, perm: Sequence[int]) -> SkewMorphism | None:
@@ -268,7 +269,16 @@ def skew_type(sm: SkewMorphism) -> int:
 
 
 def conjugate(sm: SkewMorphism, theta: Automorphism) -> SkewMorphism:
-    """theta . phi . theta^-1: the transport of phi along theta (relabel)."""
+    """theta . phi . theta^-1: the transport of phi along theta (relabel).
+
+    Lemma.  For phi with power pi and theta in Aut(A), psi = theta phi
+    theta^-1 is a skew morphism with power pi . theta^-1, |psi| = |phi|
+    and Ker psi = theta(Ker phi).  Proof: psi^i = theta phi^i theta^-1,
+    so psi(a + b) = theta(phi(theta^-1 a) + phi^pi(theta^-1 a)(theta^-1 b))
+    = psi(a) + psi^pi(theta^-1 a)(b), and pi(theta^-1 a) = 1 exactly when
+    theta^-1 a lies in Ker phi.  Conjugation by theta^-1 undoes it, so it
+    maps skew morphisms one to one onto skew morphisms.  The result is
+    revalidated all the same."""
     if theta.group != sm.group:
         raise ValueError("automorphism acts on a different group")
     return relabel(sm, theta.table, sm.group)

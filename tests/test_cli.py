@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -278,6 +279,31 @@ def test_verify_theorem2_rejects_cyclic(capsys):
     assert "cyclic" in err
 
 
+def test_verify_theorem2_requires_groups(capsys):
+    code, out, err = run_cli(capsys, "verify", "theorem2", "--quiet")
+    assert code == 2 and out == ""
+    assert "--groups is required" in err
+
+
+def test_verify_identities_reports_a_broken_power_function(capsys, monkeypatch):
+    """A proper morphism of Z6 whose power is changed at one element outside
+    its kernel, to another value than 1, keeps its kernel a subgroup, and
+    breaks the defining identity and the sum identity, each reported by
+    name."""
+    report = enumeration.enumerate_skew_morphisms(make_group([6]))
+    sm = next(sm for sm in report.morphisms if sm.is_proper)
+    a = next(x for x in range(6) if x not in morphisms.kernel(sm).members)
+    power = list(sm.power)
+    power[a] = next(v for v in range(sm.order) if v not in (1, power[a]))
+    bad = dataclasses.replace(sm, power=tuple(power))
+    assert morphisms.kernel(bad) == morphisms.kernel(sm)
+    monkeypatch.setattr(enumeration, "enumerate_skew_morphisms",
+                        lambda group, max_order=None: dataclasses.replace(report, morphisms=(bad,)))
+    code, out, _ = run_cli(capsys, "verify", "identities", "--groups", "Z6", "--quiet")
+    assert code == 1
+    assert json.loads(out)["failed"] == ["defining-identity", "sum-identity"]
+
+
 def test_construct_round_trip(capsys, tmp_path):
     path = tmp_path / "root.json"
     code, _, _ = run_cli(capsys, "construct", "root", "--n", "9", "--k", "3", "--s", "8",
@@ -445,6 +471,21 @@ def test_construct_csm_and_nse(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "--n", "6", "csm", "--k", "2", "--r", "1", "--s", "1", "--t", "2"),
+    ("construct", "--quiet", "root", "--n", "9", "--k", "3", "--s", "8"),
+    ("construct", "root", "--n", "9", "--k", "3", "--s", "8", "--t", "2"),
+    ("construct", "nse", "--p", "3", "--d", "1", "--nu", "1", "--r", "2", "--n", "9"),
+    ("construct", "--quiet"),
+])
+def test_construct_flags_belong_to_one_family(capsys, argv):
+    """Each family takes exactly its own flags, after the family name: a
+    flag before the name, another family's flag and a missing family all
+    exit 2 with nothing on stdout."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+
+
 def test_reciprocal_counts(capsys):
     code, out, _ = run_cli(capsys, "reciprocal", "--m", "1", "--n", "1", "--quiet")
     assert code == 0
@@ -479,6 +520,12 @@ def test_check_compares_power_modulo_the_order():
     assert check_record(to_record(sm) | {"power": shifted[:-1]}) == ["power"]
     shifted[1] += 1
     assert check_record(to_record(sm) | {"power": shifted}) == ["power"]
+
+
+def test_check_record_refuses_a_factor_below_two():
+    record = to_record(validate(make_group([3]), (0, 1, 2))) | {"group": [1]}
+    with pytest.raises(MalformedRecord, match="bad group field"):
+        check_record(record)
 
 
 def test_module_entry_point():

@@ -20,8 +20,15 @@ from skewmorph.constructions import (
     root_params,
     tau,
 )
-from skewmorph.groups import make_group, multiplicative_order, parse_group_literal
-from skewmorph.morphisms import identity_morphism, is_smooth, kernel, skew_type, try_validate
+from skewmorph.groups import Automorphism, make_group, multiplicative_order, parse_group_literal
+from skewmorph.morphisms import (
+    as_skew_morphism,
+    identity_morphism,
+    is_smooth,
+    kernel,
+    skew_type,
+    try_validate,
+)
 
 
 def test_tau():
@@ -49,6 +56,11 @@ def test_csm_rejects_bad_k():
         csm_params(6, 4, 1, 1, 2)
     with pytest.raises(ParameterRejection):
         csm_params(6, 6, 1, 1, 2)
+    with pytest.raises(ParameterRejection, match="no proper divisors"):
+        csm_params(1, 2, 1, 1, 2)
+    with pytest.raises(ParameterRejection) as err:
+        csm_params(12, 2, 1, 2, 1)  # 2 is not a unit mod 6
+    assert err.value.condition == "s"
 
 
 def test_enumerate_csm_params_small():
@@ -92,6 +104,8 @@ def test_root_rejections():
         root_params(9, 2, 8)  # 2k^2 = 8 does not divide 9
     with pytest.raises(ParameterRejection):
         root_params(9, 3, 7)  # 7 is not -1 mod 3
+    with pytest.raises(ParameterRejection, match="k >= 1"):
+        root_params(9, 0, 8)
 
 
 def test_root_sweep_squares_are_automorphisms():
@@ -245,6 +259,11 @@ def test_direct_product_rejection_witness():
         direct_product(pns, pns)
     assert err.value.side == "left"
     assert err.value.element == 1
+    # x -> 4x on Z9 has order 3, and the witness's power at 1 is 5, not 1 mod 3
+    quartic = as_skew_morphism(Automorphism(pns.group, tuple(4 * x % 9 for x in range(9))))
+    with pytest.raises(DirectProductRejection) as err:
+        direct_product(quartic, pns)
+    assert (err.value.side, err.value.element) == ("right", 1)
 
 
 def test_direct_product_smooth_iff_both_smooth():

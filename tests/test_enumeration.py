@@ -199,6 +199,11 @@ def test_smooth_only_predicate(n, expected):
     assert smooth_only_predicate(n) == expected
 
 
+def test_smooth_only_predicate_refuses_zero():
+    with pytest.raises(ValueError, match="positive"):
+        smooth_only_predicate(0)
+
+
 def test_theorem2_necessary():
     assert theorem2_necessary(parse_group_literal("Z2xZ2"))
     assert not theorem2_necessary(parse_group_literal("Z32xZ2"))

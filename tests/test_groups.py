@@ -26,6 +26,7 @@ from skewmorph.groups import (
     primary_pieces,
     quotient_group,
     remap,
+    subgroup_from_members,
     subgroup_generated_by,
 )
 
@@ -67,6 +68,14 @@ def test_out_of_range_indices_raise():
         g.add(0, 6)
     with pytest.raises(IndexError):
         g.element_order(-1)
+
+
+def test_wrong_arity_and_unclosed_members_raise():
+    g = make_group([2, 4])
+    with pytest.raises(ValueError, match="arity"):
+        g.index_of((1,))
+    with pytest.raises(ValueError, match="not closed"):
+        subgroup_from_members(g, [0, 1, 2])
 
 
 @given(small_factors, st.data())

@@ -199,6 +199,17 @@ def test_conjugation_preserves_invariants(theta):
     assert skew_type(conj) == skew_type(sm)
 
 
+def test_conjugate_refuses_an_automorphism_of_another_group(pns9):
+    with pytest.raises(ValueError, match="different group"):
+        conjugate(pns9, Automorphism(Z6, tuple(range(6))))
+
+
+def test_equivalence_classes_of_nothing_and_of_two_groups(pns9, csm6):
+    assert equivalence_classes([]) == []
+    with pytest.raises(ValueError, match="different groups"):
+        equivalence_classes([pns9, csm6])
+
+
 def test_equivalence_classes_on_nse_outputs():
     from skewmorph.constructions import nse_construct, nse_params_range
 

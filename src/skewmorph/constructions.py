@@ -112,7 +112,14 @@ def csm_params(n: int, k: int, r: int, s: int, t: int) -> CsmParams:
     s %= q
     if gcd(s, q) != 1:
         raise ParameterRejection("s", f"s={s} is not a unit mod n/k={q}")
-    m = _csm_order(n, k, r, s)
+    return _csm_checked(n, k, r, s, t, _csm_order(n, k, r, s))
+
+
+def _csm_checked(n: int, k: int, r: int, s: int, t: int, m: int) -> CsmParams:
+    """Conditions (b)-(d) for t, given the canonical k, r, s and their order
+    m = _csm_order(n, k, r, s), which enumerate_csm_params derives once for
+    every t."""
+    q = n // k
     t %= m if m > 1 else 1
     if m == 1 or gcd(t, m) != 1:
         raise ParameterRejection("b", f"t={t} is not a unit mod m={m}")
@@ -166,12 +173,11 @@ def enumerate_csm_params(n: int) -> list[CsmParams]:
                     continue
                 m = _csm_order(n, k, r, s)
                 for t in range(m):
-                    # csm_params refuses a non-unit t too, but only after
-                    # recomputing m, which would double the cost here
+                    # a non-unit t fails _csm_checked too; skipping it here saves the raise
                     if gcd(t, m) != 1:
                         continue
                     try:
-                        found.append(csm_params(n, k, r, s, t))
+                        found.append(_csm_checked(n, k, r, s, t, m))
                     except ParameterRejection:
                         continue
     return found

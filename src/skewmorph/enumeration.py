@@ -42,9 +42,11 @@ Two independent routes produce the same sets:
   cells prune; the correctness burden is completeness, argued per search
   below.
 
-Orders are always derived from tables.  The one bound on |phi| a search
-uses is the published one for Z_n, that |phi| divides n*phi(n), and only
-to skip cells (_search_cyclic).
+Orders are always derived from tables.  The searches use two published
+bounds on |phi|, and only to skip work: on Z_n, |phi| divides n*phi(n),
+which skips cells (_search_cyclic); on any A, |phi| <= |A| - 1, which
+skips the (quotient morphism, kernel bijection) pairs whose coset powers
+cannot be pairwise distinct in Z_|phi| (_powers_fit, in _search_general).
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from .groups import (
     isomorphisms,
     make_group,
     multiplicative_order,
+    perm_order,
     perm_power,
     quotient_group,
     totient,
@@ -193,12 +196,10 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
       = j in coset j.
     * Distinct values.  pi is constant exactly on the cosets of <k>, so
       the k values differ, and cvals[0] = 1 since 0 is in the kernel.
-    * Kernel order.  For a in K = <k> and any b, expanding phi(a + b) =
-      phi(b + a) gives phi(a) + phi(b) = phi(b) + phi^pi(b)(a), so
-      phi^(pi(b) - 1) fixes K pointwise.  phi maps K onto itself as
-      multiplication by the unit t with phi(k) = t*k, so o = ord(t mod
-      n/k) divides pi(b) - 1 for every b, and divides L.  Seeds with o not
-      dividing L are skipped, and every power value must be 1 mod o.
+    * Kernel order.  phi maps K = <k> onto itself as multiplication by
+      the unit t with phi(k) = t*k, of order o = ord(t mod n/k), so o
+      divides L and every power value is 1 mod o (the kernel-order lemma,
+      morphisms.kernel).  Seeds with o not dividing L are skipped.
     * Congruence.  Every power is congruent mod |q| to q's power at its
       reduction (lemma below).
 
@@ -791,6 +792,17 @@ def _region_holds(group: AbelianGroup, table, region, new, tests, tau_order: int
     return pinning
 
 
+def _powers_fit(n: int, tau: SkewMorphism, o: int) -> bool:
+    """The coset-power capacity rule of _search_general: whether the powers
+    of the nonzero cosets, pi_tau's class mod |tau| and 1 mod o each, can
+    be pairwise distinct and differ from 1 in Z_L for an L <= n - 1 that
+    is a multiple of lcm(|tau|, o)."""
+    m, g = tau.order, gcd(tau.order, o)
+    room = (n - 1) // lcm(m, o)
+    rest = tau.power[1:]
+    return all((r - 1) % g == 0 and rest.count(r) <= room - (r == 1 % m) for r in set(rest))
+
+
 def _search_general(group: AbelianGroup, max_order: int | None = None):
     """Enumerate skew morphisms of a multi-factor group by kernel shape.
 
@@ -822,6 +834,26 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
     over the theta orbit, then over the tau orbit: the pair (tau', theta')
     is reached once, by sigma1 carrying tau onto tau' after sigma2 fixing
     tau and carrying theta onto sigma1^-1 theta' sigma1.
+
+    Coset-power capacity: a pair is searched only if _powers_fit(|A|, tau,
+    o) holds for o = |theta|.  Let phi be a find of the pair, with kernel
+    exactly K0 and L = |phi|.  phi^L = 1 gives tau^L = 1 and theta^L = 1,
+    so L is a multiple of M = lcm(|tau|, o), and L <= |A| - 1, since a
+    skew morphism of a finite group A has order less than |A| (Conder,
+    Jajcay and Tucker, Cyclic complements and skew morphisms of groups, J.
+    Algebra 453 (2016)).  pi is constant exactly on the cosets of K0
+    (Jajcay and Siran, Skew-morphisms of regular Cayley maps, Discrete
+    Math. 244 (2002)), so its values on the cosets are pairwise distinct in
+    Z_L, and the zero coset's is 1.  The value on a coset x + K0 is
+    pi_tau(x + K0) mod |tau| (the second reason of the region check below)
+    and 1 mod o (the kernel-order lemma, morphisms.kernel).  Take a
+    residue r that pi_tau takes on N_r nonzero cosets.  By CRT, no value
+    of Z_L is r mod |tau| and 1 mod o unless gcd(|tau|, o) divides r - 1,
+    and then they form one class mod M, with L/M <= (|A| - 1) // M members
+    in Z_L, one of them 1 when r = 1 mod |tau|.  So N_r is at most that
+    count, less one when r = 1 mod |tau|, which is the rule.  o is
+    invariant under conjugation, so the refused thetas are whole orbits of
+    the tau's stabilizer, and a tau that keeps none is not planned.
 
     One phi(r0) per orbit inside a pair.  Let r0 be the representative of
     the first placed coset j0 = order[0], and G the sigmas of Stab(K0) that
@@ -904,6 +936,7 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
             tuple(index[theta[a]] for a in members): theta
             for theta in _subgroup_automorphisms(group, sub)
         }
+        theta_orders = {key: perm_order(key) for key in thetas}
 
         def move_tau(moving, perm):
             return _conjugated(moving[1], perm)
@@ -915,11 +948,14 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
         table = [0] * n
         for tau_perm, tau_moves, tau_stab in _orbits(taus, stab, move_tau):
             tau = taus[tau_perm]
+            admitted = [key for key, o in theta_orders.items() if _powers_fit(n, tau, o)]
+            if not admitted:
+                continue
             order, checks = _orbit_plan(group, coset_elems, proj[0], tau)
             j0 = order[0]
             r0 = reps[j0]
             tau_found: list[SkewMorphism] = []
-            for theta_key, theta_moves, pair_stab in _orbits(thetas, tau_stab, move_theta):
+            for theta_key, theta_moves, pair_stab in _orbits(admitted, tau_stab, move_theta):
                 theta = thetas[theta_key]
                 for a, fa in theta.items():
                     table[a] = fa

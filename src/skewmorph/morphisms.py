@@ -248,6 +248,17 @@ def is_smooth(sm: SkewMorphism) -> bool:
 
 
 def kernel(sm: SkewMorphism) -> Subgroup:
+    """Ker phi, the elements of power 1.
+
+    Kernel-order lemma.  Let o be the least o >= 1 with phi^o fixing K =
+    Ker phi pointwise (the order of phi restricted to K where phi maps K
+    onto itself, as both searches of enumeration have it).  Then every
+    power pi(b) is 1 mod o.  Proof: for a in K and any b, expanding
+    phi(a + b) = phi(b + a) gives phi(a) + phi(b) = phi(b) +
+    phi^pi(b)(a), so phi^(pi(b) - 1) fixes K pointwise.  The exponents j
+    with phi^j fixing K pointwise are the multiples of o, and |phi| is
+    one, so pi(b) - 1 is a multiple of o, well defined mod |phi|.  Both
+    searches prune by it."""
     one = 1 % sm.order
     members = [a for a in range(sm.group.order) if sm.power[a] == one]
     return subgroup_from_members(sm.group, members)

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from functools import lru_cache
 from itertools import permutations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -14,6 +14,7 @@ from skewmorph.enumeration import (
     EnumerationReport,
     _cycles_on,
     _orbit_plan,
+    _powers_fit,
     _region_holds,
     _search_general,
     _subgroup_automorphisms,
@@ -570,7 +571,7 @@ def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tab
 
 @pytest.mark.parametrize(
     "factors,tables,conjugates",
-    [((2, 2, 4), 257, (42, 48, 8)), ((5, 5), 41, (240, 0, 27)), ((3, 6), 59, (24, 22, 10))],
+    [((2, 2, 4), 171, (42, 48, 8)), ((5, 5), 41, (240, 0, 27)), ((3, 6), 50, (24, 22, 10))],
     ids=["Z2xZ2xZ4", "Z5xZ5", "Z3xZ6"],
 )
 def test_general_search_revalidates_a_pinned_number_of_tables(monkeypatch, factors, tables, conjugates):
@@ -713,6 +714,45 @@ def test_kernel_order_divides_every_power_minus_one():
             assert all((p - 1) % o == 0 for p in sm.power), (n, sm.perm)
 
 
+def test_coset_power_capacity_holds_on_every_morphism():
+    """The premises of the coset-power capacity rule of _search_general,
+    checked on morphisms found without the search (oracle, every abelian
+    group of order 2..10) and with it (the NONCYCLIC_PINS groups of order
+    <= 20): |phi| < |A|, pi is constant exactly on the cosets of the
+    kernel, 1 mod the order o of phi on the kernel and pi_tau's class mod
+    |tau| for the quotient morphism tau; and the rule admits each
+    morphism's own (tau, o).  The automorphisms (kernel A, power 1) meet
+    all but the first trivially."""
+    oracle = [
+        sm
+        for n in range(2, 11)
+        for factors in [(n,)] + [g.factors for g in abelian_group_presentations(n) if not g.is_cyclic]
+        for sm in _oracle_morphisms(*factors)
+    ]
+    found = [
+        sm
+        for factors in sorted(NONCYCLIC_PINS)
+        if prod(factors) <= 20
+        for sm in cached_enumeration(factors).morphisms
+    ]
+    for sm in oracle + found:
+        group, power = sm.group, sm.power
+        assert sm.order < group.order, sm.perm
+        if not sm.is_proper:
+            continue
+        sub = kernel(sm)
+        _, proj = quotient_group(group, sub)
+        tau = quotient_skew(sm, sub)
+        on_coset = dict(zip(proj, power))
+        assert all(on_coset[proj[x]] == p for x, p in enumerate(power)), sm.perm
+        assert len(set(on_coset.values())) == len(on_coset), sm.perm
+        o = _order_on(sm.perm, sub.members)
+        assert all((p - 1) % o == 0 for p in power), sm.perm
+        assert all((p - tau.power[proj[x]]) % tau.order == 0 for x, p in enumerate(power))
+        assert _powers_fit(group.order, tau, o), sm.perm
+    assert (len(oracle), len(found)) == (297, 21046)
+
+
 def test_power_web_holds_on_every_morphism():
     """The power web that _lift_cell solves before its table walk, checked
     on morphisms found with the cell (enumeration, Z2..Z48) and without it
@@ -783,8 +823,8 @@ def _closed_form_morphisms():
 
 
 @lru_cache(maxsize=None)
-def _oracle_morphisms(n):
-    return brute_force_oracle(make_group([n])).morphisms
+def _oracle_morphisms(*factors):
+    return brute_force_oracle(make_group(factors)).morphisms
 
 
 def test_reductions_permute_the_cosets_of_the_skew_type():

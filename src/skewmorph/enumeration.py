@@ -750,10 +750,10 @@ def _region_holds(group: AbelianGroup, table, region, new, tests, tau_order: int
 
     For each test (r, e0, at_bs, at_rbs) of _orbit_plan: some e = e0 (mod
     tau_order) has table[r + b] - table[r] = phi**e(b) at every usable b
-    (b and r + b in R), with phi the table restricted to region.  As in
-    _derive_power, e is pinned by CRT (pin_power) over the cycles of phi|R,
-    longest first, each at one usable element while its length can still
-    refine the modulus, and then compared at every usable b, as tuples.
+    (b and r + b in R), with phi the table restricted to region.  e is
+    pinned by CRT (pin_power) over the cycles of phi|R, longest first,
+    each at one usable element while its length can still refine the
+    modulus, and then compared at every usable b, as tuples.
     Once every usable cycle's length divides the modulus, phi**e agrees at
     every usable b for all e in the pinned class, so the comparison is
     exact.  The proof that this keeps every skew morphism is in

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, product as _cartesian
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
@@ -183,7 +183,7 @@ class AbelianGroup:
         return o
 
     @cached_property
-    def add_table(self) -> list[list[int]]:
+    def add_table(self) -> tuple[tuple[int, ...], ...]:
         """Full addition table; add_table[a][b] == add(a, b).
 
         Built factor by factor.  The first factor's row of lo is the run
@@ -191,31 +191,56 @@ class AbelianGroup:
         G x Z_f the element a = hi*f + lo adds to b = hi'*f + lo' as
         (hi + hi')*f + (lo + lo') % f, so the row of a is G's row of hi with
         each entry h replaced by the run h*f .. h*f+f-1 rotated left by lo.
+        Rows are tuples: make_group shares one group, and so one table,
+        among all its callers.
         """
         first = self.factors[0] if self.factors else 1
-        doubled = list(range(first)) * 2
+        doubled = tuple(range(first)) * 2
         table = [doubled[lo:lo + first] for lo in range(first)]
         for f in self.factors[1:]:
-            runs = [list(range(h * f, h * f + f)) for h in range(len(table))]
+            runs = [tuple(range(h * f, h * f + f)) for h in range(len(table))]
             rotated = [[run[lo:] + run[:lo] for run in runs] for lo in range(f)]
             table = [
-                list(chain.from_iterable(map(blocks.__getitem__, row)))
+                tuple(chain.from_iterable(map(blocks.__getitem__, row)))
                 for row in table
                 for blocks in rotated
             ]
-        return table
+        return tuple(table)
 
     @cached_property
-    def neg_list(self) -> list[int]:
+    def neg_list(self) -> tuple[int, ...]:
         """neg_list[a] == neg(a), built factor by factor like add_table."""
         negs = [0]
         for f in self.factors:
             negs = [h * f + -lo % f for h in negs for lo in range(f)]
-        return negs
+        return tuple(negs)
+
+
+# Room for the 49 groups one pass over the closed-form families builds.
+# Worst case, every entry at the 256-element guards with its addition
+# table built: 256 rows of 256 small ints, about 0.54 MB a group and
+# 35 MB for the cache.
+GROUP_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
+def _shared(group: AbelianGroup) -> AbelianGroup:
+    return group
 
 
 def make_group(factors: Iterable[int]) -> AbelianGroup:
-    return AbelianGroup(tuple(factors))
+    """The group of the given cyclic factors, one shared instance per tuple.
+
+    The factors are checked first (AbelianGroup raises InvalidFactorError),
+    so 2.0 or True never reaches the lookup, where 2.0 == 2 would find Z2.
+    Equal factor tuples then get the same instance from a least-recently-
+    used cache of GROUP_CACHE_SIZE groups, and with it one addition table
+    and one negation list, built on first use.  Both are tuples, so no
+    caller can change a table another caller reads.  Nothing else is kept
+    on a group: subgroups, automorphisms and enumerations are computed per
+    call (enumeration keeps its own cache).
+    """
+    return _shared(AbelianGroup(tuple(factors)))
 
 
 TRIVIAL_GROUP = make_group(())

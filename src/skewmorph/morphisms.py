@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -27,7 +26,6 @@ from .groups import (
     invert,
     is_bijection,
     perm_order,
-    perm_power,
     quotient_group,
     subgroup_from_members,
 )
@@ -64,6 +62,13 @@ class SkewMorphism:
         one = 1 % self.order
         return all(v == one for v in self.power)
 
+    @cached_property
+    def kernel(self) -> Subgroup:
+        """Ker phi; see the module function kernel."""
+        one = 1 % self.order
+        members = [a for a in range(self.group.order) if self.power[a] == one]
+        return subgroup_from_members(self.group, members)
+
     @property
     def is_proper(self) -> bool:
         return not self.is_automorphism
@@ -97,19 +102,44 @@ def pin_power(pins, row, shift_at, perm, res: int, mod: int) -> tuple[int, int] 
     return res, mod
 
 
-def _derive_power(group: AbelianGroup, perm: Sequence[int], explain: bool):
+def _power_index(perm: tuple[int, ...]) -> dict[tuple[int, ...], int] | None:
+    """{perm**j: j for 0 <= j < |perm|}, listed by composing with perm.
+
+    None when |perm| >= |A| > 1, which no skew morphism has: the listing
+    stops before the dict would hold |A| entries."""
+    identity = tuple(range(len(perm)))
+    step = itemgetter(*perm)  # step(t) = t . perm, the next power after t
+    index = {identity: 0}
+    table = perm
+    while table != identity:
+        if len(index) == len(perm) - 1:
+            return None
+        index[table] = len(index)
+        table = step(table)
+    return index
+
+
+def _derive_power(group: AbelianGroup, perm: tuple[int, ...], explain: bool):
     """Shared validation core; returns (order, power) or a rejection triple.
 
     For each a the displacement D_a(b) = perm[a+b] - perm[a] must equal
-    perm**j for some j, which is then pi(a).  `power_at` pins j mod
-    m = |perm| by pin_power at the leaders of a few pinning cycles whose
-    lengths have lcm m, so any valid j agrees with it mod m, and then
-    compares D_a with perm**j as one whole row.
+    perm**j for some j, which is then pi(a).
+
+    Order bound.  Every skew morphism of A with |A| > 1 has |phi| < |A|
+    (Conder-Jajcay-Tucker, J. Algebra 453 (2016)), so a table that has
+    not returned to the identity within |A| - 1 steps is refused before
+    any row is read.
+
+    Index lemma.  The powers perm**0 .. perm**(m-1), m = |perm|, are
+    pairwise distinct, and they are all the powers of perm.  So D_a is a
+    power of perm exactly when it is a key of the dict {perm**j: j}
+    (_power_index), and the value is the one j in [0, m) that gives it:
+    each row costs one tuple and one lookup, and the test is exact.
 
     Only the rows of X, the union of the cycles of perm through the basis
-    elements g (group.weights), are compared; pi follows everywhere else by
-    a recurrence (Jajcay-Siran, Discrete Math. 244 (2002)).  Iterating the
-    identity along the orbit of g gives perm**i(g + b) = perm**i(g) +
+    elements g (group.weights), are looked up; pi follows everywhere else
+    by a recurrence (Jajcay-Siran, Discrete Math. 244 (2002)).  Iterating
+    the identity along the orbit of g gives perm**i(g + b) = perm**i(g) +
     perm**sigma_g(i)(b), with sigma_g(i) the sum of pi(perm**j(g)) over
     j < i.  So if the identity holds at x and on the orbit of g, then
 
@@ -121,80 +151,80 @@ def _derive_power(group: AbelianGroup, perm: Sequence[int], explain: bool):
     D_0 = perm since perm[0] = 0, so pi(0) = 1, and each a > 0 is x + g with
     x = a - g < a for g the weight of a's leading nonzero coordinate; by
     induction on a the identity holds on all of <X> = A.  The exponent is
-    unique mod m, so pi is the tuple a comparison of every row would give.
+    unique mod m, so pi is the tuple a lookup of every row would give.
 
-    On rejection the failing a is one met in X; with explain, the rows are
-    rescanned from a = 1 so that the smallest failing a is reported.
+    With explain, a rejection reports the smallest failing a and its
+    smallest witness b (_power_witness), found by pinning every row from
+    a = 1 by CRT, which needs no index and so covers over-order tables.
     """
     n = group.order
     if not is_bijection(perm, n):
         return None, ("not-bijection", None, None)
     if perm[0] != 0:
         return None, ("identity-moved", 0, None)
-    perm_cycles = cycles(perm)
-    pinning = []  # (leader, length, offset of each element in the cycle)
-    m = 1
-    for cyc in sorted(perm_cycles, key=len, reverse=True):
-        if m % len(cyc):
-            m = lcm(m, len(cyc))
-            pinning.append((cyc[0], len(cyc), dict(zip(cyc, range(len(cyc))))))
-    add = group.add_table
-    neg = group.neg_list
-    powers: dict[int, tuple[int, ...]] = {}
-
-    def power_at(a: int) -> int | None:
-        """pi(a), or None when no power of perm matches D_a."""
-        row = add[a]
-        shift_row = add[neg[perm[a]]]
-        pinned = pin_power(pinning, row, shift_row.__getitem__, perm, 0, 1)
-        if pinned is None:
-            return None
-        res = pinned[0]
-        target = powers.get(res)
-        if target is None:
-            target = powers[res] = perm_power(perm, res)
-        return res if target == itemgetter(*itemgetter(*row)(perm))(shift_row) else None
-
-    basis = group.weights
-    basis_set = set(basis)
-    power = [1 % m] * n
-    for cyc in perm_cycles:
-        if not basis_set.isdisjoint(cyc):
-            for a in cyc:
-                res = power_at(a)
-                if res is None:
-                    if not explain:
-                        return None, ("no-power", a, None)
-                    a = next(b for b in range(1, n) if power_at(b) is None)
-                    return None, ("no-power", a, _smallest_power_witness(group, perm, m, a))
-                power[a] = res
-    # the weights descend, so [g, top) holds the a whose leading nonzero
-    # coordinate is g's; taken smallest g first, a - g is always filled
-    for g, top in reversed(tuple(zip(basis, (n,) + basis[:-1]))):
-        sigma = [0]
-        x = g
-        for _ in range(m - 1):
-            sigma.append((sigma[-1] + power[x]) % m)
-            x = perm[x]
-        for a in range(g, top):
-            power[a] = sigma[power[a - g]]
-    return (m, tuple(power)), None
+    index = _power_index(perm)
+    if index is not None:
+        m = len(index)
+        add = group.add_table
+        neg = group.neg_list
+        basis = group.weights
+        orbits: set[int] = set()  # X, the union of the orbits of the weights
+        for g in basis:
+            while g not in orbits:
+                orbits.add(g)
+                g = perm[g]
+        power = [1 % m] * n
+        for a in orbits:
+            # D_a as a tuple: perm[a + b] for every b, shifted by -perm[a]
+            j = index.get(itemgetter(*itemgetter(*add[a])(perm))(add[neg[perm[a]]]))
+            if j is None:
+                break
+            power[a] = j
+        else:
+            # the weights descend, so [g, top) holds the a whose leading
+            # nonzero coordinate is g's; taken smallest g first, a - g is
+            # always filled
+            for g, top in reversed(tuple(zip(basis, (n,) + basis[:-1]))):
+                sigma = [0]
+                x = g
+                for _ in range(m - 1):
+                    sigma.append((sigma[-1] + power[x]) % m)
+                    x = perm[x]
+                for a in range(g, top):
+                    power[a] = sigma[power[a - g]]
+            return (m, tuple(power)), None
+    if not explain:
+        return None, ("no-power", None, None)
+    pins = [None] * n  # pins[b] = (b, length of b's cycle, offsets along it)
+    for cyc in cycles(perm):
+        offsets = dict(zip(cyc, range(len(cyc))))
+        for b in cyc:
+            pins[b] = (b, len(cyc), offsets)
+    for a in range(1, n):
+        b = _power_witness(group, perm, pins, a)
+        if b is not None:
+            return None, ("no-power", a, b)
+    # unreachable for a rejected table; raised, not asserted, so that it holds under python -O
+    raise AssertionError("no failing row found in a rejected table")
 
 
-def _smallest_power_witness(group: AbelianGroup, perm: Sequence[int], m: int, a: int) -> int:
-    """Smallest b at which no power of perm matches D_a."""
+def _power_witness(group: AbelianGroup, perm: tuple[int, ...], pins, a: int) -> int | None:
+    """Smallest b at which no power of perm agrees with D_a on 0..b, or
+    None when D_a is a power of perm.
+
+    The j with perm**j(b) = D_a(b) form one class mod the length of b's
+    cycle, or none when D_a(b) leaves that cycle (pin_power); every
+    length divides |perm|, so the j in [0, |perm|) that agree on 0..b
+    exist exactly when the classes of 0..b merge by CRT.
+    """
+    shift_at = group.add_table[group.neg_list[perm[a]]].__getitem__
     row = group.add_table[a]
-    shift_row = group.add_table[group.neg_list[perm[a]]]
-    where = {x: (cyc, off) for cyc in cycles(perm) for off, x in enumerate(cyc)}
-    candidates = range(m)
-    for b in range(group.order):
-        y = shift_row[perm[row[b]]]
-        cyc, off = where[b]
-        candidates = [j for j in candidates if cyc[(off + j) % len(cyc)] == y]
-        if not candidates:
-            return b
-    # unreachable for a failing a; raised, not asserted, so that it holds under python -O
-    raise AssertionError(f"no power mismatch found at a={a}")
+    pinned = (0, 1)
+    for pin in pins:
+        pinned = pin_power((pin,), row, shift_at, perm, *pinned)
+        if pinned is None:
+            return pin[0]
+    return None
 
 
 def try_validate(group: AbelianGroup, perm: Sequence[int]) -> SkewMorphism | None:
@@ -229,26 +259,26 @@ def as_skew_morphism(theta: Automorphism) -> SkewMorphism:
     The check is exact without deriving pi: a bijection with theta(a + g)
     = theta(a) + theta(g) for every a and every basis weight g is additive,
     by induction over b written as a sum of weights in theta(a + b), and an
-    additive bijection satisfies the defining identity with pi = 1.  Its
-    order is the lcm of its cycle lengths."""
+    additive bijection satisfies the defining identity with pi = 1.  For
+    each g both sides are built as whole rows over a and compared as
+    tuples.  Its order is the lcm of its cycle lengths."""
     group, table = theta.group, theta.table
     add = group.add_table
-    n = group.order
-    if not is_bijection(table, n) or any(
-        table[add[a][g]] != add[table[a]][table[g]] for g in group.weights for a in range(n)
+    if not is_bijection(table, group.order) or any(
+        itemgetter(*add[g])(table) != itemgetter(*table)(add[table[g]]) for g in group.weights
     ):
         raise ValueError("not an automorphism")
     m = perm_order(table)
-    return SkewMorphism(group, tuple(table), m, (1 % m,) * n)
+    return SkewMorphism(group, tuple(table), m, (1 % m,) * group.order)
 
 
 def is_smooth(sm: SkewMorphism) -> bool:
     power = sm.power
-    return all(power[sm.perm[a]] == power[a] for a in range(sm.group.order))
+    return tuple(map(power.__getitem__, sm.perm)) == power
 
 
 def kernel(sm: SkewMorphism) -> Subgroup:
-    """Ker phi, the elements of power 1.
+    """Ker phi, the elements of power 1, derived once per morphism object.
 
     Kernel-order lemma.  Let o be the least o >= 1 with phi^o fixing K =
     Ker phi pointwise (the order of phi restricted to K where phi maps K
@@ -259,9 +289,7 @@ def kernel(sm: SkewMorphism) -> Subgroup:
     with phi^j fixing K pointwise are the multiples of o, and |phi| is
     one, so pi(b) - 1 is a multiple of o, well defined mod |phi|.  Both
     searches prune by it."""
-    one = 1 % sm.order
-    members = [a for a in range(sm.group.order) if sm.power[a] == one]
-    return subgroup_from_members(sm.group, members)
+    return sm.kernel
 
 
 def core(sm: SkewMorphism) -> Subgroup:

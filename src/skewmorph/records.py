@@ -46,7 +46,7 @@ def parse_record(text: str) -> dict[str, Any]:
     """Parse one record and check its schema; raises MalformedRecord.
 
     JSON booleans are not integers here, although Python's bool is an int
-    (`type(v) is int` refuses them, and json.loads makes no other int
+    (an exact type test refuses them, and json.loads makes no other int
     subclass): the four arrays hold integers, order and skew_type are
     integers, and smooth and proper are booleans.
     """
@@ -61,7 +61,7 @@ def parse_record(text: str) -> dict[str, Any]:
         raise MalformedRecord(f"missing fields: {', '.join(missing)}")
     for name in ("group", "perm", "power", "kernel"):
         value = data[name]
-        if not isinstance(value, list) or not all(type(v) is int for v in value):
+        if not isinstance(value, list) or not set(map(type, value)) <= {int}:
             raise MalformedRecord(f"{name} is not an integer array")
     for name in ("order", "skew_type"):
         if type(data[name]) is not int:

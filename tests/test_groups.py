@@ -5,7 +5,9 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewmorph import groups
 from skewmorph.groups import (
+    GROUP_CACHE_SIZE,
     InvalidFactorError,
     SizeGuardError,
     _is_closed,
@@ -48,6 +50,39 @@ def test_make_group_basics():
 def test_make_group_rejects_factors_below_two(bad):
     with pytest.raises(InvalidFactorError):
         make_group(bad)
+
+
+def test_make_group_shares_one_instance_per_factor_tuple():
+    group = make_group((5, 5))
+    assert make_group([5, 5]) is group
+    assert make_group(iter([5, 5])) is group
+    assert make_group([25]) is not group
+    with pytest.raises(TypeError):
+        group.add_table[0][0] = 1
+    with pytest.raises(TypeError):
+        group.neg_list[0] = 1
+
+
+@pytest.mark.parametrize("bad", [(2.0,), (True,), (2, 2.0), (2, True), (5.0, 5)])
+def test_make_group_checks_factors_before_the_shared_lookup(bad):
+    """2.0 == 2, so a lookup by value alone would answer (2.0,) with the
+    cached Z2; the factors are checked first.  Booleans, an int subclass,
+    stay refused as well."""
+    for valid in ((2,), (2, 2), (5, 5)):
+        make_group(valid)
+    with pytest.raises(InvalidFactorError):
+        make_group(bad)
+
+
+def test_group_cache_stays_within_its_bound():
+    """More distinct groups than the bound evict the least recently used;
+    the cache never holds more than GROUP_CACHE_SIZE groups."""
+    assert GROUP_CACHE_SIZE >= 49  # the distinct groups of one families pass
+    last = [make_group((2, n)) for n in range(2, GROUP_CACHE_SIZE + 20)]
+    info = groups._shared.cache_info()
+    assert info.maxsize == GROUP_CACHE_SIZE
+    assert info.currsize == GROUP_CACHE_SIZE
+    assert make_group(last[-1].factors) is last[-1]
 
 
 def test_add_examples():
@@ -103,10 +138,11 @@ def test_group_laws(factors, data):
 def test_tables_equal_the_checked_arithmetic(group):
     """add_table and neg_list, built from the factors, agree with the
     checked per-element add and neg on every pair, in every presentation of
-    every order up to 64 and in some that are not in invariant-factor form."""
+    every order up to 64 and in some that are not in invariant-factor form.
+    Both are tuples, so a group shared by make_group cannot be changed."""
     n = group.order
-    assert group.add_table == [[group.add(a, b) for b in range(n)] for a in range(n)]
-    assert group.neg_list == [group.neg(a) for a in range(n)]
+    assert group.add_table == tuple(tuple(group.add(a, b) for b in range(n)) for a in range(n))
+    assert group.neg_list == tuple(group.neg(a) for a in range(n))
 
 
 def test_addition_is_group_table_exhaustively_small():

@@ -8,6 +8,7 @@ from skewmorph.groups import (
     Automorphism,
     enumerate_automorphisms,
     make_group,
+    perm_order,
     subgroup_generated_by,
     totient,
 )
@@ -363,16 +364,18 @@ DIFFERENTIAL_GROUPS = [(), (8,), (12,), (2, 2), (2, 4), (3, 3)]
 
 
 def naive_validate(group, perm):
-    """(order, power) or (reason, element), straight from the definition.
+    """(order, power) or (reason, element, witness), straight from the definition.
 
     For every a it tries each power perm**j, j < |perm|, against
     perm(a + b) == perm(a) + perm**j(b) for all b, using the checked add.
+    The witness of the first failing a is the smallest b by which every
+    power has disagreed at least once.
     """
     n = group.order
     if sorted(perm) != list(range(n)):
-        return "not-bijection", None
+        return "not-bijection", None, None
     if perm[0] != 0:
-        return "identity-moved", 0
+        return "identity-moved", 0, None
     powers = [tuple(range(n))]
     while True:
         nxt = tuple(perm[x] for x in powers[-1])
@@ -381,14 +384,14 @@ def naive_validate(group, perm):
         powers.append(nxt)
     power = []
     for a in range(n):
-        js = [
-            j
-            for j, pw in enumerate(powers)
-            if all(perm[group.add(a, b)] == group.add(perm[a], pw[b]) for b in range(n))
+        # the first b at which perm**j disagrees, n when it never does
+        first = [
+            next((b for b in range(n) if perm[group.add(a, b)] != group.add(perm[a], pw[b])), n)
+            for pw in powers
         ]
-        if not js:
-            return "no-power", a
-        power.append(js[0])
+        if n not in first:
+            return "no-power", a, max(first)
+        power.append(first.index(n))
     return len(powers), tuple(power)
 
 
@@ -423,7 +426,7 @@ def _assert_matches_naive(group, perm):
         assert fast is None
         with pytest.raises(SkewMorphismRejection) as info:
             validate(group, perm)
-        assert (info.value.reason, info.value.element) == expected
+        assert (info.value.reason, info.value.element, info.value.witness) == expected
 
 
 @given(differential_inputs())
@@ -465,20 +468,60 @@ def test_validation_core_matches_naive_validator_exhaustively(factors):
         _assert_matches_naive(group, perm)
 
 
+def _over_order_perms(n, rng, count=10, tries=400):
+    """Up to count random permutations fixing 0 of order >= n."""
+    found = set()
+    for _ in range(tries):
+        rest = list(range(1, n))
+        rng.shuffle(rest)
+        perm = (0, *rest)
+        if perm_order(perm) >= n:
+            found.add(perm)
+            if len(found) == count:
+                break
+    return sorted(found)
+
+
+@pytest.mark.parametrize("factors", PINNED_GROUPS_TO_24, ids=lambda f: make_group(f).label)
+def test_over_order_tables_match_naive_validator(factors):
+    """Tables of order >= |A|, which no skew morphism has, are refused by
+    try_validate, and validate reports the naive validator's smallest
+    failing element and witness.  Such tables fix 0 only when some
+    partition of |A| - 1 has lcm >= |A|: not for |A| in 2, 3, 4, 5, 7."""
+    group = make_group(factors)
+    n = group.order
+    perms = _over_order_perms(n, random.Random(repr(factors)))
+    assert bool(perms) == (n not in (2, 3, 4, 5, 7))
+    for perm in perms:
+        assert naive_validate(group, perm)[0] == "no-power"
+        _assert_matches_naive(group, perm)
+
+
 def test_validation_compares_only_the_orbit_of_one(monkeypatch):
-    """On Z_n only the rows of the orbit of 1 are pinned and compared;
-    the power function elsewhere comes from the orbit recurrence."""
+    """On Z_n only the rows of the orbit of 1 are looked up in the index of
+    powers; the power function elsewhere comes from the orbit recurrence."""
     from skewmorph import morphisms
     from skewmorph.constructions import csm_construct, enumerate_csm_params
     from skewmorph.groups import cycles
 
     sm = csm_construct(enumerate_csm_params(64)[-1])
+    n = sm.group.order
     orbit = next(cyc for cyc in cycles(sm.perm) if 1 in cyc)
-    calls = []
-    real = morphisms.pin_power
-    monkeypatch.setattr(morphisms, "pin_power", lambda *args: calls.append(args) or real(*args))
+    orbit_rows = {
+        tuple((sm.perm[(a + b) % n] - sm.perm[a]) % n for b in range(n)) for a in orbit
+    }
+    lookups = []
+
+    class CountingIndex(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+    real = morphisms._power_index
+    monkeypatch.setattr(morphisms, "_power_index", lambda perm: CountingIndex(real(perm)))
     assert validate(sm.group, sm.perm) == sm
-    assert 0 < len(calls) <= len(orbit) < 64
+    assert 0 < len(lookups) <= len(orbit) < 64
+    assert set(lookups) <= orbit_rows
 
 
 def test_additive_square_check_is_validation_with_power_one():

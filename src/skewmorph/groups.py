@@ -217,7 +217,8 @@ class AbelianGroup:
 
 
 # Room for the 49 groups one pass over the closed-form families builds.
-# Worst case, every entry at the 256-element guards with its addition
+# Only groups within SUBGROUP_GUARD are kept, whatever guard --max-order
+# sets, so the worst case is every entry of order 256 with its addition
 # table built: 256 rows of 256 small ints, about 0.54 MB a group and
 # 35 MB for the cache.
 GROUP_CACHE_SIZE = 64
@@ -233,14 +234,20 @@ def make_group(factors: Iterable[int]) -> AbelianGroup:
 
     The factors are checked first (AbelianGroup raises InvalidFactorError),
     so 2.0 or True never reaches the lookup, where 2.0 == 2 would find Z2.
-    Equal factor tuples then get the same instance from a least-recently-
-    used cache of GROUP_CACHE_SIZE groups, and with it one addition table
-    and one negation list, built on first use.  Both are tuples, so no
-    caller can change a table another caller reads.  Nothing else is kept
-    on a group: subgroups, automorphisms and enumerations are computed per
-    call (enumeration keeps its own cache).
+    Equal factor tuples of order at most SUBGROUP_GUARD then get the same
+    instance from a least-recently-used cache of GROUP_CACHE_SIZE groups,
+    and with it one addition table and one negation list, built on first
+    use; a larger group is built afresh on every call, so a raised guard
+    never raises the cache's memory.  Both tables are tuples, so no caller
+    can change a table another caller reads.  Nothing else is kept on a
+    group: subgroups, automorphisms and enumerations are computed per call
+    (enumeration keeps its own cache).  The cache lives as long as the
+    process: one CLI command shares a table between a record's construction
+    and its re-check, and a caller of the library in one process shares it
+    across all records of a group.
     """
-    return _shared(AbelianGroup(tuple(factors)))
+    group = AbelianGroup(tuple(factors))
+    return _shared(group) if group.order <= SUBGROUP_GUARD else group
 
 
 TRIVIAL_GROUP = make_group(())

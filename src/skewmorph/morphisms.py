@@ -63,8 +63,8 @@ class SkewMorphism:
         return all(v == one for v in self.power)
 
     @cached_property
-    def kernel(self) -> Subgroup:
-        """Ker phi; see the module function kernel."""
+    def _kernel(self) -> Subgroup:
+        # kernel(sm) reads this, so each morphism object derives it once
         one = 1 % self.order
         members = [a for a in range(self.group.order) if self.power[a] == one]
         return subgroup_from_members(self.group, members)
@@ -76,10 +76,7 @@ class SkewMorphism:
     @cached_property
     def power_tables(self) -> list[tuple[int, ...]]:
         """perm**j for j in 0..order-1."""
-        tables = [tuple(range(self.group.order))]
-        for _ in range(self.order - 1):
-            tables.append(compose(self.perm, tables[-1]))
-        return tables
+        return _power_list(self.perm, self.order)
 
 
 def pin_power(pins, row, shift_at, perm, res: int, mod: int) -> tuple[int, int] | None:
@@ -102,21 +99,26 @@ def pin_power(pins, row, shift_at, perm, res: int, mod: int) -> tuple[int, int] 
     return res, mod
 
 
-def _power_index(perm: tuple[int, ...]) -> dict[tuple[int, ...], int] | None:
-    """{perm**j: j for 0 <= j < |perm|}, listed by composing with perm.
-
-    None when |perm| >= |A| > 1, which no skew morphism has: the listing
-    stops before the dict would hold |A| entries."""
+def _power_list(perm: tuple[int, ...], limit: int) -> list[tuple[int, ...]] | None:
+    """[perm**0, ..., perm**(m-1)], m = |perm|, each listed from the one
+    before by composing with perm; None, after limit tables, when m > limit."""
     identity = tuple(range(len(perm)))
     step = itemgetter(*perm)  # step(t) = t . perm, the next power after t
-    index = {identity: 0}
+    powers = [identity]
     table = perm
     while table != identity:
-        if len(index) == len(perm) - 1:
+        if len(powers) == limit:
             return None
-        index[table] = len(index)
+        powers.append(table)
         table = step(table)
-    return index
+    return powers
+
+
+def _power_index(perm: tuple[int, ...]) -> dict[tuple[int, ...], int] | None:
+    """{perm**j: j for 0 <= j < |perm|}, or None when |perm| >= |A| > 1,
+    which no skew morphism has: the listing stops at |A| - 1 tables."""
+    powers = _power_list(perm, len(perm) - 1)
+    return None if powers is None else dict(zip(powers, range(len(powers))))
 
 
 def _derive_power(group: AbelianGroup, perm: tuple[int, ...], explain: bool):
@@ -134,7 +136,9 @@ def _derive_power(group: AbelianGroup, perm: tuple[int, ...], explain: bool):
     pairwise distinct, and they are all the powers of perm.  So D_a is a
     power of perm exactly when it is a key of the dict {perm**j: j}
     (_power_index), and the value is the one j in [0, m) that gives it:
-    each row costs one tuple and one lookup, and the test is exact.
+    each row costs one tuple and one lookup, and the test is exact.  The
+    index holds m < |A| tables of |A| entries, O(|A| * |phi|) memory, less
+    than one addition table.
 
     Only the rows of X, the union of the cycles of perm through the basis
     elements g (group.weights), are looked up; pi follows everywhere else
@@ -278,7 +282,8 @@ def is_smooth(sm: SkewMorphism) -> bool:
 
 
 def kernel(sm: SkewMorphism) -> Subgroup:
-    """Ker phi, the elements of power 1, derived once per morphism object.
+    """Ker phi, the elements of power 1, derived once per morphism object
+    and kept on it.
 
     Kernel-order lemma.  Let o be the least o >= 1 with phi^o fixing K =
     Ker phi pointwise (the order of phi restricted to K where phi maps K
@@ -289,7 +294,7 @@ def kernel(sm: SkewMorphism) -> Subgroup:
     with phi^j fixing K pointwise are the multiples of o, and |phi| is
     one, so pi(b) - 1 is a multiple of o, well defined mod |phi|.  Both
     searches prune by it."""
-    return sm.kernel
+    return sm._kernel
 
 
 def core(sm: SkewMorphism) -> Subgroup:

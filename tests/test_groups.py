@@ -85,6 +85,15 @@ def test_group_cache_stays_within_its_bound():
     assert make_group(last[-1].factors) is last[-1]
 
 
+def test_groups_past_the_guard_are_built_afresh():
+    """Only groups within SUBGROUP_GUARD are kept, so a raised --max-order
+    adds nothing to the cache's worst case."""
+    assert make_group((2, 128)) is make_group((2, 128))
+    big = make_group((2, 129))
+    assert big is not make_group((2, 129))
+    assert big == make_group((2, 129))
+
+
 def test_add_examples():
     assert make_group([6]).add(4, 5) == 3
     g = make_group([2, 4])

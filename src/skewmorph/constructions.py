@@ -120,11 +120,13 @@ def _csm_checked(n: int, k: int, r: int, s: int, t: int, m: int) -> CsmParams:
     m = _csm_order(n, k, r, s), which enumerate_csm_params derives once for
     every t."""
     q = n // k
-    t %= m if m > 1 else 1
+    given, t = t, t % (m if m > 1 else 1)
     if m == 1 or gcd(t, m) != 1:
-        raise ParameterRejection("b", f"t={t} is not a unit mod m={m}")
+        raise ParameterRejection("b", f"t={given} (= {t} mod m={m}) is not a unit mod m={m}")
     if multiplicative_order(t, m) != k:
-        raise ParameterRejection("b", f"t={t} does not have multiplicative order k={k} mod m={m}")
+        raise ParameterRejection(
+            "b", f"t={given} (= {t} mod m={m}) does not have multiplicative order k={k} mod m={m}"
+        )
     tv = next(islice(_geometric_sums(s, q), t, None))  # tau(s, t) mod n/k
     lhs = (s - 1) % q
     rhs = (r * next(islice(_geometric_sums(tv, q), k, None))) % q

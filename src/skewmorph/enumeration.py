@@ -46,7 +46,10 @@ Orders are always derived from tables.  The searches use two published
 bounds on |phi|, and only to skip work: on Z_n, |phi| divides n*phi(n),
 which skips cells (_search_cyclic); on any A, |phi| <= |A| - 1, which
 skips the (quotient morphism, kernel bijection) pairs whose coset powers
-cannot be pairwise distinct in Z_|phi| (_powers_fit, in _search_general).
+cannot be pairwise distinct in Z_|phi| (_powers_fit, in _search_general)
+and lets the region check list the powers of the table on a phi-closed
+region, at most |A| - 1 of them, and refuse a region whose table has a
+larger order (_region_holds).
 """
 
 from __future__ import annotations
@@ -76,16 +79,15 @@ from .groups import (
     make_group,
     multiplicative_order,
     perm_order,
-    perm_power,
     quotient_group,
     totient,
 )
 from .morphisms import (
     SkewMorphism,
+    _power_list,
     as_skew_morphism,
     conjugate,
     is_smooth,
-    pin_power,
     relabel,
     skew_type,
     try_validate,
@@ -689,10 +691,9 @@ def _orbit_plan(group: AbelianGroup, coset_elems, zero: int, tau: SkewMorphism):
     """Order the nonzero cosets by tau-orbit, shortest orbit first.
 
     Returns (order, checks).  checks[i] is None unless placing order[i]
-    completes a tau-orbit; then it is (region, new, tests) for the
-    phi-closed region R = K u (cosets of the orbits placed so far).  region
-    is R as a set, new lists the elements that joined R since the last
-    check, and tests holds, for every placed coset j with representative r,
+    completes a tau-orbit; then it is (region, tests) for the phi-closed
+    region R = K u (cosets of the orbits placed so far).  region is R as a
+    set, and tests holds, for every placed coset j with representative r,
     the tuple (r, pi_tau(j), at_bs, at_rbs): itemgetters that pick, from a
     table, its entries at the b in R with r + b in R, and at the r + b.
     These b include all of K, at least two elements, so the itemgetters
@@ -702,15 +703,12 @@ def _orbit_plan(group: AbelianGroup, coset_elems, zero: int, tau: SkewMorphism):
     """
     add = group.add_table
     region = set(coset_elems[zero])
-    new: list[int] = []
     order: list[int] = []
     checks: list = []
     for orbit in sorted(cycles(tau.perm), key=len):
         if orbit[0] == zero:
             continue
-        for j in orbit:
-            new += coset_elems[j]
-        region = region.union(new)
+        region = region.union(*(coset_elems[j] for j in orbit))
         order += orbit
         tests = []
         for j in orbit + order[: -len(orbit)]:
@@ -719,77 +717,37 @@ def _orbit_plan(group: AbelianGroup, coset_elems, zero: int, tau: SkewMorphism):
             bs = [b for b in sorted(region) if row[b] in region]
             tests.append((r, tau.power[j], itemgetter(*bs), itemgetter(*(row[b] for b in bs))))
         checks.extend([None] * (len(orbit) - 1))
-        checks.append((region, new, tests))
-        new = []
+        checks.append((region, tests))
     return order, checks
 
 
-def _cycles_on(table, members) -> list[tuple[dict[int, int], int]]:
-    """The cycles of length > 1 of a table on a table-closed set of members,
-    each as (offset of each member along the cycle, length)."""
-    out = []
-    seen = set()
-    for start in members:
-        if start in seen:
-            continue
-        offsets = {start: 0}
-        length = 1
-        x = table[start]
-        while x not in offsets:  # x == start on a table-closed set
-            offsets[x] = length
-            length += 1
-            x = table[x]
-        seen.update(offsets)
-        if length > 1:
-            out.append((offsets, length))
-    return out
-
-
-def _region_holds(group: AbelianGroup, table, region, new, tests, tau_order: int, pinning):
+def _region_holds(group: AbelianGroup, table, region, tests, tau_order: int) -> bool:
     """The defining identity on the final entries of a phi-closed region.
 
-    For each test (r, e0, at_bs, at_rbs) of _orbit_plan: some e = e0 (mod
-    tau_order) has table[r + b] - table[r] = phi**e(b) at every usable b
-    (b and r + b in R), with phi the table restricted to region.  e is
-    pinned by CRT (pin_power) over the cycles of phi|R, longest first,
-    each at one usable element while its length can still refine the
-    modulus, and then compared at every usable b, as tuples.
-    Once every usable cycle's length divides the modulus, phi**e agrees at
-    every usable b for all e in the pinned class, so the comparison is
-    exact.  The proof that this keeps every skew morphism is in
-    _search_general.
-
-    pinning lists the cycles of phi on the region of the previous check, as
-    (offset of each member, length); the elements in new close into cycles
-    of their own, since both regions are phi-closed.  Returns the cycles of
-    phi|R, longest first, for the next check, or None when a test fails.
+    phi_R is the table on region and the identity off it.  Its powers are
+    listed once (morphisms._power_list), and the region is refused when
+    m = |phi_R| >= |A|.  Otherwise each test (r, e0, at_bs, at_rbs) of
+    _orbit_plan needs some j = e0 (mod gcd(tau_order, m)) in [0, m) with
+    table[r + b] - table[r] = phi_R**j(b) at every usable b (b and r + b
+    in R), compared as tuples.  _search_general proves that this is its
+    region condition exactly and that the order cut keeps every skew
+    morphism.
     """
+    n = group.order
     add = group.add_table
     neg = group.neg_list
-    pinning = sorted(pinning + _cycles_on(table, new), key=itemgetter(1), reverse=True)
-    powers: dict[int, tuple[int, ...]] = {}
+    phi_r = list(range(n))
+    for x in region:  # R is phi-closed, so phi_r is a permutation
+        phi_r[x] = table[x]
+    powers = _power_list(tuple(phi_r), n - 1)
+    if powers is None:
+        return False
+    step = gcd(tau_order, len(powers))
     for r, e0, at_bs, at_rbs in tests:
-        row = add[r]
-        shift = add[neg[table[r]]]
-        pins = []
-        m = tau_order
-        for offsets, length in pinning:
-            if m % length:
-                for b in offsets:
-                    if row[b] in region:
-                        pins.append((b, length, offsets))
-                        m = lcm(m, length)
-                        break
-        pinned = pin_power(pins, row, shift.__getitem__, table, e0, tau_order)
-        if pinned is None:
-            return None
-        # phi**e on R reads only entries in R, because R is phi-closed
-        target = powers.get(pinned[0])
-        if target is None:
-            target = powers[pinned[0]] = perm_power(table, pinned[0])
-        if at_bs(target) != itemgetter(*at_rbs(table))(shift):
-            return None
-    return pinning
+        target = itemgetter(*at_rbs(table))(add[neg[table[r]]])
+        if target not in map(at_bs, powers[e0 % step :: step]):
+            return False
+    return True
 
 
 def _powers_fit(n: int, tau: SkewMorphism, o: int) -> bool:
@@ -893,6 +851,16 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
       their coset, hence pi_tau and, R being a union of cosets, the usable
       b.  On K itself D_a = phi, with e = 1.
 
+    The condition is tested on the listed powers of phi_R, the table on R
+    and the identity off R, with m = |phi_R|.  For b in R, phi^e(b) =
+    phi_R**e(b), which depends on e mod m only, and by CRT the e = e0 (mod
+    |tau|) reach exactly the residues j = e0 (mod gcd(|tau|, m)) in [0, m).
+    So one scan of that class over phi_R**0 .. phi_R**(m-1) decides the
+    condition exactly.  The listing stops at |A| - 1 tables, and a region
+    with m >= |A| is refused; no skew morphism phi is lost, since phi_R
+    agrees with phi on R and fixes the rest, so m divides |phi| <= |A| - 1
+    (the order bound above).
+
     Completed tables are still revalidated and filtered by exact kernel, so
     the check only has to keep every morphism, never to prove one.
     """
@@ -959,27 +927,24 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
                 theta = thetas[theta_key]
                 for a, fa in theta.items():
                     table[a] = fa
-                kernel_cycles = _cycles_on(table, members)
 
                 def move_first(moving, y):
                     s = moving[0].table
                     return add[theta[add[r0][neg[s[r0]]]]][s[y]]
 
-                def place(idx: int, y: int, pinning, finds) -> None:
+                def place(idx: int, y: int, finds) -> None:
                     # phi(r) = y and its coset by theta, for r the representative
                     # of order[idx], then the region check; then the next coset
                     r = reps[order[idx]]
                     for a, fa in theta.items():
                         table[add[a][r]] = add[fa][y]
                     check = checks[idx]
-                    if check is not None:
-                        pinning = _region_holds(group, table, *check, tau.order, pinning)
-                        if pinning is None:
-                            return
+                    if check is not None and not _region_holds(group, table, *check, tau.order):
+                        return
                     idx += 1
                     if idx < len(order):
                         for y in coset_elems[tau.perm[order[idx]]]:
-                            place(idx, y, pinning, finds)
+                            place(idx, y, finds)
                         return
                     sm = try_validate(group, tuple(table))
                     if sm is not None:
@@ -992,7 +957,7 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
                 pair_found: list[SkewMorphism] = []
                 for y0, moves, _ in _orbits(coset_elems[tau.perm[j0]], fixing, move_first):
                     finds: list[SkewMorphism] = []
-                    place(0, y0, kernel_cycles, finds)
+                    place(0, y0, finds)
                     pair_found += _spread(finds, moves, by_stabilizer)
                 tau_found += _spread(pair_found, theta_moves, by_stabilizer)
             found += _spread(tau_found, tau_moves, by_stabilizer)

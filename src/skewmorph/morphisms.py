@@ -79,26 +79,6 @@ class SkewMorphism:
         return _power_list(self.perm, self.order)
 
 
-def pin_power(pins, row, shift_at, perm, res: int, mod: int) -> tuple[int, int] | None:
-    """Pin the exponent j of a displacement D(b) = shift_at(perm[row[b]]).
-
-    Each pin (b, length, offsets) names an element b of a cycle of perm, of
-    the given length, with offsets mapping each cycle member to its position.
-    perm**j(b) = D(b) holds exactly when j = offsets[D(b)] - offsets[b] mod
-    length, so the pins' congruences are merged by CRT into j = res (mod
-    mod).  Returns the merged (res, mod), or None when D(b) leaves the cycle
-    of b or two congruences conflict: then no j satisfies D(b) = perm**j(b)
-    at every pin.
-    """
-    for b, length, offsets in pins:
-        off = offsets.get(shift_at(perm[row[b]]))
-        merged = None if off is None else crt_pair(res, mod, off - offsets[b], length)
-        if merged is None:
-            return None
-        res, mod = merged
-    return res, mod
-
-
 def _power_list(perm: tuple[int, ...], limit: int) -> list[tuple[int, ...]] | None:
     """[perm**0, ..., perm**(m-1)], m = |perm|, each listed from the one
     before by composing with perm; None, after limit tables, when m > limit."""
@@ -216,18 +196,22 @@ def _power_witness(group: AbelianGroup, perm: tuple[int, ...], pins, a: int) -> 
     """Smallest b at which no power of perm agrees with D_a on 0..b, or
     None when D_a is a power of perm.
 
-    The j with perm**j(b) = D_a(b) form one class mod the length of b's
-    cycle, or none when D_a(b) leaves that cycle (pin_power); every
-    length divides |perm|, so the j in [0, |perm|) that agree on 0..b
-    exist exactly when the classes of 0..b merge by CRT.
+    pins[b] = (b, length, offsets) names b's cycle of perm, with offsets
+    mapping each cycle member to its position.  perm**j(b) = D_a(b) holds
+    exactly when j = offsets[D_a(b)] - offsets[b] (mod length), and for no
+    j when D_a(b) leaves the cycle; every length divides |perm|, so the j
+    in [0, |perm|) that agree on 0..b exist exactly when the classes of
+    0..b merge by CRT.
     """
-    shift_at = group.add_table[group.neg_list[perm[a]]].__getitem__
+    shift = group.add_table[group.neg_list[perm[a]]]
     row = group.add_table[a]
-    pinned = (0, 1)
-    for pin in pins:
-        pinned = pin_power((pin,), row, shift_at, perm, *pinned)
-        if pinned is None:
-            return pin[0]
+    res, mod = 0, 1
+    for b, length, offsets in pins:
+        off = offsets.get(shift[perm[row[b]]])
+        merged = None if off is None else crt_pair(res, mod, off - offsets[b], length)
+        if merged is None:
+            return b
+        res, mod = merged
     return None
 
 

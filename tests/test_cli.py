@@ -471,6 +471,14 @@ def test_construct_csm_and_nse(capsys):
     assert code == 2
 
 
+def test_construct_csm_rejection_names_the_given_t(capsys):
+    """--t 3 is 0 mod m = 3: the message names the value given and its residue."""
+    code, out, err = run_cli(capsys, "construct", "csm", "--n", "6", "--k", "2",
+                             "--r", "1", "--s", "1", "--t", "3")
+    assert code == 1 and out == ""
+    assert "t=3 (= 0 mod m=3)" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("construct", "--n", "6", "csm", "--k", "2", "--r", "1", "--s", "1", "--t", "2"),
     ("construct", "--quiet", "root", "--n", "9", "--k", "3", "--s", "8"),

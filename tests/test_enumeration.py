@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from functools import lru_cache
@@ -12,7 +13,6 @@ from skewmorph import enumeration
 from skewmorph.constructions import nonsmooth_witness
 from skewmorph.enumeration import (
     EnumerationReport,
-    _cycles_on,
     _orbit_plan,
     _powers_fit,
     _region_holds,
@@ -37,6 +37,7 @@ from skewmorph.groups import (
     invert,
     make_group,
     parse_group_literal,
+    perm_order,
     perm_power,
     primary_split,
     quotient_group,
@@ -388,12 +389,7 @@ def _region_plan(sm):
 
 
 def _passes_regions(table, sub, tau, checks):
-    pinning = _cycles_on(table, sub.members)
-    for check in checks:
-        pinning = _region_holds(sub.group, table, *check, tau.order, pinning)
-        if pinning is None:
-            return False
-    return True
+    return all(_region_holds(sub.group, table, *check, tau.order) for check in checks)
 
 
 def _assert_region_checks_pass(morphisms):
@@ -404,15 +400,13 @@ def _assert_region_checks_pass(morphisms):
     for sm in morphisms:
         if not sm.is_proper:
             continue
-        sub, tau, checks = _region_plan(sm)
-        pinning = _cycles_on(sm.perm, sub.members)
+        _, tau, checks = _region_plan(sm)
         for check in checks:
             region = check[0]
             assert all(sm.perm[x] in region for x in region)
             hidden = [sm.perm[x] if x in region else 0 for x in range(len(sm.perm))]
-            assert _region_holds(sm.group, hidden, *check, tau.order, pinning) is not None
-            pinning = _region_holds(sm.group, sm.perm, *check, tau.order, pinning)
-            assert pinning is not None, sm.perm
+            assert _region_holds(sm.group, hidden, *check, tau.order)
+            assert _region_holds(sm.group, sm.perm, *check, tau.order), sm.perm
 
 
 @pytest.mark.parametrize("factors", sorted(NONCYCLIC_PINS))
@@ -451,12 +445,11 @@ def test_region_check_enforces_the_quotient_power():
     checked = 0
     for factors in ((3, 3), (3, 6)):
         for sm, _, tau, checks, _ in _moving_quotients(factors):
-            region, _, tests = checks[-1]
+            region, tests = checks[-1]
             assert len(region) == len(sm.perm)
             shifted = [(r, (e0 + 1) % tau.order, *picks) for r, e0, *picks in tests]
-            every = sorted(region)
-            assert _region_holds(sm.group, sm.perm, region, every, tests, tau.order, []) is not None
-            assert _region_holds(sm.group, sm.perm, region, every, shifted, tau.order, []) is None
+            assert _region_holds(sm.group, sm.perm, region, tests, tau.order)
+            assert not _region_holds(sm.group, sm.perm, region, shifted, tau.order)
             checked += 1
     assert checked == 32
 
@@ -478,6 +471,100 @@ def test_region_check_rejects_swapped_coset_images():
         assert not _passes_regions(swapped, sub, tau, checks)
         checked += 1
     assert checked == 16
+
+
+def _naive_region_holds(group, table, region, tests, tau_order):
+    """_region_holds by a scan of exponents: the order m of the table on
+    region, found by iterating it there, must be below |A|, and each test
+    needs some e = e0 (mod tau_order) below lcm(tau_order, m) with
+    table[r + b] - table[r] = phi**e(b) at every usable b, iterating phi."""
+    n = group.order
+    m = 1
+    for x in region:
+        length, y = 1, table[x]
+        while y != x:
+            length, y = length + 1, table[y]
+        m = lcm(m, length)
+    if m >= n:
+        return False
+    for r, e0, at_bs, at_rbs in tests:
+        bs, rbs = at_bs(range(n)), at_rbs(range(n))
+        target = [group.sub(table[rb], table[r]) for rb in rbs]
+        image = list(bs)  # phi**e(b) for each usable b
+        for e in range(lcm(tau_order, m)):
+            if e % tau_order == e0 % tau_order and image == target:
+                break
+            image = [table[x] for x in image]
+        else:
+            return False
+    return True
+
+
+def _seeded_tables(group, rng):
+    """Tables as the general search builds them, on every plan it runs: for
+    each proper kernel candidate K and quotient morphism tau, a random
+    additive bijection of K and a random image for each coset
+    representative r in the coset tau(r mod K), the rest of the coset placed
+    by the kernel.  Yields (table, tau, region checks)."""
+    n = group.order
+    add = group.add_table
+    for sub in enumerate_subgroups(group):
+        if not 1 < sub.size < n:
+            continue
+        quotient, proj = quotient_group(group, sub)
+        coset_elems = [[] for _ in range(quotient.order)]
+        for x in range(n):
+            coset_elems[proj[x]].append(x)
+        thetas = _subgroup_automorphisms(group, sub)
+        for tau in cached_enumeration(quotient.factors).morphisms:
+            order, checks = _orbit_plan(group, coset_elems, proj[0], tau)
+            for _ in range(3):
+                theta = rng.choice(thetas)
+                table = list(range(n))
+                for j in [proj[0], *order]:
+                    y = rng.choice(coset_elems[tau.perm[j]])
+                    for a in sub.members:
+                        table[add[a][coset_elems[j][0]]] = add[theta[a]][y]
+                yield table, tau, [check for check in checks if check is not None]
+
+
+@pytest.mark.parametrize("factors", [(3, 3), (3, 6), (2, 2, 4)])
+def test_region_check_equals_a_naive_exponent_scan(factors):
+    """The residue-class scan over the listed powers of phi|R decides the
+    same as trying every exponent e = e0 (mod |tau|) below lcm(|tau|,
+    |phi|R|), on each find's own plan and on seeded tables.  On Z3xZ6 and
+    Z2xZ2xZ4 some seeded regions have an order |phi|R| that is no multiple
+    of |tau|, so the class mod gcd(|tau|, |phi|R|) holds exponents that
+    the class mod |tau| misses, and some of them pass only through those."""
+    group = make_group(factors)
+    finds = [sm for sm in cached_enumeration(factors).morphisms if sm.is_proper]
+    plans = [(sm.perm, *_region_plan(sm)[1:]) for sm in finds]
+    verdicts = {True: 0, False: 0}
+    for table, tau, checks in plans + list(_seeded_tables(group, random.Random(2207))):
+        for region, tests in checks:
+            verdict = _region_holds(group, table, region, tests, tau.order)
+            assert verdict == _naive_region_holds(group, table, region, tests, tau.order)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > 0, verdicts
+
+
+def test_region_check_refuses_a_region_of_order_at_least_the_group_order():
+    """Every skew morphism of A has order at most |A| - 1, and so has its
+    table on a phi-closed region.  On Z2xZ8 a region table made of a
+    3-cycle and a 7-cycle has order 21 >= 16 and is refused before any
+    test is read; a 3-cycle and a 5-cycle, of order 15, pass."""
+    group = make_group((2, 8))
+    region = set(range(group.order))
+    for lengths, holds in (((3, 7), False), ((3, 5), True)):
+        table = list(range(group.order))
+        start = 1
+        for length in lengths:
+            for x in range(start, start + length):
+                table[x] = x + 1 if x + 1 < start + length else start
+            start += length
+        assert perm_order(table) == prod(lengths)
+        assert _region_holds(group, table, region, [], 1) is holds
+        assert _naive_region_holds(group, table, region, [], 1) is holds
 
 
 @pytest.mark.parametrize("n", [12, 15, 18, 20, 21, 24, 28, 30, 36])

@@ -9,16 +9,17 @@ Two independent routes produce the same sets:
   split of Z_n where the Kovacs-Nedela decomposition theorem applies.
   Otherwise they list the automorphisms x -> t*x, t a unit, and search
   each proper skew type in quotient-lifting cells (_lift_cell).  A cell
-  runs in two phases.  It first solves its power web, the powers on the
-  cosets of its kernel <k> and their prefix sums along the orbit of 1,
-  which depends on the quotient morphism, k and |phi| only, never on the
-  table; a cell whose web has no solution ends there.  Then, under each
-  solution whose powers are 1 mod the order of the seed phi on <k>, it
-  walks the table: it holds phi only per coset of <k>, one image per
+  runs in two phases.  It first solves its power web (_power_web), the
+  powers on the cosets of its kernel <k> and their prefix sums along the
+  orbit of 1, which takes the quotient morphism, k and |phi| only, never
+  the table; a cell whose web has no solution ends there.  Then, under
+  each solution whose powers are 1 mod the order of the seed phi on <k>,
+  it walks the table: it holds phi only per coset of <k>, one image per
   coset, closes the table after each write under the defining identity
   at every known point of the orbit of 1, so it branches only where
   nothing is forced, and searches one phi(1) per orbit of the units = 1
-  mod the quotient order.
+  mod the quotient order.  Both phases journal their writes and close
+  them by one discipline (_bind, _close, _undo).
   Multi-factor groups assemble tables from a kernel candidate, an
   additive bijection of it, a recursively enumerated quotient morphism,
   and one image per coset (_search_general); they search one candidate
@@ -168,6 +169,157 @@ def _spread(finds, moves, transport) -> list[SkewMorphism]:
     return finds + [transport(sm, sigma) for sigma in moves.values() for sm in finds]
 
 
+def _undo(journal) -> None:
+    """Free every entry that a branch's journal wrote (_close)."""
+    for values, i in journal:
+        values[i] = None
+
+
+def _bind(values, inverse, i, v, journal) -> bool:
+    """The injective write: values[i] = v and inverse[v] = i, values[i]
+    free, unless v already sits at another index of values."""
+    if inverse[v] is not None:
+        return False
+    values[i] = v
+    inverse[v] = i
+    journal += ((values, i), (inverse, v))
+    return True
+
+
+def _close(handle, journal) -> bool:
+    """Close a branch's writes under its constraints; False on a contradiction.
+
+    A branch journals each write as the pair (values, i), and every write
+    turns the free (None) entry values[i] into a value, so _undo frees the
+    branch by freeing its journal.  handle(values, i, journal) re-checks the
+    constraints that the write of values[i] may newly decide, writes what
+    they force, and returns False when one fails.  The journal is the
+    worklist: it is scanned in order, and the writes a handler forces are
+    appended behind it, so every write of the branch, its own and the
+    forced ones, is handled once.  When each handler re-checks every
+    constraint on its entry, each constraint is re-checked after the last
+    write among its unknowns, so at the end every constraint that its known
+    unknowns decide holds or has forced the rest.  Writes only fill free
+    entries, and a forced value is the one its constraint fixes from values
+    already known, so the closure and whether it fails do not depend on the
+    order of the scan.
+    """
+    # a list iterator also reads the entries appended while it runs
+    return all(handle(values, i, journal) for values, i in journal)
+
+
+def _power_web(q, k, L) -> list[tuple[int, ...]]:
+    """The solutions cvals of the power web of the cell (q, k, L) of
+    _lift_cell, each a tuple of k powers.
+
+    Its unknowns are cvals, the power on each coset of <k>, and svals[i] =
+    sigma(i), the sum of pi(phi^j(1)) over j < i, mod L.  Every morphism of
+    the cell satisfies all of its constraints:
+
+    * Slot cosets (slot).  Slot i of the orbit of 1, phi^i(1), is congruent
+      to q^i(1) mod d, hence mod k, so its power is cvals[slot_coset[i]],
+      and svals[i + 1] = svals[i] + cvals[slot_coset[i]], with svals[0] =
+      svals[L] = 0 (the orbit of 1 has length L = |phi|).
+    * Composition (link).  cvals[j + 1] = svals[cvals[j]]: the recurrence
+      pi(x + 1) = sigma(pi(x)) of _derive_power, at the basis weight 1,
+      read at x = j in coset j.
+    * Distinct values.  pi is constant exactly on the cosets of <k>, so
+      the k values differ, and cvals[0] = 1 since 0 is in the kernel.
+    * Congruence.  Every power is congruent mod |q| to q's power at its
+      reduction (the congruence lemma of _lift_cell).
+
+    The web reads only q, k and L, never the table or the seed: the coset
+    of slot i is fixed by q before phi(1) is known.  solve branches the
+    least unset cvals[j] over the class of q's power at j mod |q|, and
+    closes the web after each write (_close).  A cvals[j] write re-checks
+    the slots in coset j and the links j - 1 and j; an svals[i] write
+    re-checks slots i - 1 and i and the link c_used[i], whose cvals value
+    is i; a c_used write re-checks nothing.  These are all the constraints
+    on each entry, and _bind keeps cvals distinct.  Once every cvals entry
+    is set, svals follows from svals[0] along the slots, so a leaf of solve
+    is a complete solution, and each is reached once (the branches at one
+    j take distinct values).
+    """
+    slot_coset = []  # the coset of <k> holding slot i, that of q^i(1)
+    coset_slots: list[list[int]] = [[] for _ in range(k)]
+    x = 1
+    for i in range(L):
+        slot_coset.append(x % k)
+        coset_slots[x % k].append(i)
+        x = q.perm[x]
+    svals: list[int | None] = [None] * (L + 1)
+    svals[0] = svals[L] = 0
+    cvals: list[int | None] = [None] * k
+    c_used: list[int | None] = [None] * L
+
+    def slot(i: int, journal) -> bool:
+        # svals[i + 1] = svals[i] + cvals[slot_coset[i]]
+        a, b = svals[i], svals[i + 1]
+        j = slot_coset[i]
+        r = cvals[j]
+        if r is None:
+            return a is None or b is None or _bind(cvals, c_used, j, (b - a) % L, journal)
+        if b is None:
+            if a is not None:
+                svals[i + 1] = (a + r) % L
+                journal.append((svals, i + 1))
+        elif a is None:
+            svals[i] = (b - r) % L
+            journal.append((svals, i))
+        else:
+            return (a + r) % L == b
+        return True
+
+    def link(j: int, journal) -> bool:
+        # cvals[j + 1] = svals[cvals[j]]
+        cj = cvals[j]
+        if cj is None:
+            return True
+        jn = (j + 1) % k
+        succ = cvals[jn]
+        sv = svals[cj]
+        if sv is None:
+            if succ is not None:
+                svals[cj] = succ
+                journal.append((svals, cj))
+            return True
+        if succ is None:
+            return _bind(cvals, c_used, jn, sv, journal)
+        return sv == succ
+
+    def recheck(values, i: int, journal) -> bool:
+        if values is cvals:
+            return (
+                all(slot(s, journal) for s in coset_slots[i])
+                and link((i - 1) % k, journal)
+                and link(i, journal)
+            )
+        if values is svals:
+            j = c_used[i]
+            return slot(i - 1, journal) and slot(i, journal) and (j is None or link(j, journal))
+        return True
+
+    def solve(j: int) -> None:
+        # complete cvals from index j on; each solution is kept as a tuple
+        while j < k and cvals[j] is not None:
+            j += 1
+        if j == k:
+            solutions.append(tuple(cvals))
+            return
+        for guess in range(q.power[j], L, q.order):
+            journal: list = []
+            if _bind(cvals, c_used, j, guess, journal) and _close(recheck, journal):
+                solve(j + 1)
+            _undo(journal)
+
+    solutions: list[tuple[int, ...]] = []
+    journal: list = []
+    _bind(cvals, c_used, 0, 1, journal)
+    if _close(recheck, journal):
+        solve(1)
+    return solutions
+
+
 def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     """One search cell for Z_n: every skew morphism phi with
 
@@ -178,48 +330,22 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
       at j = 0,
     * orbit of the generator 1 of length exactly L (= |phi|).
 
-    A cell runs in two phases: first it solves its power web, once for
-    all its seeds phi(k) = t*k, then for each seed it walks the table under
-    each solution that the seed's kernel-order rule keeps.  Every
-    completed table is revalidated before it is kept, so pruning only
-    needs to preserve completeness for the cell's own (q, k, L).
+    A cell runs in two phases: first it solves its power web (_power_web),
+    once for all its seeds phi(k) = t*k, then for each seed it walks the
+    table under each solution that the seed's kernel-order rule keeps.
+    Both phases journal their writes, bind injectively with _bind, and
+    close with _close.  Every completed table is revalidated before it is
+    kept, so pruning only needs to preserve completeness for the cell's own
+    (q, k, L).
 
-    The power web.  Its unknowns are cvals, the power on each coset of
-    <k>, and svals[i] = sigma(i), the sum of pi(phi^j(1)) over j < i, mod
-    L.  Every morphism of the cell satisfies all of its constraints:
-
-    * Slot cosets.  Slot i of the orbit of 1, phi^i(1), is congruent to
-      slot_res[i] = q^i(1) mod d, hence mod k, so its power is
-      cvals[slot_res[i] % k], and svals[i + 1] = svals[i] +
-      cvals[slot_res[i] % k], with svals[0] = svals[L] = 0 (the orbit of 1
-      has length L = |phi|).
-    * Composition.  cvals[j + 1] = svals[cvals[j]]: the recurrence pi(x +
-      1) = sigma(pi(x)) of _derive_power, at the basis weight 1, read at x
-      = j in coset j.
-    * Distinct values.  pi is constant exactly on the cosets of <k>, so
-      the k values differ, and cvals[0] = 1 since 0 is in the kernel.
-    * Kernel order.  phi maps K = <k> onto itself as multiplication by
-      the unit t with phi(k) = t*k, of order o = ord(t mod n/k), so o
-      divides L and every power value is 1 mod o (the kernel-order lemma,
-      morphisms.kernel).  Seeds with o not dividing L are skipped.
-    * Congruence.  Every power is congruent mod |q| to q's power at its
-      reduction (lemma below).
-
-    These read only q, k, L and o, never the table: the coset of slot i is
-    fixed by q before phi(1) is known, and only the kernel-order rule reads
-    the seed.  So the web is solved once per cell without that rule, and
-    each seed keeps the solutions whose values are all 1 mod its o: the
-    complete assignments that meet every constraint, the same set that a
-    search checking the rule at every write would reach.  solve branches
-    the least unset cvals[j] over the class of q's power at j mod |q|, and
-    propagate closes the web after each write, re-checking just the
-    constraints it touched: a cvals[j] write re-checks the orbit slots in
-    coset j and the composition links j - 1 and j; an svals[i] write
-    re-checks slots i - 1 and i and the link c_used[i], whose cvals value
-    is i.  Once every cvals entry is set, svals follows from svals[0] along
-    the slots, so a leaf of solve is a complete solution, and each is
-    reached once (the branches at one j take distinct values).  A cell
-    whose web has no solution does no table work.
+    The kernel-order rule.  phi maps K = <k> onto itself as multiplication
+    by the unit t with phi(k) = t*k, of order o = ord(t mod n/k), so o
+    divides L and every power value is 1 mod o (the kernel-order lemma,
+    morphisms.kernel).  Seeds with o not dividing L are skipped.  The web
+    does not read the seed, so each seed keeps the web solutions whose
+    values are all 1 mod its o: the complete assignments that meet every
+    constraint, the same set that a search checking the rule at every write
+    would reach.  A cell whose web has no solution does no table work.
 
     The composition rule.  Under a web solution, pi(c) = powers[c] on the
     coset of c.  Write u_i = phi^i(1), the slots of the orbit of 1.  Every
@@ -238,21 +364,22 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     bound, binds that slot if phi(c + u_s) is known, and checks the two
     against each other if both are.
 
-    The table walk.  Each write, of a coset by set_entry or of a slot by
-    bind_slot, is pushed on written, and close pops the writes and fires
-    every pair that the popped write may newly decide: a coset c0 as the
-    source of (c0, s) over the bound slots s, and as the target of (c, s)
-    with c + u_s in c0's coset (s in coset_slots[c0 - c]); a slot s0 as
-    the source of (c, s0) over the set cosets c, and as the target slot of
-    (c, s0 - pi(c)) when that pair's target coset is unset.  This closes
-    the table under the rule.  Writes only add values during close, and
-    u_0 = 1 is bound before every write.  So when the last of the writes
-    of phi(c), u_s and the coset of c + u_s is popped, all three are
-    known, and that write fires (c, s) as a source or as a target coset,
-    roles that skip no pair; a pair whose target coset stays unset is
-    fired when the last of phi(c), u_s and its target slot is popped.  So
-    when close returns, every pair with phi(c), u_s and one target known
-    has both targets known and equal to the rule's values.
+    The table walk.  A coset write (set_entry) and a slot write (_bind of
+    slots and its inverse slot_of) are journaled, and _close hands each to
+    recheck, which fires every pair that the write may newly decide: a
+    coset c0 (row_written) as the source of (c0, s) over the bound slots
+    s, and as the target of (c0 - u_s, s) over the same slots where that
+    coset is set; a slot s0 (slot_written) as the source of (c, s0)
+    over the set cosets c, and as the target slot of (c, s0 - pi(c)) when
+    that pair's target coset is unset.  This closes the table under the
+    rule.  Writes only add values during the closure, and u_0 = 1 is bound
+    before every write.  So when the last of the writes of phi(c), u_s and
+    the coset of c + u_s is scanned, all three are known, and that write
+    fires (c, s) as a source or as a target coset, roles that skip no pair;
+    a pair whose target coset stays unset is fired when the last of phi(c),
+    u_s and its target slot is scanned.  So when the closure returns, every
+    pair with phi(c), u_s and one target known has both targets known and
+    equal to the rule's values.
     The walk branches phi(c) at the least coset c that the closure left
     unset, over the lifts of q(c), and never writes the web.  At a leaf
     every coset is set, so every slot is bound (the rule at c = 0 follows
@@ -284,8 +411,8 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     q (table entries mod d, powers mod |q|), so nothing is re-checked
     against q:
 
-    * the walk draws phi(c) from the lifts of q(c), and solve draws cvals
-      from the class of q's power;
+    * the walk draws phi(c) from the lifts of q(c), and the web's solve
+      draws cvals from the class of q's power;
     * an entry phi(c) + u_(s + pi(c)) and a slot phi(c + u_s) - phi(c)
       forced by the rule follow q's identity q(c + q^s(1)) = q(c) +
       q^(s + pi_q(c))(1), since slot i is congruent to q^i(1), pi(c) to
@@ -300,11 +427,6 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     phi is injective wherever it is set; no slot is bound to 0 (q^i(1) is
     nonzero, as d >= k >= 2); and cvals is 1 only at j = 0, because the web
     is solved from cvals[0] = 1, which sets c_used[1] = 0 (L >= k >= 2).
-
-    Every journaled write turns a free (None) entry of a list into a value:
-    image, slots and its inverse slot_of, svals, cvals and its inverse
-    c_used.  So a journal is the list of (list, index) pairs it wrote, and
-    undo frees them.
 
     Unit-conjugation orbits.  Let u be a unit mod n with u = 1 (mod d),
     and psi = u.phi.u^-1, a skew morphism with power x -> pi(u^-1 x)
@@ -325,133 +447,21 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     add = group.add_table
     neg = group.neg_list
     out: list[SkewMorphism] = []
-    slot_res = [0] * L
-    cur = 1
-    for j in range(L):
-        slot_res[j] = cur
-        cur = q.perm[cur]
-    slot_coset = [r % k for r in slot_res]
-    coset_slots: list[list[int]] = [[] for _ in range(k)]
-    for i, j in enumerate(slot_coset):
-        coset_slots[j].append(i)
-
-    svals: list[int | None] = [None] * (L + 1)
-    svals[0] = 0
-    svals[L] = 0
-    cvals: list[int | None] = [None] * k
-    c_used: list[int | None] = [None] * L
-
-    def undo(journal):
-        for values, i in journal:
-            values[i] = None
-
-    def set_c(j: int, val: int, journal) -> bool:
-        if c_used[val] is not None:
-            return False
-        cvals[j] = val
-        c_used[val] = j
-        journal += ((cvals, j), (c_used, val))
-        return True
-
-    def propagate(j0: int, journal) -> bool:
-        """Close the power web after the write of cvals[j0]."""
-        slot_work = list(coset_slots[j0])
-        link_work = [j0, (j0 - 1) % k]
-
-        def put_c(j: int, val: int) -> bool:
-            if not set_c(j, val, journal):
-                return False
-            slot_work.extend(coset_slots[j])
-            link_work.extend((j, (j - 1) % k))
-            return True
-
-        def put_s(i: int, val: int) -> None:
-            svals[i] = val
-            journal.append((svals, i))
-            slot_work.extend((i - 1, i))
-            if c_used[i] is not None:
-                link_work.append(c_used[i])
-
-        while slot_work or link_work:
-            if slot_work:
-                # slot i: svals[i + 1] = svals[i] + cvals[slot_coset[i]]
-                i = slot_work.pop()
-                a, b = svals[i], svals[i + 1]
-                j = slot_coset[i]
-                r = cvals[j]
-                if r is None:
-                    if a is not None and b is not None and not put_c(j, (b - a) % L):
-                        return False
-                elif b is None:
-                    if a is not None:
-                        put_s(i + 1, (a + r) % L)
-                elif a is None:
-                    put_s(i, (b - r) % L)
-                elif (a + r) % L != b:
-                    return False
-                continue
-            # link j: cvals[j + 1] = svals[cvals[j]]
-            j = link_work.pop()
-            cj = cvals[j]
-            if cj is None:
-                continue
-            jn = (j + 1) % k
-            succ = cvals[jn]
-            sv = svals[cj]
-            if sv is None:
-                if succ is not None:
-                    put_s(cj, succ)
-            elif succ is None:
-                if not put_c(jn, sv):
-                    return False
-            elif sv != succ:
-                return False
-        return True
-
-    def solve(j: int) -> None:
-        # complete cvals from index j on; each solution is kept as a tuple
-        while j < k and cvals[j] is not None:
-            j += 1
-        if j == k:
-            solutions.append(tuple(cvals))
-            return
-        for guess in range(q.power[j], L, q.order):
-            journal: list = []
-            if set_c(j, guess, journal) and propagate(j, journal):
-                solve(j + 1)
-            undo(journal)
-
-    solutions: list[tuple[int, ...]] = []
-    if set_c(0, 1, []) and propagate(0, []):
-        solve(1)
+    solutions = _power_web(q, k, L)
     if not solutions:
         return out
 
     image: list[int | None] = [None] * k
     slots: list[int | None] = [None] * L
-    slots[0] = 1
     slot_of: list[int | None] = [None] * n
-    slot_of[1] = 0
+    _bind(slots, slot_of, 0, 1, [])  # u_0 = 1, for every branch
     powers: tuple[int, ...] = ()  # the web solution the walk runs under
-    # writes not yet closed over: coset c as c, slot s as k + s
-    written: list[int] = []
 
     def set_entry(x: int, v: int, journal) -> None:
         # the coset c + <k> of x is unset: phi(c + m*k) = phi(c) + m*t*k
         c = x % k
         image[c] = add[add[v][neg[kernel_images[x // k]]]]
         journal.append((image, c))
-        written.append(c)
-
-    def bind_slot(s: int, v: int, journal) -> bool:
-        # slot s is free; v may not sit at another slot
-        if slot_of[v] is not None:
-            return False
-        slots[s] = v
-        slot_of[v] = s
-        journal += ((slots, s), (slot_of, v))
-        written.append(k + s)
-        return True
 
     def fire(c: int, s: int, journal) -> bool:
         # phi(c + u_s) = phi(c) + u_(s + pi(c)), with phi(c) and u_s known
@@ -465,19 +475,17 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
                 set_entry(x, row[u], journal)
             return True
         if u is None:
-            return bind_slot(s2, add[target[kernel_images[x // k]]][neg[row[0]]], journal)
+            return _bind(slots, slot_of, s2, add[target[kernel_images[x // k]]][neg[row[0]]], journal)
         return target[kernel_images[x // k]] == row[u]
 
     def row_written(c0: int, journal) -> bool:
-        # phi(c0) as the source of c0 + u_s, then as the target of c + u_s
+        # phi(c0) as the source of c0 + u_s, and as the target of c + u_s
+        # for the one coset c = c0 - u_s, if it is set
         for s, b in enumerate(slots):
-            if b is not None and not fire(c0, s, journal):
-                return False
-        for c, row in enumerate(image):
-            if row is not None:
-                for s in coset_slots[(c0 - c) % k]:
-                    if slots[s] is not None and not fire(c, s, journal):
-                        return False
+            if b is not None:
+                c = (c0 - b) % k
+                if not fire(c0, s, journal) or (image[c] is not None and not fire(c, s, journal)):
+                    return False
         return True
 
     def slot_written(s0: int, journal) -> bool:
@@ -489,17 +497,15 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
                 if not fire(c, s0, journal):
                     return False
                 s = (s0 - powers[c]) % L
-                if slots[s] is not None and image[(c + slot_coset[s]) % k] is None:
+                if slots[s] is not None and image[(c + slots[s]) % k] is None:
                     fire(c, s, journal)  # sets the unset target coset; cannot fail
         return True
 
-    def close(journal) -> bool:
-        while written:
-            w = written.pop()
-            if not (row_written(w, journal) if w < k else slot_written(w - k, journal)):
-                written.clear()
-                return False
-        return True
+    def recheck(values, i: int, journal) -> bool:
+        # a slot_of write re-checks nothing
+        if values is image:
+            return row_written(i, journal)
+        return values is not slots or slot_written(i, journal)
 
     def walk(c: int, finds) -> None:
         # branch phi(c) at the least coset that the closure left unset
@@ -513,9 +519,9 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
         for v in range(q.perm[c], n, d):
             journal: list = []
             set_entry(c, v, journal)
-            if close(journal):
+            if _close(recheck, journal):
                 walk(c + 1, finds)
-            undo(journal)
+            _undo(journal)
 
     # the units u = 1 (mod d): conjugation by them maps the cell's solutions
     # onto themselves, and moves phi(1) to t + u*(phi(1) - t)
@@ -549,9 +555,9 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
                 journal: list = []
                 set_entry(0, 0, journal)
                 set_entry(1, v0, journal)
-                if close(journal):
+                if _close(recheck, journal):
                     walk(2, finds)
-                undo(journal)
+                _undo(journal)
             out += _spread(finds, moves, by_unit)
     return out
 

@@ -47,6 +47,18 @@ def test_enumerate_z1(capsys):
                                         '"smooth":true,"skew_type":1,"kernel":[0],"proper":false}']
 
 
+def test_progress_goes_to_stderr_without_quiet(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "Z6")
+    assert code == 0
+    assert err == "Z6: 4 skew morphisms (2 automorphisms, 0 non-smooth)\n"
+    lines = out.splitlines()
+    assert out.endswith("\n") and len(lines) == 4
+    assert all(json.loads(line)["group"] == [6] for line in lines)
+    code, _, err = run_cli(capsys, "verify", "theorem1", "--max-n", "4")
+    assert code == 0
+    assert err.endswith("theorem1 verified for n <= 4; non-smooth orders: none\n")
+
+
 def test_enumerate_oracle_z3xz3(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "Z3xZ3", "--oracle", "--quiet")
     assert code == 0

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd, lcm, prod
 
 import pytest
@@ -14,8 +14,10 @@ from skewmorph.constructions import nonsmooth_witness
 from skewmorph.enumeration import (
     EnumerationReport,
     _orbit_plan,
+    _power_web,
     _powers_fit,
     _region_holds,
+    _search_cyclic,
     _search_general,
     _subgroup_automorphisms,
     brute_force_oracle,
@@ -857,6 +859,58 @@ def test_power_web_holds_on_every_morphism():
         assert sigma[m] == 0, sm.perm
         assert all(power[(x + 1) % n] == sigma[power[x]] for x in range(n)), sm.perm
     assert (len(oracle), len(found)) == (43, 1367)
+
+
+def _power_web_by_scan(q, k, L, classes):
+    """The power web's solutions by a scan of every cvals with cvals[0] = 1
+    and cvals[j] drawn from classes[j - 1], without propagation."""
+    coset = []  # the coset of <k> holding slot i, that of q^i(1)
+    x = 1
+    for _ in range(L):
+        coset.append(x % k)
+        x = q.perm[x]
+    found = []
+    for rest in product(*classes):
+        cvals = (1, *rest)
+        if len(set(cvals)) < k:
+            continue
+        svals = [0]
+        for i in range(L):
+            svals.append((svals[-1] + cvals[coset[i]]) % L)
+        if svals[L] == 0 and all(cvals[(j + 1) % k] == svals[cvals[j]] for j in range(k)):
+            found.append(cvals)
+    return found
+
+
+def test_power_web_equals_a_scan_of_its_constraints(monkeypatch):
+    """_power_web is exact: on every cell (q, k, L) that _search_cyclic
+    opens for Z2..Z40 with at most 20,000 candidates, it returns the cvals
+    that a scan keeps among all cvals with cvals[0] = 1, each cvals[j] in
+    q's power class at j mod |q| within [0, L), and distinct values, where
+    svals is the running sum of the slots' powers, svals[L] = 0 and
+    cvals[j + 1] = svals[cvals[j]] for every j, indices mod k.  Table walk
+    and revalidation hide a web that keeps too much, so the web is checked
+    on its own."""
+    cells = {}
+    lift_cell = enumeration._lift_cell
+
+    def cell(group, q, k, L):
+        cells[q.perm, k, L] = q
+        return lift_cell(group, q, k, L)
+
+    monkeypatch.setattr(enumeration, "_lift_cell", cell)
+    for n in range(2, 41):
+        list(_search_cyclic(make_group([n])))
+    scanned = solutions = 0
+    for (_, k, L), q in cells.items():
+        classes = [range(q.power[j], L, q.order) for j in range(1, k)]
+        if prod(map(len, classes)) > 20_000:
+            continue
+        expected = _power_web_by_scan(q, k, L, classes)
+        assert sorted(_power_web(q, k, L)) == expected, (q.perm, k, L)
+        scanned += 1
+        solutions += len(expected)
+    assert (len(cells), scanned, solutions) == (626, 569, 346)
 
 
 def test_slot_composition_holds_on_every_morphism():

@@ -13,16 +13,13 @@ from contextlib import contextmanager
 from typing import IO, Iterator, Sequence
 
 from . import constructions, enumeration, morphisms, records
-from .groups import AbelianGroup, InvalidFactorError, SizeGuardError, make_group, parse_group_literal
+from .groups import (SUBGROUP_GUARD, AbelianGroup, InvalidFactorError, SizeGuardError,
+                     make_group, parse_group_literal)
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
-
-# largest group order `check`, `construct` and `verify theorem2` handle
-# without --max-order; each builds an order x order addition table
-CHECK_GUARD = 256
 
 
 class UsageError(Exception):
@@ -44,8 +41,11 @@ def _output(path: str | None) -> Iterator[IO[str]]:
 
 
 def _check_guard(order: int, args) -> None:
-    """Raise SizeGuardError above the guard, before any table is built."""
-    guard = args.max_order if args.max_order is not None else CHECK_GUARD
+    """Raise SizeGuardError above the guard, before any table is built.
+
+    `check`, `construct` and `verify theorem2` each build an order x order
+    addition table, so without --max-order they share the subgroup guard."""
+    guard = args.max_order if args.max_order is not None else SUBGROUP_GUARD
     if order > guard:
         raise SizeGuardError(
             f"group order {order} exceeds {args.command} guard {guard}; raise --max-order"
@@ -284,9 +284,6 @@ def _identity_failures(sm: morphisms.SkewMorphism) -> list[str]:
 
 
 def _verify_theorem2(args) -> int:
-    if not args.groups:
-        print("verify theorem2: --groups is required", file=sys.stderr)
-        return EXIT_USAGE
     groups = _parse_groups_flag(args.groups)
     for group in groups:
         if group.is_cyclic:
@@ -305,16 +302,6 @@ def _verify_theorem2(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    suites = {
-        "theorem1": _verify_theorem1,
-        "csm": _verify_csm,
-        "identities": _verify_identities,
-        "theorem2": _verify_theorem2,
-    }
-    return suites[args.suite](args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewmorph",
@@ -323,31 +310,44 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-order", type=group_order, default=None,
                         help="override the enumeration size guard")
-    common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--quiet", action="store_true", help="suppress progress messages")
+    # the commands that write a file: enumerate, census, construct, reciprocal
+    writer = argparse.ArgumentParser(add_help=False, parents=[common])
+    writer.add_argument("--out", default=None, help="output file (default stdout)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", parents=[common],
+    p = sub.add_parser("enumerate", parents=[writer],
                        help="list all skew morphisms of a group as JSONL")
     p.add_argument("group", help="group literal, e.g. Z6 or Z2xZ4")
     p.add_argument("--oracle", action="store_true",
                    help="use the brute-force permutation scan (order <= 10)")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("census", parents=[common], help="summary counts per group as CSV")
+    p = sub.add_parser("census", parents=[writer], help="summary counts per group as CSV")
     p.add_argument("--cyclic-from", type=group_order, default=None)
     p.add_argument("--cyclic-to", type=group_order, default=None)
     p.add_argument("--groups", default=None, help="comma-separated group literals")
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    p.add_argument("suite", choices=["theorem1", "csm", "identities", "theorem2"])
-    p.add_argument("--max-n", type=group_order, default=20)
-    p.add_argument("--n", type=group_order, default=None)
-    p.add_argument("--groups", default=None)
-    p.set_defaults(func=cmd_verify)
+    p = sub.add_parser("verify", help="run a verification suite")
+    suites = p.add_subparsers(dest="suite", required=True)
+
+    def suite(name: str, run) -> argparse.ArgumentParser:
+        """A verify suite that, like a construct family, takes only its own flags."""
+        s = suites.add_parser(name, parents=[common], allow_abbrev=False)
+        s.set_defaults(func=run)
+        return s
+
+    suite("theorem1", _verify_theorem1).add_argument("--max-n", type=group_order, default=20)
+    one_or_all = suite("csm", _verify_csm).add_mutually_exclusive_group()
+    one_or_all.add_argument("--n", type=group_order, default=None)
+    # a string default is parsed like the flag, so an explicit --max-n 20
+    # is not the default object and still conflicts with --n
+    one_or_all.add_argument("--max-n", type=group_order, default="20")
+    suite("identities", _verify_identities).add_argument("--groups", default=None)
+    suite("theorem2", _verify_theorem2).add_argument("--groups", required=True)
 
     p = sub.add_parser("construct", help="build a morphism from a family")
     families = p.add_subparsers(dest="family", required=True)
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
          lambda a: constructions.root_construct(constructions.root_params(a.n, a.k, a.s))),
         ("nse", "p d nu r", lambda a: constructions.nse_construct(a.p, a.d, a.nu, a.r)),
     ):
-        f = families.add_parser(family, parents=[common], allow_abbrev=False)
+        f = families.add_parser(family, parents=[writer], allow_abbrev=False)
         for flag in flags.split():
             f.add_argument(f"--{flag}", type=int, required=True)
         f.set_defaults(func=cmd_construct, build=build)
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("reciprocal", parents=[common],
+    p = sub.add_parser("reciprocal", parents=[writer],
                        help="count (and list) reciprocal pairs for Z_m and Z_n")
     p.add_argument("--m", type=group_order, required=True)
     p.add_argument("--n", type=group_order, required=True)

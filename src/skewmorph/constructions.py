@@ -393,29 +393,26 @@ def direct_product(sm_a: SkewMorphism, sm_b: SkewMorphism) -> SkewMorphism:
     return sm
 
 
-def _witness_plan(factors: tuple[int, ...]) -> tuple[str, tuple, list[int]] | None:
-    """Pick a non-smooth seed among the primary factors.
+def _witness_seed(pieces: list[tuple[int, int]]) -> tuple[SkewMorphism, list[int]] | None:
+    """A non-smooth seed on some of the primary pieces, given as (p, e) each.
 
-    Returns (kind, args, positions) with positions the factor indices the
-    seed consumes, or None when none of the witness families applies.
+    Returns (seed, positions) with positions the indices of the pieces the
+    seed is built on, in the order of its factors, or None when none of the
+    witness families applies.  The first that applies is taken: an odd
+    p**e with e >= 2, then two pieces of one odd prime, then 2**e with e >= 5.
     """
     by_prime: dict[int, list[int]] = {}
-    for idx, f in enumerate(factors):
-        (p, e), = factorint(f).items()
+    for idx, (p, _) in enumerate(pieces):
         by_prime.setdefault(p, []).append(idx)
-    for p in sorted(by_prime):
-        if p == 2:
-            continue
+    for p in sorted(set(by_prime) - {2}):
         for idx in by_prime[p]:
-            (_, e), = factorint(factors[idx]).items()
-            if e >= 2:
-                return ("pns_odd", (p, e), [idx])
+            if pieces[idx][1] >= 2:
+                return pns_witness_odd(*pieces[idx]), [idx]
         if len(by_prime[p]) >= 2:
-            return ("nse", (p,), by_prime[p][:2])
+            return nse_construct(p, 1, 1, 2), by_prime[p][:2]
     for idx in by_prime.get(2, []):
-        (_, e), = factorint(factors[idx]).items()
-        if e >= 5:
-            return ("pns_two", (e,), [idx])
+        if pieces[idx][1] >= 5:
+            return pns_witness_two(pieces[idx][1]), [idx]
     return None
 
 
@@ -429,20 +426,13 @@ def nonsmooth_witness(group: AbelianGroup) -> SkewMorphism | None:
     the one isomorphism remap gives onto that arrangement.
     """
     pieces = primary_pieces(group)
-    plan = _witness_plan(tuple(q for _, q in pieces))
-    if plan is None:
+    # each piece is a prime power q = p**e, so it yields one (p, e)
+    found = _witness_seed([pe for _, q in pieces for pe in factorint(q).items()])
+    if found is None:
         return None
-    kind, args, positions = plan
+    seed, positions = found
     rest = [i for i in range(len(pieces)) if i not in positions]
     arranged, fwd = remap(group, [pieces[i] for i in positions + rest])
-
-    if kind == "pns_odd":
-        seed = pns_witness_odd(*args)
-    elif kind == "pns_two":
-        seed = pns_witness_two(*args)
-    else:
-        (p,) = args
-        seed = nse_construct(p, 1, 1, 2)
 
     rest_group = make_group(arranged.factors[len(positions):])
     witness = direct_product(seed, identity_morphism(rest_group))

@@ -294,7 +294,36 @@ def test_verify_theorem2_rejects_cyclic(capsys):
 def test_verify_theorem2_requires_groups(capsys):
     code, out, err = run_cli(capsys, "verify", "theorem2", "--quiet")
     assert code == 2 and out == ""
-    assert "--groups is required" in err
+    assert "--groups" in err and "required" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("verify", "theorem1", "--groups", "Z6"), "--groups"),
+    (("verify", "theorem1", "--n", "6"), "--n"),
+    (("verify", "identities", "--max-n", "40"), "--max-n"),
+    (("verify", "theorem2", "--groups", "Z3xZ3", "--max-n", "5"), "--max-n"),
+    (("verify", "csm", "--groups", "Z6"), "--groups"),
+    (("verify", "csm", "--n", "6", "--max-n", "8"), "--max-n"),
+    (("verify", "csm", "--n", "6", "--max-n", "20"), "--max-n"),
+    (("check", "--file", "{record}", "--out", "{out}"), "--out"),
+    (("verify", "theorem1", "--out", "{out}"), "--out"),
+])
+def test_every_accepted_flag_is_read(capsys, monkeypatch, tmp_path, argv, flag):
+    """A flag that the command would not read exits 2, naming the flag,
+    before any enumeration or output: each verify suite takes only its own
+    flags, csm's --n and --max-n exclude each other (an explicit --max-n 20,
+    the default, included), and only the commands that write take --out."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated although a flag was refused")
+
+    monkeypatch.setattr(enumeration, "_search_morphisms", refuse)
+    record, out_path = tmp_path / "record.json", tmp_path / "out"
+    run_cli(capsys, "construct", "root", "--n", "9", "--k", "3", "--s", "8", "--out", str(record))
+    argv = [a.format(record=record, out=out_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--quiet")
+    assert code == 2 and out == ""
+    assert flag in err
+    assert not out_path.exists()
 
 
 def test_verify_identities_reports_a_broken_power_function(capsys, monkeypatch):

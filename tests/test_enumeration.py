@@ -221,7 +221,7 @@ def test_theorem2_necessary():
 
 def test_theorem2_necessary_fails_exactly_where_a_witness_is_built():
     """The arithmetic test against the independent encoding of the witness
-    families in constructions (_witness_plan), on every non-cyclic
+    families in constructions (_witness_seed), on every non-cyclic
     presentation of order <= 64."""
     groups = [
         group

@@ -1,13 +1,17 @@
 """Command-line front end: enumerate, census, verify, construct, check, reciprocal.
 
 Exit codes: 0 success, 1 mathematical failure (a check or construction did
-not hold), 2 usage or parse error, 3 size guard exceeded.
+not hold), 2 usage or parse error, 3 size guard exceeded, 141 the reader
+closed the output before it was all written (as `| head` does), with no
+traceback; 141 = 128 + SIGPIPE is the status a shell reports for a writer
+that a closed pipe stops.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import IO, Iterator, Sequence
@@ -20,6 +24,7 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_PIPE = 141
 
 
 class UsageError(Exception):
@@ -127,6 +132,7 @@ def cmd_census(args) -> int:
         for group in groups:
             report = _report(group, args)
             _emit(out, records.census_row(group.label, report))
+            out.flush()  # a row can take seconds: hand each on as it is done
     return EXIT_OK
 
 
@@ -379,6 +385,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        status = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (or an --out pipe); point stdout at devnull
+        # so that the interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return status
+
+
+def _dispatch(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -27,13 +27,13 @@ Two independent routes produce the same sets:
   that candidate, and conjugate those onto the rest of the orbit.  Two
   more cuts use the candidate's stabilizer in Aut(A) the same way: one
   (quotient morphism, kernel bijection) pair per orbit of the
-  stabilizer, and inside a pair one image of the first placed coset
-  representative per orbit of the pair's stabilizer; the finds are
-  conjugated onto the rest of each orbit.  The cosets are placed one
-  quotient orbit at a time, and after each orbit a region check
-  (_region_holds) tests the defining identity on the finished,
-  phi-closed part of the table, so most tables die before they are
-  complete.
+  stabilizer, and inside a pair a stabilizer chain: at every placed coset
+  representative one image per orbit of the sigmas that fix the pair, the
+  coset and every image placed before it; the finds are conjugated onto
+  the rest of each orbit.  The cosets are placed one quotient orbit at a
+  time, and after each orbit a region check (_region_holds) tests the
+  defining identity on the finished, phi-closed part of the table, so
+  most tables die before they are complete.
   Every orbit cut, cyclic or not, takes its representatives and
   transversals from groups._orbits and spreads its finds over the orbit
   with _spread, which argues once why that is complete and yields each
@@ -73,6 +73,7 @@ from .groups import (
     crt_pair,
     cycles,
     enumerate_automorphisms,
+    invert,
     enumerate_subgroups,
     factorint,
     invariant_factors,
@@ -685,14 +686,6 @@ def _subgroup_automorphisms(group: AbelianGroup, sub) -> list[dict[int, int]]:
     return [dict(zip(isos[0], iso)) for iso in isos]
 
 
-def _conjugated(p, perm) -> tuple[int, ...]:
-    """p . perm . p^-1, for permutations of range(len(perm)) as sequences."""
-    moved = [0] * len(perm)
-    for x, y in enumerate(perm):
-        moved[p[x]] = p[y]
-    return tuple(moved)
-
-
 def _orbit_plan(group: AbelianGroup, coset_elems, zero: int, tau: SkewMorphism):
     """Order the nonzero cosets by tau-orbit, shortest orbit first.
 
@@ -819,20 +812,33 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
     invariant under conjugation, so the refused thetas are whole orbits of
     the tau's stabilizer, and a tau that keeps none is not planned.
 
-    One phi(r0) per orbit inside a pair.  Let r0 be the representative of
-    the first placed coset j0 = order[0], and G the sigmas of Stab(K0) that
-    fix tau and theta and whose sigma_bar fixes j0.  For sigma in G, psi =
-    sigma phi sigma^-1 is again a find of the pair, and with a = sigma^-1 r0
-    - r0 in K0 the kernel placement phi(r0 + a) = theta(a) + phi(r0) gives
-    psi(r0) = sigma(theta(sigma^-1 r0 - r0) + phi(r0)) = theta(r0 - sigma
-    r0) + sigma(phi(r0)), as sigma theta = theta sigma on K0.  The map y ->
-    theta(r0 - sigma r0) + sigma(y) is an action of G on the coset
-    tau(j0) + K0 (sigma_bar fixes tau(j0) = tau(sigma_bar j0)): composing
-    the maps of sigma and rho gives theta(r0 - sigma r0) + theta(sigma r0 -
-    sigma rho r0) + sigma rho y, the map of sigma rho.  So conjugation by a
-    sigma of G carrying y0 to y maps the finds with phi(r0) = y0 one to one
-    onto those with phi(r0) = y.  The search sets phi(r0) to one y0 per
-    orbit before it places the other cosets, and spreads the finds.
+    One image per orbit at every placed coset: a stabilizer chain.  Let r_i
+    be the representative of the coset j_i = order[i], and for images y_0
+    .. y_(i-1) let F(y_0 .. y_(i-1)) be the finds of the pair with phi(r_h)
+    = y_h for every h < i.  Let G_0 be the sigmas of Stab(K0) that fix tau
+    and theta, H_i the sigmas of G_i whose sigma_bar fixes j_i, and G_(i+1)
+    the sigmas of H_i whose action below fixes y_i.  For sigma in H_i and r
+    = r_i, psi = sigma phi sigma^-1 is again a find of the pair, and with a
+    = sigma^-1 r - r in K0 the kernel placement phi(r + a) = theta(a) +
+    phi(r) gives psi(r) = sigma(theta(sigma^-1 r - r) + phi(r)) = theta(r -
+    sigma r) + sigma(phi(r)), as sigma theta = theta sigma on K0.  The map y
+    -> theta(r - sigma r) + sigma(y) is an action of H_i on the coset
+    tau(j_i) + K0 (sigma_bar fixes tau(j_i) = tau(sigma_bar j_i)):
+    composing the maps of sigma and rho gives theta(r - sigma r) +
+    theta(sigma r - sigma rho r) + sigma rho y, the map of sigma rho.  A
+    sigma of H_i lies in every G_(h+1), h < i, so the same formula at r_h
+    gives psi(r_h) = y_h, and conjugation by a sigma of H_i carrying y to
+    y' maps F(y_0 .. y_(i-1), y) one to one onto F(y_0 .. y_(i-1), y').
+    place(i, G_i) yields F(y_0 .. y_(i-1)) for the images already placed,
+    each morphism once, by induction from the last level up.  With every
+    coset placed, F is the completed table if it validates with kernel
+    exactly K0.  Below that, F(y_0 .. y_(i-1)) is the disjoint union of
+    F(y_0 .. y_(i-1), y) over y in the coset; place takes one y per
+    H_i-orbit, searches it under its stabilizer G_(i+1), which yields F(..,
+    y) by the hypothesis, and spreads the finds over the orbit (_spread).
+    The region check between the levels refuses only tables that are no
+    find (below), so it drops nothing.  At i = 0 nothing is placed, and F
+    is every find of the pair.
 
     A table dies as soon as a phi-closed region of it breaks the identity.
     The nonzero cosets are placed tau-orbit by tau-orbit (_orbit_plan).
@@ -882,7 +888,7 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
         return tuple(sorted(sigma.table[a] for a in members))
 
     def by_stabilizer(sm, moving):
-        # moving is (sigma, sigma_bar, sigma on K0), an entry of stab below
+        # moving is an entry of stab below, led by its sigma
         return conjugate(sm, moving[0])
 
     for members, kernel_moves, stab in _orbits(subgroups, autos, move_subgroup):
@@ -894,17 +900,17 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
         for x in range(n):
             coset_elems[proj[x]].append(x)
         reps = [cells[0] for cells in coset_elems]
-        # each sigma of Stab(K0) with the permutations it induces on the cosets
-        # (sigma_bar) and on the members of K0, by index
         index = {a: i for i, a in enumerate(members)}
-        stab = [
-            (
-                sigma,
-                tuple(proj[sigma.table[r]] for r in reps),
-                tuple(index[sigma.table[a]] for a in members),
-            )
-            for sigma in stab
-        ]
+
+        def induced(sigma):
+            # sigma of Stab(K0) with the permutations it induces on the cosets
+            # (sigma_bar) and on the members of K0, by index, and itemgetters
+            # of their inverses, which move_tau and move_theta read
+            bar = tuple(proj[sigma.table[r]] for r in reps)
+            on_k = tuple(index[sigma.table[a]] for a in members)
+            return sigma, bar, on_k, itemgetter(*invert(bar)), itemgetter(*invert(on_k))
+
+        stab = [induced(sigma) for sigma in stab]
         taus = {tau.perm: tau for tau in cached_enumeration(quotient.factors, max_order).morphisms}
         thetas = {
             tuple(index[theta[a]] for a in members): theta
@@ -912,11 +918,13 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
         }
         theta_orders = {key: perm_order(key) for key in thetas}
 
+        # p perm p^-1 for p = sigma_bar or sigma on K0: the values p[perm[x]],
+        # read at x = p^-1(z), both by C-level itemgetters
         def move_tau(moving, perm):
-            return _conjugated(moving[1], perm)
+            return moving[3](itemgetter(*perm)(moving[1]))
 
         def move_theta(moving, perm):
-            return _conjugated(moving[2], perm)
+            return moving[4](itemgetter(*perm)(moving[2]))
 
         found: list[SkewMorphism] = []
         table = [0] * n
@@ -926,45 +934,43 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
             if not admitted:
                 continue
             order, checks = _orbit_plan(group, coset_elems, proj[0], tau)
-            j0 = order[0]
-            r0 = reps[j0]
             tau_found: list[SkewMorphism] = []
             for theta_key, theta_moves, pair_stab in _orbits(admitted, tau_stab, move_theta):
                 theta = thetas[theta_key]
                 for a, fa in theta.items():
                     table[a] = fa
 
-                def move_first(moving, y):
-                    s = moving[0].table
-                    return add[theta[add[r0][neg[s[r0]]]]][s[y]]
+                def place(idx: int, stabilizer, finds) -> None:
+                    # level idx of the chain: one phi(r) per orbit of the sigmas of
+                    # stabilizer whose sigma_bar fixes order[idx], r its representative;
+                    # phi(r) and its coset by theta, the region check, then the next
+                    # level under phi(r)'s stabilizer; the finds spread over the orbit
+                    if idx == len(order):
+                        sm = try_validate(group, tuple(table))
+                        if sm is not None:
+                            one = 1 % sm.order
+                            if {a for a in range(n) if sm.power[a] == one} == kernel_set:
+                                finds.append(sm)
+                        return
+                    j = order[idx]
+                    r = reps[j]
+                    fixing = [moving for moving in stabilizer if moving[1][j] == j]
 
-                def place(idx: int, y: int, finds) -> None:
-                    # phi(r) = y and its coset by theta, for r the representative
-                    # of order[idx], then the region check; then the next coset
-                    r = reps[order[idx]]
-                    for a, fa in theta.items():
-                        table[add[a][r]] = add[fa][y]
+                    def move_image(moving, y):  # y -> theta(r - sigma r) + sigma(y)
+                        s = moving[0].table
+                        return add[theta[add[r][neg[s[r]]]]][s[y]]
+
                     check = checks[idx]
-                    if check is not None and not _region_holds(group, table, *check, tau.order):
-                        return
-                    idx += 1
-                    if idx < len(order):
-                        for y in coset_elems[tau.perm[order[idx]]]:
-                            place(idx, y, finds)
-                        return
-                    sm = try_validate(group, tuple(table))
-                    if sm is not None:
-                        one = 1 % sm.order
-                        if {a for a in range(n) if sm.power[a] == one} == kernel_set:
-                            finds.append(sm)
+                    for y, moves, y_stab in _orbits(coset_elems[tau.perm[j]], fixing, move_image):
+                        for a, fa in theta.items():
+                            table[add[a][r]] = add[fa][y]
+                        y_finds: list[SkewMorphism] = []
+                        if check is None or _region_holds(group, table, *check, tau.order):
+                            place(idx + 1, y_stab, y_finds)
+                        finds += _spread(y_finds, moves, by_stabilizer)
 
-                # one phi(r0) per orbit of the sigmas fixing tau, theta and r0's coset
-                fixing = [moving for moving in pair_stab if moving[1][j0] == j0]
                 pair_found: list[SkewMorphism] = []
-                for y0, moves, _ in _orbits(coset_elems[tau.perm[j0]], fixing, move_first):
-                    finds: list[SkewMorphism] = []
-                    place(0, y0, finds)
-                    pair_found += _spread(finds, moves, by_stabilizer)
+                place(0, pair_stab, pair_found)
                 tau_found += _spread(pair_found, theta_moves, by_stabilizer)
             found += _spread(tau_found, tau_moves, by_stabilizer)
         out += _spread(found, kernel_moves, conjugate)

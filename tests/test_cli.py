@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewmorph import constructions, enumeration, morphisms
-from skewmorph.cli import main
+from skewmorph.cli import EXIT_PIPE, main
 from skewmorph.enumeration import cached_enumeration
 from skewmorph.records import (
     CSV_HEADER,
@@ -345,6 +345,24 @@ def test_verify_identities_reports_a_broken_power_function(capsys, monkeypatch):
     assert json.loads(out)["failed"] == ["defining-identity", "sum-identity"]
 
 
+def test_verify_identities_reports_a_kernel_phi_moves(capsys, monkeypatch):
+    """A forged morphism of Z4 with phi = (1 2) and power 1 exactly on
+    {0, 2}: its kernel is a subgroup, and phi moves 2 out of it, which
+    verify identities reports as kernel-preserved, beside the identities
+    the forgery breaks with it."""
+    group = make_group([4])
+    forged = morphisms.SkewMorphism(group, (0, 2, 1, 3), 2, (1, 0, 1, 0))
+    assert morphisms.kernel(forged).members == (0, 2)
+    report = enumeration.enumerate_skew_morphisms(group)
+    monkeypatch.setattr(enumeration, "enumerate_skew_morphisms",
+                        lambda group, max_order=None: dataclasses.replace(report, morphisms=(forged,)))
+    code, out, _ = run_cli(capsys, "verify", "identities", "--groups", "Z4", "--quiet")
+    assert code == 1
+    assert json.loads(out)["failed"] == [
+        "defining-identity", "kernel-preserved", "core-equals-kernel", "sum-identity"
+    ]
+
+
 def test_construct_round_trip(capsys, tmp_path):
     path = tmp_path / "root.json"
     code, _, _ = run_cli(capsys, "construct", "root", "--n", "9", "--k", "3", "--s", "8",
@@ -577,10 +595,16 @@ def test_check_record_refuses_a_factor_below_two():
         check_record(record)
 
 
-def test_module_entry_point():
+def _subprocess_env() -> dict:
+    """The environment for a child Python that imports this checkout's src."""
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_module_entry_point():
+    env = _subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-m", "skewmorph", "enumerate", "Z5", "--quiet"],
         capture_output=True, text=True, env=env,
@@ -589,11 +613,49 @@ def test_module_entry_point():
     assert len(proc.stdout.strip().splitlines()) == 4
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "Z5xZ5"], ["census", "--cyclic-from", "2", "--cyclic-to", "50"]],
+    ids=["enumerate", "census"],
+)
+def test_closed_output_pipe_exits_without_a_traceback(argv, unbuffered):
+    """A reader that closes the pipe after the first line, as `| head -1`
+    does, stops the command with EXIT_PIPE and no traceback, with and
+    without PYTHONUNBUFFERED.  The 768 records of Z5xZ5 are larger than a
+    pipe buffer, and census hands on each row as it is done and takes
+    most of a second after its header for Z2..Z50, so the pipe closes
+    while the command is still writing."""
+    env = _subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skewmorph", *argv, "--quiet"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_PIPE
+    assert "Traceback" not in err and "Error" not in err, err
+
+
+def test_closed_stdout_in_process_returns_exit_pipe(monkeypatch):
+    """main called in-process on a stdout whose pipe has no reader returns
+    EXIT_PIPE, and leaves the stream writable (to the null device) so that
+    closing it cannot raise again."""
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", encoding="utf-8") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["enumerate", "Z5", "--quiet"]) == EXIT_PIPE
+
+
 def test_package_imports_only_the_standard_library():
     """The package stays pure Python with no runtime dependency."""
-    env = dict(os.environ)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env = _subprocess_env()
     script = (
         "import json, sys\n"
         "before = set(sys.modules)\n"

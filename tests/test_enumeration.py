@@ -659,25 +659,37 @@ def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tab
 
 
 @pytest.mark.parametrize(
-    "factors,tables,conjugates",
-    [((2, 2, 4), 171, (42, 48, 8)), ((5, 5), 41, (240, 0, 27)), ((3, 6), 50, (24, 22, 10))],
+    "factors,tables,conjugates,regions",
+    [
+        ((2, 2, 4), 130, (42, 48, 8), 592),
+        ((5, 5), 32, (240, 0, 36), 761),
+        ((3, 6), 39, (24, 22, 12), 277),
+    ],
     ids=["Z2xZ2xZ4", "Z5xZ5", "Z3xZ6"],
 )
-def test_general_search_revalidates_a_pinned_number_of_tables(monkeypatch, factors, tables, conjugates):
+def test_general_search_revalidates_a_pinned_number_of_tables(
+    monkeypatch, factors, tables, conjugates, regions
+):
     """Pins how hard the general route prunes: a cold enumeration, quotients
-    included, revalidates exactly this many completed tables, and conjugates
-    exactly this many finds onto another kernel of the kernel's Aut(A)-orbit,
-    onto another (tau, theta) pair of the kernel's stabilizer orbit, and
-    onto another phi(r0) of the pair, in that order.  Each conjugate is
-    sorted by what it changes, so a cut that stops expanding shows here and
-    not only as lost time.  A fresh cache makes the counts independent of
-    test order."""
+    included, revalidates exactly this many completed tables, runs exactly
+    this many region checks, and conjugates exactly this many finds onto
+    another kernel of the kernel's Aut(A)-orbit, onto another (tau, theta)
+    pair of the kernel's stabilizer orbit, and onto another image at some
+    placed coset of the pair (the stabilizer chain), in that order.  Each
+    conjugate is sorted by what it changes, so a cut that stops expanding
+    shows here and not only as lost time.  A fresh cache makes the counts
+    independent of test order."""
     calls = []
+    checked = [0]
     expanded = [0, 0, 0]
 
     def counted(group, table):
         calls.append(table)
         return try_validate(group, table)
+
+    def region_counted(*args):
+        checked[0] += 1
+        return _region_holds(*args)
 
     def transported(sm, sigma):
         psi = conjugate(sm, sigma)
@@ -693,11 +705,12 @@ def test_general_search_revalidates_a_pinned_number_of_tables(monkeypatch, facto
         return psi
 
     monkeypatch.setattr(enumeration, "try_validate", counted)
+    monkeypatch.setattr(enumeration, "_region_holds", region_counted)
     monkeypatch.setattr(enumeration, "conjugate", transported)
     fresh = lru_cache(maxsize=None)(enumeration.cached_enumeration.__wrapped__)
     monkeypatch.setattr(enumeration, "cached_enumeration", fresh)
     enumerate_skew_morphisms(make_group(factors))
-    assert (len(calls), tuple(expanded)) == (tables, conjugates)
+    assert (len(calls), tuple(expanded), checked[0]) == (tables, conjugates, regions)
 
 
 @pytest.mark.parametrize("n", sorted(CYCLIC_PINS))

@@ -9,16 +9,19 @@ Two independent routes produce the same sets:
   split of Z_n where the Kovacs-Nedela decomposition theorem applies.
   Otherwise they list the automorphisms x -> t*x, t a unit, and search
   each proper skew type in quotient-lifting cells (_lift_cell).  A cell
-  runs in two phases.  It first solves its power web (_power_web), the
-  powers on the cosets of its kernel <k> and their prefix sums along the
-  orbit of 1, which takes the quotient morphism, k and |phi| only, never
-  the table; a cell whose web has no solution ends there.  Then, under
+  is opened only if its coset powers fit in Z_|phi| (_powers_fit, the
+  capacity rule both routes share) and its power web has a solution.
+  The web (_power_web) is the powers on the cosets of the kernel <k> and
+  their prefix sums along the orbit of 1; it reads the cosets of <k> that
+  the quotient morphism's orbit of 1 meets, the quotient's powers and
+  order, k and |phi|, never the table, so the search solves each web
+  once and shares it among the cells with its signature.  Then, under
   each solution whose powers are 1 mod the order of the seed phi on <k>,
-  it walks the table: it holds phi only per coset of <k>, one image per
-  coset, closes the table after each write under the defining identity
-  at every known point of the orbit of 1, so it branches only where
-  nothing is forced, and searches one phi(1) per orbit of the units = 1
-  mod the quotient order.  Both phases journal their writes and close
+  the cell walks the table: it holds phi only per coset of <k>, one image
+  per coset, closes the table after each write under the defining
+  identity at every known point of the orbit of 1, so it branches only
+  where nothing is forced, and searches one phi(1) per orbit of the units
+  = 1 mod the quotient order.  Both phases journal their writes and close
   them by one discipline (_bind, _close, _undo).
   Multi-factor groups assemble tables from a kernel candidate, an
   additive bijection of it, a recursively enumerated quotient morphism,
@@ -47,10 +50,11 @@ Orders are always derived from tables.  The searches use two published
 bounds on |phi|, and only to skip work: on Z_n, |phi| divides n*phi(n),
 which skips cells (_search_cyclic); on any A, |phi| <= |A| - 1, which
 skips the (quotient morphism, kernel bijection) pairs whose coset powers
-cannot be pairwise distinct in Z_|phi| (_powers_fit, in _search_general)
-and lets the region check list the powers of the table on a phi-closed
-region, at most |A| - 1 of them, and refuse a region whose table has a
-larger order (_region_holds).
+cannot be pairwise distinct in Z_|phi| (_powers_fit, in _search_general;
+_search_cyclic applies the same rule at its cell's own |phi|) and lets the
+region check list the powers of the table on a phi-closed region, at most
+|A| - 1 of them, and refuse a region whose table has a larger order
+(_region_holds).
 """
 
 from __future__ import annotations
@@ -209,45 +213,49 @@ def _close(handle, journal) -> bool:
     return all(handle(values, i, journal) for values, i in journal)
 
 
-def _power_web(q, k, L) -> list[tuple[int, ...]]:
-    """The solutions cvals of the power web of the cell (q, k, L) of
-    _lift_cell, each a tuple of k powers.
+def _power_web(word, powers, m, k, L) -> list[tuple[int, ...]]:
+    """The solutions cvals of the power web of a cell of _lift_cell, each a
+    tuple of k powers.  For the cell (q, k, L), m = |q|, word[i] = q^i(1)
+    mod k for i < m, and powers = q.power[:k].
 
     Its unknowns are cvals, the power on each coset of <k>, and svals[i] =
     sigma(i), the sum of pi(phi^j(1)) over j < i, mod L.  Every morphism of
     the cell satisfies all of its constraints:
 
     * Slot cosets (slot).  Slot i of the orbit of 1, phi^i(1), is congruent
-      to q^i(1) mod d, hence mod k, so its power is cvals[slot_coset[i]],
-      and svals[i + 1] = svals[i] + cvals[slot_coset[i]], with svals[0] =
-      svals[L] = 0 (the orbit of 1 has length L = |phi|).
+      to q^i(1) mod d, hence mod k, so it lies in the coset word[i mod m]
+      (q^m = 1, and m divides L) and its power is cvals of that coset;
+      svals[i + 1] = svals[i] + that power, with svals[0] = svals[L] = 0
+      (the orbit of 1 has length L = |phi|).
     * Composition (link).  cvals[j + 1] = svals[cvals[j]]: the recurrence
       pi(x + 1) = sigma(pi(x)) of _derive_power, at the basis weight 1,
       read at x = j in coset j.
     * Distinct values.  pi is constant exactly on the cosets of <k>, so
       the k values differ, and cvals[0] = 1 since 0 is in the kernel.
-    * Congruence.  Every power is congruent mod |q| to q's power at its
+    * Congruence.  Every power is congruent mod m to q's power at its
       reduction (the congruence lemma of _lift_cell).
 
-    The web reads only q, k and L, never the table or the seed: the coset
-    of slot i is fixed by q before phi(1) is known.  solve branches the
-    least unset cvals[j] over the class of q's power at j mod |q|, and
-    closes the web after each write (_close).  A cvals[j] write re-checks
-    the slots in coset j and the links j - 1 and j; an svals[i] write
-    re-checks slots i - 1 and i and the link c_used[i], whose cvals value
-    is i; a c_used write re-checks nothing.  These are all the constraints
-    on each entry, and _bind keeps cvals distinct.  Once every cvals entry
-    is set, svals follows from svals[0] along the slots, so a leaf of solve
-    is a complete solution, and each is reached once (the branches at one
-    j take distinct values).
+    The web reads only its arguments, never the table or the seed: the
+    coset of slot i is fixed by q before phi(1) is known.  So cells with
+    equal arguments share their solutions (_search_cyclic).  solve
+    branches the unset cvals[j] whose coset the orbit of 1 meets first
+    (the rest after, least first), over the class of powers[j] mod m, so
+    the prefix sums svals, and through them the links, are known early;
+    it closes the web after each write (_close).  A cvals[j] write
+    re-checks the slots in coset j and the links j - 1 and j; an svals[i]
+    write re-checks slots i - 1 and i and the link c_used[i], whose cvals
+    value is i; a c_used write re-checks nothing.  These are all the
+    constraints on each entry, and _bind keeps cvals distinct.  Once every
+    cvals entry is set, svals follows from svals[0] along the slots, so a
+    leaf of solve is a complete solution, and each is reached once (the
+    branches at one coset take distinct values).
     """
-    slot_coset = []  # the coset of <k> holding slot i, that of q^i(1)
+    slot_coset = [word[i % m] for i in range(L)]  # the coset of <k> holding slot i
     coset_slots: list[list[int]] = [[] for _ in range(k)]
-    x = 1
-    for i in range(L):
-        slot_coset.append(x % k)
-        coset_slots[x % k].append(i)
-        x = q.perm[x]
+    for i, j in enumerate(slot_coset):
+        coset_slots[j].append(i)
+    # the cosets in the order solve branches them
+    order = list(dict.fromkeys(word + tuple(range(k))))
     svals: list[int | None] = [None] * (L + 1)
     svals[0] = svals[L] = 0
     cvals: list[int | None] = [None] * k
@@ -300,28 +308,29 @@ def _power_web(q, k, L) -> list[tuple[int, ...]]:
             return slot(i - 1, journal) and slot(i, journal) and (j is None or link(j, journal))
         return True
 
-    def solve(j: int) -> None:
-        # complete cvals from index j on; each solution is kept as a tuple
-        while j < k and cvals[j] is not None:
-            j += 1
-        if j == k:
+    def solve(i: int) -> None:
+        # complete cvals from the coset order[i] on; a solution is kept as a tuple
+        while i < k and cvals[order[i]] is not None:
+            i += 1
+        if i == k:
             solutions.append(tuple(cvals))
             return
-        for guess in range(q.power[j], L, q.order):
+        j = order[i]
+        for guess in range(powers[j], L, m):
             journal: list = []
             if _bind(cvals, c_used, j, guess, journal) and _close(recheck, journal):
-                solve(j + 1)
+                solve(i + 1)
             _undo(journal)
 
     solutions: list[tuple[int, ...]] = []
     journal: list = []
     _bind(cvals, c_used, 0, 1, journal)
     if _close(recheck, journal):
-        solve(1)
+        solve(0)
     return solutions
 
 
-def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
+def _lift_cell(group, q, k, L, solutions) -> list[SkewMorphism]:
     """One search cell for Z_n: every skew morphism phi with
 
     * phi reduced mod d equal to the quotient morphism q of Z_d (d =
@@ -331,13 +340,14 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
       at j = 0,
     * orbit of the generator 1 of length exactly L (= |phi|).
 
-    A cell runs in two phases: first it solves its power web (_power_web),
-    once for all its seeds phi(k) = t*k, then for each seed it walks the
-    table under each solution that the seed's kernel-order rule keeps.
-    Both phases journal their writes, bind injectively with _bind, and
-    close with _close.  Every completed table is revalidated before it is
-    kept, so pruning only needs to preserve completeness for the cell's own
-    (q, k, L).
+    A cell runs in two phases: first its power web is solved (_power_web),
+    once for all its seeds phi(k) = t*k, by _search_cyclic, which passes
+    the solutions in and opens no cell without one; then for each seed the
+    cell walks the table under each solution that the seed's kernel-order
+    rule keeps.  Both phases journal their writes, bind injectively with
+    _bind, and close with _close.  Every completed table is revalidated
+    before it is kept, so pruning only needs to preserve completeness for
+    the cell's own (q, k, L).
 
     The kernel-order rule.  phi maps K = <k> onto itself as multiplication
     by the unit t with phi(k) = t*k, of order o = ord(t mod n/k), so o
@@ -346,7 +356,7 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     does not read the seed, so each seed keeps the web solutions whose
     values are all 1 mod its o: the complete assignments that meet every
     constraint, the same set that a search checking the rule at every write
-    would reach.  A cell whose web has no solution does no table work.
+    would reach.
 
     The composition rule.  Under a web solution, pi(c) = powers[c] on the
     coset of c.  Write u_i = phi^i(1), the slots of the orbit of 1.  Every
@@ -427,7 +437,8 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     So distinct cosets c < k have phi(c) in distinct cosets of <k> and
     phi is injective wherever it is set; no slot is bound to 0 (q^i(1) is
     nonzero, as d >= k >= 2); and cvals is 1 only at j = 0, because the web
-    is solved from cvals[0] = 1, which sets c_used[1] = 0 (L >= k >= 2).
+    is solved from cvals[0] = 1, which sets c_used[1] = 0 (L >= k >= 2,
+    which the capacity rule of _search_cyclic implies).
 
     Unit-conjugation orbits.  Let u be a unit mod n with u = 1 (mod d),
     and psi = u.phi.u^-1, a skew morphism with power x -> pi(u^-1 x)
@@ -448,10 +459,6 @@ def _lift_cell(group, q, k, L) -> list[SkewMorphism]:
     add = group.add_table
     neg = group.neg_list
     out: list[SkewMorphism] = []
-    solutions = _power_web(q, k, L)
-    if not solutions:
-        return out
-
     image: list[int | None] = [None] * k
     slots: list[int | None] = [None] * L
     slot_of: list[int | None] = [None] * n
@@ -603,11 +610,22 @@ def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
     d >= k >= 2.  The search enumerates Z_d recursively and lifts each
     quotient morphism q in _lift_cell: table entries are pinned mod d,
     leaving p candidates per entry, each entry fixes its whole coset of
-    <k>, each cell solves its power web before it walks a table, and it
+    <k>, the cell's power web is solved before it walks a table, and it
     searches one phi(1) per unit-conjugation orbit, all proved there.
     Orders L that do not divide n*phi(n) are skipped: the order of every
     skew morphism of Z_n divides n*phi(n) (Kovacs and Nedela, the paper
-    cited above).
+    cited above).  _cyclic_cells lists the cells so considered.
+
+    Coset-power capacity: a cell is opened only if _powers_fit(L,
+    q.power[1:k], |q|, 1) holds.  The k values cvals of its web are
+    pairwise distinct in Z_L with cvals[0] = 1, and cvals[j] = q.power[j]
+    (mod |q|) by the congruence lemma of _lift_cell; each class mod |q|
+    has L/|q| members in Z_L, 1 among them for the class of 1.  So a
+    refused cell's web has no solution, and no morphism is lost.  The rule
+    places k - 1 powers in at most L - 1 values, so an opened cell has
+    L >= k.  The web reads only the arguments of _power_web, so the search
+    solves each web once, keyed by them, in a dict that lives for this
+    call, and opens no cell whose web has no solution.
     Soundness is the caller's revalidation of every completed table;
     completeness needs only the cell with the true (q, k, L) to reach each
     morphism.  No morphism is found twice: it has one reduction q, one
@@ -634,6 +652,26 @@ def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
     # the automorphisms, skew type 1, are the maps x -> t*x for the units t
     units = [t for t in range(1, n) if gcd(t, n) == 1]
     out = [as_skew_morphism(Automorphism(group, tuple(t * x % n for x in range(n)))) for t in units]
+    webs: dict[tuple, list[tuple[int, ...]]] = {}  # _power_web by its arguments
+    for q, k, L in _cyclic_cells(n, max_order):
+        if not _powers_fit(L, q.power[1:k], q.order, 1):
+            continue
+        orbit = [1]  # q^i(1) for i < |q|
+        while len(orbit) < q.order:
+            orbit.append(q.perm[orbit[-1]])
+        web = (tuple(x % k for x in orbit), q.power[:k], q.order, k, L)
+        if web not in webs:
+            webs[web] = _power_web(*web)
+        if webs[web]:
+            out += _lift_cell(group, q, k, L, webs[web])
+    yield from out
+
+
+def _cyclic_cells(n: int, max_order: int | None = None):
+    """The cells (q, k, L) of _lift_cell that _search_cyclic considers for a
+    Z_n with no coprime split, each proper skew type k under one prime p
+    (_search_cyclic): q a skew morphism of Z_d, d = n/p, with skew type
+    dividing k, and L a multiple of |q| that divides n*phi(n)."""
     bound = n * totient(n)
     primes = sorted(factorint(n))
     # every proper skew type 1 < k < n divides n/p for some prime p;
@@ -645,20 +683,15 @@ def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
             designated.setdefault(next(p for p in primes if (n // k) % p == 0), []).append(k)
 
     for p, types in sorted(designated.items()):
-        d = n // p  # d >= k >= 2
-        for q in cached_enumeration((d,), max_order).morphisms:
+        for q in cached_enumeration((n // p,), max_order).morphisms:
             k_d = skew_type(q)
-            # the orbit of 1 reduces onto its q-orbit, of length ell1, and
-            # meets each of the n/d lifts of a residue at most once
-            ell1 = len(next(c for c in cycles(q.perm) if 1 in c))
             for k in types:
-                if k % k_d != 0:
-                    continue
-                # L is a multiple of |q|, and the k distinct cvals lie in Z_L
-                for L in range(q.order, min(n, ell1 * (n // d) + 1), q.order):
-                    if k <= L and bound % L == 0:
-                        out += _lift_cell(group, q, k, L)
-    yield from out
+                if k % k_d == 0:
+                    # the orbit of 1 reduces onto its q-orbit, of length |q|,
+                    # and meets each of the p lifts of a residue at most once
+                    for L in range(q.order, min(n, q.order * p + 1), q.order):
+                        if bound % L == 0:
+                            yield q, k, L
 
 
 def _search_morphisms(group: AbelianGroup, max_order: int | None = None):
@@ -749,15 +782,15 @@ def _region_holds(group: AbelianGroup, table, region, tests, tau_order: int) -> 
     return True
 
 
-def _powers_fit(n: int, tau: SkewMorphism, o: int) -> bool:
-    """The coset-power capacity rule of _search_general: whether the powers
-    of the nonzero cosets, pi_tau's class mod |tau| and 1 mod o each, can
-    be pairwise distinct and differ from 1 in Z_L for an L <= n - 1 that
-    is a multiple of lcm(|tau|, o)."""
-    m, g = tau.order, gcd(tau.order, o)
-    room = (n - 1) // lcm(m, o)
-    rest = tau.power[1:]
-    return all((r - 1) % g == 0 and rest.count(r) <= room - (r == 1 % m) for r in set(rest))
+def _powers_fit(cap: int, powers, m: int, o: int) -> bool:
+    """The coset-power capacity rule: whether the powers of the nonzero
+    cosets, each in the class of its entry of powers mod m and 1 mod o, can
+    be pairwise distinct and differ from 1 in Z_L for an L <= cap that is a
+    multiple of lcm(m, o).  _search_general (cap |A| - 1) and _search_cyclic
+    (cap L, o = 1) each prove that their morphisms meet it."""
+    g = gcd(m, o)
+    room = cap // lcm(m, o)
+    return all((r - 1) % g == 0 and powers.count(r) <= room - (r == 1 % m) for r in set(powers))
 
 
 def _search_general(group: AbelianGroup, max_order: int | None = None):
@@ -792,10 +825,11 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
     is reached once, by sigma1 carrying tau onto tau' after sigma2 fixing
     tau and carrying theta onto sigma1^-1 theta' sigma1.
 
-    Coset-power capacity: a pair is searched only if _powers_fit(|A|, tau,
-    o) holds for o = |theta|.  Let phi be a find of the pair, with kernel
-    exactly K0 and L = |phi|.  phi^L = 1 gives tau^L = 1 and theta^L = 1,
-    so L is a multiple of M = lcm(|tau|, o), and L <= |A| - 1, since a
+    Coset-power capacity: a pair is searched only if _powers_fit(|A| - 1,
+    pi_tau on the nonzero cosets, |tau|, o) holds for o = |theta|.  Let
+    phi be a find of the pair, with kernel exactly K0 and L = |phi|.
+    phi^L = 1 gives tau^L = 1 and theta^L = 1, so L is a multiple of M =
+    lcm(|tau|, o), and L <= |A| - 1, since a
     skew morphism of a finite group A has order less than |A| (Conder,
     Jajcay and Tucker, Cyclic complements and skew morphisms of groups, J.
     Algebra 453 (2016)).  pi is constant exactly on the cosets of K0
@@ -930,7 +964,8 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
         table = [0] * n
         for tau_perm, tau_moves, tau_stab in _orbits(taus, stab, move_tau):
             tau = taus[tau_perm]
-            admitted = [key for key, o in theta_orders.items() if _powers_fit(n, tau, o)]
+            rest = tau.power[1:]  # pi_tau on the nonzero cosets
+            admitted = [key for key, o in theta_orders.items() if _powers_fit(n - 1, rest, tau.order, o)]
             if not admitted:
                 continue
             order, checks = _orbit_plan(group, coset_elems, proj[0], tau)
@@ -1099,7 +1134,7 @@ def verify_theorem1(max_n: int, max_order: int | None = None) -> Theorem1Verdict
     """Enumerate Z_n for n <= max_n and compare against the predicate."""
     guard = max_order if max_order is not None else CYCLIC_GUARD
     if max_n > guard:
-        raise SizeGuardError(f"max_n {max_n} exceeds guard {guard}")
+        raise SizeGuardError(f"max_n {max_n} exceeds guard {guard}; raise --max-order")
     rows = []
     for n in range(1, max_n + 1):
         report = cached_enumeration((n,) if n > 1 else (), max_order)

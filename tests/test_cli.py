@@ -87,6 +87,14 @@ def test_guard_exit_3(capsys):
     assert "guard" in err
 
 
+def test_verify_theorem1_guard_names_the_flag_to_raise(capsys):
+    """Like enumerate Z65, verify theorem1 past the cyclic guard says what
+    lifts it."""
+    code, out, err = run_cli(capsys, "verify", "theorem1", "--max-n", "70", "--quiet")
+    assert code == 3 and out == ""
+    assert "max_n 70 exceeds guard 64; raise --max-order" in err
+
+
 def test_automorphism_guard_exit_3(capsys, monkeypatch, tmp_path):
     """Z2^5 is within the order guard but has 9,999,360 automorphisms: the
     guard counts them without listing one, before --out is opened."""

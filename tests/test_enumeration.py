@@ -14,6 +14,7 @@ from skewmorph.constructions import nonsmooth_witness
 from skewmorph.enumeration import (
     EnumerationReport,
     _orbit_plan,
+    _cyclic_cells,
     _power_web,
     _powers_fit,
     _region_holds,
@@ -569,9 +570,11 @@ def test_region_check_refuses_a_region_of_order_at_least_the_group_order():
         assert _naive_region_holds(group, table, region, [], 1) is holds
 
 
-@pytest.mark.parametrize("n", [12, 15, 18, 20, 21, 24, 28, 30, 36])
+@pytest.mark.parametrize("n", [8, 9, 12, 15, 16, 18, 20, 21, 24, 25, 27, 28, 30, 32, 36])
 def test_cyclic_route_equals_general_route(n):
-    """Z_n on the cyclic route equals its primary split on the general route.
+    """Z_n on the cyclic route equals its primary split on the general route,
+    or, for a prime power, which has no split, Z_n itself on the general
+    route (_search_general takes a one-factor group as it stands).
 
     Z15 takes the coprime decomposition; the others run the pruned lifting
     cells, including cells with k equal to the quotient order, which the
@@ -580,10 +583,26 @@ def test_cyclic_route_equals_general_route(n):
     """
     cyclic = make_group([n])
     split, _, back = primary_split(cyclic)
-    assert len(split.factors) > 1
-    general = cached_enumeration(split.factors, n)
-    carried = {relabel(sm, back, cyclic).perm for sm in general.morphisms}
+    if len(split.factors) > 1:
+        general = cached_enumeration(split.factors, n).morphisms
+        carried = {relabel(sm, back, cyclic).perm for sm in general}
+    else:
+        carried = {sm.perm for sm in _search_general(cyclic)}
     assert carried == {sm.perm for sm in cached_enumeration((n,)).morphisms}
+
+
+def test_odd_prime_powers_match_the_kovacs_nedela_count():
+    """The skew morphisms of Z_(p^e), p an odd prime, number (p - 1)(p^(2e-1)
+    - p^(2e-2) + 2)/(p + 1) (Kovacs and Nedela, Skew-morphisms of cyclic
+    p-groups, J. Group Theory 20 (2017)).  A cross-check of the cyclic
+    route on all 21 odd prime powers up to 64, not a pruning rule: no
+    search reads the formula."""
+    powers = [n for n in range(3, 65) if len(factorint(n)) == 1 and n % 2]
+    assert len(powers) == 21
+    for n in powers:
+        [(p, e)] = factorint(n).items()
+        count = (p - 1) * (p ** (2 * e - 1) - p ** (2 * e - 2) + 2) // (p + 1)
+        assert cached_enumeration((n,)).total == count, n
 
 
 def test_a_route_yielding_a_morphism_twice_fails_loudly(monkeypatch):
@@ -636,9 +655,9 @@ def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tab
     cell_types = set()
     lift_cell = enumeration._lift_cell
 
-    def cell(group, q, k, L):
+    def cell(group, q, k, L, solutions):
         cell_types.add(k)
-        return lift_cell(group, q, k, L)
+        return lift_cell(group, q, k, L, solutions)
 
     def counted(group, table):
         calls.append(table)
@@ -851,7 +870,7 @@ def test_coset_power_capacity_holds_on_every_morphism():
         o = _order_on(sm.perm, sub.members)
         assert all((p - 1) % o == 0 for p in power), sm.perm
         assert all((p - tau.power[proj[x]]) % tau.order == 0 for x, p in enumerate(power))
-        assert _powers_fit(group.order, tau, o), sm.perm
+        assert _powers_fit(group.order - 1, tau.power[1:], tau.order, o), sm.perm
     assert (len(oracle), len(found)) == (297, 21046)
 
 
@@ -896,34 +915,51 @@ def _power_web_by_scan(q, k, L, classes):
 
 
 def test_power_web_equals_a_scan_of_its_constraints(monkeypatch):
-    """_power_web is exact: on every cell (q, k, L) that _search_cyclic
-    opens for Z2..Z40 with at most 20,000 candidates, it returns the cvals
-    that a scan keeps among all cvals with cvals[0] = 1, each cvals[j] in
-    q's power class at j mod |q| within [0, L), and distinct values, where
-    svals is the running sum of the slots' powers, svals[L] = 0 and
-    cvals[j + 1] = svals[cvals[j]] for every j, indices mod k.  Table walk
-    and revalidation hide a web that keeps too much, so the web is checked
-    on its own."""
-    cells = {}
+    """_power_web is exact, and _search_cyclic refuses only empty webs.  On
+    every cell (q, k, L) that the search considers (_cyclic_cells) for
+    Z2..Z40, a scan keeps the cvals with cvals[0] = 1, each cvals[j] in q's
+    power class at j mod |q| within [0, L), and distinct values, where svals
+    is the running sum of the slots' powers, svals[L] = 0 and cvals[j + 1]
+    = svals[cvals[j]] for every j, indices mod k.  Where the scan has at
+    most 20,000 candidates, it keeps what _power_web returns on a cell the
+    capacity rule admits and nothing on a cell it refuses.  The search
+    opens exactly the admitted cells whose web has a solution, and hands
+    each the web built from its own q, though it solves each web once per
+    signature.  Table walk and revalidation hide a web that keeps too much,
+    so the web is checked on its own."""
+    opened = {}
     lift_cell = enumeration._lift_cell
 
-    def cell(group, q, k, L):
-        cells[q.perm, k, L] = q
-        return lift_cell(group, q, k, L)
+    def cell(group, q, k, L, solutions):
+        opened[q.perm, k, L] = solutions
+        return lift_cell(group, q, k, L, solutions)
 
     monkeypatch.setattr(enumeration, "_lift_cell", cell)
+    considered = {}
     for n in range(2, 41):
         list(_search_cyclic(make_group([n])))
-    scanned = solutions = 0
-    for (_, k, L), q in cells.items():
+        if coprime_split(n) is None:
+            considered.update(((q.perm, k, L), q) for q, k, L in _cyclic_cells(n))
+    # cells and scanned cells, by whether the capacity rule admits them
+    cells = {True: 0, False: 0}
+    scanned = {True: 0, False: 0}
+    solutions = 0
+    for key, q in considered.items():
+        _, k, L = key
+        fits = _powers_fit(L, q.power[1:k], q.order, 1)
+        word = tuple(perm_power(q.perm, i)[1] % k for i in range(q.order))
+        web = _power_web(word, q.power[:k], q.order, k, L) if fits else []
+        assert opened.get(key, []) == web and (key in opened) == bool(web), key
+        cells[fits] += 1
         classes = [range(q.power[j], L, q.order) for j in range(1, k)]
         if prod(map(len, classes)) > 20_000:
             continue
         expected = _power_web_by_scan(q, k, L, classes)
-        assert sorted(_power_web(q, k, L)) == expected, (q.perm, k, L)
-        scanned += 1
+        assert sorted(web) == expected, key
+        scanned[fits] += 1
         solutions += len(expected)
-    assert (len(cells), scanned, solutions) == (626, 569, 346)
+    assert (cells[True], cells[False], len(opened)) == (305, 830, 249)
+    assert (scanned[True], scanned[False], solutions) == (303, 698, 346)
 
 
 def test_slot_composition_holds_on_every_morphism():

@@ -1,7 +1,9 @@
 """Command-line front end: enumerate, census, verify, construct, check, reciprocal.
 
 Exit codes: 0 success, 1 mathematical failure (a check or construction did
-not hold), 2 usage or parse error, 3 size guard exceeded, 141 the reader
+not hold), 2 usage or parse error (a `check` file longer than a record
+within the guard is malformed) or an output that cannot be opened or
+written (a full device), 3 size guard exceeded, 141 the reader
 closed the output before it was all written (as `| head` does), with no
 traceback; 141 = 128 + SIGPIPE is the status a shell reports for a writer
 that a closed pipe stops.
@@ -45,12 +47,28 @@ def _output(path: str | None) -> Iterator[IO[str]]:
         yield handle
 
 
-def _check_guard(order: int, args) -> None:
-    """Raise SizeGuardError above the guard, before any table is built.
+def _table_guard(args) -> int:
+    """The order guard of `check`, `construct` and `verify theorem2`: each
+    builds an order x order addition table, so without --max-order they
+    share the subgroup guard."""
+    return args.max_order if args.max_order is not None else SUBGROUP_GUARD
 
-    `check`, `construct` and `verify theorem2` each build an order x order
-    addition table, so without --max-order they share the subgroup guard."""
-    guard = args.max_order if args.max_order is not None else SUBGROUP_GUARD
+
+def record_limit(guard: int) -> int:
+    """The most characters `check` reads: a record of a group of order at
+    most guard G holds four integer arrays (group, perm, power, kernel) of
+    at most G entries, none above G.  32 * G**2 characters leave each entry
+    8 * G of them, room for any pretty printer's whitespace, and 4096 more
+    hold the keys and scalars.  So the read stays within a small multiple
+    of the G x G addition table that checking such a record builds.  A
+    longer file is a malformed record (exit 2); a record that fits and
+    names a group above the guard is refused by its order (exit 3)."""
+    return 32 * guard * guard + 4096
+
+
+def _check_guard(order: int, args) -> None:
+    """Raise SizeGuardError above _table_guard, before any table is built."""
+    guard = _table_guard(args)
     if order > guard:
         raise SizeGuardError(
             f"group order {order} exceeds {args.command} guard {guard}; raise --max-order"
@@ -122,6 +140,8 @@ def cmd_census(args) -> int:
         hi = args.cyclic_to if args.cyclic_to is not None else lo
         if lo > hi:
             raise UsageError(f"census: empty range --cyclic-from {lo} --cyclic-to {hi}")
+        # both guards grow with n, so the largest order stands for the range
+        _check_enumeration_guards([make_group([hi] if hi > 1 else [])], args)
         groups.extend(make_group([n] if n > 1 else []) for n in range(lo, hi + 1))
     if not groups:
         print("census: nothing to do (use --groups or --cyclic-from/--cyclic-to)", file=sys.stderr)
@@ -151,13 +171,18 @@ def cmd_construct(args) -> int:
 
 
 def cmd_check(args) -> int:
+    limit = record_limit(_table_guard(args))
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read(limit + 1)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"check: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if len(text) > limit:
+            raise records.MalformedRecord(
+                f"longer than {limit} characters, the most a record within the guard takes"
+            )
         data = records.parse_record(text)
         _check_guard(make_group(data["group"]).order, args)
         mismatches = records.check_record(data)
@@ -388,11 +413,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         status = _dispatch(argv)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout (or an --out pipe); point stdout at devnull
-        # so that the interpreter's flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_PIPE
+    except OSError as exc:
+        # a write failed: the reader closed stdout (or an --out pipe), or the
+        # device is full
+        status = EXIT_PIPE
+        if not isinstance(exc, BrokenPipeError):
+            print(f"skewmorph: cannot write the output: {exc}", file=sys.stderr)
+            status = EXIT_USAGE
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout itself failed: point it at devnull so that the
+            # interpreter's flush at exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

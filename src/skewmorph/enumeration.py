@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd, lcm, prod
 from operator import itemgetter
@@ -105,7 +105,7 @@ GENERAL_GUARD = 32
 # the most automorphisms _search_general lists: above Z2xZ2xZ2xZ4 (21,504),
 # the most of any group of order <= 32 but Z2^5 (9,999,360)
 AUTOMORPHISM_GUARD = 50_000
-# reports kept by cached_enumeration, least recently used dropped first
+# reports kept by _cached_search, least recently used dropped first
 ENUMERATION_CACHE_SIZE = 256
 
 
@@ -228,7 +228,7 @@ def _power_web(word, powers, m, k, L) -> list[tuple[int, ...]]:
       svals[i + 1] = svals[i] + that power, with svals[0] = svals[L] = 0
       (the orbit of 1 has length L = |phi|).
     * Composition (link).  cvals[j + 1] = svals[cvals[j]]: the recurrence
-      pi(x + 1) = sigma(pi(x)) of _derive_power, at the basis weight 1,
+      pi(x + 1) = sigma(pi(x)) of try_validate, at the basis weight 1,
       read at x = j in coset j.
     * Distinct values.  pi is constant exactly on the cosets of <k>, so
       the k values differ, and cvals[0] = 1 since 0 is in the kernel.
@@ -587,7 +587,7 @@ def coprime_split(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
+def _search_cyclic(group: AbelianGroup):
     """Enumerate skew morphisms of a one-factor group Z_n.
 
     Decomposition first.  When coprime_split finds n = n1*n2, every skew
@@ -639,8 +639,8 @@ def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
         n1, n2 = split
         e1 = crt_pair(1, n1, 0, n2)[0]
         e2 = crt_pair(0, n1, 1, n2)[0]
-        for a in cached_enumeration((n1,), max_order).morphisms:
-            for b in cached_enumeration((n2,), max_order).morphisms:
+        for a in _cached_search((n1,)).morphisms:
+            for b in _cached_search((n2,)).morphisms:
                 table = tuple(
                     (e1 * a.perm[x % n1] + e2 * b.perm[x % n2]) % n for x in range(n)
                 )
@@ -653,7 +653,7 @@ def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
     units = [t for t in range(1, n) if gcd(t, n) == 1]
     out = [as_skew_morphism(Automorphism(group, tuple(t * x % n for x in range(n)))) for t in units]
     webs: dict[tuple, list[tuple[int, ...]]] = {}  # _power_web by its arguments
-    for q, k, L in _cyclic_cells(n, max_order):
+    for q, k, L in _cyclic_cells(n):
         if not _powers_fit(L, q.power[1:k], q.order, 1):
             continue
         orbit = [1]  # q^i(1) for i < |q|
@@ -667,7 +667,7 @@ def _search_cyclic(group: AbelianGroup, max_order: int | None = None):
     yield from out
 
 
-def _cyclic_cells(n: int, max_order: int | None = None):
+def _cyclic_cells(n: int):
     """The cells (q, k, L) of _lift_cell that _search_cyclic considers for a
     Z_n with no coprime split, each proper skew type k under one prime p
     (_search_cyclic): q a skew morphism of Z_d, d = n/p, with skew type
@@ -683,7 +683,7 @@ def _cyclic_cells(n: int, max_order: int | None = None):
             designated.setdefault(next(p for p in primes if (n // k) % p == 0), []).append(k)
 
     for p, types in sorted(designated.items()):
-        for q in cached_enumeration((n // p,), max_order).morphisms:
+        for q in _cached_search((n // p,)).morphisms:
             k_d = skew_type(q)
             for k in types:
                 if k % k_d == 0:
@@ -694,17 +694,31 @@ def _cyclic_cells(n: int, max_order: int | None = None):
                             yield q, k, L
 
 
-def _search_morphisms(group: AbelianGroup, max_order: int | None = None):
+def _search_morphisms(group: AbelianGroup):
     """Yield every skew morphism of the group, in search order.
 
-    max_order is the caller's size guard, passed on to every recursive
-    enumeration of a factor or quotient.  The trivial group has no factor
-    and takes _search_general, whose automorphism list is its identity.
+    The trivial group has no factor and takes _search_general, whose
+    automorphism list is its identity.
+
+    Admission lemma.  The size guards are checked once, for the group asked
+    for (check_search_guard, in enumerate_skew_morphisms and
+    cached_enumeration), and the recursion through _cached_search checks
+    none: every group it reaches passes the check under the same max_order.
+    A group is reached only as a coprime factor Z_n1 or Z_n2 or as Z_(n/p),
+    from a one-factor Z_n, or as A/K0, K0 proper and nontrivial, from a
+    multi-factor A; each is strictly smaller than its parent.  Its order
+    guard is at least its parent's: a one-factor parent reaches only
+    one-factor groups, of the same guard, and a multi-factor parent has
+    the smallest guard of the two routes.  The automorphism guard cannot
+    fire on a quotient either: no quotient type of a multi-factor group
+    that the check admits, at most SUBGROUP_GUARD in order, has more than
+    AUTOMORPHISM_GUARD automorphisms, as a test checks on every such group
+    under the guard constants.
     """
     if len(group.factors) == 1:
-        yield from _search_cyclic(group, max_order)
+        yield from _search_cyclic(group)
     else:
-        yield from _search_general(group, max_order)
+        yield from _search_general(group)
 
 
 def _subgroup_automorphisms(group: AbelianGroup, sub) -> list[dict[int, int]]:
@@ -793,7 +807,7 @@ def _powers_fit(cap: int, powers, m: int, o: int) -> bool:
     return all((r - 1) % g == 0 and powers.count(r) <= room - (r == 1 % m) for r in set(powers))
 
 
-def _search_general(group: AbelianGroup, max_order: int | None = None):
+def _search_general(group: AbelianGroup):
     """Enumerate skew morphisms of a multi-factor group by kernel shape.
 
     The power function of a skew morphism is 1 exactly on its kernel K, a
@@ -945,7 +959,7 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
             return sigma, bar, on_k, itemgetter(*invert(bar)), itemgetter(*invert(on_k))
 
         stab = [induced(sigma) for sigma in stab]
-        taus = {tau.perm: tau for tau in cached_enumeration(quotient.factors, max_order).morphisms}
+        taus = {tau.perm: tau for tau in _cached_search(quotient.factors).morphisms}
         thetas = {
             tuple(index[theta[a]] for a in members): theta
             for theta in _subgroup_automorphisms(group, sub)
@@ -1012,28 +1026,26 @@ def _search_general(group: AbelianGroup, max_order: int | None = None):
     yield from out
 
 
-def search_guard(group: AbelianGroup, max_order: int | None = None) -> int:
-    """The largest order enumerate_skew_morphisms takes: max_order when
-    given, else CYCLIC_GUARD or GENERAL_GUARD by the route _search_morphisms
-    takes, which goes by the factor count: a split cyclic literal such as
-    Z5xZ7 takes the general route and its guard.  A group of more than one
-    factor takes _search_general, which lists its subgroups and
-    automorphisms, so its guard never exceeds SUBGROUP_GUARD."""
-    if max_order is None:
-        max_order = CYCLIC_GUARD if len(group.factors) == 1 else GENERAL_GUARD
-    return max_order if len(group.factors) == 1 else min(max_order, SUBGROUP_GUARD)
-
-
 def check_search_guard(group: AbelianGroup, max_order: int | None = None) -> None:
-    """Raise SizeGuardError when the group's order exceeds search_guard, or
-    when it takes _search_general and has more than AUTOMORPHISM_GUARD
-    automorphisms (automorphism_count, so no table is listed)."""
-    guard = search_guard(group, max_order)
+    """Raise SizeGuardError when the group's order exceeds its route's guard,
+    or when it takes _search_general and has more than AUTOMORPHISM_GUARD
+    automorphisms (automorphism_count, so no table is listed).
+
+    The guard is max_order when given, else CYCLIC_GUARD or GENERAL_GUARD by
+    the route _search_morphisms takes, which goes by the factor count: a
+    split cyclic literal such as Z5xZ7 takes the general route and its
+    guard.  A group of more than one factor takes _search_general, which
+    lists its subgroups and automorphisms, so its guard never exceeds
+    SUBGROUP_GUARD."""
+    cyclic = len(group.factors) == 1
+    if max_order is None:
+        max_order = CYCLIC_GUARD if cyclic else GENERAL_GUARD
+    guard = max_order if cyclic else min(max_order, SUBGROUP_GUARD)
     if group.order > guard:
-        capped = search_guard(group, group.order) < group.order
+        capped = not cyclic and group.order > SUBGROUP_GUARD
         hint = "the multi-factor route stops there" if capped else "raise --max-order"
         raise SizeGuardError(f"order {group.order} exceeds enumeration guard {guard}; {hint}")
-    count = automorphism_count(group) if len(group.factors) != 1 else 0
+    count = 0 if cyclic else automorphism_count(group)
     if count > AUTOMORPHISM_GUARD:
         raise SizeGuardError(
             f"{group.label} has {count} automorphisms, above the multi-factor "
@@ -1041,37 +1053,46 @@ def check_search_guard(group: AbelianGroup, max_order: int | None = None) -> Non
         )
 
 
-def enumerate_skew_morphisms(
-    group: AbelianGroup, max_order: int | None = None
-) -> EnumerationReport:
-    """Every skew morphism of the group, by the route for its shape
-    (_search_morphisms); oracle-equal wherever both run.  A route that
-    yields one morphism twice fails the report's assertion."""
-    check_search_guard(group, max_order)
+def _enumerate(group: AbelianGroup) -> EnumerationReport:
+    """The report of _search_morphisms, unguarded."""
     start = time.perf_counter()
-    found = list(_search_morphisms(group, max_order))
+    found = list(_search_morphisms(group))
     elapsed = (time.perf_counter() - start) * 1000.0
     return EnumerationReport.from_morphisms(group, found, elapsed)
 
 
-def _memoized(fn):
-    """lru_cache of ENUMERATION_CACHE_SIZE entries keyed on the normalized
-    (factors, max_order): the calls f((6,)), f((6,), None) and
-    f([6], max_order=None) share one entry."""
-    cached = lru_cache(maxsize=ENUMERATION_CACHE_SIZE)(fn)
-
-    @wraps(fn)
-    def call(factors: Iterable[int], max_order: int | None = None):
-        return cached(tuple(factors), max_order)
-
-    call.cache_info = cached.cache_info
-    call.cache_clear = cached.cache_clear
-    return call
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+def _cached_search(factors: tuple[int, ...]) -> EnumerationReport:
+    """_enumerate of the group of a factor tuple, kept in a least recently
+    used cache of ENUMERATION_CACHE_SIZE reports.  Unguarded: the searches
+    recurse through it, and the admission lemma (_search_morphisms) covers
+    every group they reach."""
+    return _enumerate(make_group(factors))
 
 
-@_memoized
-def cached_enumeration(factors: tuple[int, ...], max_order: int | None = None) -> EnumerationReport:
-    return enumerate_skew_morphisms(make_group(factors), max_order)
+def enumerate_skew_morphisms(
+    group: AbelianGroup, max_order: int | None = None
+) -> EnumerationReport:
+    """Every skew morphism of the group, by the route for its shape
+    (_search_morphisms), once the group passes check_search_guard;
+    oracle-equal wherever both run.  A route that yields one morphism
+    twice fails the report's assertion."""
+    check_search_guard(group, max_order)
+    return _enumerate(group)
+
+
+def cached_enumeration(factors: Iterable[int], max_order: int | None = None) -> EnumerationReport:
+    """enumerate_skew_morphisms of the group of the factors, from the cache
+    the searches share (_cached_search).  The guard is checked on every
+    call, and the report does not depend on max_order, so one entry serves
+    every call with the same factors."""
+    factors = tuple(factors)
+    check_search_guard(make_group(factors), max_order)
+    return _cached_search(factors)
+
+
+cached_enumeration.cache_info = _cached_search.cache_info
+cached_enumeration.cache_clear = _cached_search.cache_clear
 
 
 # ---------------------------------------------------------------------------

@@ -101,8 +101,32 @@ def _power_index(perm: tuple[int, ...]) -> dict[tuple[int, ...], int] | None:
     return None if powers is None else dict(zip(powers, range(len(powers))))
 
 
-def _derive_power(group: AbelianGroup, perm: tuple[int, ...], explain: bool):
-    """Shared validation core; returns (order, power) or a rejection triple.
+def _power_witness(group: AbelianGroup, perm: tuple[int, ...], pins, a: int) -> int | None:
+    """Smallest b at which no power of perm agrees with D_a on 0..b, or
+    None when D_a is a power of perm.
+
+    pins[b] = (b, length, offsets) names b's cycle of perm, with offsets
+    mapping each cycle member to its position.  perm**j(b) = D_a(b) holds
+    exactly when j = offsets[D_a(b)] - offsets[b] (mod length), and for no
+    j when D_a(b) leaves the cycle; every length divides |perm|, so the j
+    in [0, |perm|) that agree on 0..b exist exactly when the classes of
+    0..b merge by CRT.
+    """
+    shift = group.add_table[group.neg_list[perm[a]]]
+    row = group.add_table[a]
+    res, mod = 0, 1
+    for b, length, offsets in pins:
+        off = offsets.get(shift[perm[row[b]]])
+        merged = None if off is None else crt_pair(res, mod, off - offsets[b], length)
+        if merged is None:
+            return b
+        res, mod = merged
+    return None
+
+
+def try_validate(group: AbelianGroup, perm: Sequence[int]) -> SkewMorphism | None:
+    """Validate a permutation table and derive its power function; None on
+    rejection.
 
     For each a the displacement D_a(b) = perm[a+b] - perm[a] must equal
     perm**j for some j, which is then pi(a).
@@ -136,49 +160,61 @@ def _derive_power(group: AbelianGroup, perm: tuple[int, ...], explain: bool):
     x = a - g < a for g the weight of a's leading nonzero coordinate; by
     induction on a the identity holds on all of <X> = A.  The exponent is
     unique mod m, so pi is the tuple a lookup of every row would give.
+    """
+    perm = tuple(perm)
+    n = group.order
+    if not is_bijection(perm, n) or perm[0] != 0:
+        return None
+    index = _power_index(perm)
+    if index is None:
+        return None
+    m = len(index)
+    add = group.add_table
+    neg = group.neg_list
+    basis = group.weights
+    orbits: set[int] = set()  # X, the union of the orbits of the weights
+    for g in basis:
+        while g not in orbits:
+            orbits.add(g)
+            g = perm[g]
+    power = [1 % m] * n
+    for a in orbits:
+        # D_a as a tuple: perm[a + b] for every b, shifted by -perm[a]
+        j = index.get(itemgetter(*itemgetter(*add[a])(perm))(add[neg[perm[a]]]))
+        if j is None:
+            return None
+        power[a] = j
+    # the weights descend, so [g, top) holds the a whose leading nonzero
+    # coordinate is g's; taken smallest g first, a - g is always filled
+    for g, top in reversed(tuple(zip(basis, (n,) + basis[:-1]))):
+        sigma = [0]
+        x = g
+        for _ in range(m - 1):
+            sigma.append((sigma[-1] + power[x]) % m)
+            x = perm[x]
+        for a in range(g, top):
+            power[a] = sigma[power[a - g]]
+    return SkewMorphism(group, perm, m, tuple(power))
 
-    With explain, a rejection reports the smallest failing a and its
+
+def validate(group: AbelianGroup, perm: Sequence[int]) -> SkewMorphism:
+    """Validate a permutation table and derive its power function.
+
+    Raises SkewMorphismRejection carrying the smallest failing element.
+    Only when try_validate refuses is the rejection explained: not a
+    bijection, the identity moved, or the smallest failing a and its
     smallest witness b (_power_witness), found by pinning every row from
     a = 1 by CRT, which needs no index and so covers over-order tables.
     """
+    perm = tuple(perm)
+    sm = try_validate(group, perm)
+    if sm is not None:
+        return sm
     n = group.order
     if not is_bijection(perm, n):
-        return None, ("not-bijection", None, None)
+        raise SkewMorphismRejection("not-bijection")
     if perm[0] != 0:
-        return None, ("identity-moved", 0, None)
-    index = _power_index(perm)
-    if index is not None:
-        m = len(index)
-        add = group.add_table
-        neg = group.neg_list
-        basis = group.weights
-        orbits: set[int] = set()  # X, the union of the orbits of the weights
-        for g in basis:
-            while g not in orbits:
-                orbits.add(g)
-                g = perm[g]
-        power = [1 % m] * n
-        for a in orbits:
-            # D_a as a tuple: perm[a + b] for every b, shifted by -perm[a]
-            j = index.get(itemgetter(*itemgetter(*add[a])(perm))(add[neg[perm[a]]]))
-            if j is None:
-                break
-            power[a] = j
-        else:
-            # the weights descend, so [g, top) holds the a whose leading
-            # nonzero coordinate is g's; taken smallest g first, a - g is
-            # always filled
-            for g, top in reversed(tuple(zip(basis, (n,) + basis[:-1]))):
-                sigma = [0]
-                x = g
-                for _ in range(m - 1):
-                    sigma.append((sigma[-1] + power[x]) % m)
-                    x = perm[x]
-                for a in range(g, top):
-                    power[a] = sigma[power[a - g]]
-            return (m, tuple(power)), None
-    if not explain:
-        return None, ("no-power", None, None)
+        raise SkewMorphismRejection("identity-moved", 0)
     pins = [None] * n  # pins[b] = (b, length of b's cycle, offsets along it)
     for cyc in cycles(perm):
         offsets = dict(zip(cyc, range(len(cyc))))
@@ -187,53 +223,9 @@ def _derive_power(group: AbelianGroup, perm: tuple[int, ...], explain: bool):
     for a in range(1, n):
         b = _power_witness(group, perm, pins, a)
         if b is not None:
-            return None, ("no-power", a, b)
+            raise SkewMorphismRejection("no-power", a, b)
     # unreachable for a rejected table; raised, not asserted, so that it holds under python -O
     raise AssertionError("no failing row found in a rejected table")
-
-
-def _power_witness(group: AbelianGroup, perm: tuple[int, ...], pins, a: int) -> int | None:
-    """Smallest b at which no power of perm agrees with D_a on 0..b, or
-    None when D_a is a power of perm.
-
-    pins[b] = (b, length, offsets) names b's cycle of perm, with offsets
-    mapping each cycle member to its position.  perm**j(b) = D_a(b) holds
-    exactly when j = offsets[D_a(b)] - offsets[b] (mod length), and for no
-    j when D_a(b) leaves the cycle; every length divides |perm|, so the j
-    in [0, |perm|) that agree on 0..b exist exactly when the classes of
-    0..b merge by CRT.
-    """
-    shift = group.add_table[group.neg_list[perm[a]]]
-    row = group.add_table[a]
-    res, mod = 0, 1
-    for b, length, offsets in pins:
-        off = offsets.get(shift[perm[row[b]]])
-        merged = None if off is None else crt_pair(res, mod, off - offsets[b], length)
-        if merged is None:
-            return b
-        res, mod = merged
-    return None
-
-
-def try_validate(group: AbelianGroup, perm: Sequence[int]) -> SkewMorphism | None:
-    """Fast validation; None instead of an exception on rejection."""
-    result, _ = _derive_power(group, tuple(perm), explain=False)
-    if result is None:
-        return None
-    m, power = result
-    return SkewMorphism(group, tuple(perm), m, power)
-
-
-def validate(group: AbelianGroup, perm: Sequence[int]) -> SkewMorphism:
-    """Validate a permutation table and derive its power function.
-
-    Raises SkewMorphismRejection carrying the smallest failing element.
-    """
-    result, failure = _derive_power(group, tuple(perm), explain=True)
-    if result is None:
-        raise SkewMorphismRejection(*failure)
-    m, power = result
-    return SkewMorphism(group, tuple(perm), m, power)
 
 
 def identity_morphism(group: AbelianGroup) -> SkewMorphism:

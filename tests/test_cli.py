@@ -8,8 +8,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewmorph import constructions, enumeration, morphisms
-from skewmorph.cli import EXIT_PIPE, main
+from skewmorph import cli, constructions, enumeration, morphisms
+from skewmorph.cli import EXIT_PIPE, main, record_limit
 from skewmorph.enumeration import cached_enumeration
 from skewmorph.records import (
     CSV_HEADER,
@@ -19,7 +19,7 @@ from skewmorph.records import (
     parse_record,
     to_record,
 )
-from skewmorph.groups import make_group, subgroup_generated_by
+from skewmorph.groups import SUBGROUP_GUARD, make_group, subgroup_generated_by
 from skewmorph.morphisms import validate
 
 
@@ -224,6 +224,23 @@ def test_verify_checks_every_input_before_the_first_verdict(capsys, monkeypatch,
     assert got == code
     assert out == ""
     assert err.count("\n") == 1 and err.startswith(("skewmorph:", "verify theorem2:"))
+
+
+def test_census_refuses_a_range_by_its_largest_order(capsys, monkeypatch):
+    """An over-guard --cyclic-to is refused before the range's groups are
+    built: both guards grow with n, so its largest order is checked first."""
+    built = []
+
+    def counted(factors):
+        built.append(factors)
+        if len(built) > 10:
+            raise AssertionError("built the range before its guard was checked")
+        return make_group(factors)
+
+    monkeypatch.setattr(cli, "make_group", counted)
+    code, out, err = run_cli(capsys, "census", "--cyclic-to", "1000000000")
+    assert code == 3 and out == ""
+    assert err == "skewmorph: order 1000000000 exceeds enumeration guard 64; raise --max-order\n"
 
 
 def test_census_rows(capsys, tmp_path):
@@ -474,6 +491,32 @@ def test_check_unreadable_text_exit_2(capsys, tmp_path):
         assert run_cli(capsys, "check", "--file", str(path), "--quiet")[0] == 2
 
 
+def test_check_reads_at_most_the_record_limit(capsys, tmp_path):
+    """`check` reads at most record_limit(guard) characters: a record of
+    the guard's largest order fits, pretty-printed or padded to the limit,
+    and one character more is a malformed record (exit 2)."""
+    n = SUBGROUP_GUARD
+    limit = record_limit(n)
+    record = to_record(validate(make_group([n]), tuple(3 * x % n for x in range(n))))
+    pretty = json.dumps(record, indent=4)
+    compact = json.dumps(record, separators=(",", ":"))
+    path = tmp_path / "record.json"
+    for text in (pretty, compact.ljust(limit)):
+        path.write_text(text)
+        assert run_cli(capsys, "check", "--file", str(path), "--quiet")[0] == 0
+    path.write_text(compact.ljust(limit + 1))
+    code, _, err = run_cli(capsys, "check", "--file", str(path), "--quiet")
+    assert code == 2
+    assert err == f"check: malformed record: longer than {limit} characters, " \
+                  "the most a record within the guard takes\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_check_of_an_endless_file_is_malformed(capsys):
+    code, _, err = run_cli(capsys, "check", "--file", "/dev/zero", "--quiet")
+    assert code == 2 and "malformed record" in err
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=5),
@@ -659,6 +702,29 @@ def test_closed_stdout_in_process_returns_exit_pipe(monkeypatch):
     with open(write, "w", encoding="utf-8") as stream:
         monkeypatch.setattr(sys, "stdout", stream)
         assert main(["enumerate", "Z5", "--quiet"]) == EXIT_PIPE
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_out_device_is_a_usage_error(capsys):
+    """A write that fails on a full device, here when --out is closed,
+    exits 2 with one line and no traceback."""
+    code, out, err = run_cli(capsys, "enumerate", "Z6", "--out", "/dev/full", "--quiet")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("skewmorph: cannot write the output:")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_a_usage_error():
+    """census on a full stdout fails at its first write, and main's final
+    flush leaves nothing for the interpreter's flush at exit to fail on."""
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skewmorph", "census", "--groups", "Z6"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_subprocess_env(), timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("skewmorph: cannot write the output:")
 
 
 def test_package_imports_only_the_standard_library():

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations, product, zip_longest
 from math import gcd, lcm, prod
 
 import pytest
@@ -121,8 +121,8 @@ def test_enumeration_guard_and_override():
 def test_max_order_reaches_the_recursion(monkeypatch):
     """A raised guard also covers the quotients the search enumerates (Z10 for Z20)."""
     monkeypatch.setattr(enumeration, "CYCLIC_GUARD", 8)
-    fresh = lru_cache(maxsize=None)(enumeration.cached_enumeration.__wrapped__)
-    monkeypatch.setattr(enumeration, "cached_enumeration", fresh)
+    fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
+    monkeypatch.setattr(enumeration, "_cached_search", fresh)
     with pytest.raises(SizeGuardError):
         enumerate_skew_morphisms(make_group([20]))
     report = enumerate_skew_morphisms(make_group([20]), max_order=20)
@@ -138,6 +138,78 @@ def test_cached_enumeration_shares_one_entry_per_group():
     after = cached_enumeration.cache_info()
     assert after.currsize - before.currsize <= 1
     assert after.hits - before.hits >= 2
+
+
+def test_cached_enumeration_ignores_max_order():
+    """The report does not depend on the guard, so one entry serves both calls."""
+    assert cached_enumeration((6,)) is cached_enumeration((6,), 81)
+
+
+def test_guard_is_checked_once_per_enumeration(monkeypatch):
+    """A cold enumeration of Z40 recurses into Z20, Z8 and their quotients,
+    and checks the guard only for Z40 itself."""
+    checked = []
+    check = enumeration.check_search_guard
+    monkeypatch.setattr(enumeration, "check_search_guard",
+                        lambda group, max_order=None: checked.append(group) or check(group, max_order))
+    fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
+    monkeypatch.setattr(enumeration, "_cached_search", fresh)
+    enumerate_skew_morphisms(make_group([40]))
+    assert fresh.cache_info().misses > 0
+    assert [group.factors for group in checked] == [(40,)]
+
+
+def _recursion_targets(group):
+    """Every group a search of the group can recurse into, as the search
+    builds it: Z_n1, Z_n2 and Z_(n/p) from a one-factor Z_n, and from a
+    multi-factor A one group per quotient type of a proper nontrivial
+    subgroup, in invariant-factor form (quotient_group's), from the
+    per-prime partitions mu <= lambda of A's type."""
+    n = group.order
+    if len(group.factors) == 1:
+        orders = list(coprime_split(n) or ()) + [n // p for p in factorint(n)]
+        return [make_group([d] if d > 1 else []) for d in orders]
+    lambdas = {}  # prime -> exponents of A's p-part, largest first
+    for f in group.factors:
+        for p, e in factorint(f).items():
+            lambdas.setdefault(p, []).append(e)
+    per_prime = []
+    for p, lam in lambdas.items():
+        lam.sort(reverse=True)
+        mus = [mu for mu in product(*(range(e + 1) for e in lam))
+               if all(x >= y for x, y in zip(mu, mu[1:]))]
+        per_prime.append([[p**e for e in mu] for mu in mus])
+    targets = []
+    for combo in product(*per_prime):
+        # the k-th largest invariant factor takes the k-th largest part of each p-part
+        factors = sorted(prod(parts) for parts in zip_longest(*combo, fillvalue=1))
+        factors = [f for f in factors if f > 1]
+        if 1 < prod(factors) < n:
+            targets.append(make_group(factors))
+    return targets
+
+
+@pytest.mark.parametrize("max_order", [None, enumeration.SUBGROUP_GUARD])
+def test_admission_lemma(max_order):
+    """The lemma of _search_morphisms that lets the recursion skip the
+    guard: every group a search of an admitted group recurses into passes
+    check_search_guard under the same max_order.  Every abelian group up to
+    the largest guard is tried, each type in its primary presentation and
+    as one cyclic factor, under the live guard constants."""
+    top = max(enumeration.CYCLIC_GUARD, enumeration.GENERAL_GUARD, enumeration.SUBGROUP_GUARD)
+    admitted = set()
+    for n in range(1, top + 1):
+        for group in abelian_group_presentations(n) + [make_group([n] if n > 1 else [])]:
+            try:
+                enumeration.check_search_guard(group, max_order)
+            except SizeGuardError:
+                continue
+            admitted.add(group.factors)
+            for target in _recursion_targets(group):
+                enumeration.check_search_guard(target, max_order)
+    # Z2xZ2xZ2xZ4 (21,504 automorphisms) is admitted and Z2^5 is not
+    assert (2, 2, 2, 4) in admitted and (2, 2, 2, 2, 2) not in admitted
+    assert (enumeration.CYCLIC_GUARD if max_order is None else max_order,) in admitted
 
 
 def test_cached_enumeration_is_bounded():
@@ -670,8 +742,8 @@ def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tab
     monkeypatch.setattr(enumeration, "try_validate", counted)
     monkeypatch.setattr(enumeration, "relabel", transported)
     monkeypatch.setattr(enumeration, "_lift_cell", cell)
-    fresh = lru_cache(maxsize=None)(enumeration.cached_enumeration.__wrapped__)
-    monkeypatch.setattr(enumeration, "cached_enumeration", fresh)
+    fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
+    monkeypatch.setattr(enumeration, "_cached_search", fresh)
     enumerate_skew_morphisms(make_group([n]))
     assert (len(calls), len(expanded)) == (tables, conjugates)
     assert cell_types and 1 not in cell_types
@@ -726,8 +798,8 @@ def test_general_search_revalidates_a_pinned_number_of_tables(
     monkeypatch.setattr(enumeration, "try_validate", counted)
     monkeypatch.setattr(enumeration, "_region_holds", region_counted)
     monkeypatch.setattr(enumeration, "conjugate", transported)
-    fresh = lru_cache(maxsize=None)(enumeration.cached_enumeration.__wrapped__)
-    monkeypatch.setattr(enumeration, "cached_enumeration", fresh)
+    fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
+    monkeypatch.setattr(enumeration, "_cached_search", fresh)
     enumerate_skew_morphisms(make_group(factors))
     assert (len(calls), tuple(expanded), checked[0]) == (tables, conjugates, regions)
 

@@ -96,6 +96,15 @@ def _parse_groups_flag(text: str) -> list[AbelianGroup]:
     return [parse_group_literal(part) for part in text.split(",") if part.strip()]
 
 
+def _suite_groups(text: str) -> list[AbelianGroup]:
+    """The groups a verify suite's --groups names; a flag naming none would
+    verify nothing, so it is a usage error."""
+    groups = _parse_groups_flag(text)
+    if not groups:
+        raise UsageError(f"--groups {text!r} names no group")
+    return groups
+
+
 def _oracle_guard(args) -> int:
     return args.max_order if args.max_order is not None else enumeration.ORACLE_GUARD
 
@@ -264,7 +273,7 @@ def _verify_csm(args) -> int:
 
 
 def _verify_identities(args) -> int:
-    groups = _parse_groups_flag(args.groups) if args.groups else [make_group([6]), make_group([9])]
+    groups = _suite_groups(args.groups) if args.groups is not None else [make_group([6]), make_group([9])]
     _check_enumeration_guards(groups, args)
     for group in groups:
         report = enumeration.enumerate_skew_morphisms(group, args.max_order)
@@ -315,7 +324,7 @@ def _identity_failures(sm: morphisms.SkewMorphism) -> list[str]:
 
 
 def _verify_theorem2(args) -> int:
-    groups = _parse_groups_flag(args.groups)
+    groups = _suite_groups(args.groups)
     for group in groups:
         if group.is_cyclic:
             print(f"verify theorem2: {group.label} is cyclic; use theorem1", file=sys.stderr)

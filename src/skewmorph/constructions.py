@@ -35,7 +35,6 @@ from .morphisms import (
     relabel,
     skew_type,
     try_validate,
-    validate,
 )
 
 
@@ -142,7 +141,8 @@ def csm_construct(params: CsmParams) -> SkewMorphism:
     n, k, r = params.n, params.k, params.r
     tv = tau(params.s, params.t) % n
     table = tuple((x + r * k * total) % n for x, total in zip(range(n), _geometric_sums(tv, n)))
-    sm = validate(make_group([n]), table)
+    sm = try_validate(make_group([n]), table)
+    _require(sm is not None, "smooth family table fails to validate")
     _require(sm.order == params.order, "smooth family order disagrees with condition (a)")
     _require(skew_type(sm) == k, "smooth family skew-type disagrees with k")
     _require(is_smooth(sm), "smooth family produced a non-smooth morphism")
@@ -241,7 +241,8 @@ def root_construct(params: RootParams) -> SkewMorphism:
     n, k, s = params.n, params.k, params.s
     step = n // k
     table = tuple((s * x - (x * (x - 1) // 2) * step) % n for x in range(n))
-    sm = validate(make_group([n]), table)
+    sm = try_validate(make_group([n]), table)
+    _require(sm is not None, "square-root family table fails to validate")
     _require(sm.order == params.order, "square-root family order is not 2kl")
     _require(skew_type(sm) == k, "square-root family skew-type is not k")
     m = sm.order

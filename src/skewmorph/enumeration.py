@@ -37,14 +37,23 @@ Two independent routes produce the same sets:
   time, and after each orbit a region check (_region_holds) tests the
   defining identity on the finished, phi-closed part of the table, so
   most tables die before they are complete.
-  Every orbit cut, cyclic or not, takes its representatives and
-  transversals from groups._orbits and spreads its finds over the orbit
-  with _spread, which argues once why that is complete and yields each
-  morphism once.  Each route yields every
+  Every orbit cut, cyclic or not, is one _orbit_cut call: it searches
+  the first point of each orbit under that point's stabilizer and
+  transports the finds over the rest of the orbit, and _orbit_cut argues
+  once why that is complete and yields each morphism once.  So
+  _search_general reads as a chain of cuts, kernel -> quotient morphism
+  -> kernel bijection -> coset images, each level a search of one point
+  under its stabilizer that returns its finds.  Each route yields every
   morphism exactly once.  Every completed table and every conjugate is
   revalidated in full, so the searches stay sound however hard their
   cells prune; the correctness burden is completeness, argued per search
   below.
+
+Both entry points, enumerate_skew_morphisms and cached_enumeration (the
+same call on the group of its factors), check the size guards and read
+one cache of reports (_cached_search), which the searches' recursion
+reads too.  A report times the search that produced it
+(EnumerationReport.from_search).
 
 Orders are always derived from tables.  The searches use two published
 bounds on |phi|, and only to skip work: on Z_n, |phi| divides n*phi(n),
@@ -121,10 +130,12 @@ class EnumerationReport:
     elapsed_ms: float
 
     @classmethod
-    def from_morphisms(
-        cls, group: AbelianGroup, found, elapsed_ms: float
-    ) -> "EnumerationReport":
-        morphisms = tuple(sorted(found, key=lambda sm: sm.perm))
+    def from_search(cls, group: AbelianGroup, search: Iterable[SkewMorphism]) -> "EnumerationReport":
+        """The report of every morphism the search yields, sorted by
+        permutation; elapsed_ms is the time taken to consume the search."""
+        start = time.perf_counter()
+        morphisms = tuple(sorted(search, key=lambda sm: sm.perm))
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
         # raised, not asserted, so that the check holds under python -O
         if len({sm.perm for sm in morphisms}) != len(morphisms):
             raise AssertionError(f"{group.label}: a route yielded a morphism twice")
@@ -148,30 +159,31 @@ def brute_force_oracle(group: AbelianGroup, guard: int = ORACLE_GUARD) -> Enumer
     n = group.order
     if n > guard:
         raise SizeGuardError(f"order {n} exceeds oracle guard {guard}")
-    start = time.perf_counter()
-    found = []
-    for rest in permutations(range(1, n)):
-        sm = try_validate(group, (0,) + rest)
-        if sm is not None:
-            found.append(sm)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return EnumerationReport.from_morphisms(group, found, elapsed)
+    tried = (try_validate(group, (0,) + rest) for rest in permutations(range(1, n)))
+    return EnumerationReport.from_search(group, (sm for sm in tried if sm is not None))
 
 
-def _spread(finds, moves, transport) -> list[SkewMorphism]:
-    """The finds at an orbit's first point x, and transport(sm, sigma) of
-    each for every sigma of moves, the first one carrying x to each other
-    point y of the orbit (_orbits).
+def _orbit_cut(points, sigmas, act, search, transport) -> list[SkewMorphism]:
+    """Every find of a symmetry cut: for each orbit of sigmas acting on
+    points by act (groups._orbits), the finds search(x, stab) at its first
+    point x, stab the sigmas fixing x, and transport(sm, sigma) of each of
+    them for every sigma of moves, the first one carrying x to each other
+    point y of the orbit.
 
-    Every symmetry cut searches x only, and proves that transport by a
-    sigma carrying x to y maps the morphisms at x (those whose kernel,
-    quotient, restriction or image the point fixes) one to one onto the
-    morphisms at y.  So the spread is complete, as the finds at x are.  It
-    yields each morphism once: the finds at x are distinct, a one-to-one
-    transport keeps those at y distinct, and morphisms at different points
-    differ.  Every transport is revalidated (relabel, conjugate).
+    Every cut proves that transport by a sigma carrying x to y maps the
+    morphisms at x (those whose kernel, quotient, restriction or image the
+    point fixes) one to one onto the morphisms at y.  So the cut is
+    complete, as each search is.  It yields each morphism once: the finds
+    at x are distinct, a one-to-one transport keeps those at y distinct,
+    and morphisms at different points differ.  Every transport is
+    revalidated (relabel, conjugate).
     """
-    return finds + [transport(sm, sigma) for sigma in moves.values() for sm in finds]
+    out: list[SkewMorphism] = []
+    for x, moves, stab in _orbits(points, sigmas, act):
+        finds = search(x, stab)
+        out += finds
+        out += [transport(sm, sigma) for sigma in moves.values() for sm in finds]
+    return out
 
 
 def _undo(journal) -> None:
@@ -452,7 +464,7 @@ def _lift_cell(group, q, k, L, solutions) -> list[SkewMorphism]:
     one onto those with phi(1) = t + u*(v - t), and the point phi(1) is
     what the cut fixes: the cell sets it with the seed, once per orbit of
     these units (a group) on the lifts of q(1), walks the other cosets,
-    and spreads the finds by relabel along x -> u*x (_spread).
+    and transports the finds by relabel along x -> u*x (_orbit_cut).
     """
     n = group.order
     d = q.group.order
@@ -541,6 +553,19 @@ def _lift_cell(group, q, k, L, solutions) -> list[SkewMorphism]:
     def by_unit(sm: SkewMorphism, u: int) -> SkewMorphism:
         return relabel(sm, [u * x % n for x in range(n)], group)
 
+    def seeded(v0: int, _) -> list[SkewMorphism]:
+        # the finds with phi(1) = v0, under every web solution the seed keeps
+        nonlocal powers
+        finds: list[SkewMorphism] = []
+        for powers in kept:
+            journal: list = []
+            set_entry(0, 0, journal)
+            set_entry(1, v0, journal)
+            if _close(recheck, journal):
+                walk(2, finds)
+            _undo(journal)
+        return finds
+
     # seed the kernel: phi restricted to <k> is an automorphism, so phi(k) is
     # a unit multiple t*k, and set_entry(0, 0) fixes a -> t*a on all of <k>;
     # t*k = q(k) (mod d), and q(k) is a multiple of k (lemma above);
@@ -557,16 +582,7 @@ def _lift_cell(group, q, k, L, solutions) -> list[SkewMorphism]:
         if not kept:
             continue
         kernel_images = [m * t * k % n for m in range(size)]
-        for v0, moves, _ in _orbits(range(q.perm[1], n, d), units, move_first):
-            finds: list[SkewMorphism] = []
-            for powers in kept:
-                journal: list = []
-                set_entry(0, 0, journal)
-                set_entry(1, v0, journal)
-                if _close(recheck, journal):
-                    walk(2, finds)
-                _undo(journal)
-            out += _spread(finds, moves, by_unit)
+        out += _orbit_cut(range(q.perm[1], n, d), units, move_first, seeded, by_unit)
     return out
 
 
@@ -820,8 +836,8 @@ def _search_general(group: AbelianGroup):
 
     One candidate per Aut(A)-orbit of subgroups suffices: conjugation by
     sigma in Aut(A) maps the morphisms with kernel K0 one to one onto those
-    with kernel sigma(K0) (conjugate), so the finds for K0 are spread over
-    the orbit (_spread).  The automorphisms, kernel A, come from
+    with kernel sigma(K0) (conjugate), so the finds for K0 are transported
+    over the orbit (_orbit_cut).  The automorphisms, kernel A, come from
     enumerate_automorphisms, whose list also generates the orbits.
 
     One (tau, theta) per orbit of Stab(K0) = {sigma in Aut(A) : sigma(K0) =
@@ -877,13 +893,14 @@ def _search_general(group: AbelianGroup):
     sigma of H_i lies in every G_(h+1), h < i, so the same formula at r_h
     gives psi(r_h) = y_h, and conjugation by a sigma of H_i carrying y to
     y' maps F(y_0 .. y_(i-1), y) one to one onto F(y_0 .. y_(i-1), y').
-    place(i, G_i) yields F(y_0 .. y_(i-1)) for the images already placed,
+    place(i, G_i) returns F(y_0 .. y_(i-1)) for the images already placed,
     each morphism once, by induction from the last level up.  With every
     coset placed, F is the completed table if it validates with kernel
     exactly K0.  Below that, F(y_0 .. y_(i-1)) is the disjoint union of
     F(y_0 .. y_(i-1), y) over y in the coset; place takes one y per
     H_i-orbit, searches it under its stabilizer G_(i+1), which yields F(..,
-    y) by the hypothesis, and spreads the finds over the orbit (_spread).
+    y) by the hypothesis, and transports the finds over the orbit
+    (_orbit_cut).
     The region check between the levels refuses only tables that are no
     find (below), so it drops nothing.  At i = 0 nothing is placed, and F
     is every find of the pair.
@@ -928,7 +945,6 @@ def _search_general(group: AbelianGroup):
     add = group.add_table
     neg = group.neg_list
     autos = enumerate_automorphisms(group)
-    out = [as_skew_morphism(theta) for theta in autos]
     # proper morphisms have nontrivial proper kernels
     subgroups = {sub.members: sub for sub in enumerate_subgroups(group) if 1 < sub.size < n}
 
@@ -939,7 +955,8 @@ def _search_general(group: AbelianGroup):
         # moving is an entry of stab below, led by its sigma
         return conjugate(sm, moving[0])
 
-    for members, kernel_moves, stab in _orbits(subgroups, autos, move_subgroup):
+    def search_kernel(members, stab) -> list[SkewMorphism]:
+        # the finds with kernel exactly members, under its stabilizer stab
         sub = subgroups[members]
         kernel_set = set(members)
         quotient, proj = quotient_group(group, sub)
@@ -958,7 +975,6 @@ def _search_general(group: AbelianGroup):
             on_k = tuple(index[sigma.table[a]] for a in members)
             return sigma, bar, on_k, itemgetter(*invert(bar)), itemgetter(*invert(on_k))
 
-        stab = [induced(sigma) for sigma in stab]
         taus = {tau.perm: tau for tau in _cached_search(quotient.factors).morphisms}
         thetas = {
             tuple(index[theta[a]] for a in members): theta
@@ -974,56 +990,60 @@ def _search_general(group: AbelianGroup):
         def move_theta(moving, perm):
             return moving[4](itemgetter(*perm)(moving[2]))
 
-        found: list[SkewMorphism] = []
         table = [0] * n
-        for tau_perm, tau_moves, tau_stab in _orbits(taus, stab, move_tau):
+
+        def search_tau(tau_perm, tau_stab) -> list[SkewMorphism]:
+            # the finds with quotient tau, under its stabilizer in Stab(K0)
             tau = taus[tau_perm]
             rest = tau.power[1:]  # pi_tau on the nonzero cosets
             admitted = [key for key, o in theta_orders.items() if _powers_fit(n - 1, rest, tau.order, o)]
             if not admitted:
-                continue
+                return []
             order, checks = _orbit_plan(group, coset_elems, proj[0], tau)
-            tau_found: list[SkewMorphism] = []
-            for theta_key, theta_moves, pair_stab in _orbits(admitted, tau_stab, move_theta):
+
+            def search_theta(theta_key, pair_stab) -> list[SkewMorphism]:
+                # the finds with restriction theta to K0, under the pair's stabilizer
                 theta = thetas[theta_key]
                 for a, fa in theta.items():
                     table[a] = fa
 
-                def place(idx: int, stabilizer, finds) -> None:
+                def place(idx: int, stabilizer) -> list[SkewMorphism]:
                     # level idx of the chain: one phi(r) per orbit of the sigmas of
                     # stabilizer whose sigma_bar fixes order[idx], r its representative;
                     # phi(r) and its coset by theta, the region check, then the next
-                    # level under phi(r)'s stabilizer; the finds spread over the orbit
+                    # level under phi(r)'s stabilizer
                     if idx == len(order):
                         sm = try_validate(group, tuple(table))
-                        if sm is not None:
-                            one = 1 % sm.order
-                            if {a for a in range(n) if sm.power[a] == one} == kernel_set:
-                                finds.append(sm)
-                        return
+                        if sm is None or {a for a in range(n) if sm.power[a] == 1 % sm.order} != kernel_set:
+                            return []
+                        return [sm]
                     j = order[idx]
                     r = reps[j]
-                    fixing = [moving for moving in stabilizer if moving[1][j] == j]
+                    check = checks[idx]
 
                     def move_image(moving, y):  # y -> theta(r - sigma r) + sigma(y)
                         s = moving[0].table
                         return add[theta[add[r][neg[s[r]]]]][s[y]]
 
-                    check = checks[idx]
-                    for y, moves, y_stab in _orbits(coset_elems[tau.perm[j]], fixing, move_image):
+                    def search_image(y, y_stab) -> list[SkewMorphism]:
                         for a, fa in theta.items():
                             table[add[a][r]] = add[fa][y]
-                        y_finds: list[SkewMorphism] = []
                         if check is None or _region_holds(group, table, *check, tau.order):
-                            place(idx + 1, y_stab, y_finds)
-                        finds += _spread(y_finds, moves, by_stabilizer)
+                            return place(idx + 1, y_stab)
+                        return []
 
-                pair_found: list[SkewMorphism] = []
-                place(0, pair_stab, pair_found)
-                tau_found += _spread(pair_found, theta_moves, by_stabilizer)
-            found += _spread(tau_found, tau_moves, by_stabilizer)
-        out += _spread(found, kernel_moves, conjugate)
-    yield from out
+                    fixing = [moving for moving in stabilizer if moving[1][j] == j]
+                    return _orbit_cut(coset_elems[tau.perm[j]], fixing, move_image, search_image, by_stabilizer)
+
+                return place(0, pair_stab)
+
+            return _orbit_cut(admitted, tau_stab, move_theta, search_theta, by_stabilizer)
+
+        stab = [induced(sigma) for sigma in stab]
+        return _orbit_cut(taus, stab, move_tau, search_tau, by_stabilizer)
+
+    yield from (as_skew_morphism(theta) for theta in autos)
+    yield from _orbit_cut(subgroups, autos, move_subgroup, search_kernel, conjugate)
 
 
 def check_search_guard(group: AbelianGroup, max_order: int | None = None) -> None:
@@ -1053,21 +1073,15 @@ def check_search_guard(group: AbelianGroup, max_order: int | None = None) -> Non
         )
 
 
-def _enumerate(group: AbelianGroup) -> EnumerationReport:
-    """The report of _search_morphisms, unguarded."""
-    start = time.perf_counter()
-    found = list(_search_morphisms(group))
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return EnumerationReport.from_morphisms(group, found, elapsed)
-
-
 @lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
 def _cached_search(factors: tuple[int, ...]) -> EnumerationReport:
-    """_enumerate of the group of a factor tuple, kept in a least recently
-    used cache of ENUMERATION_CACHE_SIZE reports.  Unguarded: the searches
-    recurse through it, and the admission lemma (_search_morphisms) covers
-    every group they reach."""
-    return _enumerate(make_group(factors))
+    """The report of _search_morphisms on the group of a factor tuple, kept
+    in a least recently used cache of ENUMERATION_CACHE_SIZE reports, the one
+    cache of every entry point and of the recursion.  Unguarded: the
+    searches recurse through it, and the admission lemma (_search_morphisms)
+    covers every group they reach."""
+    group = make_group(factors)
+    return EnumerationReport.from_search(group, _search_morphisms(group))
 
 
 def enumerate_skew_morphisms(
@@ -1075,20 +1089,17 @@ def enumerate_skew_morphisms(
 ) -> EnumerationReport:
     """Every skew morphism of the group, by the route for its shape
     (_search_morphisms), once the group passes check_search_guard;
-    oracle-equal wherever both run.  A route that yields one morphism
-    twice fails the report's assertion."""
+    oracle-equal wherever both run.  The report comes from the cache the
+    searches share (_cached_search), and does not depend on max_order, so
+    one entry serves every call with the same factors.  A route that yields
+    one morphism twice fails the report's assertion."""
     check_search_guard(group, max_order)
-    return _enumerate(group)
+    return _cached_search(group.factors)
 
 
 def cached_enumeration(factors: Iterable[int], max_order: int | None = None) -> EnumerationReport:
-    """enumerate_skew_morphisms of the group of the factors, from the cache
-    the searches share (_cached_search).  The guard is checked on every
-    call, and the report does not depend on max_order, so one entry serves
-    every call with the same factors."""
-    factors = tuple(factors)
-    check_search_guard(make_group(factors), max_order)
-    return _cached_search(factors)
+    """enumerate_skew_morphisms of the group of the factors."""
+    return enumerate_skew_morphisms(make_group(factors), max_order)
 
 
 cached_enumeration.cache_info = _cached_search.cache_info

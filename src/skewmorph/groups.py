@@ -261,7 +261,10 @@ def parse_group_literal(text: str) -> AbelianGroup:
     m = _LITERAL_RE.fullmatch(s)
     if not m:
         raise InvalidFactorError(f"cannot parse group literal {text!r}")
-    parts = [int(p) for p in re.findall(r"\d+", s)]
+    try:
+        parts = [int(p) for p in re.findall(r"\d+", s)]
+    except ValueError:  # a factor past the interpreter's int-conversion digit limit
+        raise InvalidFactorError("cannot parse group literal: a factor has too many digits") from None
     if any(p < 1 for p in parts):
         raise InvalidFactorError(f"cannot parse group literal {text!r}")
     return make_group(f for f in parts if f > 1)

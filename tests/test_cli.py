@@ -316,6 +316,27 @@ def test_verify_theorem2_rejects_cyclic(capsys):
     assert "cyclic" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("enumerate",), ("census", "--groups"), ("verify", "identities", "--groups"),
+    ("verify", "theorem2", "--groups"),
+], ids=["enumerate", "census", "identities", "theorem2"])
+def test_oversized_group_literal_exit_2(capsys, command):
+    """A factor longer than the int-conversion digit limit is a parse error,
+    not a traceback."""
+    code, out, err = run_cli(capsys, *command, "Z" + "9" * 5000, "--quiet")
+    assert code == 2 and out == ""
+    assert err.startswith("skewmorph: cannot parse group literal") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", ["identities", "theorem2"])
+@pytest.mark.parametrize("groups", ["", ",", " , "])
+def test_verify_groups_naming_no_group_exit_2(capsys, suite, groups):
+    """A --groups that names no group would verify nothing: exit 2."""
+    code, out, err = run_cli(capsys, "verify", suite, "--groups", groups, "--quiet")
+    assert code == 2 and out == ""
+    assert "names no group" in err
+
+
 def test_verify_theorem2_requires_groups(capsys):
     code, out, err = run_cli(capsys, "verify", "theorem2", "--quiet")
     assert code == 2 and out == ""

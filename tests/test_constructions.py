@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from skewmorph import constructions
 from skewmorph.constructions import (
     DirectProductRejection,
+    FamilyConsistencyError,
     ParameterRejection,
     csm_construct,
     csm_params,
@@ -186,6 +188,18 @@ def test_nse_kernel_shift_is_the_closed_form(p):
                 hits.append((beta, table))
         assert [beta for beta, _ in hits] == [r * d * (nu * inv2 + pow(k, -1, p)) % p]
         assert nse_construct(p, d, nu, r).perm == hits[0][1]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: csm_construct(csm_params(6, 2, 1, 1, 2)),
+    lambda: root_construct(root_params(9, 3, 8)),
+], ids=["csm", "root"])
+def test_a_table_that_fails_to_validate_is_a_family_inconsistency(monkeypatch, build):
+    """A closed form whose table does not validate raises the module's
+    FamilyConsistencyError, not the validator's rejection."""
+    monkeypatch.setattr(constructions, "try_validate", lambda group, table: None)
+    with pytest.raises(FamilyConsistencyError):
+        build()
 
 
 def test_closed_form_checks_fire_under_python_O():

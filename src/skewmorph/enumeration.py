@@ -52,8 +52,9 @@ Two independent routes produce the same sets:
 Both entry points, enumerate_skew_morphisms and cached_enumeration (the
 same call on the group of its factors), check the size guards and read
 one cache of reports (_cached_search), which the searches' recursion
-reads too.  A report times the search that produced it
-(EnumerationReport.from_search).
+reads too; like make_group, they keep no report of a group above
+SUBGROUP_GUARD that they are asked for.  A report times the search that
+produced it (EnumerationReport.from_search).
 
 Orders are always derived from tables.  The searches use two published
 bounds on |phi|, and only to skip work: on Z_n, |phi| divides n*phi(n),
@@ -167,8 +168,8 @@ def _orbit_cut(points, sigmas, act, search, transport) -> list[SkewMorphism]:
     """Every find of a symmetry cut: for each orbit of sigmas acting on
     points by act (groups._orbits), the finds search(x, stab) at its first
     point x, stab the sigmas fixing x, and transport(sm, sigma) of each of
-    them for every sigma of moves, the first one carrying x to each other
-    point y of the orbit.
+    them for each other point y of the orbit, sigma the first of sigmas
+    that carries x to y (the moves of groups._orbits).
 
     Every cut proves that transport by a sigma carrying x to y maps the
     morphisms at x (those whose kernel, quotient, restriction or image the
@@ -181,8 +182,9 @@ def _orbit_cut(points, sigmas, act, search, transport) -> list[SkewMorphism]:
     out: list[SkewMorphism] = []
     for x, moves, stab in _orbits(points, sigmas, act):
         finds = search(x, stab)
-        out += finds
-        out += [transport(sm, sigma) for sigma in moves.values() for sm in finds]
+        if finds:  # most points find nothing: build no empty transport list
+            out += finds
+            out += [transport(sm, sigma) for sigma in moves.values() for sm in finds]
     return out
 
 
@@ -1073,15 +1075,18 @@ def check_search_guard(group: AbelianGroup, max_order: int | None = None) -> Non
         )
 
 
-@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
-def _cached_search(factors: tuple[int, ...]) -> EnumerationReport:
-    """The report of _search_morphisms on the group of a factor tuple, kept
-    in a least recently used cache of ENUMERATION_CACHE_SIZE reports, the one
-    cache of every entry point and of the recursion.  Unguarded: the
-    searches recurse through it, and the admission lemma (_search_morphisms)
-    covers every group they reach."""
+def _search_report(factors: tuple[int, ...]) -> EnumerationReport:
+    """The report of _search_morphisms on the group of a factor tuple.
+    Unguarded: the searches recurse through _cached_search, and the
+    admission lemma (_search_morphisms) covers every group they reach."""
     group = make_group(factors)
     return EnumerationReport.from_search(group, _search_morphisms(group))
+
+
+# The one cache of every entry point and of the recursion: the last
+# ENUMERATION_CACHE_SIZE reports, each holding its group and the tables
+# built on it.
+_cached_search = lru_cache(maxsize=ENUMERATION_CACHE_SIZE)(_search_report)
 
 
 def enumerate_skew_morphisms(
@@ -1091,10 +1096,14 @@ def enumerate_skew_morphisms(
     (_search_morphisms), once the group passes check_search_guard;
     oracle-equal wherever both run.  The report comes from the cache the
     searches share (_cached_search), and does not depend on max_order, so
-    one entry serves every call with the same factors.  A route that yields
-    one morphism twice fails the report's assertion."""
+    one entry serves every call with the same factors.  As make_group
+    does, it keeps no group above SUBGROUP_GUARD, so a raised guard does
+    not fill the cache with the requested groups and their tables; the
+    quotients their searches reach are kept.  A route that yields one
+    morphism twice fails the report's assertion."""
     check_search_guard(group, max_order)
-    return _cached_search(group.factors)
+    search = _cached_search if group.order <= SUBGROUP_GUARD else _search_report
+    return search(group.factors)
 
 
 def cached_enumeration(factors: Iterable[int], max_order: int | None = None) -> EnumerationReport:

@@ -241,10 +241,11 @@ def make_group(factors: Iterable[int]) -> AbelianGroup:
     never raises the cache's memory.  Both tables are tuples, so no caller
     can change a table another caller reads.  Nothing else is kept on a
     group: subgroups, automorphisms and enumerations are computed per call
-    (enumeration keeps its own cache).  The cache lives as long as the
-    process: one CLI command shares a table between a record's construction
-    and its re-check, and a caller of the library in one process shares it
-    across all records of a group.
+    (enumeration keeps its own cache, which keeps no report of a group
+    asked of it above SUBGROUP_GUARD either).  The cache lives as long as
+    the process: one CLI command shares a table between a record's
+    construction and its re-check, and a caller of the library in one
+    process shares it across all records of a group.
     """
     group = AbelianGroup(tuple(factors))
     return _shared(group) if group.order <= SUBGROUP_GUARD else group

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,14 @@ from skewmorph.records import (
 )
 from skewmorph.groups import SUBGROUP_GUARD, make_group, subgroup_generated_by
 from skewmorph.morphisms import validate
+
+
+@pytest.fixture
+def cold_search(monkeypatch):
+    """A fresh enumeration cache, so that a sentinel on _search_morphisms
+    fires for every group, also one an earlier test left cached."""
+    fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
+    monkeypatch.setattr(enumeration, "_cached_search", fresh)
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +185,7 @@ def test_table_builders_stop_at_the_default_guard(capsys, argv):
     ("reciprocal", "--m", "3", "--n", "4"),
     ("enumerate", "Z40"),
 ])
+@pytest.mark.usefixtures("cold_search")
 def test_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
     """--out is opened before any enumeration runs, so its failure is immediate."""
     def refuse(*args, **kwargs):
@@ -213,6 +223,7 @@ def test_verify_csm_guard_exit_3(capsys):
     (("csm", "--max-n", "66"), 3),
     (("csm", "--max-n", "130", "--max-order", "256"), 3),
 ])
+@pytest.mark.usefixtures("cold_search")
 def test_verify_checks_every_input_before_the_first_verdict(capsys, monkeypatch, argv, code):
     """A suite refuses a bad input before it prints a verdict for a good one."""
     def refuse(*args, **kwargs):
@@ -354,6 +365,7 @@ def test_verify_theorem2_requires_groups(capsys):
     (("check", "--file", "{record}", "--out", "{out}"), "--out"),
     (("verify", "theorem1", "--out", "{out}"), "--out"),
 ])
+@pytest.mark.usefixtures("cold_search")
 def test_every_accepted_flag_is_read(capsys, monkeypatch, tmp_path, argv, flag):
     """A flag that the command would not read exits 2, naming the flag,
     before any enumeration or output: each verify suite takes only its own

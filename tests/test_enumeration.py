@@ -149,6 +149,18 @@ def test_cached_enumeration_and_enumerate_skew_morphisms_read_one_cache():
     assert cached_enumeration((2, 4)) is enumerate_skew_morphisms(make_group([2, 4]))
 
 
+def test_cached_enumeration_keeps_no_group_above_the_subgroup_guard():
+    """Like make_group, the cache keeps no report of a group above
+    SUBGROUP_GUARD that it is asked for, so a raised guard does not fill
+    it with large groups and their tables."""
+    order = 257  # a prime, so its search is quick
+    assert order > enumeration.SUBGROUP_GUARD
+    first = cached_enumeration((order,), order)
+    again = cached_enumeration((order,), order)
+    assert first is not again
+    assert first.total == again.total == order - 1
+
+
 def test_cached_enumeration_ignores_max_order():
     """The report does not depend on the guard, so one entry serves both calls."""
     assert cached_enumeration((6,)) is cached_enumeration((6,), 81)

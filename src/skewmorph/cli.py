@@ -252,6 +252,8 @@ def _verify_theorem1(args) -> int:
 
 def _verify_csm(args) -> int:
     ns = [args.n] if args.n is not None else range(2, args.max_n + 1)
+    if not ns:
+        raise UsageError(f"verify csm: empty range n = 2..{args.max_n}")
     # both guards grow with n, so the largest n stands for every input
     top = max(ns, default=1)
     constructions.check_csm_guard(top)

@@ -20,9 +20,12 @@ Two independent routes produce the same sets:
   the cell walks the table: it holds phi only per coset of <k>, one image
   per coset, closes the table after each write under the defining
   identity at every known point of the orbit of 1, so it branches only
-  where nothing is forced, and searches one phi(1) per orbit of the units
-  = 1 mod the quotient order.  Both phases journal their writes and close
-  them by one discipline (_bind, _close, _undo).
+  where nothing is forced.  Both phases journal their writes and close
+  them by one discipline (_bind, _close, _undo).  The units of Z_n cut the
+  search twice, as a stabilizer chain: one quotient morphism q per class
+  under conjugation by the units of Z_d, whose cells alone are opened,
+  and inside a cell one phi(1) per orbit of the units = 1 mod k that fix
+  q; the finds are conjugated onto the rest of each orbit.
   Multi-factor groups assemble tables from a kernel candidate, an
   additive bijection of it, a recursively enumerated quotient morphism,
   and one image per coset (_search_general); they search one candidate
@@ -42,8 +45,9 @@ Two independent routes produce the same sets:
   transports the finds over the rest of the orbit, and _orbit_cut argues
   once why that is complete and yields each morphism once.  So
   _search_general reads as a chain of cuts, kernel -> quotient morphism
-  -> kernel bijection -> coset images, each level a search of one point
-  under its stabilizer that returns its finds.  Each route yields every
+  -> kernel bijection -> coset images, and _search_cyclic as quotient
+  morphism -> phi(1), each level a search of one point under its
+  stabilizer that returns its finds.  Each route yields every
   morphism exactly once.  Every completed table and every conjugate is
   revalidated in full, so the searches stay sound however hard their
   cells prune; the correctness burden is completeness, argued per search
@@ -186,6 +190,13 @@ def _orbit_cut(points, sigmas, act, search, transport) -> list[SkewMorphism]:
             out += finds
             out += [transport(sm, sigma) for sigma in moves.values() for sm in finds]
     return out
+
+
+def _by_unit(sm: SkewMorphism, u: int) -> SkewMorphism:
+    """The transport of a morphism of Z_n by relabel along x -> u*x, u a
+    unit of Z_n: its conjugate by that automorphism (conjugate)."""
+    n = sm.group.order
+    return relabel(sm, [u * x % n for x in range(n)], sm.group)
 
 
 def _undo(journal) -> None:
@@ -344,7 +355,7 @@ def _power_web(word, powers, m, k, L) -> list[tuple[int, ...]]:
     return solutions
 
 
-def _lift_cell(group, q, k, L, solutions) -> list[SkewMorphism]:
+def _lift_cell(group, q, k, L, solutions, fixing) -> list[SkewMorphism]:
     """One search cell for Z_n: every skew morphism phi with
 
     * phi reduced mod d equal to the quotient morphism q of Z_d (d =
@@ -454,19 +465,24 @@ def _lift_cell(group, q, k, L, solutions) -> list[SkewMorphism]:
     is solved from cvals[0] = 1, which sets c_used[1] = 0 (L >= k >= 2,
     which the capacity rule of _search_cyclic implies).
 
-    Unit-conjugation orbits.  Let u be a unit mod n with u = 1 (mod d),
+    Unit-conjugation orbits.  Let u be a unit mod n with u = 1 (mod k)
+    whose reduction mod d fixes q, u q u^-1 = q on Z_d (fixing holds the
+    reductions that _search_cyclic's quotient-level cut found to fix q),
     and psi = u.phi.u^-1, a skew morphism with power x -> pi(u^-1 x)
     (conjugate).  Then psi lies in the same cell with the same seed t:
-    psi = q mod d since u = 1 there; its kernel is u<k> = <k>, and
-    psi(k) = u*phi(u^-1 k) = t*k, so L and t are unchanged; and u^-1 x = x
-    (mod k) since k | d, so psi has the same cvals.  As u^-1 - 1 lies
-    in <k> and phi(1 + a) = phi(1) + t*a for a in <k>, psi(1) = u*(phi(1) +
-    t*(u^-1 - 1)), that is psi(1) - t = u*(phi(1) - t).  So conjugation by
-    a unit u = 1 (mod d) maps the seed's morphisms with phi(1) = v one to
-    one onto those with phi(1) = t + u*(v - t), and the point phi(1) is
-    what the cut fixes: the cell sets it with the seed, once per orbit of
-    these units (a group) on the lifts of q(1), walks the other cosets,
-    and transports the finds by relabel along x -> u*x (_orbit_cut).
+    psi = q mod d since u fixes q (the quotient-level lemma of
+    _search_cyclic: reduction mod d commutes with the conjugation); its
+    kernel is u<k> = <k>, and psi(k) = u*phi(u^-1 k) = t*k, so L and t are
+    unchanged; and u^-1 x = x (mod k) since u^-1 = 1 (mod k), so psi has
+    the same cvals.  As u^-1 - 1 lies in <k> and phi(1 + a) = phi(1) + t*a
+    for a in <k>, psi(1) = u*(phi(1) + t*(u^-1 - 1)), that is psi(1) - t =
+    u*(phi(1) - t).  So conjugation by such a u maps the seed's morphisms
+    with phi(1) = v one to one onto those with phi(1) = t + u*(v - t), and
+    the point phi(1) is what the cut fixes: the cell sets it with the
+    seed, once per orbit of these units (a group: the units = 1 mod k that
+    reduce into q's stabilizer) on the lifts of q(1), walks the other
+    cosets, and transports the finds by relabel along x -> u*x
+    (_orbit_cut).
     """
     n = group.order
     d = q.group.order
@@ -545,15 +561,13 @@ def _lift_cell(group, q, k, L, solutions) -> list[SkewMorphism]:
                 walk(c + 1, finds)
             _undo(journal)
 
-    # the units u = 1 (mod d): conjugation by them maps the cell's solutions
-    # onto themselves, and moves phi(1) to t + u*(phi(1) - t)
-    units = [u for u in range(1, n, d) if gcd(u, n) == 1]
+    # the units u = 1 (mod k) whose reduction mod d fixes q: conjugation by
+    # them maps the cell's solutions onto themselves, and moves phi(1) to
+    # t + u*(phi(1) - t)
+    units = [u for u in range(1, n, k) if gcd(u, n) == 1 and u % d in fixing]
 
     def move_first(u: int, v: int) -> int:
         return (t + u * (v - t)) % n
-
-    def by_unit(sm: SkewMorphism, u: int) -> SkewMorphism:
-        return relabel(sm, [u * x % n for x in range(n)], group)
 
     def seeded(v0: int, _) -> list[SkewMorphism]:
         # the finds with phi(1) = v0, under every web solution the seed keeps
@@ -584,7 +598,7 @@ def _lift_cell(group, q, k, L, solutions) -> list[SkewMorphism]:
         if not kept:
             continue
         kernel_images = [m * t * k % n for m in range(size)]
-        out += _orbit_cut(range(q.perm[1], n, d), units, move_first, seeded, by_unit)
+        out += _orbit_cut(range(q.perm[1], n, d), units, move_first, seeded, _by_unit)
     return out
 
 
@@ -629,7 +643,8 @@ def _search_cyclic(group: AbelianGroup):
     quotient morphism q in _lift_cell: table entries are pinned mod d,
     leaving p candidates per entry, each entry fixes its whole coset of
     <k>, the cell's power web is solved before it walks a table, and it
-    searches one phi(1) per unit-conjugation orbit, all proved there.
+    searches one phi(1) per orbit of the units that fix q, all proved
+    there.
     Orders L that do not divide n*phi(n) are skipped: the order of every
     skew morphism of Z_n divides n*phi(n) (Kovacs and Nedela, the paper
     cited above).  _cyclic_cells lists the cells so considered.
@@ -644,12 +659,42 @@ def _search_cyclic(group: AbelianGroup):
     L >= k.  The web reads only the arguments of _power_web, so the search
     solves each web once, keyed by them, in a dict that lives for this
     call, and opens no cell whose web has no solution.
-    Soundness is the caller's revalidation of every completed table;
-    completeness needs only the cell with the true (q, k, L) to reach each
-    morphism.  No morphism is found twice: it has one reduction q, one
-    skew type k, one order L and one seed t, the walk branches on distinct
-    values, the conjugates of a find differ at 1, and the listed
-    automorphisms are the only finds of type 1.
+
+    One quotient morphism per unit-conjugation class.  Lemma: for a unit u
+    of Z_n, conjugation by u (relabel along x -> u*x) maps the morphisms of
+    the cell (q, k, L) with seed t one to one onto those of the cell
+    (u q u^-1, k, L) with the same seed t, u read mod d in u q u^-1.
+    Proof: let phi lie in the first cell and psi = u.phi.u^-1 (conjugate).
+    Its kernel is u<k> = <k>, as every subgroup of Z_n is characteristic,
+    so psi has skew type k and its power x -> pi(u^-1 x) is constant
+    exactly on the cosets of <k>; conjugation keeps the order, so |psi| =
+    L, the length of psi's orbit of 1.  phi(y) = q(y) (mod d) for every y,
+    and multiplication by u or u^-1 keeps congruence mod d, so psi(x) =
+    u*phi(u^-1 x) = u*q(u^-1 x) (mod d): reduction mod d commutes with
+    conjugation, and psi reduces to u q u^-1.  phi is a -> t*a on <k>, and
+    Aut(Z_n) is abelian, so psi is a -> u*t*u^-1*a = t*a there: the seed
+    is t.  Conjugation by u^-1 undoes the map, so it is one to one.  So
+    for each designated p one _orbit_cut runs over the q of Z_d with an
+    admitted cell, under the units of Z_d acting by q -> u q u^-1 (every
+    unit of Z_d is the reduction of a unit of Z_n, and each is taken as
+    its least such lift): the search at the first q of a class opens
+    every admitted cell of that q whose web has a solution, handing it the
+    units of q's stabilizer, the next level of the chain, and the finds
+    are transported onto the rest of the class along the lift.  A class
+    is admitted whole: |q| and q's skew type are class invariants, and so
+    is the multiset q.power[1:k] that the capacity rule reads, since u
+    permutes the cosets of q's kernel <k_q> (k_q | k), which 0 .. k - 1
+    meet k/k_q times each.  So the cells and webs of every other q of a
+    class are neither opened nor solved.
+
+    Soundness is the caller's revalidation of every completed table and
+    every conjugate; completeness needs only the cell with the true (q, k,
+    L), or the cell of the first q of its class, to reach each morphism.
+    No morphism is found twice: it has one skew type k, hence one d, one
+    reduction q, one order L and one seed t, the walk branches on distinct
+    values, both cuts are _orbit_cut calls, which yield each morphism of
+    their points once, and the listed automorphisms are the only finds of
+    type 1.
     """
     n = group.order
     split = coprime_split(n)
@@ -670,18 +715,41 @@ def _search_cyclic(group: AbelianGroup):
     # the automorphisms, skew type 1, are the maps x -> t*x for the units t
     units = [t for t in range(1, n) if gcd(t, n) == 1]
     out = [as_skew_morphism(Automorphism(group, tuple(t * x % n for x in range(n)))) for t in units]
-    webs: dict[tuple, list[tuple[int, ...]]] = {}  # _power_web by its arguments
+    cells: dict[int, dict[tuple, list]] = {}  # the admitted cells, by d and by q
     for q, k, L in _cyclic_cells(n):
-        if not _powers_fit(L, q.power[1:k], q.order, 1):
-            continue
-        orbit = [1]  # q^i(1) for i < |q|
-        while len(orbit) < q.order:
-            orbit.append(q.perm[orbit[-1]])
-        web = (tuple(x % k for x in orbit), q.power[:k], q.order, k, L)
-        if web not in webs:
-            webs[web] = _power_web(*web)
-        if webs[web]:
-            out += _lift_cell(group, q, k, L, webs[web])
+        if _powers_fit(L, q.power[1:k], q.order, 1):
+            cells.setdefault(q.group.order, {}).setdefault(q.perm, []).append((q, k, L))
+    webs: dict[tuple, list[tuple[int, ...]]] = {}  # _power_web by its arguments
+
+    def search_q(perm, stab) -> list[SkewMorphism]:
+        # the finds of every cell of q, under the units whose reduction fixes q
+        fixing = {u % len(perm) for u in stab}
+        finds: list[SkewMorphism] = []
+        for q, k, L in cells[len(perm)][perm]:
+            orbit = [1]  # q^i(1) for i < |q|
+            while len(orbit) < q.order:
+                orbit.append(q.perm[orbit[-1]])
+            web = (tuple(x % k for x in orbit), q.power[:k], q.order, k, L)
+            if web not in webs:
+                webs[web] = _power_web(*web)
+            if webs[web]:
+                finds += _lift_cell(group, q, k, L, webs[web], fixing)
+        return finds
+
+    def move_q(u, perm):
+        # u q u^-1 on Z_d: the values u*q(x), read at x = u^-1 * z
+        times, back = maps[len(perm)][u]
+        return back(itemgetter(*perm)(times))
+
+    # each unit of Z_d as the least unit u of Z_n over it, with x -> u*x on
+    # Z_d and, as an itemgetter, x -> u^-1*x
+    maps: dict[int, dict] = {}
+    for d, by_q in cells.items():
+        maps[d] = {
+            u: (tuple(u * x % d for x in range(d)), itemgetter(*(pow(u, -1, d) * x % d for x in range(d))))
+            for u in sorted({u % d: u for u in reversed(units)}.values())
+        }
+        out += _orbit_cut(by_q, list(maps[d]), move_q, search_q, _by_unit)
     yield from out
 
 

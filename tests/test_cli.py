@@ -321,6 +321,13 @@ def test_empty_cyclic_range_is_a_usage_error(capsys):
     assert "--cyclic-from 5 --cyclic-to 3" in err and "nothing to do" not in err
 
 
+def test_empty_csm_range_is_a_usage_error(capsys):
+    """verify csm checks n = 2..max_n, so --max-n 1 would verify nothing."""
+    code, out, err = run_cli(capsys, "verify", "csm", "--max-n", "1")
+    assert code == 2 and out == ""
+    assert "empty range n = 2..1" in err
+
+
 def test_verify_theorem2_rejects_cyclic(capsys):
     code, _, err = run_cli(capsys, "verify", "theorem2", "--groups", "Z9", "--quiet")
     assert code == 2

@@ -688,14 +688,14 @@ def test_odd_prime_powers_match_the_kovacs_nedela_count():
     """The skew morphisms of Z_(p^e), p an odd prime, number (p - 1)(p^(2e-1)
     - p^(2e-2) + 2)/(p + 1) (Kovacs and Nedela, Skew-morphisms of cyclic
     p-groups, J. Group Theory 20 (2017)).  A cross-check of the cyclic
-    route on all 21 odd prime powers up to 64, not a pruning rule: no
-    search reads the formula."""
-    powers = [n for n in range(3, 65) if len(factorint(n)) == 1 and n % 2]
-    assert len(powers) == 21
+    route on all 26 odd prime powers up to 81, past the cyclic guard, not a
+    pruning rule: no search reads the formula."""
+    powers = [n for n in range(3, 82) if len(factorint(n)) == 1 and n % 2]
+    assert len(powers) == 26
     for n in powers:
         [(p, e)] = factorint(n).items()
         count = (p - 1) * (p ** (2 * e - 1) - p ** (2 * e - 2) + 2) // (p + 1)
-        assert cached_enumeration((n,)).total == count, n
+        assert cached_enumeration((n,), 81).total == count, n
 
 
 def test_a_route_yielding_a_morphism_twice_fails_loudly(monkeypatch):
@@ -734,33 +734,40 @@ def test_a_duplicate_fails_loudly_under_python_O():
 
 @pytest.mark.parametrize(
     "n,tables,conjugates",
-    [(30, 26, 12), (36, 69, 13), (39, 2, 22)],
+    [(30, 17, (12, 9)), (36, 25, (49, 8)), (39, 2, (0, 22))],
     ids=["Z30", "Z36", "Z39"],
 )
 def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tables, conjugates):
     """Pins how hard the lifting cells prune: a cold enumeration, quotients
     and decomposed products included, revalidates exactly this many
     completed tables and expands exactly this many finds by unit
-    conjugation, so a check that stops firing, or an orbit cut that stops
-    expanding, shows here and not only as lost time or lost morphisms.  The
-    automorphisms are listed, not searched, so no cell has skew type 1.  A
-    fresh cache per n makes the counts independent of test order."""
+    conjugation, onto another quotient morphism of the class of the cell's
+    q and onto another phi(1) of the cell, in that order.  A conjugate is
+    sorted by whether it changes the reduction mod d = n/p, p the prime
+    its skew type is designated to (_cyclic_cells), so a check that stops
+    firing, or a cut that stops expanding, shows at its own level and not
+    only as lost time or lost morphisms.  The automorphisms are listed, not
+    searched, so no cell has skew type 1.  A fresh cache per n makes the
+    counts independent of test order."""
     calls = []
-    expanded = []
+    expanded = [0, 0]
     cell_types = set()
     lift_cell = enumeration._lift_cell
 
-    def cell(group, q, k, L, solutions):
+    def cell(group, q, k, L, solutions, fixing):
         cell_types.add(k)
-        return lift_cell(group, q, k, L, solutions)
+        return lift_cell(group, q, k, L, solutions, fixing)
 
     def counted(group, table):
         calls.append(table)
         return try_validate(group, table)
 
     def transported(sm, iso, target):
-        expanded.append(iso)
-        return relabel(sm, iso, target)
+        psi = relabel(sm, iso, target)
+        m = target.order
+        d = m // min(factorint(m // skew_type(sm)))
+        expanded[all(psi.perm[x] % d == sm.perm[x] % d for x in range(d))] += 1
+        return psi
 
     monkeypatch.setattr(enumeration, "try_validate", counted)
     monkeypatch.setattr(enumeration, "relabel", transported)
@@ -768,7 +775,7 @@ def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tab
     fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
     monkeypatch.setattr(enumeration, "_cached_search", fresh)
     enumerate_skew_morphisms(make_group([n]))
-    assert (len(calls), len(expanded)) == (tables, conjugates)
+    assert (len(calls), tuple(expanded)) == (tables, conjugates)
     assert cell_types and 1 not in cell_types
 
 
@@ -838,8 +845,9 @@ def test_unit_conjugation_preserves_the_lifting_cell():
     enumerated morphism and not through the cell's code: for phi of skew
     type k with phi(k) = t*k and any unit u = 1 (mod k), psi = u.phi.u^-1
     is enumerated, has phi's order, skew type and reduction mod k, and
-    psi(1) - t = u*(phi(1) - t).  The cut uses the units u = 1 (mod d) for
-    the quotient order d, a multiple of k, so they are among these."""
+    psi(1) - t = u*(phi(1) - t).  The cut uses the units u = 1 (mod k)
+    whose reduction mod the quotient order d fixes the cell's quotient
+    morphism q, so they are among these."""
     checked = 0
     for n in range(2, 41):
         group = make_group([n])
@@ -859,6 +867,39 @@ def test_unit_conjugation_preserves_the_lifting_cell():
                 assert psi.perm[1] == (t + u * (sm.perm[1] - t)) % n
                 checked += 1
     assert checked == 13229
+
+
+def test_unit_conjugation_moves_the_quotient_morphism():
+    """The lemma behind the quotient-level cut of _search_cyclic, checked on
+    every enumerated morphism of Z2..Z40 and not through the search's code:
+    for phi of skew type k with phi(k) = t*k, every unit u and each prime p
+    with k | d = n/p, d > 1, so that phi reduces mod d to a skew morphism q
+    of Z_d, psi = u.phi.u^-1 is enumerated, has phi's order, skew type and
+    seed t, and reduces mod d to u q u^-1, with u read mod d."""
+    checked = 0
+    for n in range(2, 41):
+        by_perm = {sm.perm: sm for sm in cached_enumeration((n,)).morphisms}
+        for sm in by_perm.values():
+            k = skew_type(sm)
+            phi = sm.perm
+            for u in range(1, n):
+                if gcd(u, n) != 1:
+                    continue
+                back = pow(u, -1, n)
+                perm = tuple(u * phi[back * x % n] % n for x in range(n))
+                assert perm in by_perm, (phi, u)
+                psi = by_perm[perm]
+                assert (psi.order, skew_type(psi), perm[k]) == (sm.order, k, phi[k])
+                for p in factorint(n):
+                    d = n // p
+                    if d == 1 or d % k:
+                        continue
+                    q = [phi[x] % d for x in range(d)]
+                    assert all(phi[x] % d == q[x % d] for x in range(n))
+                    moved = [u * q[back * x % d] % d for x in range(d)]
+                    assert all(perm[x] % d == moved[x % d] for x in range(n)), (phi, u, d)
+                    checked += 1
+    assert checked == 16700
 
 
 # the groups of the benchmark's noncyclic-sweep pool
@@ -1018,16 +1059,23 @@ def test_power_web_equals_a_scan_of_its_constraints(monkeypatch):
     = svals[cvals[j]] for every j, indices mod k.  Where the scan has at
     most 20,000 candidates, it keeps what _power_web returns on a cell the
     capacity rule admits and nothing on a cell it refuses.  The search
-    opens exactly the admitted cells whose web has a solution, and hands
-    each the web built from its own q, though it solves each web once per
-    signature.  Table walk and revalidation hide a web that keeps too much,
-    so the web is checked on its own."""
+    opens exactly the admitted cells whose web has a solution and whose q
+    is the first point of its class under the units of Z_d, the least of
+    the perms u q u^-1, and hands each the web built from its own q,
+    though it solves each web once per signature.  Table walk and
+    revalidation hide a web that keeps too much, so the web is checked on
+    its own."""
     opened = {}
     lift_cell = enumeration._lift_cell
 
-    def cell(group, q, k, L, solutions):
+    def cell(group, q, k, L, solutions, fixing):
         opened[q.perm, k, L] = solutions
-        return lift_cell(group, q, k, L, solutions)
+        return lift_cell(group, q, k, L, solutions, fixing)
+
+    def first_of_class(perm):
+        d = len(perm)
+        units = [u for u in range(1, d) if gcd(u, d) == 1]
+        return perm == min(tuple(u * perm[pow(u, -1, d) * x % d] % d for x in range(d)) for u in units)
 
     monkeypatch.setattr(enumeration, "_lift_cell", cell)
     considered = {}
@@ -1044,7 +1092,7 @@ def test_power_web_equals_a_scan_of_its_constraints(monkeypatch):
         fits = _powers_fit(L, q.power[1:k], q.order, 1)
         word = tuple(perm_power(q.perm, i)[1] % k for i in range(q.order))
         web = _power_web(word, q.power[:k], q.order, k, L) if fits else []
-        assert opened.get(key, []) == web and (key in opened) == bool(web), key
+        assert opened.get(key, web) == web and (key in opened) == (bool(web) and first_of_class(q.perm)), key
         cells[fits] += 1
         classes = [range(q.power[j], L, q.order) for j in range(1, k)]
         if prod(map(len, classes)) > 20_000:
@@ -1053,7 +1101,7 @@ def test_power_web_equals_a_scan_of_its_constraints(monkeypatch):
         assert sorted(web) == expected, key
         scanned[fits] += 1
         solutions += len(expected)
-    assert (cells[True], cells[False], len(opened)) == (305, 830, 249)
+    assert (cells[True], cells[False], len(opened)) == (305, 830, 126)
     assert (scanned[True], scanned[False], solutions) == (303, 698, 346)
 
 

@@ -41,24 +41,30 @@ Two independent routes produce the same sets:
   defining identity on the finished, phi-closed part of the table, so
   most tables die before they are complete.
   Every orbit cut, cyclic or not, is one _orbit_cut call: it searches
-  the first point of each orbit under that point's stabilizer and
-  transports the finds over the rest of the orbit, and _orbit_cut argues
-  once why that is complete and yields each morphism once.  So
-  _search_general reads as a chain of cuts, kernel -> quotient morphism
-  -> kernel bijection -> coset images, and _search_cyclic as quotient
-  morphism -> phi(1), each level a search of one point under its
-  stabilizer that returns its finds.  Each route yields every
-  morphism exactly once.  Every completed table and every conjugate is
-  revalidated in full, so the searches stay sound however hard their
-  cells prune; the correctness burden is completeness, argued per search
-  below.
+  the first point of each orbit under that point's stabilizer and keeps
+  the finds with the moves onto the rest of the orbit, their transports
+  deferred, and _orbit_cut argues once why that is complete, stands for
+  each morphism once, and counts each orbit as its size times its first
+  point's finds.  So _search_general reads as a chain of cuts, kernel ->
+  quotient morphism -> kernel bijection -> coset images, and
+  _search_cyclic as quotient morphism -> phi(1), each level a search of
+  one point under its stabilizer that returns its finds.  Each route
+  stands for every morphism exactly once.  Every completed table is
+  revalidated in full, and so is every morphism that is materialized, a
+  conjugate or a listed automorphism, so the searches stay sound however
+  hard their cells prune; the correctness burden is completeness, argued
+  per search below.  The counts come from the validated leaves times the
+  proved orbit sizes (_tally), so a caller that reads only counts builds
+  no conjugate of its group's morphisms.
 
 Both entry points, enumerate_skew_morphisms and cached_enumeration (the
 same call on the group of its factors), check the size guards and read
 one cache of reports (_cached_search), which the searches' recursion
 reads too; like make_group, they keep no report of a group above
 SUBGROUP_GUARD that they are asked for.  A report times the search that
-produced it (EnumerationReport.from_search).
+produced it and counts its finds (EnumerationReport.from_search), and
+expands them into morphisms only when those are read, once; the
+recursion reads the quotients' morphisms, so those are expanded.
 
 Orders are always derived from tables.  The searches use two published
 bounds on |phi|, and only to skip work: on Z_n, |phi| divides n*phi(n),
@@ -74,12 +80,12 @@ region check list the powers of the table on a phi-closed region, at most
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd, lcm, prod
 from operator import itemgetter
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .groups import (
     SUBGROUP_GUARD,
@@ -123,40 +129,67 @@ AUTOMORPHISM_GUARD = 50_000
 ENUMERATION_CACHE_SIZE = 256
 
 
+class _Expansion:
+    """The morphisms field of EnumerationReport: a data descriptor, so that
+    the dataclass's __init__ and dataclasses.replace take it like any field.
+    A report that from_search makes is given none (the default None).  Its
+    morphisms are then built on the first read and kept: its finds expanded
+    (_expand) and sorted by permutation.  Counted again as leaves (_tally),
+    they must hold no perm twice and the report's counts, or the read
+    raises."""
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return None  # the field's default: expand the finds when read
+        morphisms = report.__dict__["_morphisms"]
+        if morphisms is None:
+            morphisms = tuple(sorted(_expand(report.found), key=lambda sm: sm.perm))
+            counts = (report.total, report.automorphisms, report.smooth)
+            expanded = _tally(report.group, morphisms)
+            if expanded != counts:
+                raise AssertionError(
+                    f"{report.group.label}: (total, automorphisms, smooth) = {expanded} "
+                    f"expanded, {counts} counted"
+                )
+            report.__dict__["_morphisms"] = morphisms
+        return morphisms
+
+    def __set__(self, report, morphisms) -> None:
+        # only __init__ reaches this: the frozen dataclass refuses later writes
+        report.__dict__["_morphisms"] = morphisms
+
+
 @dataclass(frozen=True)
 class EnumerationReport:
+    """A group's skew morphism counts, and its morphisms sorted by
+    permutation.
+
+    from_search derives the counts from a search's finds (_orbit_cut):
+    each validated leaf times the orbit sizes above it, and the listed
+    automorphisms, all smooth (_tally).  morphisms expands the finds only
+    when it is first read, revalidating every morphism it builds, and
+    refuses an expansion whose counts differ from the report's."""
+
     group: AbelianGroup
-    morphisms: tuple[SkewMorphism, ...]
     total: int
     automorphisms: int
     proper: int
     smooth: int
     nonsmooth: int
     elapsed_ms: float
+    found: tuple = field(repr=False, compare=False)
+    morphisms: tuple[SkewMorphism, ...] = _Expansion()
 
     @classmethod
-    def from_search(cls, group: AbelianGroup, search: Iterable[SkewMorphism]) -> "EnumerationReport":
-        """The report of every morphism the search yields, sorted by
-        permutation; elapsed_ms is the time taken to consume the search."""
+    def from_search(cls, group: AbelianGroup, search: Iterable) -> "EnumerationReport":
+        """The report of a search's finds, counted without expanding them;
+        elapsed_ms is the time taken to consume the search and count its
+        finds."""
         start = time.perf_counter()
-        morphisms = tuple(sorted(search, key=lambda sm: sm.perm))
+        found = tuple(search)
+        total, autos, smooth = _tally(group, found)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        # raised, not asserted, so that the check holds under python -O
-        if len({sm.perm for sm in morphisms}) != len(morphisms):
-            raise AssertionError(f"{group.label}: a route yielded a morphism twice")
-        autos = sum(1 for sm in morphisms if sm.is_automorphism)
-        smooth = sum(1 for sm in morphisms if is_smooth(sm))
-        total = len(morphisms)
-        return cls(
-            group,
-            morphisms,
-            total,
-            autos,
-            total - autos,
-            smooth,
-            total - smooth,
-            elapsed_ms,
-        )
+        return cls(group, total, autos, total - autos, smooth, total - smooth, elapsed_ms, found)
 
 
 def brute_force_oracle(group: AbelianGroup, guard: int = ORACLE_GUARD) -> EnumerationReport:
@@ -168,27 +201,115 @@ def brute_force_oracle(group: AbelianGroup, guard: int = ORACLE_GUARD) -> Enumer
     return EnumerationReport.from_search(group, (sm for sm in tried if sm is not None))
 
 
-def _orbit_cut(points, sigmas, act, search, transport) -> list[SkewMorphism]:
-    """Every find of a symmetry cut: for each orbit of sigmas acting on
-    points by act (groups._orbits), the finds search(x, stab) at its first
-    point x, stab the sigmas fixing x, and transport(sm, sigma) of each of
-    them for each other point y of the orbit, sigma the first of sigmas
-    that carries x to y (the moves of groups._orbits).
+class _Orbit(NamedTuple):
+    """The finds of one orbit of a symmetry cut, its transports deferred
+    (_orbit_cut): finds at the orbit's first point, and sigmas, one carrying
+    that point onto each other point of the orbit, applied by transport."""
+
+    finds: list
+    sigmas: tuple
+    transport: Callable
+
+
+class _Listed(NamedTuple):
+    """The automorphisms a search lists for its group, each checked by
+    as_skew_morphism only when expanded."""
+
+    group: AbelianGroup
+    autos: list[Automorphism]
+
+
+def _orbit_cut(points, sigmas, act, search, transport) -> list:
+    """The finds of a symmetry cut: for each orbit of sigmas acting on
+    points by act (groups._orbits) whose first point x finds something,
+    one _Orbit of the finds search(x, stab), stab the sigmas fixing x, and
+    of the moves of groups._orbits, for each other point y of the orbit the
+    first of sigmas that carries x to y.  The finds of a search are the
+    validated tables it completed, its leaves, and the _Orbits of the cuts
+    below it; _expand builds transport(sm, sigma) of every morphism they
+    stand for, sigma over the orbit's moves.
 
     Every cut proves that transport by a sigma carrying x to y maps the
     morphisms at x (those whose kernel, quotient, restriction or image the
     point fixes) one to one onto the morphisms at y.  So the cut is
-    complete, as each search is.  It yields each morphism once: the finds
-    at x are distinct, a one-to-one transport keeps those at y distinct,
-    and morphisms at different points differ.  Every transport is
-    revalidated (relabel, conjugate).
+    complete, as each search is.  It stands for each morphism once: the
+    finds at x are distinct, a one-to-one transport keeps those at y
+    distinct, and morphisms at different points differ.
+
+    The count identity.  The orbits are disjoint, each transport is one to
+    one, and the finds at different points differ, so an orbit stands for
+    1 + len(moves) times as many morphisms as its first point, and, down
+    the nested cuts, a leaf for the product of the orbit sizes above it.
+    Each of them is a conjugate of the leaf by an automorphism sigma, the
+    product of the transports' sigmas down its path (_by_unit's relabel
+    along x -> u*x is the conjugation by that automorphism), and psi =
+    sigma phi sigma^-1 has power pi . sigma^-1 (the lemma of
+    morphisms.conjugate).  So power 1 everywhere carries over
+    from phi to psi, and so does pi constant on phi-orbits: pi(phi(x)) =
+    pi(x) for every x gives pi_psi(psi(y)) = pi(phi(sigma^-1 y)) =
+    pi(sigma^-1 y) = pi_psi(y); conjugation by sigma^-1 carries both back.
+    A leaf's conjugates are therefore automorphisms, and smooth, exactly
+    when the leaf is, and a report counts them from its validated leaves
+    times proved orbit sizes (_tally).  Every morphism that is built,
+    transport or leaf, is revalidated (relabel, conjugate, try_validate).
     """
-    out: list[SkewMorphism] = []
+    out: list = []
     for x, moves, stab in _orbits(points, sigmas, act):
         finds = search(x, stab)
-        if finds:  # most points find nothing: build no empty transport list
+        if finds:  # most points find nothing: keep no empty orbit
+            out.append(_Orbit(finds, tuple(moves.values()), transport))
+    return out
+
+
+def _tally(group: AbelianGroup, found) -> tuple[int, int, int]:
+    """(total, automorphisms, smooth) of the morphisms that a search's finds
+    stand for, no transport built: a leaf counts once, an _Orbit 1 +
+    len(sigmas) times its finds (the count identity of _orbit_cut), and
+    the listed automorphisms once each, all smooth.  Raised, not asserted,
+    so that python -O keeps them: a perm met twice among the leaves and the
+    listed automorphisms, and a list of automorphisms other than |Aut(A)|
+    long (automorphism_count, Hillar-Rhea; totient(n) on Z_n), which
+    stands in for checking each automorphism."""
+    perms: list = []
+
+    def tally(items) -> tuple[int, int, int]:
+        total = autos = smooth = 0
+        for item in items:
+            if isinstance(item, _Orbit):
+                size = 1 + len(item.sigmas)
+                t, a, s = (size * c for c in tally(item.finds))
+            elif isinstance(item, _Listed):
+                t = a = s = len(item.autos)
+                if t != automorphism_count(group):
+                    raise AssertionError(f"{group.label}: {t} automorphisms listed, |Aut| differs")
+                perms.extend(theta.table for theta in item.autos)
+            else:
+                t, a, s = 1, item.is_automorphism, is_smooth(item)
+                perms.append(item.perm)
+            total, autos, smooth = total + t, autos + a, smooth + s
+        return total, autos, smooth
+
+    counts = tally(found)
+    if len(set(perms)) != len(perms):
+        raise AssertionError(f"{group.label}: a route yielded a morphism twice")
+    return counts
+
+
+def _expand(found) -> list[SkewMorphism]:
+    """Every morphism that a search's finds stand for, each revalidated once
+    it is built: the leaves, the listed automorphisms by as_skew_morphism,
+    and for each _Orbit its expanded finds and their transports by each of
+    its sigmas (relabel, conjugate)."""
+    out: list[SkewMorphism] = []
+    for item in found:
+        if isinstance(item, _Orbit):
+            finds = _expand(item.finds)
             out += finds
-            out += [transport(sm, sigma) for sigma in moves.values() for sm in finds]
+            out += [item.transport(sm, sigma) for sigma in item.sigmas for sm in finds]
+        elif isinstance(item, _Listed):
+            out += map(as_skew_morphism, item.autos)
+        else:
+            out.append(item)
     return out
 
 
@@ -631,8 +752,8 @@ def _search_cyclic(group: AbelianGroup):
     kept.
 
     Otherwise, listing and quotient lifting.  The automorphisms of Z_n, of
-    skew type 1, are the maps x -> t*x for the units t, each checked by
-    as_skew_morphism.  Every proper skew morphism phi of Z_n has skew type
+    skew type 1, are the maps x -> t*x for the units t, listed (_Listed)
+    and each checked by as_skew_morphism when expanded.  Every proper skew morphism phi of Z_n has skew type
     1 < k < n and induces skew morphisms on the quotients Z_d for each d
     between k and n (phi preserves all subgroups of its kernel <k>), its
     power function is constant exactly on the cosets of <k>, and |phi|
@@ -687,9 +808,10 @@ def _search_cyclic(group: AbelianGroup):
     meet k/k_q times each.  So the cells and webs of every other q of a
     class are neither opened nor solved.
 
-    Soundness is the caller's revalidation of every completed table and
-    every conjugate; completeness needs only the cell with the true (q, k,
-    L), or the cell of the first q of its class, to reach each morphism.
+    Soundness is the revalidation of every completed table and of every
+    conjugate that is built; completeness needs only the cell with the
+    true (q, k, L), or the cell of the first q of its class, to reach each
+    morphism.
     No morphism is found twice: it has one skew type k, hence one d, one
     reduction q, one order L and one seed t, the walk branches on distinct
     values, both cuts are _orbit_cut calls, which yield each morphism of
@@ -714,7 +836,8 @@ def _search_cyclic(group: AbelianGroup):
 
     # the automorphisms, skew type 1, are the maps x -> t*x for the units t
     units = [t for t in range(1, n) if gcd(t, n) == 1]
-    out = [as_skew_morphism(Automorphism(group, tuple(t * x % n for x in range(n)))) for t in units]
+    autos = [Automorphism(group, tuple(t * x % n for x in range(n))) for t in units]
+    out: list = [_Listed(group, autos)]
     cells: dict[int, dict[tuple, list]] = {}  # the admitted cells, by d and by q
     for q, k, L in _cyclic_cells(n):
         if _powers_fit(L, q.power[1:k], q.order, 1):
@@ -781,7 +904,8 @@ def _cyclic_cells(n: int):
 
 
 def _search_morphisms(group: AbelianGroup):
-    """Yield every skew morphism of the group, in search order.
+    """Yield the finds of the group's search, which stand for every skew
+    morphism of the group once (_orbit_cut, _expand).
 
     The trivial group has no factor and takes _search_general, whose
     automorphism list is its identity.
@@ -908,7 +1032,8 @@ def _search_general(group: AbelianGroup):
     sigma in Aut(A) maps the morphisms with kernel K0 one to one onto those
     with kernel sigma(K0) (conjugate), so the finds for K0 are transported
     over the orbit (_orbit_cut).  The automorphisms, kernel A, come from
-    enumerate_automorphisms, whose list also generates the orbits.
+    enumerate_automorphisms, whose list also generates the orbits; they
+    are listed (_Listed), each checked by as_skew_morphism when expanded.
 
     One (tau, theta) per orbit of Stab(K0) = {sigma in Aut(A) : sigma(K0) =
     K0}.  Such a sigma induces the automorphism sigma_bar(x + K0) =
@@ -1112,7 +1237,7 @@ def _search_general(group: AbelianGroup):
         stab = [induced(sigma) for sigma in stab]
         return _orbit_cut(taus, stab, move_tau, search_tau, by_stabilizer)
 
-    yield from (as_skew_morphism(theta) for theta in autos)
+    yield _Listed(group, autos)
     yield from _orbit_cut(subgroups, autos, move_subgroup, search_kernel, conjugate)
 
 
@@ -1167,8 +1292,12 @@ def enumerate_skew_morphisms(
     one entry serves every call with the same factors.  As make_group
     does, it keeps no group above SUBGROUP_GUARD, so a raised guard does
     not fill the cache with the requested groups and their tables; the
-    quotients their searches reach are kept.  A route that yields one
-    morphism twice fails the report's assertion."""
+    quotients their searches reach are kept.  The report's counts come
+    from the search's validated leaves times proved orbit sizes, and its
+    morphisms are built only when read (EnumerationReport).  A route that
+    yields one morphism twice, or lists too few or too many automorphisms,
+    fails the report's check when it is made; an expansion whose morphisms
+    repeat or differ from the counts fails when the morphisms are read."""
     check_search_guard(group, max_order)
     search = _cached_search if group.order <= SUBGROUP_GUARD else _search_report
     return search(group.factors)

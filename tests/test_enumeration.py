@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import random
@@ -15,6 +16,7 @@ from skewmorph.enumeration import (
     EnumerationReport,
     _orbit_plan,
     _cyclic_cells,
+    _expand,
     _power_web,
     _powers_fit,
     _region_holds,
@@ -350,7 +352,7 @@ def test_non_cyclic_enumeration_cross_sections():
 @pytest.mark.parametrize("factors", [(2, 2, 2), (3, 3), (2, 6), (4, 4), (2, 2, 4)])
 def test_general_search_yields_each_morphism_once(factors):
     """One search per Aut(A)-orbit of kernels, exact kernels only: no duplicates."""
-    perms = [sm.perm for sm in _search_general(make_group(factors))]
+    perms = [sm.perm for sm in _expand(_search_general(make_group(factors)))]
     assert len(perms) == len(set(perms)) == cached_enumeration(factors).total
 
 
@@ -680,7 +682,7 @@ def test_cyclic_route_equals_general_route(n):
         general = cached_enumeration(split.factors, n).morphisms
         carried = {relabel(sm, back, cyclic).perm for sm in general}
     else:
-        carried = {sm.perm for sm in _search_general(cyclic)}
+        carried = {sm.perm for sm in _expand(_search_general(cyclic))}
     assert carried == {sm.perm for sm in cached_enumeration((n,)).morphisms}
 
 
@@ -733,11 +735,11 @@ def test_a_duplicate_fails_loudly_under_python_O():
 
 
 @pytest.mark.parametrize(
-    "n,tables,conjugates",
-    [(30, 17, (12, 9)), (36, 25, (49, 8)), (39, 2, (0, 22))],
+    "n,tables,conjugates,unexpanded",
+    [(30, 17, (12, 9), (0, 4)), (36, 25, (49, 8), (13, 8)), (39, 2, (0, 22), (0, 0))],
     ids=["Z30", "Z36", "Z39"],
 )
-def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tables, conjugates):
+def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tables, conjugates, unexpanded):
     """Pins how hard the lifting cells prune: a cold enumeration, quotients
     and decomposed products included, revalidates exactly this many
     completed tables and expands exactly this many finds by unit
@@ -748,7 +750,10 @@ def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tab
     firing, or a cut that stops expanding, shows at its own level and not
     only as lost time or lost morphisms.  The automorphisms are listed, not
     searched, so no cell has skew type 1.  A fresh cache per n makes the
-    counts independent of test order."""
+    counts independent of test order.  The counts of the report are read
+    first, and only the quotients that the recursion reads are expanded
+    then: the same tables are validated, and the conjugates are the
+    quotients' alone (unexpanded); reading the morphisms expands the rest."""
     calls = []
     expanded = [0, 0]
     cell_types = set()
@@ -774,22 +779,24 @@ def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tab
     monkeypatch.setattr(enumeration, "_lift_cell", cell)
     fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
     monkeypatch.setattr(enumeration, "_cached_search", fresh)
-    enumerate_skew_morphisms(make_group([n]))
+    report = enumerate_skew_morphisms(make_group([n]))
+    assert (len(calls), tuple(expanded)) == (tables, unexpanded)
+    report.morphisms
     assert (len(calls), tuple(expanded)) == (tables, conjugates)
     assert cell_types and 1 not in cell_types
 
 
 @pytest.mark.parametrize(
-    "factors,tables,conjugates,regions",
+    "factors,tables,conjugates,regions,unexpanded",
     [
-        ((2, 2, 4), 130, (42, 48, 8), 592),
-        ((5, 5), 32, (240, 0, 36), 761),
-        ((3, 6), 39, (24, 22, 12), 277),
+        ((2, 2, 4), 130, (42, 48, 8), 592, (2, 2, 2)),
+        ((5, 5), 32, (240, 0, 36), 761, (0, 0, 0)),
+        ((3, 6), 39, (24, 22, 12), 277, (12, 0, 2)),
     ],
     ids=["Z2xZ2xZ4", "Z5xZ5", "Z3xZ6"],
 )
 def test_general_search_revalidates_a_pinned_number_of_tables(
-    monkeypatch, factors, tables, conjugates, regions
+    monkeypatch, factors, tables, conjugates, regions, unexpanded
 ):
     """Pins how hard the general route prunes: a cold enumeration, quotients
     included, revalidates exactly this many completed tables, runs exactly
@@ -799,7 +806,10 @@ def test_general_search_revalidates_a_pinned_number_of_tables(
     placed coset of the pair (the stabilizer chain), in that order.  Each
     conjugate is sorted by what it changes, so a cut that stops expanding
     shows here and not only as lost time.  A fresh cache makes the counts
-    independent of test order."""
+    independent of test order.  The report's counts are read first: every
+    table and region check is already done then, and the conjugates are the
+    expanded quotients' alone (unexpanded); reading the morphisms expands the
+    rest."""
     calls = []
     checked = [0]
     expanded = [0, 0, 0]
@@ -830,8 +840,115 @@ def test_general_search_revalidates_a_pinned_number_of_tables(
     monkeypatch.setattr(enumeration, "conjugate", transported)
     fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
     monkeypatch.setattr(enumeration, "_cached_search", fresh)
-    enumerate_skew_morphisms(make_group(factors))
+    report = enumerate_skew_morphisms(make_group(factors))
+    assert (len(calls), tuple(expanded), checked[0]) == (tables, unexpanded, regions)
+    report.morphisms
     assert (len(calls), tuple(expanded), checked[0]) == (tables, conjugates, regions)
+
+
+# the groups the count path is gated on: every pinned group, and every
+# abelian group of order <= 20 as abelian_group_presentations writes it
+COUNT_GATE = sorted(
+    {(n,) for n in CYCLIC_PINS}
+    | set(NONCYCLIC_PINS)
+    | {g.factors for order in range(1, 21) for g in abelian_group_presentations(order)}
+)
+
+
+@pytest.mark.parametrize("factors", COUNT_GATE, ids=lambda f: "x".join(f"Z{x}" for x in f) or "Z1")
+def test_counts_equal_the_expanded_morphisms(monkeypatch, factors):
+    """A report counts its morphisms from the validated leaves of its
+    search times the orbit sizes above them, and builds them only when they
+    are read.  From a fresh cache, the five counts read before the
+    morphisms equal the counts of the expanded set, and the expansion keeps
+    every pinned digest."""
+    fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
+    monkeypatch.setattr(enumeration, "_cached_search", fresh)
+    report = cached_enumeration(factors)
+    counts = (report.total, report.automorphisms, report.proper, report.smooth, report.nonsmooth)
+    morphisms = report.morphisms
+    autos = sum(sm.is_automorphism for sm in morphisms)
+    smooth = sum(is_smooth(sm) for sm in morphisms)
+    total = len({sm.perm for sm in morphisms})
+    assert counts == (total, autos, total - autos, smooth, total - smooth)
+    pins = {**{(n,): pin for n, pin in CYCLIC_PINS.items()}, **NONCYCLIC_PINS}
+    if factors in pins:
+        assert _pin(report) == pins[factors]
+
+
+@pytest.mark.parametrize("factors,counts", [((5, 5), (768, 480, 288)), ((36,), (60, 12, 32))])
+def test_counts_build_no_top_level_conjugate(monkeypatch, factors, counts):
+    """Reading only the counts of Z5xZ5 and Z36 builds no conjugate of a
+    morphism of the group itself (the quotients' reports are read as
+    morphisms by the recursion, so theirs are built); reading the
+    morphisms then builds them, which shows that the sentinel is live."""
+    for name in ("conjugate", "_by_unit"):
+        transport = getattr(enumeration, name)
+
+        def refuse(sm, sigma, transport=transport):
+            if sm.group.factors == factors:
+                raise AssertionError(f"top-level transport of {sm.group.label}")
+            return transport(sm, sigma)
+
+        monkeypatch.setattr(enumeration, name, refuse)
+    fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
+    monkeypatch.setattr(enumeration, "_cached_search", fresh)
+    report = enumerate_skew_morphisms(make_group(factors))
+    assert (report.total, report.automorphisms, report.nonsmooth) == counts
+    with pytest.raises(AssertionError, match="top-level transport"):
+        report.morphisms
+
+
+@pytest.mark.parametrize("fault", ["repeated", "corrupted"])
+@pytest.mark.parametrize("name,factors", [("_by_unit", (36,)), ("conjugate", (5, 5))])
+def test_a_faulty_transport_fails_when_the_morphisms_are_read(monkeypatch, fault, name, factors):
+    """The counts never build a transport, so a transport that breaks its
+    lemma shows when the morphisms are built: one that returns its find
+    unchanged (a repeated table), or one whose result claims power 1
+    everywhere (a corrupted table, an automorphism too many), makes
+    reading the morphisms raise, after the counts were returned."""
+    transport = getattr(enumeration, name)
+
+    def faulty(sm, sigma):
+        psi = transport(sm, sigma)
+        if sm.group.factors != factors:
+            return psi
+        if fault == "repeated":
+            return sm
+        return dataclasses.replace(psi, power=(1 % psi.order,) * len(psi.power))
+
+    monkeypatch.setattr(enumeration, name, faulty)
+    fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
+    monkeypatch.setattr(enumeration, "_cached_search", fresh)
+    report = enumerate_skew_morphisms(make_group(factors))
+    assert report.total == {(36,): 60, (5, 5): 768}[factors]
+    match = "twice" if fault == "repeated" else "expanded"
+    with pytest.raises(AssertionError, match=match):
+        report.morphisms
+
+
+@pytest.mark.parametrize("factors", [(2, 4), (3, 3), (2, 2, 2)])
+def test_a_short_automorphism_list_fails_the_count(monkeypatch, factors):
+    """The listed automorphisms are counted, not validated one by one, on
+    the count path, so their number is checked against |Aut(A)|
+    (automorphism_count, Hillar-Rhea): a list that lost a table fails at
+    once, before any morphism is read."""
+    monkeypatch.setattr(enumeration, "enumerate_automorphisms", lambda group: enumerate_automorphisms(group)[:-1])
+    fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
+    monkeypatch.setattr(enumeration, "_cached_search", fresh)
+    with pytest.raises(AssertionError, match="automorphisms listed"):
+        enumerate_skew_morphisms(make_group(factors))
+
+
+def test_a_miscounted_unit_list_fails_the_count(monkeypatch):
+    """The same check on the cyclic route, whose units of Z_n must number
+    totient(n) (automorphism_count of Z_n): an expected count off by one
+    fails at once."""
+    monkeypatch.setattr(enumeration, "automorphism_count", lambda group: totient(group.order) + 1)
+    fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
+    monkeypatch.setattr(enumeration, "_cached_search", fresh)
+    with pytest.raises(AssertionError, match="automorphisms listed"):
+        enumerate_skew_morphisms(make_group([9]))
 
 
 @pytest.mark.parametrize("n", sorted(CYCLIC_PINS))

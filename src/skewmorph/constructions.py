@@ -68,11 +68,6 @@ def _geometric_sums(base: int, modulus: int) -> Iterator[int]:
         term = (term * base) % modulus
 
 
-def tau(s: int, t: int) -> int:
-    """Sum of s**(i-1) for i = 1..t."""
-    return sum(s ** (i - 1) for i in range(1, t + 1))
-
-
 # ---------------------------------------------------------------------------
 # Smooth family for cyclic groups
 # ---------------------------------------------------------------------------
@@ -139,7 +134,7 @@ def _csm_checked(n: int, k: int, r: int, s: int, t: int, m: int) -> CsmParams:
 def csm_construct(params: CsmParams) -> SkewMorphism:
     """phi(x) = x + r*k*(tau^x - 1)/(tau - 1) mod n, via a running geometric sum."""
     n, k, r = params.n, params.k, params.r
-    tv = tau(params.s, params.t) % n
+    tv = next(islice(_geometric_sums(params.s, n), params.t, None))  # tau(s, t) mod n
     table = tuple((x + r * k * total) % n for x, total in zip(range(n), _geometric_sums(tv, n)))
     sm = try_validate(make_group([n]), table)
     _require(sm is not None, "smooth family table fails to validate")

@@ -11,17 +11,20 @@ Two independent routes produce the same sets:
   each proper skew type in quotient-lifting cells (_lift_cell).  A cell
   is opened only if its coset powers fit in Z_|phi| (_powers_fit, the
   capacity rule both routes share) and its power web has a solution.
-  The web (_power_web) is the powers on the cosets of the kernel <k> and
-  their prefix sums along the orbit of 1; it reads the cosets of <k> that
-  the quotient morphism's orbit of 1 meets, the quotient's powers and
-  order, k and |phi|, never the table, so the search solves each web
-  once and shares it among the cells with its signature.  Then, under
+  The web (_power_web) has the powers on the cosets of the kernel <k> as
+  its only unknowns: the orbit of 1 meets those cosets with the period
+  |q| of the quotient morphism q, so the sums of the powers along one
+  period read every link pi(j + 1) = sigma(pi(j)) in closed form.  It reads the
+  cosets of <k> that q's orbit of 1 meets, q's powers and order, k and
+  |phi|, never the table, so the search solves each web once and shares
+  it among the cells with its signature.  Then, under
   each solution whose powers are 1 mod the order of the seed phi on <k>,
   the cell walks the table: it holds phi only per coset of <k>, one image
   per coset, closes the table after each write under the defining
   identity at every known point of the orbit of 1, so it branches only
-  where nothing is forced.  Both phases journal their writes and close
-  them by one discipline (_bind, _close, _undo).  The units of Z_n cut the
+  where nothing is forced.  Both phases bind injectively (_bind) and free
+  a branch by its journal (_undo); the walk closes its writes with
+  _close, the web with a pass over its links.  The units of Z_n cut the
   search twice, as a stabilizer chain: one quotient morphism q per class
   under conjugation by the units of Z_d, whose cells alone are opened,
   and inside a cell one phi(1) per orbit of the units = 1 mod k that fix
@@ -364,115 +367,113 @@ def _power_web(word, powers, m, k, L) -> list[tuple[int, ...]]:
     tuple of k powers.  For the cell (q, k, L), m = |q|, word[i] = q^i(1)
     mod k for i < m, and powers = q.power[:k].
 
-    Its unknowns are cvals, the power on each coset of <k>, and svals[i] =
-    sigma(i), the sum of pi(phi^j(1)) over j < i, mod L.  Every morphism of
+    Its unknowns are cvals, the power on each coset of <k>, in Z_L.  With
+    sigma(i) the sum of pi(phi^t(1)) over t < i, mod L, every morphism of
     the cell satisfies all of its constraints:
 
-    * Slot cosets (slot).  Slot i of the orbit of 1, phi^i(1), is congruent
-      to q^i(1) mod d, hence mod k, so it lies in the coset word[i mod m]
-      (q^m = 1, and m divides L) and its power is cvals of that coset;
-      svals[i + 1] = svals[i] + that power, with svals[0] = svals[L] = 0
-      (the orbit of 1 has length L = |phi|).
-    * Composition (link).  cvals[j + 1] = svals[cvals[j]]: the recurrence
-      pi(x + 1) = sigma(pi(x)) of try_validate, at the basis weight 1,
-      read at x = j in coset j.
+    * Composition (links).  cvals[j + 1] = sigma(cvals[j]), indices mod k:
+      the recurrence pi(x + 1) = sigma(pi(x)) of try_validate (Jajcay and
+      Siran, Discrete Math. 244 (2002)), at the basis weight 1, read at
+      x = j in coset j.
     * Distinct values.  pi is constant exactly on the cosets of <k>, so
       the k values differ, and cvals[0] = 1 since 0 is in the kernel.
     * Congruence.  Every power is congruent mod m to q's power at its
       reduction (the congruence lemma of _lift_cell).
 
-    The web reads only its arguments, never the table or the seed: the
-    coset of slot i is fixed by q before phi(1) is known.  So cells with
-    equal arguments share their solutions (_search_cyclic).  solve
-    branches the unset cvals[j] whose coset the orbit of 1 meets first
-    (the rest after, least first), over the class of powers[j] mod m, so
-    the prefix sums svals, and through them the links, are known early;
-    it closes the web after each write (_close).  A cvals[j] write
-    re-checks the slots in coset j and the links j - 1 and j; an svals[i]
-    write re-checks slots i - 1 and i and the link c_used[i], whose cvals
-    value is i; a c_used write re-checks nothing.  These are all the
-    constraints on each entry, and _bind keeps cvals distinct.  Once every
-    cvals entry is set, svals follows from svals[0] along the slots, so a
-    leaf of solve is a complete solution, and each is reached once (the
-    branches at one coset take distinct values).
+    Periodicity.  Slot t of the orbit of 1, phi^t(1), is congruent to
+    q^t(1) mod d, hence mod k, and q^m = 1, so it lies in the coset
+    word[t mod m] and its power is cvals of that coset.  With P[b] the sum
+    of cvals[word[t]] over t < b, for b <= m, and m | L, sigma(a*m + b) =
+    a*P[m] + P[b] (mod L) for b < m.  So sigma is read in closed form from
+    the prefix of word whose cosets are set: sigma(x) is known once
+    P[x mod m] is, and, for x >= m, P[m].
+
+    sigma(L) = 0, the orbit of 1 closing after L = |phi| slots, always
+    holds, so the web does not test it.  sigma(L) = (L/m)*P[m].  P[m] =
+    sigma_q(m) (mod m) by the congruence lemma (which forced values meet
+    too, below), powers[word[t]] being q's power at q^t(1), as q's kernel
+    <k_q> has k_q | k.  And sigma_q(m) = 0
+    (mod m), because q's orbit of 1 has length m: q^m = 1, so 1 + y =
+    q^m(1 + y) = 1 + q^sigma_q(m)(y) for every y.  So m divides P[m], and
+    L divides (L/m)*P[m].
+
+    Forced values are already congruent to q's powers.  A link forces
+    sigma(cvals[j]), a sum of powers congruent to q's along slots
+    congruent to q's orbit of 1, so it is sigma_q(cvals[j]) (mod m); and
+    sigma_q(x + m) = sigma_q(x) (mod m) by the lemma above, so this is
+    sigma_q(pi_q(j)) = pi_q(j + 1) = powers[j + 1] (mod m), q's own
+    recurrence (pi_q(k) = powers[0] = 1, k lying in <k_q>).  So no forced
+    value is re-checked against its class.
+
+    solve branches only the cosets of word, in the order the orbit of 1
+    meets them, over the class of powers[j] mod m, so each branch sets the
+    coset at the first unset position of word.  It binds each value
+    injectively (_bind into c_used) and frees a branch by its journal
+    (_undo).  P over the set prefix of word is kept as one list, prefix,
+    that a branch lengthens and that is cut back when the branch is
+    undone.  After each write, one pass over the k links writes cvals[j +
+    1] = sigma(cvals[j]), or checks it, at every j where cvals[j] is set
+    and sigma is known there; a value forced at link j is read at link j
+    + 1 in the same pass (link k - 1 meets cvals[0], set from the start),
+    so a second pass over the same prefix would force nothing, and the
+    pass is repeated only while it lengthens the set prefix of word.
+
+    Leaves are complete.  Once every coset of word is set, P is complete,
+    so sigma is known everywhere, and the chain of links from cvals[0] = 1
+    sets all k values; the cosets that the orbit of 1 never meets are
+    forced, never branched.  A leaf therefore meets every link, with k
+    distinct values, each congruent to q's power, so it is a solution, and
+    each solution is reached once (the branches at one coset take distinct
+    values).  The web reads only its arguments, never the table or the
+    seed: the coset of slot t is fixed by q before phi(1) is known.  So
+    cells with equal arguments share their solutions (_search_cyclic).
     """
-    slot_coset = [word[i % m] for i in range(L)]  # the coset of <k> holding slot i
-    coset_slots: list[list[int]] = [[] for _ in range(k)]
-    for i, j in enumerate(slot_coset):
-        coset_slots[j].append(i)
-    # the cosets in the order solve branches them
-    order = list(dict.fromkeys(word + tuple(range(k))))
-    svals: list[int | None] = [None] * (L + 1)
-    svals[0] = svals[L] = 0
+    branch = list(dict.fromkeys(word))  # the cosets solve branches, in order
     cvals: list[int | None] = [None] * k
     c_used: list[int | None] = [None] * L
+    prefix = [0]  # P[b] = sigma(b) for b <= t, over the set prefix word[:t]
 
-    def slot(i: int, journal) -> bool:
-        # svals[i + 1] = svals[i] + cvals[slot_coset[i]]
-        a, b = svals[i], svals[i + 1]
-        j = slot_coset[i]
-        r = cvals[j]
-        if r is None:
-            return a is None or b is None or _bind(cvals, c_used, j, (b - a) % L, journal)
-        if b is None:
-            if a is not None:
-                svals[i + 1] = (a + r) % L
-                journal.append((svals, i + 1))
-        elif a is None:
-            svals[i] = (b - r) % L
-            journal.append((svals, i))
-        else:
-            return (a + r) % L == b
-        return True
-
-    def link(j: int, journal) -> bool:
-        # cvals[j + 1] = svals[cvals[j]]
-        cj = cvals[j]
-        if cj is None:
-            return True
-        jn = (j + 1) % k
-        succ = cvals[jn]
-        sv = svals[cj]
-        if sv is None:
-            if succ is not None:
-                svals[cj] = succ
-                journal.append((svals, cj))
-            return True
-        if succ is None:
-            return _bind(cvals, c_used, jn, sv, journal)
-        return sv == succ
-
-    def recheck(values, i: int, journal) -> bool:
-        if values is cvals:
-            return (
-                all(slot(s, journal) for s in coset_slots[i])
-                and link((i - 1) % k, journal)
-                and link(i, journal)
-            )
-        if values is svals:
-            j = c_used[i]
-            return slot(i - 1, journal) and slot(i, journal) and (j is None or link(j, journal))
-        return True
+    def links(journal) -> bool:
+        # one pass over the links per growth of the set prefix word[:t]
+        t = len(prefix) - 1
+        while True:
+            while t < m and cvals[word[t]] is not None:
+                prefix.append((prefix[t] + cvals[word[t]]) % L)
+                t += 1
+            known = t if t < m else L  # sigma(c) is known for c <= known
+            for j, c in enumerate(cvals):
+                if c is None or c > known:
+                    continue
+                sv = prefix[c] if c <= t else (c // m * prefix[m] + prefix[c % m]) % L  # sigma(c)
+                succ = cvals[(j + 1) % k]
+                if succ is None:
+                    if not _bind(cvals, c_used, j + 1, sv, journal):
+                        return False
+                elif succ != sv:
+                    return False
+            if t == m or cvals[word[t]] is None:
+                return True
 
     def solve(i: int) -> None:
-        # complete cvals from the coset order[i] on; a solution is kept as a tuple
-        while i < k and cvals[order[i]] is not None:
+        # complete cvals from the coset branch[i] on; a solution is kept as a tuple
+        while i < len(branch) and cvals[branch[i]] is not None:
             i += 1
-        if i == k:
+        if i == len(branch):
             solutions.append(tuple(cvals))
             return
-        j = order[i]
+        j = branch[i]
+        size = len(prefix)
         for guess in range(powers[j], L, m):
             journal: list = []
-            if _bind(cvals, c_used, j, guess, journal) and _close(recheck, journal):
+            if _bind(cvals, c_used, j, guess, journal) and links(journal):
                 solve(i + 1)
             _undo(journal)
+            del prefix[size:]  # the sums the branch's writes added
 
     solutions: list[tuple[int, ...]] = []
-    journal: list = []
-    _bind(cvals, c_used, 0, 1, journal)
-    if _close(recheck, journal):
-        solve(0)
+    # cvals[0] = 1; link 0, cvals[1] = sigma(1) = cvals[word[0]], always holds
+    _bind(cvals, c_used, 0, 1, [])
+    solve(0)
     return solutions
 
 
@@ -490,8 +491,9 @@ def _lift_cell(group, q, k, L, solutions, fixing) -> list[SkewMorphism]:
     once for all its seeds phi(k) = t*k, by _search_cyclic, which passes
     the solutions in and opens no cell without one; then for each seed the
     cell walks the table under each solution that the seed's kernel-order
-    rule keeps.  Both phases journal their writes, bind injectively with
-    _bind, and close with _close.  Every completed table is revalidated
+    rule keeps.  Both phases journal their writes and bind injectively
+    with _bind; the walk closes with _close, the web with its pass over
+    the links.  Every completed table is revalidated
     before it is kept, so pruning only needs to preserve completeness for
     the cell's own (q, k, L).
 
@@ -576,9 +578,9 @@ def _lift_cell(group, q, k, L, solutions, fixing) -> list[SkewMorphism]:
       pi_q(c) mod |q|, and |q| is the length of q's orbit of 1;
     * a coset write phi(c + m*k) = phi(c) + m*t*k follows q(c + m*k) =
       q(c) + m*q(k), since the seed ranges over t = q(k)/k (mod d/k);
-    * svals and cvals forced by the power web are sums and compositions of
-      congruent powers, so they follow q's sigma and pi (L is a multiple
-      of |q|, and svals[L] = 0 = sigma_q(|q|) mod |q|).
+    * cvals forced by the power web are sums of congruent powers along
+      slots congruent to q's orbit of 1, so they follow q's sigma and pi
+      (_power_web proves it, with sigma_q(|q|) = 0 mod |q|).
 
     So distinct cosets c < k have phi(c) in distinct cosets of <k> and
     phi is injective wherever it is set; no slot is bound to 0 (q^i(1) is
@@ -777,9 +779,13 @@ def _search_cyclic(group: AbelianGroup):
     has L/|q| members in Z_L, 1 among them for the class of 1.  So a
     refused cell's web has no solution, and no morphism is lost.  The rule
     places k - 1 powers in at most L - 1 values, so an opened cell has
-    L >= k.  The web reads only the arguments of _power_web, so the search
-    solves each web once, keyed by them, in a dict that lives for this
-    call, and opens no cell whose web has no solution.
+    L >= k.  The web's only unknowns are these k values: the orbit of 1
+    meets the cosets of <k> with the period |q| (word, q^i(1) mod k for i
+    < |q|), so one period of prefix sums gives sigma, and through it every
+    link, in closed form (_power_web).  The web reads only the arguments
+    of _power_web, so the search solves each web once, keyed by them, in
+    a dict that lives for this call, and opens no cell whose web has no
+    solution.
 
     One quotient morphism per unit-conjugation class.  Lemma: for a unit u
     of Z_n, conjugation by u (relabel along x -> u*x) maps the morphisms of

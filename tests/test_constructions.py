@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
@@ -9,6 +10,7 @@ from skewmorph.constructions import (
     DirectProductRejection,
     FamilyConsistencyError,
     ParameterRejection,
+    _geometric_sums,
     csm_construct,
     csm_params,
     direct_product,
@@ -20,7 +22,6 @@ from skewmorph.constructions import (
     pns_witness_two,
     root_construct,
     root_params,
-    tau,
 )
 from skewmorph.groups import Automorphism, make_group, multiplicative_order, parse_group_literal
 from skewmorph.morphisms import (
@@ -33,9 +34,10 @@ from skewmorph.morphisms import (
 )
 
 
-def test_tau():
-    assert tau(1, 2) == 2
-    assert tau(2, 3) == 1 + 2 + 4
+def test_geometric_sums():
+    # index t is tau(s, t), the sum of s**(i-1) for i = 1..t, mod the modulus
+    assert next(islice(_geometric_sums(1, 100), 2, None)) == 2
+    assert next(islice(_geometric_sums(2, 100), 3, None)) == 1 + 2 + 4
 
 
 def test_csm_z6_example():

@@ -1222,6 +1222,35 @@ def test_power_web_equals_a_scan_of_its_constraints(monkeypatch):
     assert (scanned[True], scanned[False], solutions) == (303, 698, 346)
 
 
+def test_power_web_pins_every_web_to_64(monkeypatch):
+    """Every power web that the search solves for Z2..Z64, up to the
+    default cyclic guard, with its solutions: 247 signatures and 382
+    solutions, and a sha256 over repr((args, sorted(solutions))) in sorted
+    args order.  The scan test above reaches only the webs of Z2..Z40 that
+    it can scan.  Each web also meets the period-sum lemma of _power_web:
+    q's powers summed over one period of word are 0 mod m."""
+    fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
+    monkeypatch.setattr(enumeration, "_cached_search", fresh)
+    webs = {}
+    power_web = enumeration._power_web
+
+    def recorded(*args):
+        solutions = power_web(*args)
+        webs[args] = sorted(solutions)
+        return solutions
+
+    monkeypatch.setattr(enumeration, "_power_web", recorded)
+    for n in range(2, 65):
+        cached_enumeration((n,))
+    digest = hashlib.sha256()
+    for args in sorted(webs):
+        digest.update(repr((args, webs[args])).encode())
+    assert (len(webs), sum(map(len, webs.values()))) == (247, 382)
+    assert digest.hexdigest() == "0152c8c7c2d73d06915fea216621b20d2d6d455a57f95d7be448bfddb5884799"
+    for word, powers, m, _, _ in webs:
+        assert sum(powers[j] for j in word) % m == 0, (word, powers, m)
+
+
 def test_slot_composition_holds_on_every_morphism():
     """The composition rule that _lift_cell closes its table under, checked
     on morphisms found with the cell (enumeration, Z2..Z64) and without it

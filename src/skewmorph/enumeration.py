@@ -25,10 +25,11 @@ Two independent routes produce the same sets:
   where nothing is forced.  Both phases bind injectively (_bind) and free
   a branch by its journal (_undo); the walk closes its writes with
   _close, the web with a pass over its links.  The units of Z_n cut the
-  search twice, as a stabilizer chain: one quotient morphism q per class
-  under conjugation by the units of Z_d, whose cells alone are opened,
-  and inside a cell one phi(1) per orbit of the units = 1 mod k that fix
-  q; the finds are conjugated onto the rest of each orbit.
+  search three times, as a stabilizer chain: one quotient morphism q per
+  class under conjugation by the units of Z_d, whose cells alone are
+  opened; inside a cell one web solution per orbit of the units that fix
+  q; and under it one phi(1) per orbit of those of them = 1 mod k; the
+  finds are conjugated onto the rest of each orbit.
   Multi-factor groups assemble tables from a kernel candidate, an
   additive bijection of it, a recursively enumerated quotient morphism,
   and one image per coset (_search_general); they search one candidate
@@ -50,8 +51,9 @@ Two independent routes produce the same sets:
   each morphism once, and counts each orbit as its size times its first
   point's finds.  So _search_general reads as a chain of cuts, kernel ->
   quotient morphism -> kernel bijection -> coset images, and
-  _search_cyclic as quotient morphism -> phi(1), each level a search of
-  one point under its stabilizer that returns its finds.  Each route
+  _search_cyclic as quotient morphism -> web solution -> phi(1), each
+  level a search of one point under its stabilizer that returns its
+  finds.  Each route
   stands for every morphism exactly once.  Every completed table is
   revalidated in full, and so is every morphism that is materialized, a
   conjugate or a listed automorphism, so the searches stay sound however
@@ -489,13 +491,13 @@ def _lift_cell(group, q, k, L, solutions, fixing) -> list[SkewMorphism]:
 
     A cell runs in two phases: first its power web is solved (_power_web),
     once for all its seeds phi(k) = t*k, by _search_cyclic, which passes
-    the solutions in and opens no cell without one; then for each seed the
-    cell walks the table under each solution that the seed's kernel-order
-    rule keeps.  Both phases journal their writes and bind injectively
-    with _bind; the walk closes with _close, the web with its pass over
-    the links.  Every completed table is revalidated
-    before it is kept, so pruning only needs to preserve completeness for
-    the cell's own (q, k, L).
+    the solutions in and opens no cell without one; then the cell walks the
+    table under one solution per unit-conjugation orbit, for each seed
+    whose kernel-order rule keeps it.  Both phases journal their writes and
+    bind injectively with _bind; the walk closes with _close, the web with
+    its pass over the links.  Every completed table is revalidated before
+    it is kept, so pruning only needs to preserve completeness for the
+    cell's own (q, k, L).
 
     The kernel-order rule.  phi maps K = <k> onto itself as multiplication
     by the unit t with phi(k) = t*k, of order o = ord(t mod n/k), so o
@@ -588,35 +590,60 @@ def _lift_cell(group, q, k, L, solutions, fixing) -> list[SkewMorphism]:
     is solved from cvals[0] = 1, which sets c_used[1] = 0 (L >= k >= 2,
     which the capacity rule of _search_cyclic implies).
 
-    Unit-conjugation orbits.  Let u be a unit mod n with u = 1 (mod k)
-    whose reduction mod d fixes q, u q u^-1 = q on Z_d (fixing holds the
-    reductions that _search_cyclic's quotient-level cut found to fix q),
-    and psi = u.phi.u^-1, a skew morphism with power x -> pi(u^-1 x)
-    (conjugate).  Then psi lies in the same cell with the same seed t:
-    psi = q mod d since u fixes q (the quotient-level lemma of
-    _search_cyclic: reduction mod d commutes with the conjugation); its
-    kernel is u<k> = <k>, and psi(k) = u*phi(u^-1 k) = t*k, so L and t are
-    unchanged; and u^-1 x = x (mod k) since u^-1 = 1 (mod k), so psi has
-    the same cvals.  As u^-1 - 1 lies in <k> and phi(1 + a) = phi(1) + t*a
-    for a in <k>, psi(1) = u*(phi(1) + t*(u^-1 - 1)), that is psi(1) - t =
-    u*(phi(1) - t).  So conjugation by such a u maps the seed's morphisms
-    with phi(1) = v one to one onto those with phi(1) = t + u*(v - t), and
-    the point phi(1) is what the cut fixes: the cell sets it with the
-    seed, once per orbit of these units (a group: the units = 1 mod k that
-    reduce into q's stabilizer) on the lifts of q(1), walks the other
-    cosets, and transports the finds by relabel along x -> u*x
-    (_orbit_cut).
+    Unit-conjugation orbits.  fixing lists, least first, the units u of
+    Z_n whose reduction mod d fixes q, u q u^-1 = q on Z_d, from
+    _search_cyclic's quotient-level cut; they form a group, the preimage
+    of q's stabilizer.  For such a u let psi = u.phi.u^-1, a skew morphism
+    with power x -> pi(u^-1 x) (conjugate).  The cell cuts twice more, by
+    orbit cuts (_orbit_cut) that transport the finds by relabel along x ->
+    u*x: one web solution per orbit of fixing, and under it, for each seed
+    that keeps it, one phi(1) per orbit of the units of fixing = 1 (mod
+    k).
+
+    1. psi lies in the same cell with the same seed t, and its web solution
+       is u.w, with (u.w)[j] = w[u^-1 j mod k] for phi's solution w.  psi =
+       q mod d since u fixes q (the quotient-level lemma of _search_cyclic:
+       reduction mod d commutes with the conjugation); its kernel is u<k> =
+       <k>, and psi(k) = u*phi(u^-1 k) = t*k, so L and t are unchanged; and
+       psi's power at j is pi(u^-1 j), the power of the coset u^-1 j mod k.
+       Conjugation by u^-1 undoes the map, so conjugation by u maps the
+       cell's morphisms with solution w and seed t one to one onto those
+       with u.w and t.
+    2. u.w depends only on u mod k, so the least unit of fixing over each
+       residue mod k (movers) reaches the whole orbit of w under fixing.
+    3. The stabilizer of w is exactly the units = 1 (mod k): the k values
+       of w are pairwise distinct, so w[u^-1 j] = w[j] for every j only
+       when u^-1 j = j (mod k) for every j.  Among movers only 1 fixes w,
+       so a solution's search cuts by ones, the units of fixing = 1 (mod
+       k), not by the stabilizer that the cut hands it.
+    4. If w has a find phi, its whole orbit lies in solutions: u.phi.u^-1
+       meets every constraint of the web, which is complete, so u.w is one
+       of its solutions.  The seeds that keep u.w are those that keep w,
+       since the kernel-order rule reads the values of a solution, not
+       their positions.  So the count identity of _orbit_cut holds.  An
+       orbit with no find may leave solutions, which groups._orbits allows,
+       and stands for nothing.  The orbits do not depend on the seed, so
+       the cut runs once per cell, above the seeds.
+
+    Under w and a seed t, let u lie in ones.  u^-1 x = x (mod k), so psi
+    keeps w.  As u^-1 - 1 lies in <k> and phi(1 + a) = phi(1) + t*a for a
+    in <k>, psi(1) = u*(phi(1) + t*(u^-1 - 1)), that is psi(1) - t =
+    u*(phi(1) - t).  So conjugation by u maps the morphisms with w, t and
+    phi(1) = v one to one onto those with w, t and phi(1) = t + u*(v - t),
+    and the point phi(1) is what the inner cut fixes: the cell sets it
+    with the seed, once per orbit of ones (a group) on the lifts of q(1),
+    and walks the other cosets.
     """
     n = group.order
     d = q.group.order
     add = group.add_table
     neg = group.neg_list
-    out: list[SkewMorphism] = []
     image: list[int | None] = [None] * k
     slots: list[int | None] = [None] * L
     slot_of: list[int | None] = [None] * n
     _bind(slots, slot_of, 0, 1, [])  # u_0 = 1, for every branch
     powers: tuple[int, ...] = ()  # the web solution the walk runs under
+    kernel_images: list[int] = []  # phi(m*k) under the seed the walk runs under
 
     def set_entry(x: int, v: int, journal) -> None:
         # the coset c + <k> of x is unset: phi(c + m*k) = phi(c) + m*t*k
@@ -684,25 +711,41 @@ def _lift_cell(group, q, k, L, solutions, fixing) -> list[SkewMorphism]:
                 walk(c + 1, finds)
             _undo(journal)
 
-    # the units u = 1 (mod k) whose reduction mod d fixes q: conjugation by
-    # them maps the cell's solutions onto themselves, and moves phi(1) to
-    # t + u*(phi(1) - t)
-    units = [u for u in range(1, n, k) if gcd(u, n) == 1 and u % d in fixing]
+    # the least unit of fixing over each residue mod k, which moves the web
+    # solutions; and the units of fixing = 1 (mod k), which fix every
+    # solution and move phi(1) to t + u*(phi(1) - t)
+    movers = sorted({u % k: u for u in reversed(fixing)}.values())
+    ones = [u for u in fixing if u % k == 1]
+
+    def move_powers(u: int, w):
+        # the web solution of u.phi.u^-1: w'[j] = w[u^-1 j mod k]
+        back = pow(u, -1, k)
+        return tuple(w[back * j % k] for j in range(k))
 
     def move_first(u: int, v: int) -> int:
         return (t + u * (v - t)) % n
 
+    def solved(w, _) -> list:
+        # the finds under the web solution w: under each seed whose
+        # kernel-order rule keeps w, one phi(1) per orbit of ones
+        nonlocal powers, t, kernel_images
+        powers = w
+        finds: list = []
+        for t, o in seeds:
+            if all((c - 1) % o == 0 for c in w):  # the kernel-order rule
+                kernel_images = [m * t * k % n for m in range(size)]
+                finds += _orbit_cut(range(q.perm[1], n, d), ones, move_first, seeded, _by_unit)
+        return finds
+
     def seeded(v0: int, _) -> list[SkewMorphism]:
-        # the finds with phi(1) = v0, under every web solution the seed keeps
-        nonlocal powers
+        # the finds with phi(1) = v0 under the web solution powers
         finds: list[SkewMorphism] = []
-        for powers in kept:
-            journal: list = []
-            set_entry(0, 0, journal)
-            set_entry(1, v0, journal)
-            if _close(recheck, journal):
-                walk(2, finds)
-            _undo(journal)
+        journal: list = []
+        set_entry(0, 0, journal)
+        set_entry(1, v0, journal)
+        if _close(recheck, journal):
+            walk(2, finds)
+        _undo(journal)
         return finds
 
     # seed the kernel: phi restricted to <k> is an automorphism, so phi(k) is
@@ -710,19 +753,15 @@ def _lift_cell(group, q, k, L, solutions, fixing) -> list[SkewMorphism]:
     # t*k = q(k) (mod d), and q(k) is a multiple of k (lemma above);
     # kernel_images[m] = phi(m*k)
     size = n // k
+    seeds = []
     for t in range(q.perm[k % d] // k, size, d // k):
         if gcd(t, size) != 1:
             continue
         o = multiplicative_order(t, size)
         if L % o:
             continue
-        # the kernel-order rule: every power is 1 mod o
-        kept = [w for w in solutions if all((c - 1) % o == 0 for c in w)]
-        if not kept:
-            continue
-        kernel_images = [m * t * k % n for m in range(size)]
-        out += _orbit_cut(range(q.perm[1], n, d), units, move_first, seeded, _by_unit)
-    return out
+        seeds.append((t, o))
+    return _orbit_cut(solutions, movers, move_powers, solved, _by_unit)
 
 
 def coprime_split(n: int) -> tuple[int, int] | None:
@@ -766,8 +805,8 @@ def _search_cyclic(group: AbelianGroup):
     quotient morphism q in _lift_cell: table entries are pinned mod d,
     leaving p candidates per entry, each entry fixes its whole coset of
     <k>, the cell's power web is solved before it walks a table, and it
-    searches one phi(1) per orbit of the units that fix q, all proved
-    there.
+    searches one web solution per orbit of the units that fix q and one
+    phi(1) per orbit of those = 1 (mod k), all proved there.
     Orders L that do not divide n*phi(n) are skipped: the order of every
     skew morphism of Z_n divides n*phi(n) (Kovacs and Nedela, the paper
     cited above).  _cyclic_cells lists the cells so considered.
@@ -806,7 +845,8 @@ def _search_cyclic(group: AbelianGroup):
     unit of Z_d is the reduction of a unit of Z_n, and each is taken as
     its least such lift): the search at the first q of a class opens
     every admitted cell of that q whose web has a solution, handing it the
-    units of q's stabilizer, the next level of the chain, and the finds
+    units of Z_n that reduce into q's stabilizer, least first, for the
+    next levels of the chain, and the finds
     are transported onto the rest of the class along the lift.  A class
     is admitted whole: |q| and q's skew type are class invariants, and so
     is the multiset q.power[1:k] that the capacity rule reads, since u
@@ -820,8 +860,8 @@ def _search_cyclic(group: AbelianGroup):
     morphism.
     No morphism is found twice: it has one skew type k, hence one d, one
     reduction q, one order L and one seed t, the walk branches on distinct
-    values, both cuts are _orbit_cut calls, which yield each morphism of
-    their points once, and the listed automorphisms are the only finds of
+    values, every cut is an _orbit_cut call, which yields each morphism of
+    its points once, and the listed automorphisms are the only finds of
     type 1.
     """
     n = group.order
@@ -851,10 +891,13 @@ def _search_cyclic(group: AbelianGroup):
     webs: dict[tuple, list[tuple[int, ...]]] = {}  # _power_web by its arguments
 
     def search_q(perm, stab) -> list[SkewMorphism]:
-        # the finds of every cell of q, under the units whose reduction fixes q
-        fixing = {u % len(perm) for u in stab}
+        # the finds of every cell of q, under the units of Z_n, least first,
+        # whose reduction fixes q
+        d = len(perm)
+        residues = {u % d for u in stab}
+        fixing = [u for u in units if u % d in residues]
         finds: list[SkewMorphism] = []
-        for q, k, L in cells[len(perm)][perm]:
+        for q, k, L in cells[d][perm]:
             orbit = [1]  # q^i(1) for i < |q|
             while len(orbit) < q.order:
                 orbit.append(q.perm[orbit[-1]])

@@ -50,6 +50,7 @@ from skewmorph.groups import (
 )
 from skewmorph.morphisms import (
     conjugate,
+    equivalence_classes,
     is_smooth,
     kernel,
     quotient_skew,
@@ -736,7 +737,7 @@ def test_a_duplicate_fails_loudly_under_python_O():
 
 @pytest.mark.parametrize(
     "n,tables,conjugates,unexpanded",
-    [(30, 17, (12, 9), (0, 4)), (36, 25, (49, 8), (13, 8)), (39, 2, (0, 22), (0, 0))],
+    [(30, 17, (12, 0, 9), (0, 0, 4)), (36, 23, (49, 2, 8), (13, 2, 8)), (39, 1, (0, 12, 11), (0, 0, 0))],
     ids=["Z30", "Z36", "Z39"],
 )
 def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tables, conjugates, unexpanded):
@@ -744,18 +745,20 @@ def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tab
     and decomposed products included, revalidates exactly this many
     completed tables and expands exactly this many finds by unit
     conjugation, onto another quotient morphism of the class of the cell's
-    q and onto another phi(1) of the cell, in that order.  A conjugate is
-    sorted by whether it changes the reduction mod d = n/p, p the prime
-    its skew type is designated to (_cyclic_cells), so a check that stops
-    firing, or a cut that stops expanding, shows at its own level and not
-    only as lost time or lost morphisms.  The automorphisms are listed, not
+    q, onto another web solution of the cell and onto another phi(1) under
+    the same solution, in that order.  A conjugate is sorted by whether it
+    changes the reduction mod d = n/p, p the prime its skew type k is
+    designated to (_cyclic_cells), and if not, by whether it changes the
+    coset powers power[:k], so a check that stops firing, or a cut that
+    stops expanding, shows at its own level and not only as lost time or
+    lost morphisms.  The automorphisms are listed, not
     searched, so no cell has skew type 1.  A fresh cache per n makes the
     counts independent of test order.  The counts of the report are read
     first, and only the quotients that the recursion reads are expanded
     then: the same tables are validated, and the conjugates are the
     quotients' alone (unexpanded); reading the morphisms expands the rest."""
     calls = []
-    expanded = [0, 0]
+    expanded = [0, 0, 0]
     cell_types = set()
     lift_cell = enumeration._lift_cell
 
@@ -770,8 +773,12 @@ def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tab
     def transported(sm, iso, target):
         psi = relabel(sm, iso, target)
         m = target.order
-        d = m // min(factorint(m // skew_type(sm)))
-        expanded[all(psi.perm[x] % d == sm.perm[x] % d for x in range(d))] += 1
+        k = skew_type(sm)
+        d = m // min(factorint(m // k))
+        if any(psi.perm[x] % d != sm.perm[x] % d for x in range(d)):
+            expanded[0] += 1
+        else:
+            expanded[1 + (psi.power[:k] == sm.power[:k])] += 1
         return psi
 
     monkeypatch.setattr(enumeration, "try_validate", counted)
@@ -1017,6 +1024,68 @@ def test_unit_conjugation_moves_the_quotient_morphism():
                     assert all(perm[x] % d == moved[x % d] for x in range(n)), (phi, u, d)
                     checked += 1
     assert checked == 16700
+
+
+def test_unit_conjugation_moves_the_web_solution():
+    """The lemma behind the web-solution cut of _lift_cell, checked on every
+    enumerated proper morphism of Z2..Z40 and not through the cell's code:
+    for phi of skew type k, d = n/p with p the least prime of n/k (the
+    prime k is designated to), q = phi mod d, and every unit u with u q
+    u^-1 = q on Z_d, psi = u.phi.u^-1 is enumerated, has phi's order, skew
+    type and seed phi(k), and moves the coset powers, psi.power[j] =
+    phi.power[u^-1 j mod k] for j < k; these change exactly when u != 1
+    (mod k), as the k coset powers are pairwise distinct."""
+    pairs = moved = 0
+    for n in range(2, 41):
+        by_perm = {sm.perm: sm for sm in cached_enumeration((n,)).morphisms}
+        for sm in by_perm.values():
+            k = skew_type(sm)
+            if k == 1:
+                continue
+            phi = sm.perm
+            d = n // min(factorint(n // k))
+            q = [phi[x] % d for x in range(d)]
+            for u in range(1, n):
+                if gcd(u, n) != 1 or any(u * q[pow(u, -1, d) * x % d] % d != q[x] for x in range(d)):
+                    continue
+                back = pow(u, -1, n)
+                perm = tuple(u * phi[back * x % n] % n for x in range(n))
+                assert perm in by_perm, (phi, u)
+                psi = by_perm[perm]
+                assert (psi.order, skew_type(psi), perm[k]) == (sm.order, k, phi[k])
+                assert all(psi.power[j] == sm.power[back * j % k] for j in range(k))
+                assert (psi.power[:k] == sm.power[:k]) == (u % k == 1), (phi, u)
+                pairs += 1
+                moved += u % k != 1
+    assert (pairs, moved) == (4634, 1592)
+
+
+def test_cyclic_search_walks_one_leaf_per_class(monkeypatch):
+    """The chain of unit cuts in _search_cyclic is tight: on every Z_n, n
+    <= 64, with no coprime split, the validated tables among a report's
+    finds, its leaves, number exactly the Aut(Z_n)-conjugacy classes of its
+    proper morphisms (morphisms.equivalence_classes), 305 in all.  A cut
+    that lost a level would walk more leaves than classes; one that cut
+    too hard would lose morphisms, which the pinned digests catch."""
+    fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
+    monkeypatch.setattr(enumeration, "_cached_search", fresh)
+
+    def leaves(found) -> int:
+        return sum(
+            leaves(item.finds) if isinstance(item, enumeration._Orbit) else not isinstance(item, enumeration._Listed)
+            for item in found
+        )
+
+    walked = classes = 0
+    for n in range(2, 65):
+        if coprime_split(n) is not None:
+            continue
+        report = cached_enumeration((n,))
+        proper = [sm for sm in report.morphisms if not sm.is_automorphism]
+        walked += leaves(report.found)
+        classes += len(equivalence_classes(proper))
+        assert walked == classes, n
+    assert (walked, classes) == (305, 305)
 
 
 # the groups of the benchmark's noncyclic-sweep pool

@@ -68,8 +68,11 @@ one cache of reports (_cached_search), which the searches' recursion
 reads too; like make_group, they keep no report of a group above
 SUBGROUP_GUARD that they are asked for.  A report times the search that
 produced it and counts its finds (EnumerationReport.from_search), and
-expands them into morphisms only when those are read, once; the
-recursion reads the quotients' morphisms, so those are expanded.
+expands them into morphisms only when those are read, once.  The cyclic
+recursion reads one morphism per unit class from its quotients' finds
+(_unit_classes) and expands no quotient report; the coprime split and
+_search_general read their factors' and quotients' morphisms, so those
+are expanded.
 
 Orders are always derived from tables.  The searches use two published
 bounds on |phi|, and only to skip work: on Z_n, |phi| divides n*phi(n),
@@ -120,7 +123,6 @@ from .morphisms import (
     conjugate,
     is_smooth,
     relabel,
-    skew_type,
     try_validate,
 )
 
@@ -323,6 +325,15 @@ def _by_unit(sm: SkewMorphism, u: int) -> SkewMorphism:
     unit of Z_n: its conjugate by that automorphism (conjugate)."""
     n = sm.group.order
     return relabel(sm, [u * x % n for x in range(n)], sm.group)
+
+
+def _unit_conjugation(u: int, d: int) -> Callable:
+    """perm -> u perm u^-1 on Z_d, u a unit mod d: the values u*perm(x),
+    read at x = u^-1 * z, by C-level itemgetters.  It is the perm of
+    _by_unit(sm, u) for sm of that perm, built without a table."""
+    times = tuple(u * x % d for x in range(d))
+    back = itemgetter(*(pow(u, -1, d) * x % d for x in range(d)))
+    return lambda perm: back(itemgetter(*perm)(times))
 
 
 def _undo(journal) -> None:
@@ -854,6 +865,25 @@ def _search_cyclic(group: AbelianGroup):
     meet k/k_q times each.  So the cells and webs of every other q of a
     class are neither opened nor solved.
 
+    The quotient's classes come from its finds, one point per class
+    (_unit_classes): the listed automorphisms, and each validated leaf
+    moved onto the least perm of its class; no quotient report is
+    expanded.
+    1. Every morphism that Z_d's report stands for is a listed
+       automorphism or a unit conjugate of a leaf: the count identity of
+       _orbit_cut, since every transport of the cyclic search is _by_unit,
+       conjugation by a unit.  On a split Z_d the leaves are all of its
+       morphisms.
+    2. Conjugation by a unit fixes x -> t*x, as Aut(Z_d) is abelian, so
+       each automorphism is its own class.
+    3. So the points meet every class, and once each, as they are keyed by
+       the least perm of their class.  groups._orbits records the moves
+       that fall outside points, so the cut gets the same orbits, moves
+       and stabilizers from them as from every morphism of Z_d.
+    4. The least perm of each class is the first point of its orbit when
+       every morphism is listed in perm order, so the same cells open and
+       the same webs are solved.
+
     Soundness is the revalidation of every completed table and of every
     conjugate that is built; completeness needs only the cell with the
     true (q, k, L), or the cell of the first q of its class, to reach each
@@ -909,18 +939,12 @@ def _search_cyclic(group: AbelianGroup):
         return finds
 
     def move_q(u, perm):
-        # u q u^-1 on Z_d: the values u*q(x), read at x = u^-1 * z
-        times, back = maps[len(perm)][u]
-        return back(itemgetter(*perm)(times))
+        return maps[len(perm)][u](perm)  # u q u^-1 on Z_d
 
-    # each unit of Z_d as the least unit u of Z_n over it, with x -> u*x on
-    # Z_d and, as an itemgetter, x -> u^-1*x
+    # each unit of Z_d as the least unit u of Z_n over it, with q -> u q u^-1
     maps: dict[int, dict] = {}
     for d, by_q in cells.items():
-        maps[d] = {
-            u: (tuple(u * x % d for x in range(d)), itemgetter(*(pow(u, -1, d) * x % d for x in range(d))))
-            for u in sorted({u % d: u for u in reversed(units)}.values())
-        }
+        maps[d] = {u: _unit_conjugation(u, d) for u in sorted({u % d: u for u in reversed(units)}.values())}
         out += _orbit_cut(by_q, list(maps[d]), move_q, search_q, _by_unit)
     yield from out
 
@@ -928,8 +952,11 @@ def _search_cyclic(group: AbelianGroup):
 def _cyclic_cells(n: int):
     """The cells (q, k, L) of _lift_cell that _search_cyclic considers for a
     Z_n with no coprime split, each proper skew type k under one prime p
-    (_search_cyclic): q a skew morphism of Z_d, d = n/p, with skew type
-    dividing k, and L a multiple of |q| that divides n*phi(n)."""
+    (_search_cyclic): q the least perm of a class of skew morphisms of Z_d,
+    d = n/p, under conjugation by its units (_unit_classes, from Z_d's
+    finds), with skew type dividing k, and L a multiple of |q| that
+    divides n*phi(n).  The skew type is d over the size of q's kernel, its
+    elements of power 1."""
     bound = n * totient(n)
     primes = sorted(factorint(n))
     # every proper skew type 1 < k < n divides n/p for some prime p;
@@ -941,8 +968,9 @@ def _cyclic_cells(n: int):
             designated.setdefault(next(p for p in primes if (n // k) % p == 0), []).append(k)
 
     for p, types in sorted(designated.items()):
-        for q in _cached_search((n // p,)).morphisms:
-            k_d = skew_type(q)
+        d = n // p
+        for q in _unit_classes(d):
+            k_d = d // q.power.count(1 % q.order)  # d / |Ker q|, Ker q the powers 1
             for k in types:
                 if k % k_d == 0:
                     # the orbit of 1 reduces onto its q-orbit, of length |q|,
@@ -950,6 +978,40 @@ def _cyclic_cells(n: int):
                     for L in range(q.order, min(n, q.order * p + 1), q.order):
                         if bound % L == 0:
                             yield q, k, L
+
+
+def _unit_classes(d: int) -> list[SkewMorphism]:
+    """One skew morphism of Z_d per class under conjugation by the units of
+    Z_d, the least perm of each, sorted by perm, read from the finds of
+    Z_d's report and never from its morphisms (_search_cyclic proves that
+    they meet every class once): each listed automorphism, checked by
+    as_skew_morphism, and each validated leaf, moved onto the least perm of
+    its class by one _by_unit, revalidated, where it is not that perm."""
+    least: dict[tuple, SkewMorphism] = {}
+    leaves: list[SkewMorphism] = []
+
+    def walk(found) -> None:
+        for item in found:
+            if isinstance(item, _Orbit):
+                walk(item.finds)
+            elif isinstance(item, _Listed):
+                least.update((theta.table, as_skew_morphism(theta)) for theta in item.autos)
+            else:
+                leaves.append(item)
+
+    walk(_cached_search((d,)).found)
+    moved: dict[tuple, tuple[SkewMorphism, int]] = {}
+    conjugations = [(u, _unit_conjugation(u, d)) for u in range(1, d) if gcd(u, d) == 1] if leaves else []
+    for sm in leaves:
+        perm, u = min((move(sm.perm), u) for u, move in conjugations)
+        if perm == sm.perm:
+            least[perm] = sm
+        else:
+            moved[perm] = sm, u
+    for perm, (sm, u) in moved.items():
+        if perm not in least:  # on a split Z_d the least perm is a leaf too
+            least[perm] = _by_unit(sm, u)
+    return [least[perm] for perm in sorted(least)]
 
 
 def _search_morphisms(group: AbelianGroup):

@@ -737,7 +737,7 @@ def test_a_duplicate_fails_loudly_under_python_O():
 
 @pytest.mark.parametrize(
     "n,tables,conjugates,unexpanded",
-    [(30, 17, (12, 0, 9), (0, 0, 4)), (36, 23, (49, 2, 8), (13, 2, 8)), (39, 1, (0, 12, 11), (0, 0, 0))],
+    [(30, 17, (12, 0, 5), (0, 0, 0)), (36, 23, (37, 0, 0), (1, 0, 0)), (39, 1, (0, 12, 11), (0, 0, 0))],
     ids=["Z30", "Z36", "Z39"],
 )
 def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tables, conjugates, unexpanded):
@@ -754,9 +754,10 @@ def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tab
     lost morphisms.  The automorphisms are listed, not
     searched, so no cell has skew type 1.  A fresh cache per n makes the
     counts independent of test order.  The counts of the report are read
-    first, and only the quotients that the recursion reads are expanded
-    then: the same tables are validated, and the conjugates are the
-    quotients' alone (unexpanded); reading the morphisms expands the rest."""
+    first: the same tables are validated, and the only conjugates then are
+    the leaves of quotients that the recursion moves onto the least perm of
+    their unit class (_unit_classes), as it expands no quotient report
+    (unexpanded); reading the morphisms expands the group's own finds."""
     calls = []
     expanded = [0, 0, 0]
     cell_types = set()
@@ -886,9 +887,11 @@ def test_counts_equal_the_expanded_morphisms(monkeypatch, factors):
 @pytest.mark.parametrize("factors,counts", [((5, 5), (768, 480, 288)), ((36,), (60, 12, 32))])
 def test_counts_build_no_top_level_conjugate(monkeypatch, factors, counts):
     """Reading only the counts of Z5xZ5 and Z36 builds no conjugate of a
-    morphism of the group itself (the quotients' reports are read as
-    morphisms by the recursion, so theirs are built); reading the
-    morphisms then builds them, which shows that the sentinel is live."""
+    morphism of the group itself (the general route reads its quotients'
+    reports as morphisms, so Z5xZ5's quotients' conjugates are built; the
+    cyclic route reads its quotients' finds and builds at most a leaf's
+    move onto the least perm of its class); reading the morphisms then
+    builds them, which shows that the sentinel is live."""
     for name in ("conjugate", "_by_unit"):
         transport = getattr(enumeration, name)
 
@@ -1088,6 +1091,54 @@ def test_cyclic_search_walks_one_leaf_per_class(monkeypatch):
     assert (walked, classes) == (305, 305)
 
 
+def test_quotient_classes_are_the_least_perm_of_each_class():
+    """The quotient morphisms that _cyclic_cells reads for Z_d
+    (_unit_classes, from the report's finds) are, for every d in 2..64,
+    split or not, exactly the least perm of each class that
+    morphisms.equivalence_classes finds among the expanded morphisms of
+    Z_d, each with the order and power of the expanded morphism of that
+    perm.  And the skew type _cyclic_cells reads off the powers, d over
+    the number of powers 1, is skew_type on every morphism of Z2..Z64."""
+    for d in range(2, 65):
+        morphisms = cached_enumeration((d,)).morphisms
+        by_perm = {sm.perm: sm for sm in morphisms}
+        least = sorted(min(sm.perm for sm in cls) for cls in equivalence_classes(morphisms))
+        read = enumeration._unit_classes(d)
+        assert [sm.perm for sm in read] == least, d
+        assert all((sm.order, sm.power) == (by_perm[sm.perm].order, by_perm[sm.perm].power) for sm in read), d
+        assert all(d // sm.power.count(1 % sm.order) == skew_type(sm) for sm in morphisms), d
+
+
+def test_cyclic_counts_expand_no_quotient(monkeypatch):
+    """The cyclic recursion reads its quotients' finds, one morphism per
+    unit class, and expands no report: counting Z36, Z72 and Z100 from a
+    fresh cache calls _expand on nothing, and none of the groups reached
+    takes the coprime split, which reads its factors' morphisms.  Reading
+    Z36's morphisms then expands its finds, which shows the sentinel is
+    live."""
+    expanded = []
+    expand = enumeration._expand
+
+    def recorded(found):
+        expanded.append(found)
+        return expand(found)
+
+    reached = []
+
+    def search(factors):
+        reached.append(factors)
+        return enumeration._search_report(factors)
+
+    monkeypatch.setattr(enumeration, "_expand", recorded)
+    monkeypatch.setattr(enumeration, "_cached_search", lru_cache(maxsize=None)(search))
+    counts = [enumerate_skew_morphisms(make_group([n]), max_order=100).total for n in (36, 72, 100)]
+    assert counts == [60, 180, 552] and expanded == []
+    assert all(coprime_split(n) is None for n, in reached), reached
+    report = enumerate_skew_morphisms(make_group([36]))
+    report.morphisms
+    assert expanded and expanded[0] is report.found
+
+
 # the groups of the benchmark's noncyclic-sweep pool
 SWEEP_GROUPS = [
     (2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (2, 8), (4, 4), (2, 2, 4), (3, 6), (2, 10), (5, 5)
@@ -1238,19 +1289,21 @@ def _power_web_by_scan(q, k, L, classes):
 
 def test_power_web_equals_a_scan_of_its_constraints(monkeypatch):
     """_power_web is exact, and _search_cyclic refuses only empty webs.  On
-    every cell (q, k, L) that the search considers (_cyclic_cells) for
-    Z2..Z40, a scan keeps the cvals with cvals[0] = 1, each cvals[j] in q's
-    power class at j mod |q| within [0, L), and distinct values, where svals
-    is the running sum of the slots' powers, svals[L] = 0 and cvals[j + 1]
-    = svals[cvals[j]] for every j, indices mod k.  Where the scan has at
-    most 20,000 candidates, it keeps what _power_web returns on a cell the
-    capacity rule admits and nothing on a cell it refuses.  The search
+    every cell (q, k, L) that the search would consider (_cyclic_cells) for
+    Z2..Z40 with q over all the morphisms of Z_d, not one per unit class
+    (_unit_classes), a scan keeps the cvals with cvals[0] = 1, each
+    cvals[j] in q's power class at j mod |q| within [0, L), and distinct
+    values, where svals is the running sum of the slots' powers, svals[L]
+    = 0 and cvals[j + 1] = svals[cvals[j]] for every j, indices mod k.
+    Where the scan has at most 20,000 candidates, it keeps what _power_web
+    returns on a cell the capacity rule admits and nothing on a cell it
+    refuses.  The search
     opens exactly the admitted cells whose web has a solution and whose q
     is the first point of its class under the units of Z_d, the least of
     the perms u q u^-1, and hands each the web built from its own q,
-    though it solves each web once per signature.  Table walk and
-    revalidation hide a web that keeps too much, so the web is checked on
-    its own."""
+    though it solves each web once per signature; _cyclic_cells lists
+    exactly the cells of those first points.  Table walk and revalidation
+    hide a web that keeps too much, so the web is checked on its own."""
     opened = {}
     lift_cell = enumeration._lift_cell
 
@@ -1268,7 +1321,12 @@ def test_power_web_equals_a_scan_of_its_constraints(monkeypatch):
     for n in range(2, 41):
         list(_search_cyclic(make_group([n])))
         if coprime_split(n) is None:
-            considered.update(((q.perm, k, L), q) for q, k, L in _cyclic_cells(n))
+            listed = {(q.perm, k, L) for q, k, L in _cyclic_cells(n)}
+            with monkeypatch.context() as every_q:
+                every_q.setattr(enumeration, "_unit_classes", lambda d: cached_enumeration((d,)).morphisms)
+                cells_of_n = {(q.perm, k, L): q for q, k, L in _cyclic_cells(n)}
+            assert listed == {key for key in cells_of_n if first_of_class(key[0])}, n
+            considered.update(cells_of_n)
     # cells and scanned cells, by whether the capacity rule admits them
     cells = {True: 0, False: 0}
     scanned = {True: 0, False: 0}

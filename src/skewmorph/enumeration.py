@@ -42,8 +42,9 @@ Two independent routes produce the same sets:
   coset and every image placed before it; the finds are conjugated onto
   the rest of each orbit.  The cosets are placed one quotient orbit at a
   time, and after each orbit a region check (_region_holds) tests the
-  defining identity on the finished, phi-closed part of the table, so
-  most tables die before they are complete.
+  defining identity on the finished, phi-closed part of the table, read
+  at its coset representatives as one CRT system of cycle offsets per
+  test, so most tables die before they are complete.
   Every orbit cut, cyclic or not, is one _orbit_cut call: it searches
   the first point of each orbit under that point's stabilizer and keeps
   the finds with the moves onto the rest of the orbit, their transports
@@ -80,16 +81,15 @@ which skips cells (_search_cyclic); on any A, |phi| <= |A| - 1, which
 skips the (quotient morphism, kernel bijection) pairs whose coset powers
 cannot be pairwise distinct in Z_|phi| (_powers_fit, in _search_general;
 _search_cyclic applies the same rule at its cell's own |phi|) and lets the
-region check list the powers of the table on a phi-closed region, at most
-|A| - 1 of them, and refuse a region whose table has a larger order
-(_region_holds).
+region check refuse a phi-closed region whose table has order |A| or
+more (_region_holds).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import gcd, lcm, prod
 from operator import itemgetter
@@ -118,7 +118,8 @@ from .groups import (
 )
 from .morphisms import (
     SkewMorphism,
-    _power_list,
+    _power_witness,
+    _trace_cycle,
     as_skew_morphism,
     conjugate,
     is_smooth,
@@ -197,6 +198,36 @@ class EnumerationReport:
         total, autos, smooth = _tally(group, found)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         return cls(group, total, autos, total - autos, smooth, total - smooth, elapsed_ms, found)
+
+    @cached_property
+    def _unit_classes(self) -> list[SkewMorphism]:
+        # _unit_classes(d) of a report of Z_d, read from its finds once
+        d = self.group.order
+        least: dict[tuple, SkewMorphism] = {}
+        leaves: list[SkewMorphism] = []
+
+        def walk(found) -> None:
+            for item in found:
+                if isinstance(item, _Orbit):
+                    walk(item.finds)
+                elif isinstance(item, _Listed):
+                    least.update((theta.table, as_skew_morphism(theta)) for theta in item.autos)
+                else:
+                    leaves.append(item)
+
+        walk(self.found)
+        moved: dict[tuple, tuple[SkewMorphism, int]] = {}
+        conjugations = [(u, _unit_conjugation(u, d)) for u in range(1, d) if gcd(u, d) == 1] if leaves else []
+        for sm in leaves:
+            perm, u = min((move(sm.perm), u) for u, move in conjugations)
+            if perm == sm.perm:
+                least[perm] = sm
+            else:
+                moved[perm] = sm, u
+        for perm, (sm, u) in moved.items():
+            if perm not in least:  # on a split Z_d the least perm is a leaf too
+                least[perm] = _by_unit(sm, u)
+        return [least[perm] for perm in sorted(least)]
 
 
 def brute_force_oracle(group: AbelianGroup, guard: int = ORACLE_GUARD) -> EnumerationReport:
@@ -986,32 +1017,10 @@ def _unit_classes(d: int) -> list[SkewMorphism]:
     Z_d's report and never from its morphisms (_search_cyclic proves that
     they meet every class once): each listed automorphism, checked by
     as_skew_morphism, and each validated leaf, moved onto the least perm of
-    its class by one _by_unit, revalidated, where it is not that perm."""
-    least: dict[tuple, SkewMorphism] = {}
-    leaves: list[SkewMorphism] = []
-
-    def walk(found) -> None:
-        for item in found:
-            if isinstance(item, _Orbit):
-                walk(item.finds)
-            elif isinstance(item, _Listed):
-                least.update((theta.table, as_skew_morphism(theta)) for theta in item.autos)
-            else:
-                leaves.append(item)
-
-    walk(_cached_search((d,)).found)
-    moved: dict[tuple, tuple[SkewMorphism, int]] = {}
-    conjugations = [(u, _unit_conjugation(u, d)) for u in range(1, d) if gcd(u, d) == 1] if leaves else []
-    for sm in leaves:
-        perm, u = min((move(sm.perm), u) for u, move in conjugations)
-        if perm == sm.perm:
-            least[perm] = sm
-        else:
-            moved[perm] = sm, u
-    for perm, (sm, u) in moved.items():
-        if perm not in least:  # on a split Z_d the least perm is a leaf too
-            least[perm] = _by_unit(sm, u)
-    return [least[perm] for perm in sorted(least)]
+    its class by one _by_unit, revalidated, where it is not that perm.
+    They are read once per report and kept on it, as its morphisms are, so
+    that the cache of reports drops them with it."""
+    return _cached_search((d,))._unit_classes
 
 
 def _search_morphisms(group: AbelianGroup):
@@ -1058,15 +1067,13 @@ def _orbit_plan(group: AbelianGroup, coset_elems, zero: int, tau: SkewMorphism):
     """Order the nonzero cosets by tau-orbit, shortest orbit first.
 
     Returns (order, checks).  checks[i] is None unless placing order[i]
-    completes a tau-orbit; then it is (region, tests) for the phi-closed
-    region R = K u (cosets of the orbits placed so far).  region is R as a
-    set, and tests holds, for every placed coset j with representative r,
-    the tuple (r, pi_tau(j), at_bs, at_rbs): itemgetters that pick, from a
-    table, its entries at the b in R with r + b in R, and at the r + b.
-    These b include all of K, at least two elements, so the itemgetters
-    return tuples.  The cosets of the orbit just placed come first, since
-    their entries are the new ones.  All of it depends on tau only, not on
-    the table.
+    completes a tau-orbit; then it is the tests of the phi-closed region R =
+    K u (cosets of the orbits placed so far): for every placed coset j with
+    representative r, the triple (r, pi_tau(j), pairs), pairs holding (b, r
+    + b) for each placed coset representative b with r + b in R.  The cosets
+    of the orbit just placed come first, as tests and as pairs, since their
+    entries are the new ones.  All of it depends on tau only, not on the
+    table.
     """
     add = group.add_table
     region = set(coset_elems[zero])
@@ -1077,44 +1084,44 @@ def _orbit_plan(group: AbelianGroup, coset_elems, zero: int, tau: SkewMorphism):
             continue
         region = region.union(*(coset_elems[j] for j in orbit))
         order += orbit
+        placed = orbit + order[: -len(orbit)]
+        reps = [coset_elems[j][0] for j in placed]
         tests = []
-        for j in orbit + order[: -len(orbit)]:
-            r = coset_elems[j][0]
+        for j, r in zip(placed, reps):
             row = add[r]
-            bs = [b for b in sorted(region) if row[b] in region]
-            tests.append((r, tau.power[j], itemgetter(*bs), itemgetter(*(row[b] for b in bs))))
+            tests.append((r, tau.power[j], tuple((b, row[b]) for b in reps if row[b] in region)))
         checks.extend([None] * (len(orbit) - 1))
-        checks.append((region, tests))
+        checks.append(tests)
     return order, checks
 
 
-def _region_holds(group: AbelianGroup, table, region, tests, tau_order: int) -> bool:
-    """The defining identity on the final entries of a phi-closed region.
+def _region_holds(group: AbelianGroup, table, tests, tau_order: int, o: int) -> bool:
+    """The defining identity on the final entries of a phi-closed region R,
+    decided at its coset representatives by cycle offsets.
 
-    phi_R is the table on region and the identity off it.  Its powers are
-    listed once (morphisms._power_list), and the region is refused when
-    m = |phi_R| >= |A|.  Otherwise each test (r, e0, at_bs, at_rbs) of
-    _orbit_plan needs some j = e0 (mod gcd(tau_order, m)) in [0, m) with
-    table[r + b] - table[r] = phi_R**j(b) at every usable b (b and r + b
-    in R), compared as tuples.  _search_general proves that this is its
-    region condition exactly and that the order cut keeps every skew
-    morphism.
+    Each test (r, e0, pairs) of _orbit_plan needs some e with e = e0 (mod
+    tau_order), e = 1 (mod o), o = |theta|, and phi^e(b) = table[r + b] -
+    table[r] at every pair (b, r + b): one CRT merge over the cycles of phi
+    through the representatives b, each traced when first read
+    (morphisms._power_witness).  The order cut then refuses the region when
+    |phi_R| = lcm(o, the cycle lengths of the tests' representatives r,
+    those of R's placed cosets) is |A| or more.  _search_general proves
+    that this is its region condition exactly and that the order cut keeps
+    every skew morphism.
     """
     n = group.order
     add = group.add_table
     neg = group.neg_list
-    phi_r = list(range(n))
-    for x in region:  # R is phi-closed, so phi_r is a permutation
-        phi_r[x] = table[x]
-    powers = _power_list(tuple(phi_r), n - 1)
-    if powers is None:
-        return False
-    step = gcd(tau_order, len(powers))
-    for r, e0, at_bs, at_rbs in tests:
-        target = itemgetter(*at_rbs(table))(add[neg[table[r]]])
-        if target not in map(at_bs, powers[e0 % step :: step]):
+    heads, lengths = [-1] * n, {}
+    pins = heads, [0] * n, lengths  # the cycles traced so far (_power_witness)
+    for r, e0, pairs in tests:
+        start = crt_pair(e0, tau_order, 1, o)
+        if start is None or _power_witness(table, add[neg[table[r]]], pins, pairs, *start) is not None:
             return False
-    return True
+    for r, _, _ in tests:
+        if heads[r] < 0:
+            _trace_cycle(table, r, pins)  # R is phi-closed and phi permutes it
+    return lcm(o, *lengths.values()) < n
 
 
 def _powers_fit(cap: int, powers, m: int, o: int) -> bool:
@@ -1234,15 +1241,30 @@ def _search_general(group: AbelianGroup):
       their coset, hence pi_tau and, R being a union of cosets, the usable
       b.  On K itself D_a = phi, with e = 1.
 
-    The condition is tested on the listed powers of phi_R, the table on R
-    and the identity off R, with m = |phi_R|.  For b in R, phi^e(b) =
-    phi_R**e(b), which depends on e mod m only, and by CRT the e = e0 (mod
-    |tau|) reach exactly the residues j = e0 (mod gcd(|tau|, m)) in [0, m).
-    So one scan of that class over phi_R**0 .. phi_R**(m-1) decides the
-    condition exactly.  The listing stops at |A| - 1 tables, and a region
-    with m >= |A| is refused; no skew morphism phi is lost, since phi_R
-    agrees with phi on R and fixes the rest, so m divides |phi| <= |A| - 1
-    (the order bound above).
+    The condition is decided at the coset representatives by cycle
+    offsets.  The search's tables satisfy phi|K = theta, an additive
+    bijection of K of order o = |theta|, and the kernel placement phi(a +
+    x) = theta(a) + phi(x) for a in K.  Iterating inside the phi-closed R
+    gives phi^e(a + x) = theta^e(a) + phi^e(x) for x in R, and the
+    placement at r + b and at r gives D_r(b + a) = theta(a) + D_r(b).  So
+    phi^e agrees with D_r on a whole usable coset b + K exactly when it
+    agrees at b and theta^e = theta, that is e = 1 (mod o); on K itself
+    (b = 0, D_r(0) = 0) the condition is e = 1 (mod o) alone.  And phi^e(b)
+    = D_r(b) holds exactly when D_r(b) lies on b's cycle of phi at offset e
+    modulo its length.  So the region condition at r is the solvability of
+    e = pi_tau(r mod K) (mod |tau|), e = 1 (mod o) and one congruence per
+    usable placed representative b, one CRT merge
+    (morphisms._power_witness), read from the cycles of the placed
+    representatives only.
+
+    The order cut.  Let phi_R be the table on R and the identity off R.
+    phi^e fixes b + K pointwise exactly when phi^e(b) = b and theta^e = 1,
+    so |phi_R| = lcm(o, the cycle lengths of the placed representatives),
+    and a region with |phi_R| >= |A| is refused.  No skew morphism phi is
+    lost: phi_R agrees with phi on R and fixes the rest, so |phi_R| divides
+    |phi| <= |A| - 1 (the order bound above).  The check thus decides, on
+    every table the search builds, what a scan of the exponents of phi_R
+    at every usable b decides.
 
     Completed tables are still revalidated and filtered by exact kernel, so
     the check only has to keep every morphism, never to prove one.
@@ -1310,6 +1332,7 @@ def _search_general(group: AbelianGroup):
             def search_theta(theta_key, pair_stab) -> list[SkewMorphism]:
                 # the finds with restriction theta to K0, under the pair's stabilizer
                 theta = thetas[theta_key]
+                o = theta_orders[theta_key]
                 for a, fa in theta.items():
                     table[a] = fa
 
@@ -1334,7 +1357,7 @@ def _search_general(group: AbelianGroup):
                     def search_image(y, y_stab) -> list[SkewMorphism]:
                         for a, fa in theta.items():
                             table[add[a][r]] = add[fa][y]
-                        if check is None or _region_holds(group, table, *check, tau.order):
+                        if check is None or _region_holds(group, table, check, tau.order, o):
                             return place(idx + 1, y_stab)
                         return []
 

@@ -21,7 +21,6 @@ from .groups import (
     _orbits,
     compose,
     crt_pair,
-    cycles,
     enumerate_automorphisms,
     invert,
     is_bijection,
@@ -101,26 +100,53 @@ def _power_index(perm: tuple[int, ...]) -> dict[tuple[int, ...], int] | None:
     return None if powers is None else dict(zip(powers, range(len(powers))))
 
 
-def _power_witness(group: AbelianGroup, perm: tuple[int, ...], pins, a: int) -> int | None:
-    """Smallest b at which no power of perm agrees with D_a on 0..b, or
-    None when D_a is a power of perm.
+def _trace_cycle(perm: tuple[int, ...], b: int, pins) -> None:
+    """Lay out b's cycle of perm in pins (_power_witness), traced from b."""
+    heads, offsets, lengths = pins
+    y, i = b, 0
+    while True:
+        heads[y] = b
+        offsets[y] = i
+        i += 1
+        y = perm[y]
+        if y == b:
+            break
+    lengths[b] = i
 
-    pins[b] = (b, length, offsets) names b's cycle of perm, with offsets
-    mapping each cycle member to its position.  perm**j(b) = D_a(b) holds
-    exactly when j = offsets[D_a(b)] - offsets[b] (mod length), and for no
-    j when D_a(b) leaves the cycle; every length divides |perm|, so the j
-    in [0, |perm|) that agree on 0..b exist exactly when the classes of
-    0..b merge by CRT.
+
+def _power_witness(perm: tuple[int, ...], shift, pins, pairs, res: int, mod: int) -> int | None:
+    """The first b of pairs (b, x) at which no e = res (mod mod) has
+    perm**e(b) = shift[perm[x]] there and at every pair before it, or None
+    when some e agrees at every pair.
+
+    pins = (heads, offsets, lengths) lays out the cycles of perm traced so
+    far (_trace_cycle), and each b's cycle is traced when b is first read:
+    heads[y] is the member that y's cycle was traced from (-1 where it has
+    not been traced), offsets[y] is y's position along it from there, and
+    lengths[h] is the length of the cycle traced from h.  perm**e(b) = y
+    holds exactly when y lies on b's cycle and e = offsets[y] - offsets[b]
+    (mod its length), so the e that agree at the pairs read so far form one
+    class, merged by CRT (groups.crt_pair), or none.  The validator's
+    explanation reads D_a this way (pairs (b, a + b), validate), and so
+    does the search's region check (enumeration._region_holds).
     """
-    shift = group.add_table[group.neg_list[perm[a]]]
-    row = group.add_table[a]
-    res, mod = 0, 1
-    for b, length, offsets in pins:
-        off = offsets.get(shift[perm[row[b]]])
-        merged = None if off is None else crt_pair(res, mod, off - offsets[b], length)
-        if merged is None:
+    heads, offsets, lengths = pins
+    for b, x in pairs:
+        if heads[b] < 0:
+            _trace_cycle(perm, b, pins)
+        y = shift[perm[x]]
+        head = heads[b]
+        if heads[y] != head:
             return b
-        res, mod = merged
+        length = lengths[head]
+        e = offsets[y] - offsets[b]
+        if mod % length:
+            merged = crt_pair(res, mod, e, length)
+            if merged is None:
+                return b
+            res, mod = merged
+        elif (e - res) % length:  # the class mod mod fixes e mod length
+            return b
     return None
 
 
@@ -215,13 +241,10 @@ def validate(group: AbelianGroup, perm: Sequence[int]) -> SkewMorphism:
         raise SkewMorphismRejection("not-bijection")
     if perm[0] != 0:
         raise SkewMorphismRejection("identity-moved", 0)
-    pins = [None] * n  # pins[b] = (b, length of b's cycle, offsets along it)
-    for cyc in cycles(perm):
-        offsets = dict(zip(cyc, range(len(cyc))))
-        for b in cyc:
-            pins[b] = (b, len(cyc), offsets)
+    add = group.add_table
+    pins = [-1] * n, [0] * n, {}
     for a in range(1, n):
-        b = _power_witness(group, perm, pins, a)
+        b = _power_witness(perm, add[group.neg_list[perm[a]]], pins, enumerate(add[a]), 0, 1)
         if b is not None:
             raise SkewMorphismRejection("no-power", a, b)
     # unreachable for a rejected table; raised, not asserted, so that it holds under python -O

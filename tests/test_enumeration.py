@@ -473,9 +473,21 @@ def test_cyclic_morphism_sets_pinned(n):
     assert _pin(cached_enumeration((n,))) == CYCLIC_PINS[n]
 
 
+def _with_regions(checks, proj):
+    """The region checks of _orbit_plan, in search order, each as (region,
+    tests): the region R as a set, K and the cosets of the tests'
+    representatives, and the tests."""
+    out = []
+    for tests in filter(None, checks):
+        placed = {proj[0]} | {proj[r] for r, _, _ in tests}
+        out.append(({x for x, j in enumerate(proj) if j in placed}, tests))
+    return out
+
+
 def _region_plan(sm):
-    """The kernel, the quotient morphism and the region checks, in search
-    order, that the general search runs for sm's own kernel."""
+    """The kernel, the quotient morphism, the order o of sm on the kernel
+    and the region checks (_with_regions) that the general search runs for
+    sm's own kernel."""
     group = sm.group
     sub = kernel(sm)
     quotient, proj = quotient_group(group, sub)
@@ -484,11 +496,11 @@ def _region_plan(sm):
         coset_elems[proj[x]].append(x)
     tau = quotient_skew(sm, sub)
     _, checks = _orbit_plan(group, coset_elems, proj[0], tau)
-    return sub, tau, [check for check in checks if check is not None]
+    return sub, tau, _order_on(sm.perm, sub.members), _with_regions(checks, proj)
 
 
-def _passes_regions(table, sub, tau, checks):
-    return all(_region_holds(sub.group, table, *check, tau.order) for check in checks)
+def _passes_regions(group, table, tau, o, checks):
+    return all(_region_holds(group, table, tests, tau.order, o) for _, tests in checks)
 
 
 def _assert_region_checks_pass(morphisms):
@@ -499,13 +511,12 @@ def _assert_region_checks_pass(morphisms):
     for sm in morphisms:
         if not sm.is_proper:
             continue
-        _, tau, checks = _region_plan(sm)
-        for check in checks:
-            region = check[0]
+        _, tau, o, checks = _region_plan(sm)
+        for region, tests in checks:
             assert all(sm.perm[x] in region for x in region)
             hidden = [sm.perm[x] if x in region else 0 for x in range(len(sm.perm))]
-            assert _region_holds(sm.group, hidden, *check, tau.order)
-            assert _region_holds(sm.group, sm.perm, *check, tau.order), sm.perm
+            assert _region_holds(sm.group, hidden, tests, tau.order, o)
+            assert _region_holds(sm.group, sm.perm, tests, tau.order, o), sm.perm
 
 
 @pytest.mark.parametrize("factors", sorted(NONCYCLIC_PINS))
@@ -521,6 +532,48 @@ def test_oracle_morphisms_pass_their_own_region_checks(factors):
     _assert_region_checks_pass(brute_force_oracle(make_group(factors)).morphisms)
 
 
+def _assert_offset_lemma(morphisms) -> int:
+    """The lemma that lets the region check read only the representatives
+    (_search_general), on each region of each proper morphism's own plan
+    and not through _region_holds: D_r(b + a) = theta(a) + D_r(b) for the
+    representative r of every test, every usable b (b and r + b in R) and
+    every a in K, theta = phi|K; and |phi_R| = lcm(|theta|, the cycle
+    lengths of the representatives), phi_R the table on R and the identity
+    off it.  Returns the number of regions checked."""
+    checked = 0
+    for sm in morphisms:
+        if not sm.is_proper:
+            continue
+        group, phi = sm.group, sm.perm
+        add, neg = group.add_table, group.neg_list
+        sub, _, o, checks = _region_plan(sm)
+        for region, tests in checks:
+            for r, _, _ in tests:
+                shift = add[neg[phi[r]]]  # D_r(b) = shift[phi[r + b]]
+                for b in region:
+                    if add[r][b] in region:
+                        d = shift[phi[add[r][b]]]
+                        assert all(shift[phi[add[add[r][b]][a]]] == add[phi[a]][d] for a in sub.members)
+            phi_r = [phi[x] if x in region else x for x in range(group.order)]
+            assert perm_order(phi_r) == lcm(o, *(_order_on(phi, [r]) for r, _, _ in tests))
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("factors", sorted(NONCYCLIC_PINS))
+def test_region_offset_lemma_on_the_pinned_morphisms(factors):
+    """Every group with a proper morphism has a region to check."""
+    report = cached_enumeration(factors)
+    assert (_assert_offset_lemma(report.morphisms) > 0) == (report.proper > 0)
+
+
+@pytest.mark.parametrize("factors", [(2, 4), (2, 2, 2), (3, 3)])
+def test_region_offset_lemma_on_the_oracle_morphisms(factors):
+    """The same on morphisms found without the search."""
+    report = brute_force_oracle(make_group(factors))
+    assert (_assert_offset_lemma(report.morphisms) > 0) == (report.proper > 0)
+
+
 def test_closed_form_morphisms_pass_their_own_region_checks():
     """Also without the search: the Z5xZ5 family with r = 4 has the tau-orbits
     {1, 4} and {2, 3}, so its first region holds pairs with r + b outside it."""
@@ -533,22 +586,22 @@ def _moving_quotients(factors):
     """Each proper morphism whose quotient morphism moves a coset, with its
     region plan and one tau-orbit of length > 1."""
     for sm in cached_enumeration(factors).morphisms:
-        sub, tau, checks = _region_plan(sm)
+        sub, tau, o, checks = _region_plan(sm)
         orbit = next((cyc for cyc in cycles(tau.perm) if len(cyc) > 1), None)
         if orbit is not None:
-            yield sm, sub, tau, checks, orbit
+            yield sm, sub, tau, o, checks, orbit
 
 
 def test_region_check_enforces_the_quotient_power():
     """On the whole group, a power class shifted off pi_tau is rejected."""
     checked = 0
     for factors in ((3, 3), (3, 6)):
-        for sm, _, tau, checks, _ in _moving_quotients(factors):
+        for sm, _, tau, o, checks, _ in _moving_quotients(factors):
             region, tests = checks[-1]
             assert len(region) == len(sm.perm)
             shifted = [(r, (e0 + 1) % tau.order, *picks) for r, e0, *picks in tests]
-            assert _region_holds(sm.group, sm.perm, region, tests, tau.order)
-            assert not _region_holds(sm.group, sm.perm, region, shifted, tau.order)
+            assert _region_holds(sm.group, sm.perm, tests, tau.order, o)
+            assert not _region_holds(sm.group, sm.perm, shifted, tau.order, o)
             checked += 1
     assert checked == 32
 
@@ -558,25 +611,27 @@ def test_region_check_rejects_swapped_coset_images():
     group = make_group((3, 3))
     add = group.add_table
     checked = 0
-    for sm, sub, tau, checks, orbit in _moving_quotients(group.factors):
+    for sm, sub, tau, o, checks, orbit in _moving_quotients(group.factors):
         _, proj = quotient_group(group, sub)
         r1, r2 = (proj.index(j) for j in orbit[:2])
         swapped = list(sm.perm)
         for a in sub.members:
             swapped[add[a][r1]] = sm.perm[add[a][r2]]
             swapped[add[a][r2]] = sm.perm[add[a][r1]]
-        assert _passes_regions(sm.perm, sub, tau, checks)
+        assert _passes_regions(group, sm.perm, tau, o, checks)
         assert try_validate(group, swapped) is None
-        assert not _passes_regions(swapped, sub, tau, checks)
+        assert not _passes_regions(group, swapped, tau, o, checks)
         checked += 1
     assert checked == 16
 
 
 def _naive_region_holds(group, table, region, tests, tau_order):
-    """_region_holds by a scan of exponents: the order m of the table on
-    region, found by iterating it there, must be below |A|, and each test
+    """_region_holds by a scan of exponents over every usable b, not only
+    the representatives: the order m of the table on region, found by
+    iterating it there, must be below |A|, and each test (r, e0, pairs)
     needs some e = e0 (mod tau_order) below lcm(tau_order, m) with
-    table[r + b] - table[r] = phi**e(b) at every usable b, iterating phi."""
+    table[r + b] - table[r] = phi**e(b) at every b in region with r + b in
+    region, iterating phi.  It reads neither the pairs nor |theta|."""
     n = group.order
     m = 1
     for x in region:
@@ -586,9 +641,9 @@ def _naive_region_holds(group, table, region, tests, tau_order):
         m = lcm(m, length)
     if m >= n:
         return False
-    for r, e0, at_bs, at_rbs in tests:
-        bs, rbs = at_bs(range(n)), at_rbs(range(n))
-        target = [group.sub(table[rb], table[r]) for rb in rbs]
+    for r, e0, _ in tests:
+        bs = [b for b in sorted(region) if group.add(r, b) in region]
+        target = [group.sub(table[group.add(r, b)], table[r]) for b in bs]
         image = list(bs)  # phi**e(b) for each usable b
         for e in range(lcm(tau_order, m)):
             if e % tau_order == e0 % tau_order and image == target:
@@ -602,9 +657,10 @@ def _naive_region_holds(group, table, region, tests, tau_order):
 def _seeded_tables(group, rng):
     """Tables as the general search builds them, on every plan it runs: for
     each proper kernel candidate K and quotient morphism tau, a random
-    additive bijection of K and a random image for each coset
-    representative r in the coset tau(r mod K), the rest of the coset placed
-    by the kernel.  Yields (table, tau, region checks)."""
+    additive bijection theta of K, placed on K itself, and a random image
+    for each nonzero coset representative r in the coset tau(r mod K), the
+    rest of the coset placed by the kernel, phi(a + r) = theta(a) + phi(r).
+    Yields (table, tau, |theta|, region checks (_with_regions))."""
     n = group.order
     add = group.add_table
     for sub in enumerate_subgroups(group):
@@ -617,53 +673,75 @@ def _seeded_tables(group, rng):
         thetas = _subgroup_automorphisms(group, sub)
         for tau in cached_enumeration(quotient.factors).morphisms:
             order, checks = _orbit_plan(group, coset_elems, proj[0], tau)
+            regions = _with_regions(checks, proj)
             for _ in range(3):
                 theta = rng.choice(thetas)
                 table = list(range(n))
-                for j in [proj[0], *order]:
+                for a in sub.members:
+                    table[a] = theta[a]
+                for j in order:
                     y = rng.choice(coset_elems[tau.perm[j]])
                     for a in sub.members:
                         table[add[a][coset_elems[j][0]]] = add[theta[a]][y]
-                yield table, tau, [check for check in checks if check is not None]
+                yield table, tau, _order_on(table, sub.members), regions
 
 
-@pytest.mark.parametrize("factors", [(3, 3), (3, 6), (2, 2, 4)])
+# (seeded tables, region checks passed, refused) of _seeded_tables(group, random.Random(2207))
+SEEDED_REGIONS = {(3, 3): (24, 26, 10), (3, 6): (267, 200, 535), (2, 2, 4): (963, 1243, 1619)}
+
+
+@pytest.mark.parametrize("factors", list(SEEDED_REGIONS))
 def test_region_check_equals_a_naive_exponent_scan(factors):
-    """The residue-class scan over the listed powers of phi|R decides the
+    """The CRT merge over the cycles of the representatives decides the
     same as trying every exponent e = e0 (mod |tau|) below lcm(|tau|,
-    |phi|R|), on each find's own plan and on seeded tables.  On Z3xZ6 and
-    Z2xZ2xZ4 some seeded regions have an order |phi|R| that is no multiple
-    of |tau|, so the class mod gcd(|tau|, |phi|R|) holds exponents that
-    the class mod |tau| misses, and some of them pass only through those."""
+    |phi|R|) at every usable b, on each find's own plan and on seeded
+    tables, which the search could build: theta on K and every coset
+    placed by the kernel.  The builder's counts are pinned
+    (SEEDED_REGIONS), so both verdicts are seen where the tables are not
+    skew morphisms."""
     group = make_group(factors)
     finds = [sm for sm in cached_enumeration(factors).morphisms if sm.is_proper]
     plans = [(sm.perm, *_region_plan(sm)[1:]) for sm in finds]
     verdicts = {True: 0, False: 0}
-    for table, tau, checks in plans + list(_seeded_tables(group, random.Random(2207))):
+    for table, tau, o, checks in plans:
         for region, tests in checks:
-            verdict = _region_holds(group, table, region, tests, tau.order)
+            assert _region_holds(group, table, tests, tau.order, o)
+            assert _naive_region_holds(group, table, region, tests, tau.order)
+    tables = list(_seeded_tables(group, random.Random(2207)))
+    for table, tau, o, checks in tables:
+        for region, tests in checks:
+            verdict = _region_holds(group, table, tests, tau.order, o)
             assert verdict == _naive_region_holds(group, table, region, tests, tau.order)
             verdicts[verdict] += 1
-    assert min(verdicts.values()) > 0, verdicts
+    assert (len(tables), verdicts[True], verdicts[False]) == SEEDED_REGIONS[factors]
 
 
 def test_region_check_refuses_a_region_of_order_at_least_the_group_order():
     """Every skew morphism of A has order at most |A| - 1, and so has its
-    table on a phi-closed region.  On Z2xZ8 a region table made of a
-    3-cycle and a 7-cycle has order 21 >= 16 and is refused before any
-    test is read; a 3-cycle and a 5-cycle, of order 15, pass."""
+    table on a phi-closed region.  On Z2xZ8 with K of order 2 and theta the
+    identity, a kernel-placed table that cycles the nonzero cosets in a
+    3-cycle and a 4-cycle has order lcm(3, 4) = 12 when its images close the
+    4-cycle of cosets on itself, and lcm(3, 8) = 24 >= 16 when they close it
+    one kernel element on.  With tests that hold no pair the check reads
+    only the cycles of the representatives: the first table passes and the
+    second is refused."""
     group = make_group((2, 8))
-    region = set(range(group.order))
-    for lengths, holds in (((3, 7), False), ((3, 5), True)):
-        table = list(range(group.order))
-        start = 1
-        for length in lengths:
-            for x in range(start, start + length):
-                table[x] = x + 1 if x + 1 < start + length else start
-            start += length
-        assert perm_order(table) == prod(lengths)
-        assert _region_holds(group, table, region, [], 1) is holds
-        assert _naive_region_holds(group, table, region, [], 1) is holds
+    n, add = group.order, group.add_table
+    sub = next(sub for sub in enumerate_subgroups(group) if sub.size == 2)
+    k = sub.members[1]
+    _, proj = quotient_group(group, sub)
+    reps = [min(x for x in range(n) if proj[x] == j) for j in range(1, 8)]
+    images = reps[1:3] + reps[:1] + reps[4:7] + reps[3:4]  # cosets (1 2 3)(4 5 6 7)
+    tests = [(r, 1, ()) for r in reps]
+    for twist, (order, holds) in ((0, (12, True)), (k, (24, False))):
+        table = list(range(n))
+        for r, y in zip(reps, images[:-1] + [add[images[-1]][twist]]):
+            for a in sub.members:
+                table[add[a][r]] = add[a][y]
+        assert all(table[add[a][x]] == add[a][table[x]] for a in sub.members for x in range(n))
+        assert perm_order(table) == order
+        assert _region_holds(group, table, tests, 1, 1) is holds
+        assert _naive_region_holds(group, table, set(range(n)), [], 1) is holds
 
 
 @pytest.mark.parametrize("n", [8, 9, 12, 15, 16, 18, 20, 21, 24, 25, 27, 28, 30, 32, 36])

@@ -109,13 +109,17 @@ def _oracle_guard(args) -> int:
     return args.max_order if args.max_order is not None else enumeration.ORACLE_GUARD
 
 
-def _check_enumeration_guards(groups: Sequence[AbelianGroup], args) -> None:
-    """Raise SizeGuardError for a group over its guard.  Run before --out is
-    opened, so that a refused run leaves no file behind, and --out before
-    any enumeration, so that an unwritable path is reported at once."""
+def _check_enumeration_guards(groups: Sequence[AbelianGroup], args, expand: bool = True) -> None:
+    """Raise SizeGuardError for a group over its guard, and, unless the
+    command reads only counts (census, expand false), over the guard of its
+    morphisms' expansion.  Run before --out is opened, so that a refused run
+    leaves no file behind, and --out before any enumeration, so that an
+    unwritable path is reported at once."""
     for group in groups:
         if not getattr(args, "oracle", False):
             enumeration.check_search_guard(group, args.max_order)
+            if expand:
+                enumeration.check_expansion_guard(group)
         elif group.order > _oracle_guard(args):
             raise SizeGuardError(
                 f"order {group.order} exceeds oracle guard {_oracle_guard(args)}; raise --max-order"
@@ -150,12 +154,12 @@ def cmd_census(args) -> int:
         if lo > hi:
             raise UsageError(f"census: empty range --cyclic-from {lo} --cyclic-to {hi}")
         # both guards grow with n, so the largest order stands for the range
-        _check_enumeration_guards([make_group([hi] if hi > 1 else [])], args)
+        _check_enumeration_guards([make_group([hi] if hi > 1 else [])], args, expand=False)
         groups.extend(make_group([n] if n > 1 else []) for n in range(lo, hi + 1))
     if not groups:
         print("census: nothing to do (use --groups or --cyclic-from/--cyclic-to)", file=sys.stderr)
         return EXIT_USAGE
-    _check_enumeration_guards(groups, args)
+    _check_enumeration_guards(groups, args, expand=False)
     with _output(args.out) as out:
         _emit(out, records.CSV_HEADER)
         for group in groups:

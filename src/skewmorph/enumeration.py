@@ -90,7 +90,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, product as _cartesian
 from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
@@ -100,11 +100,12 @@ from .groups import (
     AbelianGroup,
     Automorphism,
     SizeGuardError,
+    _orbit,
     _orbits,
+    automorphism_chain,
     automorphism_count,
     crt_pair,
     cycles,
-    enumerate_automorphisms,
     invert,
     enumerate_subgroups,
     factorint,
@@ -130,9 +131,19 @@ from .morphisms import (
 ORACLE_GUARD = 10
 CYCLIC_GUARD = 64
 GENERAL_GUARD = 32
-# the most automorphisms _search_general lists: above Z2xZ2xZ2xZ4 (21,504),
-# the most of any group of order <= 32 but Z2^5 (9,999,360)
+# the most automorphisms that a report of a multi-factor group builds when
+# its morphisms are read, and so the most of any quotient _search_general
+# reads: above Z2xZ2xZ2xZ4 (21,504), the most of any group of order <= 32
+# but Z2^5 (9,999,360), which is counted and not built
 AUTOMORPHISM_GUARD = 50_000
+# _search_general acts by the element list of Aut(A) up to this many
+# automorphisms, whose first rings read whole orbits, and by strong
+# generators above it.  In Python a Schreier step costs about as much as a
+# scan of a few hundred sigmas, and neither side wins everywhere: by
+# generators Z5xZ5 (480 automorphisms) and Z2xZ4xZ4 (1,536) ran 15-25%
+# faster than by their lists, Z2xZ2xZ8 (384) and Z2xZ2xZ16 (768) 5-10%
+# slower (in-process A/B on a 2-core x86-64 host).
+SCAN_ORDER = 256
 # reports kept by _cached_search, least recently used dropped first
 ENUMERATION_CACHE_SIZE = 256
 
@@ -151,6 +162,7 @@ class _Expansion:
             return None  # the field's default: expand the finds when read
         morphisms = report.__dict__["_morphisms"]
         if morphisms is None:
+            check_expansion_guard(report.group)
             morphisms = tuple(sorted(_expand(report.found), key=lambda sm: sm.perm))
             counts = (report.total, report.automorphisms, report.smooth)
             expanded = _tally(report.group, morphisms)
@@ -211,7 +223,7 @@ class EnumerationReport:
                 if isinstance(item, _Orbit):
                     walk(item.finds)
                 elif isinstance(item, _Listed):
-                    least.update((theta.table, as_skew_morphism(theta)) for theta in item.autos)
+                    least.update((table, as_skew_morphism(Automorphism(self.group, table))) for table in item.tables)
                 else:
                     leaves.append(item)
 
@@ -250,22 +262,28 @@ class _Orbit(NamedTuple):
 
 
 class _Listed(NamedTuple):
-    """The automorphisms a search lists for its group, each checked by
-    as_skew_morphism only when expanded."""
+    """Every automorphism of a search's group: order of them, and their
+    tables, a list (the maps x -> t*x of Z_n) or a stabilizer chain of
+    Aut(A) (groups.StabilizerChain), whose elements are built only when
+    they are expanded; each is checked by as_skew_morphism then."""
 
     group: AbelianGroup
-    autos: list[Automorphism]
+    order: int
+    tables: Iterable[tuple[int, ...]]
 
 
-def _orbit_cut(points, sigmas, act, search, transport) -> list:
-    """The finds of a symmetry cut: for each orbit of sigmas acting on
-    points by act (groups._orbits) whose first point x finds something,
-    one _Orbit of the finds search(x, stab), stab the sigmas fixing x, and
-    of the moves of groups._orbits, for each other point y of the orbit the
-    first of sigmas that carries x to y.  The finds of a search are the
-    validated tables it completed, its leaves, and the _Orbits of the cuts
-    below it; _expand builds transport(sm, sigma) of every morphism they
-    stand for, sigma over the orbit's moves.
+def _orbit_cut(points, sigmas, order, act, search, transport) -> list:
+    """The finds of a symmetry cut: for each orbit of the group H of the
+    given order that sigmas generate, acting on points by act
+    (groups._orbits), whose first point x finds something, one _Orbit of
+    the finds search(x, stab, size) and of the moves of groups._orbits,
+    for each other point y of the orbit an element of H carrying x to y.
+    stab() returns generators of x's stabilizer and size is its order, |H|
+    over the orbit's size; the stabilizer is built only if the search asks
+    for it.  The finds of a search are the validated tables it completed,
+    its leaves, and the _Orbits of the cuts below it; _expand builds
+    transport(sm, sigma) of every morphism they stand for, sigma over the
+    orbit's moves.
 
     Every cut proves that transport by a sigma carrying x to y maps the
     morphisms at x (those whose kernel, quotient, restriction or image the
@@ -292,8 +310,8 @@ def _orbit_cut(points, sigmas, act, search, transport) -> list:
     transport or leaf, is revalidated (relabel, conjugate, try_validate).
     """
     out: list = []
-    for x, moves, stab in _orbits(points, sigmas, act):
-        finds = search(x, stab)
+    for x, moves, stab in _orbits(points, sigmas, order, act):
+        finds = search(x, stab, order // (1 + len(moves)))
         if finds:  # most points find nothing: keep no empty orbit
             out.append(_Orbit(finds, tuple(moves.values()), transport))
     return out
@@ -304,23 +322,24 @@ def _tally(group: AbelianGroup, found) -> tuple[int, int, int]:
     stand for, no transport built: a leaf counts once, an _Orbit 1 +
     len(sigmas) times its finds (the count identity of _orbit_cut), and
     the listed automorphisms once each, all smooth.  Raised, not asserted,
-    so that python -O keeps them: a perm met twice among the leaves and the
-    listed automorphisms, and a list of automorphisms other than |Aut(A)|
-    long (automorphism_count, Hillar-Rhea; totient(n) on Z_n), which
-    stands in for checking each automorphism."""
+    so that python -O keeps them: a perm met twice among the leaves, a
+    leaf automorphism beside the listed ones, which are all of them, and
+    a listed count other than |Aut(A)| (automorphism_count, Hillar-Rhea;
+    totient(n) on Z_n), which stands in for checking each automorphism."""
     perms: list = []
+    listed = 0  # the number of listed automorphisms
 
     def tally(items) -> tuple[int, int, int]:
+        nonlocal listed
         total = autos = smooth = 0
         for item in items:
             if isinstance(item, _Orbit):
                 size = 1 + len(item.sigmas)
                 t, a, s = (size * c for c in tally(item.finds))
             elif isinstance(item, _Listed):
-                t = a = s = len(item.autos)
+                t = a = s = listed = item.order
                 if t != automorphism_count(group):
                     raise AssertionError(f"{group.label}: {t} automorphisms listed, |Aut| differs")
-                perms.extend(theta.table for theta in item.autos)
             else:
                 t, a, s = 1, item.is_automorphism, is_smooth(item)
                 perms.append(item.perm)
@@ -328,7 +347,7 @@ def _tally(group: AbelianGroup, found) -> tuple[int, int, int]:
         return total, autos, smooth
 
     counts = tally(found)
-    if len(set(perms)) != len(perms):
+    if len(set(perms)) != len(perms) or (listed and counts[1] != listed):
         raise AssertionError(f"{group.label}: a route yielded a morphism twice")
     return counts
 
@@ -345,7 +364,7 @@ def _expand(found) -> list[SkewMorphism]:
             out += finds
             out += [item.transport(sm, sigma) for sigma in item.sigmas for sm in finds]
         elif isinstance(item, _Listed):
-            out += map(as_skew_morphism, item.autos)
+            out += (as_skew_morphism(Automorphism(item.group, table)) for table in item.tables)
         else:
             out.append(item)
     return out
@@ -767,7 +786,7 @@ def _lift_cell(group, q, k, L, solutions, fixing) -> list[SkewMorphism]:
     def move_first(u: int, v: int) -> int:
         return (t + u * (v - t)) % n
 
-    def solved(w, _) -> list:
+    def solved(w, *_) -> list:
         # the finds under the web solution w: under each seed whose
         # kernel-order rule keeps w, one phi(1) per orbit of ones
         nonlocal powers, t, kernel_images
@@ -776,10 +795,10 @@ def _lift_cell(group, q, k, L, solutions, fixing) -> list[SkewMorphism]:
         for t, o in seeds:
             if all((c - 1) % o == 0 for c in w):  # the kernel-order rule
                 kernel_images = [m * t * k % n for m in range(size)]
-                finds += _orbit_cut(range(q.perm[1], n, d), ones, move_first, seeded, _by_unit)
+                finds += _orbit_cut(range(q.perm[1], n, d), ones, len(ones), move_first, seeded, _by_unit)
         return finds
 
-    def seeded(v0: int, _) -> list[SkewMorphism]:
+    def seeded(v0: int, *_) -> list[SkewMorphism]:
         # the finds with phi(1) = v0 under the web solution powers
         finds: list[SkewMorphism] = []
         journal: list = []
@@ -803,7 +822,7 @@ def _lift_cell(group, q, k, L, solutions, fixing) -> list[SkewMorphism]:
         if L % o:
             continue
         seeds.append((t, o))
-    return _orbit_cut(solutions, movers, move_powers, solved, _by_unit)
+    return _orbit_cut(solutions, movers, len(movers), move_powers, solved, _by_unit)
 
 
 def coprime_split(n: int) -> tuple[int, int] | None:
@@ -943,19 +962,18 @@ def _search_cyclic(group: AbelianGroup):
 
     # the automorphisms, skew type 1, are the maps x -> t*x for the units t
     units = [t for t in range(1, n) if gcd(t, n) == 1]
-    autos = [Automorphism(group, tuple(t * x % n for x in range(n))) for t in units]
-    out: list = [_Listed(group, autos)]
+    out: list = [_Listed(group, len(units), [tuple(t * x % n for x in range(n)) for t in units])]
     cells: dict[int, dict[tuple, list]] = {}  # the admitted cells, by d and by q
     for q, k, L in _cyclic_cells(n):
         if _powers_fit(L, q.power[1:k], q.order, 1):
             cells.setdefault(q.group.order, {}).setdefault(q.perm, []).append((q, k, L))
     webs: dict[tuple, list[tuple[int, ...]]] = {}  # _power_web by its arguments
 
-    def search_q(perm, stab) -> list[SkewMorphism]:
+    def search_q(perm, stab, _) -> list[SkewMorphism]:
         # the finds of every cell of q, under the units of Z_n, least first,
         # whose reduction fixes q
         d = len(perm)
-        residues = {u % d for u in stab}
+        residues = {u % d for u in stab()}
         fixing = [u for u in units if u % d in residues]
         finds: list[SkewMorphism] = []
         for q, k, L in cells[d][perm]:
@@ -976,7 +994,7 @@ def _search_cyclic(group: AbelianGroup):
     maps: dict[int, dict] = {}
     for d, by_q in cells.items():
         maps[d] = {u: _unit_conjugation(u, d) for u in sorted({u % d: u for u in reversed(units)}.values())}
-        out += _orbit_cut(by_q, list(maps[d]), move_q, search_q, _by_unit)
+        out += _orbit_cut(by_q, list(maps[d]), len(maps[d]), move_q, search_q, _by_unit)
     yield from out
 
 
@@ -1028,7 +1046,7 @@ def _search_morphisms(group: AbelianGroup):
     morphism of the group once (_orbit_cut, _expand).
 
     The trivial group has no factor and takes _search_general, whose
-    automorphism list is its identity.
+    automorphism chain holds its identity alone.
 
     Admission lemma.  The size guards are checked once, for the group asked
     for (check_search_guard, in enumerate_skew_morphisms and
@@ -1040,10 +1058,12 @@ def _search_morphisms(group: AbelianGroup):
     guard is at least its parent's: a one-factor parent reaches only
     one-factor groups, of the same guard, and a multi-factor parent has
     the smallest guard of the two routes.  The automorphism guard cannot
-    fire on a quotient either: no quotient type of a multi-factor group
-    that the check admits, at most SUBGROUP_GUARD in order, has more than
-    AUTOMORPHISM_GUARD automorphisms, as a test checks on every such group
-    under the guard constants.
+    fire on a quotient either, though the search expands the quotients'
+    reports (check_expansion_guard): the check refuses a multi-factor
+    group with a quotient type of more than AUTOMORPHISM_GUARD
+    automorphisms, and a quotient's quotients are the group's.  A test
+    checks both on every group up to SUBGROUP_GUARD under the guard
+    constants.
     """
     if len(group.factors) == 1:
         yield from _search_cyclic(group)
@@ -1149,9 +1169,19 @@ def _search_general(group: AbelianGroup):
     One candidate per Aut(A)-orbit of subgroups suffices: conjugation by
     sigma in Aut(A) maps the morphisms with kernel K0 one to one onto those
     with kernel sigma(K0) (conjugate), so the finds for K0 are transported
-    over the orbit (_orbit_cut).  The automorphisms, kernel A, come from
-    enumerate_automorphisms, whose list also generates the orbits; they
-    are listed (_Listed), each checked by as_skew_morphism when expanded.
+    over the orbit (_orbit_cut).  The automorphisms, kernel A, are held
+    as a stabilizer chain (groups.automorphism_chain): a few generators on
+    a primary basis, sifted on the elements of A until the chain's order
+    is |Aut(A)| (automorphism_count), which proves that they generate it.
+    The report counts them by that order and builds them only when its
+    morphisms are read (_Listed), each checked by as_skew_morphism then.
+    Every cut acts by generators: the kernel cut by those of Aut(A), or by
+    its element list when it has at most SCAN_ORDER elements, and each
+    level hands the next the generators of its point's stabilizer, as
+    _orbits returns them (a sublist of a list, or a Schreier step's strong
+    generators).  Each level's group has the order |H| / |orbit| of the
+    level above, so the orders are known all the way down, and the
+    routine checks each Schreier step against its order.
 
     One (tau, theta) per orbit of Stab(K0) = {sigma in Aut(A) : sigma(K0) =
     K0}.  Such a sigma induces the automorphism sigma_bar(x + K0) =
@@ -1187,7 +1217,10 @@ def _search_general(group: AbelianGroup):
     in Z_L, one of them 1 when r = 1 mod |tau|.  So N_r is at most that
     count, less one when r = 1 mod |tau|, which is the rule.  o is
     invariant under conjugation, so the refused thetas are whole orbits of
-    the tau's stabilizer, and a tau that keeps none is not planned.
+    the tau's stabilizer; so are |tau| and the multiset of pi_tau on the
+    nonzero cosets, which sigma_bar permutes, so the taus that keep no
+    theta are whole orbits of Stab(K0), and the tau cut leaves them out
+    before it computes an orbit.
 
     One image per orbit at every placed coset: a stabilizer chain.  Let r_i
     be the representative of the coset j_i = order[i], and for images y_0
@@ -1272,19 +1305,19 @@ def _search_general(group: AbelianGroup):
     n = group.order
     add = group.add_table
     neg = group.neg_list
-    autos = enumerate_automorphisms(group)
+    autos = automorphism_chain(group)
     # proper morphisms have nontrivial proper kernels
     subgroups = {sub.members: sub for sub in enumerate_subgroups(group) if 1 < sub.size < n}
 
     def move_subgroup(sigma, members):
-        return tuple(sorted(sigma.table[a] for a in members))
+        return tuple(sorted(map(sigma.__getitem__, members)))
 
-    def by_stabilizer(sm, moving):
-        # moving is an entry of stab below, led by its sigma
-        return conjugate(sm, moving[0])
+    def by_automorphism(sm, sigma):
+        return conjugate(sm, Automorphism(group, sigma))
 
-    def search_kernel(members, stab) -> list[SkewMorphism]:
-        # the finds with kernel exactly members, under its stabilizer stab
+    def search_kernel(members, stab, size) -> list[SkewMorphism]:
+        # the finds with kernel exactly members, under its stabilizer: stab
+        # generates it, and it has size elements
         sub = subgroups[members]
         kernel_set = set(members)
         quotient, proj = quotient_group(group, sub)
@@ -1295,52 +1328,70 @@ def _search_general(group: AbelianGroup):
         reps = [cells[0] for cells in coset_elems]
         index = {a: i for i, a in enumerate(members)}
 
-        def induced(sigma):
-            # sigma of Stab(K0) with the permutations it induces on the cosets
-            # (sigma_bar) and on the members of K0, by index, and itemgetters
-            # of their inverses, which move_tau and move_theta read
-            bar = tuple(proj[sigma.table[r]] for r in reps)
-            on_k = tuple(index[sigma.table[a]] for a in members)
-            return sigma, bar, on_k, itemgetter(*invert(bar)), itemgetter(*invert(on_k))
-
         taus = {tau.perm: tau for tau in _cached_search(quotient.factors).morphisms}
         thetas = {
             tuple(index[theta[a]] for a in members): theta
             for theta in _subgroup_automorphisms(group, sub)
         }
         theta_orders = {key: perm_order(key) for key in thetas}
+        # the thetas each tau admits by the capacity rule, for the taus that
+        # admit one: the rest are whole orbits, and are not cut.  The rule
+        # reads |tau|, the multiset of pi_tau on the nonzero cosets and o.
+        fits: dict[tuple, list] = {}
+        plans = {}
+        for perm, tau in taus.items():
+            shape = (tau.order, *sorted(tau.power[1:]))
+            if shape not in fits:
+                orders = {o for o in theta_orders.values() if _powers_fit(n - 1, shape[1:], tau.order, o)}
+                fits[shape] = [key for key, o in theta_orders.items() if o in orders]
+            if fits[shape]:
+                plans[perm] = fits[shape]
+
+        # what move_tau and move_theta read of sigma in Stab(K0), built once
+        # per table: the permutations it induces on the cosets (sigma_bar)
+        # and on the members of K0, by index, and itemgetters of their
+        # inverses
+        moving: dict[tuple, tuple] = {}
+
+        def induced(sigma):
+            bar = tuple(proj[sigma[r]] for r in reps)
+            on_k = tuple(index[sigma[a]] for a in members)
+            entry = moving[sigma] = bar, on_k, itemgetter(*invert(bar)), itemgetter(*invert(on_k))
+            return entry
 
         # p perm p^-1 for p = sigma_bar or sigma on K0: the values p[perm[x]],
         # read at x = p^-1(z), both by C-level itemgetters
-        def move_tau(moving, perm):
-            return moving[3](itemgetter(*perm)(moving[1]))
+        def move_tau(sigma, perm):
+            entry = moving.get(sigma) or induced(sigma)
+            return entry[2](itemgetter(*perm)(entry[0]))
 
-        def move_theta(moving, perm):
-            return moving[4](itemgetter(*perm)(moving[2]))
+        def move_theta(sigma, perm):
+            entry = moving.get(sigma) or induced(sigma)
+            return entry[3](itemgetter(*perm)(entry[1]))
+
+        def move_coset(sigma, j):
+            return proj[sigma[reps[j]]]
 
         table = [0] * n
 
-        def search_tau(tau_perm, tau_stab) -> list[SkewMorphism]:
+        def search_tau(tau_perm, tau_stab, tau_size) -> list[SkewMorphism]:
             # the finds with quotient tau, under its stabilizer in Stab(K0)
             tau = taus[tau_perm]
-            rest = tau.power[1:]  # pi_tau on the nonzero cosets
-            admitted = [key for key, o in theta_orders.items() if _powers_fit(n - 1, rest, tau.order, o)]
-            if not admitted:
-                return []
             order, checks = _orbit_plan(group, coset_elems, proj[0], tau)
 
-            def search_theta(theta_key, pair_stab) -> list[SkewMorphism]:
+            def search_theta(theta_key, pair_stab, pair_size) -> list[SkewMorphism]:
                 # the finds with restriction theta to K0, under the pair's stabilizer
                 theta = thetas[theta_key]
                 o = theta_orders[theta_key]
                 for a, fa in theta.items():
                     table[a] = fa
 
-                def place(idx: int, stabilizer) -> list[SkewMorphism]:
-                    # level idx of the chain: one phi(r) per orbit of the sigmas of
-                    # stabilizer whose sigma_bar fixes order[idx], r its representative;
-                    # phi(r) and its coset by theta, the region check, then the next
-                    # level under phi(r)'s stabilizer
+                def place(idx: int, stab, size) -> list[SkewMorphism]:
+                    # level idx of the chain: one phi(r) per orbit of the
+                    # stabilizer of order[idx] in the group of size elements
+                    # that stab() generates, r its representative;
+                    # phi(r) and its coset by theta, the region check, then
+                    # the next level under phi(r)'s stabilizer
                     if idx == len(order):
                         sm = try_validate(group, tuple(table))
                         if sm is None or {a for a in range(n) if sm.power[a] == 1 % sm.order} != kernel_set:
@@ -1350,42 +1401,46 @@ def _search_general(group: AbelianGroup):
                     r = reps[j]
                     check = checks[idx]
 
-                    def move_image(moving, y):  # y -> theta(r - sigma r) + sigma(y)
-                        s = moving[0].table
-                        return add[theta[add[r][neg[s[r]]]]][s[y]]
+                    def move_image(sigma, y):  # y -> theta(r - sigma r) + sigma(y)
+                        return add[theta[add[r][neg[sigma[r]]]]][sigma[y]]
 
-                    def search_image(y, y_stab) -> list[SkewMorphism]:
+                    def search_image(y, y_stab, y_size) -> list[SkewMorphism]:
                         for a, fa in theta.items():
                             table[add[a][r]] = add[fa][y]
                         if check is None or _region_holds(group, table, check, tau.order, o):
-                            return place(idx + 1, y_stab)
+                            return place(idx + 1, y_stab, y_size)
                         return []
 
-                    fixing = [moving for moving in stabilizer if moving[1][j] == j]
-                    return _orbit_cut(coset_elems[tau.perm[j]], fixing, move_image, search_image, by_stabilizer)
+                    moves, fixing = _orbit(j, stab(), size, move_coset)
+                    return _orbit_cut(
+                        coset_elems[tau.perm[j]], fixing(), size // (1 + len(moves)), move_image, search_image,
+                        by_automorphism,
+                    )
 
-                return place(0, pair_stab)
+                return place(0, pair_stab, pair_size)
 
-            return _orbit_cut(admitted, tau_stab, move_theta, search_theta, by_stabilizer)
+            return _orbit_cut(plans[tau_perm], tau_stab(), tau_size, move_theta, search_theta, by_automorphism)
 
-        stab = [induced(sigma) for sigma in stab]
-        return _orbit_cut(taus, stab, move_tau, search_tau, by_stabilizer)
+        return _orbit_cut(plans, stab(), size, move_tau, search_tau, by_automorphism)
 
-    yield _Listed(group, autos)
-    yield from _orbit_cut(subgroups, autos, move_subgroup, search_kernel, conjugate)
+    sigmas = list(autos) if autos.order <= SCAN_ORDER else autos.generators
+    yield _Listed(group, autos.order, sigmas if len(sigmas) == autos.order else autos)
+    yield from _orbit_cut(subgroups, sigmas, autos.order, move_subgroup, search_kernel, by_automorphism)
 
 
 def check_search_guard(group: AbelianGroup, max_order: int | None = None) -> None:
     """Raise SizeGuardError when the group's order exceeds its route's guard,
-    or when it takes _search_general and has more than AUTOMORPHISM_GUARD
-    automorphisms (automorphism_count, so no table is listed).
+    or when it takes _search_general and one of its proper quotients has
+    more than AUTOMORPHISM_GUARD automorphisms: the search reads every
+    quotient's morphisms (automorphism_count, so no table is listed).
+    The group's own automorphisms are only counted on this path; reading a
+    report's morphisms builds them, under check_expansion_guard.
 
     The guard is max_order when given, else CYCLIC_GUARD or GENERAL_GUARD by
     the route _search_morphisms takes, which goes by the factor count: a
     split cyclic literal such as Z5xZ7 takes the general route and its
     guard.  A group of more than one factor takes _search_general, which
-    lists its subgroups and automorphisms, so its guard never exceeds
-    SUBGROUP_GUARD."""
+    lists its subgroups, so its guard never exceeds SUBGROUP_GUARD."""
     cyclic = len(group.factors) == 1
     if max_order is None:
         max_order = CYCLIC_GUARD if cyclic else GENERAL_GUARD
@@ -1394,12 +1449,51 @@ def check_search_guard(group: AbelianGroup, max_order: int | None = None) -> Non
         capped = not cyclic and group.order > SUBGROUP_GUARD
         hint = "the multi-factor route stops there" if capped else "raise --max-order"
         raise SizeGuardError(f"order {group.order} exceeds enumeration guard {guard}; {hint}")
-    count = 0 if cyclic else automorphism_count(group)
+    if not cyclic:
+        count, quotient = _largest_quotient(group.factors)
+        if count > AUTOMORPHISM_GUARD:
+            raise SizeGuardError(
+                f"{group.label} has the quotient {quotient}, of {count} automorphisms, above the "
+                f"multi-factor route's automorphism guard {AUTOMORPHISM_GUARD}"
+            )
+
+
+def check_expansion_guard(group: AbelianGroup) -> None:
+    """Raise SizeGuardError when the morphisms of a multi-factor group would
+    hold more than AUTOMORPHISM_GUARD automorphisms, each built as a table:
+    its report counts them, but does not list them (_Expansion)."""
+    count = 0 if len(group.factors) == 1 else automorphism_count(group)
     if count > AUTOMORPHISM_GUARD:
         raise SizeGuardError(
             f"{group.label} has {count} automorphisms, above the multi-factor "
             f"route's automorphism guard {AUTOMORPHISM_GUARD}"
         )
+
+
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+def _largest_quotient(factors: tuple[int, ...]) -> tuple[int, str]:
+    """(|Aut(Q)|, Q's label) for the quotient Q = A/K with the most
+    automorphisms, A the group of the factors and K a proper nontrivial
+    subgroup (Z1 if there is none).  A finite abelian p-group of type
+    lambda (the exponents of its cyclic factors, largest first) has
+    quotients of exactly the types mu with mu_i <= lambda_i, so Q ranges
+    over those of A's p-parts combined over the primes, A left out.  A
+    pure function of the factors, kept like the reports."""
+    lambdas: dict[int, list[int]] = {}
+    for f in factors:
+        for p, e in factorint(f).items():
+            lambdas.setdefault(p, []).append(e)
+    per_prime = []
+    for p, lam in sorted(lambdas.items()):
+        lam.sort(reverse=True)
+        mus = [mu for mu in _cartesian(*(range(e + 1) for e in lam)) if list(mu) == sorted(mu, reverse=True)]
+        per_prime.append([[p**e for e in mu if e] for mu in mus])
+    largest = (1, "Z1")
+    for combo in _cartesian(*per_prime):
+        quotient = AbelianGroup(tuple(sorted(chain.from_iterable(combo))))
+        if 1 < quotient.order < prod(factors):
+            largest = max(largest, (automorphism_count(quotient), quotient.label))
+    return largest
 
 
 def _search_report(factors: tuple[int, ...]) -> EnumerationReport:

@@ -9,12 +9,18 @@ The hot paths use `add_table` and `neg_list`, which are built from the
 factors alone, one factor at a time (see `AbelianGroup.add_table`), not
 with the checked per-element `add` and `neg`.
 
-Structure rests on one search, `isomorphisms`: it assigns images to the
+Structure rests on two tools.  `isomorphisms` assigns images to the
 standard basis of Z_f1 x ... x Z_fr and yields every isomorphism onto a
-group given by an element list and an addition table.  Automorphisms are
-the isomorphisms of a group onto itself; a quotient takes its invariant
-factors from the element orders (`invariant_factors`) and its element names
-from the first isomorphism onto the coset table.
+group given by an element list and an addition table; a quotient takes its
+invariant factors from the element orders (`invariant_factors`) and its
+element names from the first isomorphism onto the coset table, and
+`enumerate_automorphisms` lists the isomorphisms of a group onto itself.
+Aut(A) itself is held as a few generators on a primary basis
+(`automorphism_generators`) and a base with strong generators on the
+elements of A (`StabilizerChain`), stopped at its known order
+(`automorphism_count`, Hillar-Rhea), so that it is counted and acted with
+without being listed; `_orbits`, the one orbit routine, takes a group by
+its generators and order.
 """
 
 from __future__ import annotations
@@ -566,33 +572,312 @@ def enumerate_automorphisms(group: AbelianGroup) -> list[Automorphism]:
     return [Automorphism(group, table) for table in sorted(tables)]
 
 
-def _orbits(points, sigmas, act):
-    """One representative per orbit of a group acting on points.
+# ---------------------------------------------------------------------------
+# Permutation groups by base and strong generators
+# ---------------------------------------------------------------------------
 
-    sigmas lists a group's elements, and act(sigma, x) is its action on
-    hashable points.  Yields (x, moves, stab) for x the first point of each
-    orbit in the order of points: moves maps every other point of x's
-    orbit to the first sigma carrying x there, and stab lists the sigmas
-    fixing x.  act may carry x outside points (equivalence_classes passes
-    any list of morphisms); moves records such images too, and x's orbit
-    is still never visited again.  The one orbit scan of the package: the
-    search cuts of enumeration and equivalence_classes use it.
+
+class StabilizerChain:
+    """A permutation group on range(degree), by a base and strong generators.
+
+    Level i holds a base point base[i], the strong generators gens[i] that
+    fix base[:i], and the orbit of base[i] under them, each point y with a
+    product u of those generators carrying base[i] to y (its inverse is
+    built when a sift first needs it).  The product of the orbit sizes,
+    order, never exceeds the order of the group G that gens[0] generates:
+    gens[i + 1] fixes base[i] and lies in gens[i], so each level's group
+    has at least its orbit size times the next level's order.  So once
+    order reaches |G|, known in advance, every inequality is an equality
+    and the chain is complete: a g of G sifts through it, g = u_0 u_1 ...
+    u_k with u_i from level i, and the products of one u per level are the
+    elements of G, each once.  That is the known-order stopping rule of
+    Schreier-Sims (Sims 1970; Seress, Permutation Group Algorithms, CUP
+    2003, sections 4.2 and 4.5): sift elements of G into the chain, keep
+    each residue that is not the identity as a new strong generator, and
+    stop as soon as order = |G|.  Each residue lengthens its level's
+    orbit, so there are at most log2 |G| of them.
+
+    Schreier's lemma (Seress, Lemma 4.2.1): if S generates H, and u_y
+    carries x to y for every y of x's orbit (u_x = 1), then the Schreier
+    generators u_(s y)^-1 s u_y, over every y and s in S, generate the
+    stabilizer of x in H.  close sifts a chain's own Schreier generators,
+    level by level, until order reaches a known order or every one of them
+    sifts through, which makes the chain complete for the group its
+    generators generate (the Schreier-Sims theorem).
+    """
+
+    def __init__(self, degree: int) -> None:
+        self.identity = tuple(range(degree))
+        self.base: list[int] = []
+        self.gens: list[list[tuple[int, ...]]] = []
+        self.orbits: list[dict[int, tuple[int, ...]]] = []
+        self._inverses: list[dict[int, tuple[int, ...]]] = []
+        self.order = 1  # the product of the orbit sizes
+
+    @property
+    def generators(self) -> list[tuple[int, ...]]:
+        """The strong generators, which generate the group."""
+        return self.gens[0] if self.gens else []
+
+    def _inverse(self, i: int, y: int) -> tuple[int, ...]:
+        inverses = self._inverses[i]
+        back = inverses.get(y)
+        if back is None:
+            back = inverses[y] = invert(self.orbits[i][y])
+        return back
+
+    def sift(self, g: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+        """(level, residue): g divided by u_i from level 0 on, until the
+        residue moves base[level] off its level's orbit, or level is past
+        the base.  g is in the group exactly when the residue there is the
+        identity."""
+        for i, b in enumerate(self.base):
+            y = g[b]
+            if y != b:
+                if y not in self.orbits[i]:
+                    return i, tuple(g)
+                g = tuple(map(self._inverse(i, y).__getitem__, g))
+        return len(self.base), tuple(g)
+
+    def add(self, g: Sequence[int]) -> bool:
+        """Sift g in: a residue other than the identity becomes a strong
+        generator at its level and at every level above, whose orbits grow
+        (a new level, based at the first point it moves, past the base).
+        Whether the order grew."""
+        level, h = self.sift(g)
+        if h == self.identity:
+            return False
+        if level == len(self.base):
+            b = next(x for x, y in enumerate(h) if x != y)
+            self.base.append(b)
+            self.gens.append([])
+            self.orbits.append({b: self.identity})
+            self._inverses.append({b: self.identity})
+        for i in range(level + 1):
+            # the orbit was closed under gens[i]: apply h to its points, and
+            # every generator to the points that h adds
+            orbit, gens = self.orbits[i], self.gens[i]
+            gens.append(h)
+            self.order //= len(orbit)
+            queue = []
+            for y, u in list(orbit.items()):
+                z = h[y]
+                if z not in orbit:
+                    orbit[z] = tuple(map(h.__getitem__, u))
+                    queue.append(z)
+            for y in queue:
+                u = orbit[y]
+                for s in gens:
+                    z = s[y]
+                    if z not in orbit:
+                        orbit[z] = tuple(map(s.__getitem__, u))
+                        queue.append(z)
+            self.order *= len(orbit)
+        return True
+
+    def close(self, order: int | None = None) -> None:
+        """Sift the chain's Schreier generators in until order is reached,
+        or, with no order given, until every one of them sifts through."""
+        grew = True
+        while grew and self.order != order:
+            grew = False
+            for i, b in enumerate(self.base):
+                orbit = self.orbits[i]
+                for u in list(orbit.values()):
+                    for s in list(self.gens[i]):
+                        back = self._inverse(i, s[u[b]])
+                        if self.add(tuple(back[s[v]] for v in u)):
+                            grew = True
+                            if self.order == order:
+                                return
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        """Every element once, as a table: the products u_0 u_1 ... u_k."""
+        elements = [self.identity]
+        for orbit in reversed(self.orbits):
+            elements = [tuple(map(u.__getitem__, e)) for u in orbit.values() for e in elements]
+        return iter(elements)
+
+
+def stabilizer_chain(gens: Iterable[Sequence[int]], degree: int, order: int | None = None) -> StabilizerChain:
+    """The chain of the group that gens generate on range(degree).  Given
+    the group's order, it stops there (the known-order rule of
+    StabilizerChain) and raises if the generators fall short of it;
+    without, it runs Schreier-Sims to the end."""
+    built = StabilizerChain(degree)
+    for g in gens:
+        if built.order == order:
+            break
+        built.add(g)
+    built.close(order)
+    if order is not None and built.order != order:
+        raise AssertionError(f"the generators reach a group of order {built.order}, not {order}")
+    return built
+
+
+def _unit_generators(q: int) -> list[int]:
+    """A few units that generate the units mod q, greedily, least first."""
+    span, gens = {1}, []
+    for u in range(2, q):
+        if gcd(u, q) == 1 and u not in span:
+            gens.append(u)
+            power, grown = u, set(span)
+            while power not in span:
+                grown.update(s * power % q for s in span)
+                power = power * u % q
+            span = grown
+    return gens
+
+
+def automorphism_generators(group: AbelianGroup) -> list[tuple[int, ...]]:
+    """A few automorphisms that generate Aut(A), as tables.
+
+    They act on a primary basis of A, e_k of order q_k = p^a_k, the CRT
+    pieces of the factors (primary_pieces): the scalings e_k -> u*e_k by
+    generators u of the units mod q_k, and for each ordered pair k != l
+    within one prime the transvection e_l -> e_l + p^max(0, a_k - a_l) e_k,
+    the least multiple of e_k that e_l's order allows, every other basis
+    element fixed.  Hillar and Rhea (the paper automorphism_count cites)
+    write Aut(A) as the invertible matrices of that shape; these generate
+    it, which stabilizer_chain checks against automorphism_count wherever
+    the search reads them, and a test checks on every group of order <=
+    128.  A table is built from the images of the factors' generators
+    g_i, each the sum of t*e_k over its pieces, t = (f_i/q_k)^-1 mod q_k,
+    by the same factor-by-factor fill as add_table."""
+    add = group.add_table
+    pieces = primary_pieces(group)
+    basis = [group.factors[i] // q * group.weights[i] for i, q in pieces]
+
+    def table(images) -> tuple[int, ...]:
+        rows = [0]
+        for i, f in enumerate(group.factors):
+            g = 0
+            for (piece_i, q), image in zip(pieces, images):
+                if piece_i == i:
+                    g = add[g][group.scalar(pow(f // q, -1, q), image)]
+            multiples = [0]
+            for _ in range(f - 1):
+                multiples.append(add[multiples[-1]][g])
+            rows = [add[r][m] for r in rows for m in multiples]
+        return tuple(rows)
+
+    gens = []
+    for k, (_, q) in enumerate(pieces):
+        for u in _unit_generators(q):
+            gens.append(table(basis[:k] + [group.scalar(u, basis[k])] + basis[k + 1:]))
+    for k, (_, qk) in enumerate(pieces):
+        for l, (_, ql) in enumerate(pieces):
+            if k != l and gcd(qk, ql) > 1:
+                moved = add[basis[l]][group.scalar(max(qk // ql, 1), basis[k])]
+                gens.append(table(basis[:l] + [moved] + basis[l + 1:]))
+    return gens
+
+
+def automorphism_chain(group: AbelianGroup) -> StabilizerChain:
+    """Aut(A) as a stabilizer chain on the elements of A, from
+    automorphism_generators, stopped at automorphism_count: lists no
+    automorphism, and raises if the generators fall short."""
+    return stabilizer_chain(automorphism_generators(group), group.order, automorphism_count(group))
+
+
+def _orbits(points, sigmas, order, act):
+    """One representative per orbit of a group H of the given order acting
+    on points.
+
+    sigmas, a list of distinct elements, generate H, and act(sigma, x) is
+    a sigma's action on hashable points.  Yields (x, moves, stab) for x the
+    first point of each orbit in the order of points: moves maps every
+    other point y of x's orbit to an element of H carrying x to y, and
+    stab() returns a list of generators of x's stabilizer, which has order
+    |H| / (1 + len(moves)).  act may carry x outside points
+    (equivalence_classes passes any list of morphisms); moves records such
+    images too, and x's orbit is never visited again.  The one orbit
+    routine of the package: the search cuts of enumeration and
+    equivalence_classes use it.
+
+    The first ring applies every sigma to x; moves keeps the first sigma
+    to reach each image, and stab the sigmas fixing x.  Those are at most
+    the orbit and its stabilizer, so when |H| = (1 + len(moves)) *
+    len(stab) for distinct sigmas they are all of both: this holds for a
+    complete list of H's elements, as the cyclic search passes, and the
+    answer is then the element scan's.  Otherwise an orbit of size 1 keeps
+    the sigmas, one of size |H| has the trivial stabilizer, and the rest
+    come from _schreier, whose sigmas must be tables, composed as
+    permutations; it builds the stabilizer only when stab is called.  An H
+    of order 1 has singleton orbits, and act is not called.
     """
     seen: set = set()
     for x in points:
-        if x in seen:
-            continue
-        moves: dict = {}
-        stab = []
+        if x not in seen:
+            moves, stab = _orbit(x, sigmas, order, act)
+            seen.add(x)
+            seen.update(moves)
+            yield x, moves, stab
+
+
+def _orbit(x, sigmas, order, act):
+    """(moves, stab) of one point x, as _orbits yields them: the first
+    ring, else _schreier."""
+    if order == 1:
+        return {}, sigmas.copy
+    moves: dict = {}
+    fixing = []
+    for sigma in sigmas:
+        y = act(sigma, x)
+        if y == x:
+            fixing.append(sigma)
+        elif y not in moves:
+            moves[y] = sigma
+    if not moves or (1 + len(moves)) * len(fixing) == order:
+        return moves, fixing.copy
+    if 1 + len(moves) == order:
+        return moves, list
+    return _schreier(x, sigmas, order, act)
+
+
+def _schreier(x, sigmas, order, act):
+    """(moves, stab) of _orbits for x, sigmas tables that generate H.
+
+    The orbit grows by breadth-first search over the sigmas, each new point
+    z = sigma(y) with the move sigma u_y (a Schreier tree, u_x the
+    identity).  Its stabilizer has order m = |H| / |orbit|, and is
+    generated by the Schreier generators u_z^-1 sigma u_y of the edges
+    that the tree does not use (Schreier's lemma, StabilizerChain; a tree
+    edge gives the identity).  stab() sifts them into a fresh chain until
+    its order is m (stabilizer_chain) and returns its strong generators.
+    """
+    identity = tuple(range(len(sigmas[0])))
+    moves = {x: identity}
+    queue = [x]
+    edges = []
+    for y in queue:
+        u = moves[y]
         for sigma in sigmas:
-            y = act(sigma, x)
-            if y == x:
-                stab.append(sigma)
+            z = act(sigma, y)
+            if z in moves:
+                edges.append((u, sigma, z))
             else:
-                moves.setdefault(y, sigma)
-        seen.add(x)
-        seen.update(moves)
-        yield x, moves, stab
+                moves[z] = tuple(map(sigma.__getitem__, u))
+                queue.append(z)
+    size = len(queue)
+    if order % size:
+        raise AssertionError(f"an orbit of {size} points under a group of order {order}")
+    del moves[x]
+
+    def schreier_generators():
+        for u, sigma, z in edges:
+            if z == x and u is identity:  # sigma fixes x
+                yield sigma
+                continue
+            g = tuple(map(sigma.__getitem__, u))
+            w = moves[z] if z != x else identity
+            if g != w:
+                yield tuple(map(invert(w).__getitem__, g))
+
+    def stab() -> list[tuple[int, ...]]:
+        return stabilizer_chain(schreier_generators(), len(identity), order // size).generators
+
+    return moves, stab
 
 
 # ---------------------------------------------------------------------------

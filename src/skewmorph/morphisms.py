@@ -19,9 +19,9 @@ from .groups import (
     Automorphism,
     Subgroup,
     _orbits,
+    automorphism_chain,
     compose,
     crt_pair,
-    enumerate_automorphisms,
     invert,
     is_bijection,
     perm_order,
@@ -341,11 +341,14 @@ def equivalence_classes(morphisms: Sequence[SkewMorphism]) -> list[list[SkewMorp
     by_perm = {sm.perm: sm for sm in morphisms}
 
     def move(theta, perm):
-        return conjugate(by_perm[perm], theta).perm
+        # theta perm theta^-1, a skew morphism's perm when perm is one
+        # (conjugate)
+        return tuple(theta[perm[x]] for x in invert(theta))
 
+    autos = automorphism_chain(group)
     return [
         [by_perm[p] for p in sorted(by_perm.keys() & {perm, *moves})]
-        for perm, moves, _ in _orbits(sorted(by_perm), enumerate_automorphisms(group), move)
+        for perm, moves, _ in _orbits(sorted(by_perm), autos.generators, autos.order, move)
     ]
 
 

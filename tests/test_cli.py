@@ -105,15 +105,22 @@ def test_verify_theorem1_guard_names_the_flag_to_raise(capsys):
 
 
 def test_automorphism_guard_exit_3(capsys, monkeypatch, tmp_path):
-    """Z2^5 is within the order guard but has 9,999,360 automorphisms: the
-    guard counts them without listing one, before --out is opened."""
+    """Z2^5 is within the order guard but has 9,999,360 automorphisms:
+    enumerate, which would build each of them, is refused by a count that
+    builds no chain of them, before --out is opened.  census reads counts
+    only, so it counts Z2^5 (a CI step runs it), but not Z2^6, whose
+    quotient Z2^5 the search would expand."""
     def refuse(*args, **kwargs):
         raise AssertionError("automorphisms listed")
 
-    monkeypatch.setattr(enumeration, "enumerate_automorphisms", refuse)
+    monkeypatch.setattr(enumeration, "automorphism_chain", refuse)
     path = tmp_path / "out"
     code, _, err = run_cli(capsys, "enumerate", "Z2xZ2xZ2xZ2xZ2", "--out", str(path), "--quiet")
     assert code == 3 and "automorphism guard" in err
+    assert not path.exists()
+    code, _, err = run_cli(capsys, "census", "--groups", "Z2xZ2xZ2xZ2xZ2xZ2", "--max-order", "64",
+                           "--out", str(path), "--quiet")
+    assert code == 3 and "quotient Z2xZ2xZ2xZ2xZ2" in err and "automorphism guard" in err
     assert not path.exists()
 
 

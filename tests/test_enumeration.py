@@ -10,7 +10,7 @@ from math import gcd, lcm, prod
 
 import pytest
 
-from skewmorph import enumeration
+from skewmorph import enumeration, groups
 from skewmorph.constructions import nonsmooth_witness
 from skewmorph.enumeration import (
     EnumerationReport,
@@ -35,6 +35,7 @@ from skewmorph.groups import (
     Automorphism,
     SizeGuardError,
     abelian_group_presentations,
+    automorphism_generators,
     cycles,
     enumerate_automorphisms,
     enumerate_subgroups,
@@ -46,6 +47,7 @@ from skewmorph.groups import (
     perm_power,
     primary_split,
     quotient_group,
+    stabilizer_chain,
     totient,
 )
 from skewmorph.morphisms import (
@@ -217,9 +219,10 @@ def _recursion_targets(group):
 def test_admission_lemma(max_order):
     """The lemma of _search_morphisms that lets the recursion skip the
     guard: every group a search of an admitted group recurses into passes
-    check_search_guard under the same max_order.  Every abelian group up to
-    the largest guard is tried, each type in its primary presentation and
-    as one cyclic factor, under the live guard constants."""
+    check_search_guard under the same max_order, and check_expansion_guard,
+    as the search reads its morphisms.  Every abelian group up to the
+    largest guard is tried, each type in its primary presentation and as
+    one cyclic factor, under the live guard constants."""
     top = max(enumeration.CYCLIC_GUARD, enumeration.GENERAL_GUARD, enumeration.SUBGROUP_GUARD)
     admitted = set()
     for n in range(1, top + 1):
@@ -231,8 +234,12 @@ def test_admission_lemma(max_order):
             admitted.add(group.factors)
             for target in _recursion_targets(group):
                 enumeration.check_search_guard(target, max_order)
-    # Z2xZ2xZ2xZ4 (21,504 automorphisms) is admitted and Z2^5 is not
-    assert (2, 2, 2, 4) in admitted and (2, 2, 2, 2, 2) not in admitted
+                enumeration.check_expansion_guard(target)
+    # Z2^5 (9,999,360 automorphisms) is counted, its morphisms are not built,
+    # and Z2^6, whose quotient Z2^5 a search would expand, is refused
+    assert (2, 2, 2, 4) in admitted and (2, 2, 2, 2, 2) in admitted and (2,) * 6 not in admitted
+    with pytest.raises(SizeGuardError, match="automorphism guard"):
+        enumeration.check_expansion_guard(make_group([2] * 5))
     assert (enumeration.CYCLIC_GUARD if max_order is None else max_order,) in admitted
 
 
@@ -1015,17 +1022,61 @@ def test_a_faulty_transport_fails_when_the_morphisms_are_read(monkeypatch, fault
         report.morphisms
 
 
-@pytest.mark.parametrize("factors", [(2, 4), (3, 3), (2, 2, 2)])
+@pytest.mark.parametrize("factors", [(2, 4), (3, 3), (2, 6)])
 def test_a_short_automorphism_list_fails_the_count(monkeypatch, factors):
-    """The listed automorphisms are counted, not validated one by one, on
-    the count path, so their number is checked against |Aut(A)|
-    (automorphism_count, Hillar-Rhea): a list that lost a table fails at
-    once, before any morphism is read."""
-    monkeypatch.setattr(enumeration, "enumerate_automorphisms", lambda group: enumerate_automorphisms(group)[:-1])
+    """The automorphisms are counted, not validated one by one, on the
+    count path: a stabilizer chain built from automorphism_generators
+    stops at |Aut(A)| (automorphism_count, Hillar-Rhea), and generators
+    that fall short of it fail at once, before any morphism is read.
+    Without its last generator, a transvection, the set of each of these
+    groups generates a proper subgroup (the transvections of Z2^3 would
+    still generate it all)."""
+    monkeypatch.setattr(groups, "automorphism_generators", lambda group: automorphism_generators(group)[:-1])
     fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
     monkeypatch.setattr(enumeration, "_cached_search", fresh)
-    with pytest.raises(AssertionError, match="automorphisms listed"):
+    with pytest.raises(AssertionError, match="the generators reach a group of order"):
         enumerate_skew_morphisms(make_group(factors))
+
+
+def test_z2_to_the_fifth_is_counted_not_expanded():
+    """Z2^5 has 9,999,360 automorphisms and no other skew morphism: the
+    count path counts them from the chain's order, and reading the
+    morphisms, which would build each, is refused by the expansion guard."""
+    report = enumerate_skew_morphisms(make_group([2] * 5))
+    assert (report.total, report.automorphisms, report.nonsmooth) == (9999360, 9999360, 0)
+    with pytest.raises(SizeGuardError, match="automorphism guard"):
+        report.morphisms
+
+
+@pytest.mark.parametrize("factors", sorted(NONCYCLIC_PINS))
+def test_every_cut_of_the_general_search_meets_orbit_stabilizer(monkeypatch, factors):
+    """At every level of _search_general, kernel, tau, theta, coset and
+    image, the acting group that the cut is handed has the order it is
+    said to have, and its orbit size times the order of the stabilizer it
+    returns is that order: each checked by a full Schreier-Sims run on the
+    sigmas and on the stabilizer's generators (groups.stabilizer_chain,
+    no order given).  The cyclic route's unit lists are left out."""
+    checked = []
+
+    @lru_cache(maxsize=None)
+    def group_order(sigmas):
+        return stabilizer_chain(sigmas, len(next(iter(sigmas)))).order if sigmas else 1
+
+    def checked_orbit(x, sigmas, order, act):
+        moves, stab = orbit(x, sigmas, order, act)
+        if sigmas and isinstance(sigmas[0], tuple):
+            assert group_order(frozenset(sigmas)) == order
+            assert (1 + len(moves)) * group_order(frozenset(stab())) == order
+            checked.append(order)
+        return moves, stab
+
+    orbit = groups._orbit
+    monkeypatch.setattr(groups, "_orbit", checked_orbit)
+    monkeypatch.setattr(enumeration, "_orbit", checked_orbit)
+    fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
+    monkeypatch.setattr(enumeration, "_cached_search", fresh)
+    enumerate_skew_morphisms(make_group(factors))
+    assert checked
 
 
 def test_a_miscounted_unit_list_fails_the_count(monkeypatch):

@@ -11,14 +11,18 @@ from skewmorph.groups import (
     InvalidFactorError,
     SizeGuardError,
     _is_closed,
+    _orbits,
     abelian_group_presentations,
+    automorphism_chain,
     automorphism_count,
+    automorphism_generators,
     compose,
     cycles,
     enumerate_automorphisms,
     enumerate_subgroups,
     invariant_factors,
     invert,
+    is_bijection,
     is_homomorphism,
     make_group,
     multiplicative_order,
@@ -28,6 +32,7 @@ from skewmorph.groups import (
     primary_pieces,
     quotient_group,
     remap,
+    stabilizer_chain,
     subgroup_from_members,
     subgroup_generated_by,
 )
@@ -280,6 +285,76 @@ def test_automorphisms_form_a_group():
             assert invert(t1) in autos
             for t2 in autos:
                 assert compose(t1, t2) in autos
+
+
+def _is_automorphism(group, table):
+    """A bijection that adds each basis weight: additive by induction."""
+    add = group.add_table
+    return is_bijection(table, group.order) and all(
+        table[add[a][w]] == add[table[a]][table[w]] for a in range(group.order) for w in group.weights
+    )
+
+
+def test_generators_reach_the_closed_form_count():
+    """automorphism_generators are automorphisms, and a Schreier-Sims run on
+    them to the end, with no order to stop at, reaches |Aut(A)|
+    (automorphism_count, Hillar-Rhea) on every multi-factor group of order
+    at most 128: so they generate Aut(A), and a chain stopped at the count
+    is complete."""
+    checked = 0
+    for n in range(1, 129):
+        for group in abelian_group_presentations(n):
+            if len(group.factors) > 1:
+                gens = automorphism_generators(group)
+                assert all(_is_automorphism(group, g) for g in gens), group.label
+                assert stabilizer_chain(gens, n).order == automorphism_count(group), group.label
+                checked += 1
+    assert checked == 202
+
+
+def test_chain_elements_are_the_listed_automorphisms():
+    """The elements of automorphism_chain, each once, are the tables of
+    enumerate_automorphisms, on every group of order at most 32 whose list
+    has at most 50,000 entries (all but Z2^5)."""
+    checked = 0
+    for n in range(1, 33):
+        for group in abelian_group_presentations(n):
+            if automorphism_count(group) <= 50_000:
+                elements = list(automorphism_chain(group))
+                listed = {a.table for a in enumerate_automorphisms(group)}
+                assert len(elements) == len(set(elements)) and set(elements) == listed, group.label
+                checked += 1
+    assert checked == 54
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_orbits_by_generators_equal_the_element_scan(seed):
+    """On a random subgroup H of a random Aut(A), acting on random subsets
+    of A, _orbits from a few generators of H (Schreier vectors and sifted
+    Schreier generators) finds the orbits of the scan of H's element list,
+    which its first ring decides alone; every move carries the orbit's
+    first point x to its point, every stabilizer generator fixes x, and
+    |orbit| * |stab| = |H|, with stab the scan's stabilizer."""
+    rng = random.Random(seed)
+    group = make_group(rng.choice([(2, 4), (3, 3), (2, 2, 4), (2, 2, 2, 2), (4, 4), (3, 9), (2, 2, 6)]))
+    autos = list(automorphism_chain(group))
+    h = stabilizer_chain(rng.sample(autos, rng.randint(1, 3)), group.order)
+    size = rng.randint(1, 3)
+    points = [tuple(sorted(rng.sample(range(group.order), size))) for _ in range(40)]
+
+    def act(sigma, xs):
+        return tuple(sorted(sigma[x] for x in xs))
+
+    by_gens = list(_orbits(points, h.generators, h.order, act))
+    by_scan = list(_orbits(points, list(h), h.order, act))
+    assert [x for x, _, _ in by_gens] == [x for x, _, _ in by_scan]
+    for (x, moves, stab), (_, scan_moves, scan_stab) in zip(by_gens, by_scan):
+        assert set(moves) == set(scan_moves)
+        assert all(act(sigma, x) == y for y, sigma in moves.items())
+        gens = stab()
+        assert all(act(sigma, x) == x for sigma in gens)
+        assert set(stabilizer_chain(gens, group.order)) == set(scan_stab())
+        assert (1 + len(moves)) * len(scan_stab()) == h.order
 
 
 def _rank_merge(primary_factors):

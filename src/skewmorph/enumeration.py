@@ -136,14 +136,6 @@ GENERAL_GUARD = 32
 # reads: above Z2xZ2xZ2xZ4 (21,504), the most of any group of order <= 32
 # but Z2^5 (9,999,360), which is counted and not built
 AUTOMORPHISM_GUARD = 50_000
-# _search_general acts by the element list of Aut(A) up to this many
-# automorphisms, whose first rings read whole orbits, and by strong
-# generators above it.  In Python a Schreier step costs about as much as a
-# scan of a few hundred sigmas, and neither side wins everywhere: by
-# generators Z5xZ5 (480 automorphisms) and Z2xZ4xZ4 (1,536) ran 15-25%
-# faster than by their lists, Z2xZ2xZ8 (384) and Z2xZ2xZ16 (768) 5-10%
-# slower (in-process A/B on a 2-core x86-64 host).
-SCAN_ORDER = 256
 # reports kept by _cached_search, least recently used dropped first
 ENUMERATION_CACHE_SIZE = 256
 
@@ -1175,12 +1167,11 @@ def _search_general(group: AbelianGroup):
     is |Aut(A)| (automorphism_count), which proves that they generate it.
     The report counts them by that order and builds them only when its
     morphisms are read (_Listed), each checked by as_skew_morphism then.
-    Every cut acts by generators: the kernel cut by those of Aut(A), or by
-    its element list when it has at most SCAN_ORDER elements, and each
-    level hands the next the generators of its point's stabilizer, as
-    _orbits returns them (a sublist of a list, or a Schreier step's strong
-    generators).  Each level's group has the order |H| / |orbit| of the
-    level above, so the orders are known all the way down, and the
+    Every cut acts by generators: the kernel cut by those of Aut(A), and
+    each level hands the next the generators of its point's stabilizer, as
+    _orbits returns them (a sublist of the sigmas, or a Schreier step's
+    strong generators).  Each level's group has the order |H| / |orbit|
+    of the level above, so the orders are known all the way down, and the
     routine checks each Schreier step against its order.
 
     One (tau, theta) per orbit of Stab(K0) = {sigma in Aut(A) : sigma(K0) =
@@ -1421,11 +1412,12 @@ def _search_general(group: AbelianGroup):
 
             return _orbit_cut(plans[tau_perm], tau_stab(), tau_size, move_theta, search_theta, by_automorphism)
 
+        if not plans:  # no tau admits a theta: build no stabilizer
+            return []
         return _orbit_cut(plans, stab(), size, move_tau, search_tau, by_automorphism)
 
-    sigmas = list(autos) if autos.order <= SCAN_ORDER else autos.generators
-    yield _Listed(group, autos.order, sigmas if len(sigmas) == autos.order else autos)
-    yield from _orbit_cut(subgroups, sigmas, autos.order, move_subgroup, search_kernel, by_automorphism)
+    yield _Listed(group, autos.order, autos)
+    yield from _orbit_cut(subgroups, autos.generators, autos.order, move_subgroup, search_kernel, by_automorphism)
 
 
 def check_search_guard(group: AbelianGroup, max_order: int | None = None) -> None:

@@ -581,10 +581,13 @@ class StabilizerChain:
     """A permutation group on range(degree), by a base and strong generators.
 
     Level i holds a base point base[i], the strong generators gens[i] that
-    fix base[:i], and the orbit of base[i] under them, each point y with a
-    product u of those generators carrying base[i] to y (its inverse is
-    built when a sift first needs it).  The product of the orbit sizes,
-    order, never exceeds the order of the group G that gens[0] generates:
+    fix base[:i], and the orbit of base[i] under them as a Schreier vector:
+    each point y other than base[i] keeps the generator s and the point z
+    with s(z) = y by which the orbit first reached it.  The product u of
+    those generators from base[i] to y carries base[i] to y; it is built
+    when a sift or the iteration first needs it, and its inverse when a
+    sift does.  The product of the orbit sizes, order, never exceeds the
+    order of the group G that gens[0] generates:
     gens[i + 1] fixes base[i] and lies in gens[i], so each level's group
     has at least its orbit size times the next level's order.  So once
     order reaches |G|, known in advance, every inequality is an equality
@@ -610,7 +613,8 @@ class StabilizerChain:
         self.identity = tuple(range(degree))
         self.base: list[int] = []
         self.gens: list[list[tuple[int, ...]]] = []
-        self.orbits: list[dict[int, tuple[int, ...]]] = []
+        self.orbits: list[dict[int, tuple | None]] = []  # y -> (s, z), s(z) = y
+        self._moves: list[dict[int, tuple[int, ...]]] = []  # y -> u_y, as built
         self._inverses: list[dict[int, tuple[int, ...]]] = []
         self.order = 1  # the product of the orbit sizes
 
@@ -619,11 +623,25 @@ class StabilizerChain:
         """The strong generators, which generate the group."""
         return self.gens[0] if self.gens else []
 
+    def _move(self, i: int, y: int) -> tuple[int, ...]:
+        """u_y of level i: up the Schreier vector to a built move, then
+        composed back down, each move on the way kept."""
+        moves, orbit = self._moves[i], self.orbits[i]
+        path = []
+        while y not in moves:
+            s, y = orbit[y]
+            path.append(s)
+        u = moves[y]
+        for s in reversed(path):
+            u = tuple(map(s.__getitem__, u))
+            moves[u[self.base[i]]] = u
+        return u
+
     def _inverse(self, i: int, y: int) -> tuple[int, ...]:
         inverses = self._inverses[i]
         back = inverses.get(y)
         if back is None:
-            back = inverses[y] = invert(self.orbits[i][y])
+            back = inverses[y] = invert(self._move(i, y))
         return back
 
     def sift(self, g: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -651,7 +669,8 @@ class StabilizerChain:
             b = next(x for x, y in enumerate(h) if x != y)
             self.base.append(b)
             self.gens.append([])
-            self.orbits.append({b: self.identity})
+            self.orbits.append({b: None})
+            self._moves.append({b: self.identity})
             self._inverses.append({b: self.identity})
         for i in range(level + 1):
             # the orbit was closed under gens[i]: apply h to its points, and
@@ -660,17 +679,16 @@ class StabilizerChain:
             gens.append(h)
             self.order //= len(orbit)
             queue = []
-            for y, u in list(orbit.items()):
+            for y in list(orbit):
                 z = h[y]
                 if z not in orbit:
-                    orbit[z] = tuple(map(h.__getitem__, u))
+                    orbit[z] = h, y
                     queue.append(z)
             for y in queue:
-                u = orbit[y]
                 for s in gens:
                     z = s[y]
                     if z not in orbit:
-                        orbit[z] = tuple(map(s.__getitem__, u))
+                        orbit[z] = s, y
                         queue.append(z)
             self.order *= len(orbit)
         return True
@@ -681,11 +699,11 @@ class StabilizerChain:
         grew = True
         while grew and self.order != order:
             grew = False
-            for i, b in enumerate(self.base):
-                orbit = self.orbits[i]
-                for u in list(orbit.values()):
+            for i in range(len(self.base)):
+                for y in list(self.orbits[i]):
+                    u = self._move(i, y)
                     for s in list(self.gens[i]):
-                        back = self._inverse(i, s[u[b]])
+                        back = self._inverse(i, s[y])
                         if self.add(tuple(back[s[v]] for v in u)):
                             grew = True
                             if self.order == order:
@@ -694,8 +712,9 @@ class StabilizerChain:
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         """Every element once, as a table: the products u_0 u_1 ... u_k."""
         elements = [self.identity]
-        for orbit in reversed(self.orbits):
-            elements = [tuple(map(u.__getitem__, e)) for u in orbit.values() for e in elements]
+        for i in reversed(range(len(self.base))):
+            moves = [self._move(i, y) for y in self.orbits[i]]
+            elements = [tuple(map(u.__getitem__, e)) for u in moves for e in elements]
         return iter(elements)
 
 
@@ -705,10 +724,10 @@ def stabilizer_chain(gens: Iterable[Sequence[int]], degree: int, order: int | No
     StabilizerChain) and raises if the generators fall short of it;
     without, it runs Schreier-Sims to the end."""
     built = StabilizerChain(degree)
-    for g in gens:
-        if built.order == order:
-            break
-        built.add(g)
+    if built.order != order:
+        for g in gens:  # gens may build each g as it is asked for: none past order
+            if built.add(g) and built.order == order:
+                break
     built.close(order)
     if order is not None and built.order != order:
         raise AssertionError(f"the generators reach a group of order {built.order}, not {order}")
@@ -817,62 +836,70 @@ def _orbits(points, sigmas, order, act):
 
 def _orbit(x, sigmas, order, act):
     """(moves, stab) of one point x, as _orbits yields them: the first
-    ring, else _schreier."""
+    ring, else _schreier, which goes on from it."""
     if order == 1:
         return {}, sigmas.copy
     moves: dict = {}
     fixing = []
+    twins = []  # (sigma, y): sigma carries x to a y that an earlier sigma reached
     for sigma in sigmas:
         y = act(sigma, x)
         if y == x:
             fixing.append(sigma)
         elif y not in moves:
             moves[y] = sigma
+        else:
+            twins.append((sigma, y))
     if not moves or (1 + len(moves)) * len(fixing) == order:
         return moves, fixing.copy
     if 1 + len(moves) == order:
         return moves, list
-    return _schreier(x, sigmas, order, act)
+    return _schreier(x, sigmas, order, act, moves, fixing, twins)
 
 
-def _schreier(x, sigmas, order, act):
-    """(moves, stab) of _orbits for x, sigmas tables that generate H.
+def _schreier(x, sigmas, order, act, moves, fixing, twins):
+    """(moves, stab) of _orbits for x, sigmas tables that generate H, from
+    the first ring of _orbit: the moves of the points it reached, the
+    sigmas fixing x and the twins.
 
     The orbit grows by breadth-first search over the sigmas, each new point
     z = sigma(y) with the move sigma u_y (a Schreier tree, u_x the
-    identity).  Its stabilizer has order m = |H| / |orbit|, and is
-    generated by the Schreier generators u_z^-1 sigma u_y of the edges
-    that the tree does not use (Schreier's lemma, StabilizerChain; a tree
-    edge gives the identity).  stab() sifts them into a fresh chain until
+    identity, u_y = sigma on the first ring).  Its stabilizer has order m
+    = |H| / |orbit|, and is generated by the Schreier generators u_z^-1
+    sigma u_y of the edges that the tree does not use (Schreier's lemma,
+    StabilizerChain; a tree edge gives the identity): the sigmas fixing x,
+    the twins, and each edge of the search that meets a point already
+    reached.  stab() sifts them into a fresh chain, in that order, until
     its order is m (stabilizer_chain) and returns its strong generators.
     """
     identity = tuple(range(len(sigmas[0])))
-    moves = {x: identity}
-    queue = [x]
-    edges = []
+    edges = [(identity, sigma, y) for sigma, y in twins]
+    queue = list(moves)
     for y in queue:
         u = moves[y]
         for sigma in sigmas:
             z = act(sigma, y)
-            if z in moves:
+            if z == x or z in moves:
                 edges.append((u, sigma, z))
             else:
                 moves[z] = tuple(map(sigma.__getitem__, u))
                 queue.append(z)
-    size = len(queue)
+    size = 1 + len(queue)
     if order % size:
         raise AssertionError(f"an orbit of {size} points under a group of order {order}")
-    del moves[x]
 
     def schreier_generators():
+        yield from fixing
+        backs = {}  # u_z^-1, once per z
         for u, sigma, z in edges:
-            if z == x and u is identity:  # sigma fixes x
-                yield sigma
-                continue
-            g = tuple(map(sigma.__getitem__, u))
-            w = moves[z] if z != x else identity
-            if g != w:
-                yield tuple(map(invert(w).__getitem__, g))
+            g = sigma if u is identity else tuple(map(sigma.__getitem__, u))
+            if z == x:
+                yield g
+            elif g != moves[z]:
+                back = backs.get(z)
+                if back is None:
+                    back = backs[z] = invert(moves[z])
+                yield tuple(map(back.__getitem__, g))
 
     def stab() -> list[tuple[int, ...]]:
         return stabilizer_chain(schreier_generators(), len(identity), order // size).generators

@@ -69,11 +69,12 @@ one cache of reports (_cached_search), which the searches' recursion
 reads too; like make_group, they keep no report of a group above
 SUBGROUP_GUARD that they are asked for.  A report times the search that
 produced it and counts its finds (EnumerationReport.from_search), and
-expands them into morphisms only when those are read, once.  The cyclic
-recursion reads one morphism per unit class from its quotients' finds
-(_unit_classes) and expands no quotient report; the coprime split and
-_search_general read their factors' and quotients' morphisms, so those
-are expanded.
+expands them into morphisms only when those are read, once.  The
+recursion reads its quotients' finds and expands no quotient report: the
+cyclic route one morphism per unit class (_unit_classes), _search_general
+the perms of the quotient morphisms that its capacity rule admits
+(_tau_plans, _walk).  Only the coprime split reads its factors'
+morphisms, so those are expanded.
 
 Orders are always derived from tables.  The searches use two published
 bounds on |phi|, and only to skip work: on Z_n, |phi| divides n*phi(n),
@@ -132,9 +133,10 @@ ORACLE_GUARD = 10
 CYCLIC_GUARD = 64
 GENERAL_GUARD = 32
 # the most automorphisms that a report of a multi-factor group builds when
-# its morphisms are read, and so the most of any quotient _search_general
-# reads: above Z2xZ2xZ2xZ4 (21,504), the most of any group of order <= 32
-# but Z2^5 (9,999,360), which is counted and not built
+# its morphisms are read, and the most of any quotient whose automorphism
+# tables _search_general may list (_walk lists them when the capacity rule
+# admits an order above 1): above Z2xZ2xZ2xZ4 (21,504), the most of any
+# group of order <= 32 but Z2^5 (9,999,360), which is counted and not built
 AUTOMORPHISM_GUARD = 50_000
 # reports kept by _cached_search, least recently used dropped first
 ENUMERATION_CACHE_SIZE = 256
@@ -362,6 +364,46 @@ def _expand(found) -> list[SkewMorphism]:
     return out
 
 
+def _walk(found, d: int, admit: Callable) -> list[tuple[tuple, object, SkewMorphism | None]]:
+    """(perm, value, leaf) for every morphism phi of a group of order d >= 2
+    that a search's finds stand for and whose value = admit(|phi|, pi on
+    the nonzero elements) is truthy, with leaf the find itself at a leaf
+    and None elsewhere; no morphism is built.
+
+    The perms are those of _expand's morphisms, each once: a leaf's, a
+    listed table, and for each _Orbit the walked finds and their
+    transports by each of its sigmas, read as the perm conjugation
+    psi[sigma[x]] = sigma[phi[x]] (_conjugation), sigma an automorphism's
+    table (by_automorphism, conjugate) or a unit u of Z_d (_by_unit, the
+    table x -> u*x).  A conjugate has its leaf's order and power pi .
+    sigma^-1, the same multiset on the nonzero elements, which sigma
+    permutes (the count identity of _orbit_cut), so admit is read once
+    per leaf, and a leaf it refuses is dropped with its conjugates before
+    any is built.  A listed automorphism of order m has power 1 % m
+    everywhere, and m < d (the order bound of try_validate); when admit
+    takes no such m above 1, the identity alone is read and the list is
+    not iterated."""
+    out: list = []
+    for item in found:
+        if isinstance(item, _Orbit):
+            finds = _walk(item.finds, d, admit)
+            out += finds
+            for sigma in item.sigmas if finds else ():
+                move = _unit_conjugation(sigma, d) if isinstance(sigma, int) else _conjugation(sigma)
+                out += [(move(perm), value, None) for perm, value, _ in finds]
+        elif isinstance(item, _Listed):
+            values = [admit(m, (1 % m,) * (d - 1)) for m in range(1, d)]
+            for table in item.tables if any(values[1:]) else [tuple(range(d))]:
+                value = values[perm_order(table) - 1]
+                if value:
+                    out.append((table, value, None))
+        else:
+            value = admit(item.order, item.power[1:])
+            if value:
+                out.append((item.perm, value, item))
+    return out
+
+
 def _by_unit(sm: SkewMorphism, u: int) -> SkewMorphism:
     """The transport of a morphism of Z_n by relabel along x -> u*x, u a
     unit of Z_n: its conjugate by that automorphism (conjugate)."""
@@ -369,13 +411,19 @@ def _by_unit(sm: SkewMorphism, u: int) -> SkewMorphism:
     return relabel(sm, [u * x % n for x in range(n)], sm.group)
 
 
+def _conjugation(sigma) -> Callable:
+    """perm -> sigma perm sigma^-1, sigma a table of degree at least 2: the
+    values sigma(perm(x)), read at x = sigma^-1(z), by C-level
+    itemgetters.  It is the perm of relabel(sm, sigma, sm.group) for sm of
+    that perm (conjugate, _by_unit), built without validating it."""
+    back = itemgetter(*invert(sigma))
+    return lambda perm: back(itemgetter(*perm)(sigma))
+
+
 def _unit_conjugation(u: int, d: int) -> Callable:
-    """perm -> u perm u^-1 on Z_d, u a unit mod d: the values u*perm(x),
-    read at x = u^-1 * z, by C-level itemgetters.  It is the perm of
-    _by_unit(sm, u) for sm of that perm, built without a table."""
-    times = tuple(u * x % d for x in range(d))
-    back = itemgetter(*(pow(u, -1, d) * x % d for x in range(d)))
-    return lambda perm: back(itemgetter(*perm)(times))
+    """perm -> u perm u^-1 on Z_d, u a unit mod d, d >= 2: the perm of
+    _by_unit(sm, u) for sm of that perm (_conjugation)."""
+    return _conjugation(tuple(u * x % d for x in range(d)))
 
 
 def _undo(journal) -> None:
@@ -1050,12 +1098,15 @@ def _search_morphisms(group: AbelianGroup):
     guard is at least its parent's: a one-factor parent reaches only
     one-factor groups, of the same guard, and a multi-factor parent has
     the smallest guard of the two routes.  The automorphism guard cannot
-    fire on a quotient either, though the search expands the quotients'
-    reports (check_expansion_guard): the check refuses a multi-factor
-    group with a quotient type of more than AUTOMORPHISM_GUARD
-    automorphisms, and a quotient's quotients are the group's.  A test
-    checks both on every group up to SUBGROUP_GUARD under the guard
-    constants.
+    fire on a reached group either.  The searches expand no multi-factor
+    report: _search_general walks its quotients' finds (_walk), and only
+    the coprime split expands reports, of one-factor groups, which
+    check_expansion_guard never refuses.  The walk still lists a
+    quotient's automorphism tables when the capacity rule admits an order
+    above 1, so the check refuses a multi-factor group with a quotient
+    type of more than AUTOMORPHISM_GUARD automorphisms, and a quotient's
+    quotients are the group's.  A test checks both on every group up to
+    SUBGROUP_GUARD under the guard constants.
     """
     if len(group.factors) == 1:
         yield from _search_cyclic(group)
@@ -1063,16 +1114,55 @@ def _search_morphisms(group: AbelianGroup):
         yield from _search_general(group)
 
 
-def _subgroup_automorphisms(group: AbelianGroup, sub) -> list[dict[int, int]]:
-    """Additive bijections of a subgroup onto itself, as element maps.
+def _subgroup_automorphisms(group: AbelianGroup, sub) -> list[tuple[int, ...]]:
+    """Additive bijections theta of a subgroup onto itself, each as a perm
+    of positions in sub.members: i -> the position of theta(members[i]).
 
     With iso0 one isomorphism from the invariant-factor group onto the
-    subgroup, they are iso . iso0^-1 over every such isomorphism iso.
+    subgroup, they are iso . iso0^-1 over every such isomorphism iso, in
+    the order isomorphisms yields them, read on the subgroup's addition
+    table by positions, so that no element map is built.
     """
-    orders = [group.element_order(x) for x in sub.members]
-    factors = invariant_factors(orders)
-    isos = list(isomorphisms(factors, sub.members, group.add_table, orders))
-    return [dict(zip(isos[0], iso)) for iso in isos]
+    members = sub.members
+    position = {a: i for i, a in enumerate(members)}
+    add = group.add_table
+    table = [[position[add[a][b]] for b in members] for a in members]
+    orders = [group.element_order(a) for a in members]
+    isos = list(isomorphisms(invariant_factors(orders), range(len(members)), table, orders))
+    back = invert(isos[0])
+    return [tuple(map(iso.__getitem__, back)) for iso in isos]
+
+
+def _tau_plans(quotient: AbelianGroup, n: int, thetas: list) -> dict[tuple, tuple[list, SkewMorphism | None]]:
+    """The quotient morphisms tau that _search_general's tau cut takes at a
+    kernel K0 of a group of order n, A/K0 = quotient, whose additive
+    bijections are thetas (_subgroup_automorphisms): by perm, ascending,
+    each tau that admits a theta by the capacity rule (_powers_fit(n - 1,
+    pi_tau on the nonzero cosets, |tau|, |theta|)), with the thetas it
+    admits, in the order of thetas, and tau's leaf among the quotient's
+    finds, None if it is none.  They are walked from the finds of the
+    quotient's report (_walk), which is not expanded.  A theta's order is
+    below |K0| (the order bound of try_validate, on K0), so where the rule
+    admits every order below |K0|, or none, no theta's order is read."""
+    size = len(thetas[0])  # |K0|
+    fits: dict[tuple, list] = {}
+    orders: dict[tuple, int] = {}  # |theta| by theta, read once a shape needs it
+
+    def admit(order: int, powers) -> list:
+        # the rule reads |tau|, the multiset of pi_tau on the nonzero cosets and o
+        shape = (order, *sorted(powers))
+        if shape not in fits:
+            kept = {o for o in range(1, size) if _powers_fit(n - 1, powers, order, o)}
+            if len(kept) in (0, size - 1):
+                fits[shape] = thetas if kept else []
+            else:
+                if not orders:
+                    orders.update((key, perm_order(key)) for key in thetas)
+                fits[shape] = [key for key in thetas if orders[key] in kept]
+        return fits[shape]
+
+    walked = _walk(_cached_search(quotient.factors).found, quotient.order, admit)
+    return {perm: (keys, leaf) for perm, keys, leaf in sorted(walked, key=itemgetter(0))}
 
 
 def _orbit_plan(group: AbelianGroup, coset_elems, zero: int, tau: SkewMorphism):
@@ -1213,6 +1303,33 @@ def _search_general(group: AbelianGroup):
     theta are whole orbits of Stab(K0), and the tau cut leaves them out
     before it computes an orbit.
 
+    The taus are read from the quotient's finds as perms, and no quotient
+    report is expanded (_tau_plans, _walk).  The walk yields the perm of
+    each morphism of A/K0 exactly once.  The report stands for each
+    morphism once, as a leaf, a listed automorphism, or a transport of an
+    _Orbit's finds by one of its sigmas (the count identity of
+    _orbit_cut).  Both transports are conjugations: by_automorphism is
+    morphisms.conjugate, and _by_unit is the conjugation by x -> u*x; the
+    perm of either is psi[sigma[x]] = sigma[phi[x]], which the walk reads
+    without building psi (_conjugation).  The capacity rule reads |tau| and
+    the multiset of pi_tau on the nonzero cosets, and a conjugate keeps
+    both (its power is pi . sigma^-1, and sigma fixes 0), so the walk
+    tests a leaf once for itself and its conjugates.  A listed
+    automorphism of order m has power 1 % m everywhere, so the rule reads
+    m alone, and m < |A/K0| by the order bound; where the rule admits no m
+    above 1, only the identity can pass, and it is read alone.  So the
+    admitted perms are exactly those of the admitted morphisms of the
+    expanded report, and sorted, they reach the tau cut in the order of
+    the expanded morphisms: it meets the same orbits, with the same first
+    point, the least perm of each, and the same moves and stabilizers, and
+    searches the same pairs.  A tau is built only when it is searched: its
+    leaf, or try_validate of its perm, which reads the order and power off
+    the perm, as the expansion's revalidation does.  The thetas are keyed
+    straight from isomorphisms (_subgroup_automorphisms), as perms of the
+    positions in K0; a theta's element map is built only where it is
+    searched, and its order is read only there or where the rule refuses
+    some order below |K0|, the bound on |theta|.
+
     One image per orbit at every placed coset: a stabilizer chain.  Let r_i
     be the representative of the coset j_i = order[i], and for images y_0
     .. y_(i-1) let F(y_0 .. y_(i-1)) be the finds of the pair with phi(r_h)
@@ -1319,24 +1436,13 @@ def _search_general(group: AbelianGroup):
         reps = [cells[0] for cells in coset_elems]
         index = {a: i for i, a in enumerate(members)}
 
-        taus = {tau.perm: tau for tau in _cached_search(quotient.factors).morphisms}
-        thetas = {
-            tuple(index[theta[a]] for a in members): theta
-            for theta in _subgroup_automorphisms(group, sub)
-        }
-        theta_orders = {key: perm_order(key) for key in thetas}
-        # the thetas each tau admits by the capacity rule, for the taus that
-        # admit one: the rest are whole orbits, and are not cut.  The rule
-        # reads |tau|, the multiset of pi_tau on the nonzero cosets and o.
-        fits: dict[tuple, list] = {}
-        plans = {}
-        for perm, tau in taus.items():
-            shape = (tau.order, *sorted(tau.power[1:]))
-            if shape not in fits:
-                orders = {o for o in theta_orders.values() if _powers_fit(n - 1, shape[1:], tau.order, o)}
-                fits[shape] = [key for key, o in theta_orders.items() if o in orders]
-            if fits[shape]:
-                plans[perm] = fits[shape]
+        thetas = _subgroup_automorphisms(group, sub)
+        # the taus that admit a theta by the capacity rule, read from the
+        # quotient's finds: the rest are whole orbits, and are not cut.  The
+        # identity tau is always among them, with the identity theta: its
+        # power is 0 on every coset, and _powers_fit(n - 1, [0] * (t - 1), 1,
+        # 1) is t <= n - 1, as t <= n / 2
+        plans = _tau_plans(quotient, n, thetas)
 
         # what move_tau and move_theta read of sigma in Stab(K0), built once
         # per table: the permutations it induces on the cosets (sigma_bar)
@@ -1367,13 +1473,14 @@ def _search_general(group: AbelianGroup):
 
         def search_tau(tau_perm, tau_stab, tau_size) -> list[SkewMorphism]:
             # the finds with quotient tau, under its stabilizer in Stab(K0)
-            tau = taus[tau_perm]
+            keys, leaf = plans[tau_perm]
+            tau = leaf or try_validate(quotient, tau_perm)  # built once it is searched
             order, checks = _orbit_plan(group, coset_elems, proj[0], tau)
 
             def search_theta(theta_key, pair_stab, pair_size) -> list[SkewMorphism]:
                 # the finds with restriction theta to K0, under the pair's stabilizer
-                theta = thetas[theta_key]
-                o = theta_orders[theta_key]
+                theta = dict(zip(members, map(members.__getitem__, theta_key)))
+                o = perm_order(theta_key)
                 for a, fa in theta.items():
                     table[a] = fa
 
@@ -1410,10 +1517,8 @@ def _search_general(group: AbelianGroup):
 
                 return place(0, pair_stab, pair_size)
 
-            return _orbit_cut(plans[tau_perm], tau_stab(), tau_size, move_theta, search_theta, by_automorphism)
+            return _orbit_cut(keys, tau_stab(), tau_size, move_theta, search_theta, by_automorphism)
 
-        if not plans:  # no tau admits a theta: build no stabilizer
-            return []
         return _orbit_cut(plans, stab(), size, move_tau, search_tau, by_automorphism)
 
     yield _Listed(group, autos.order, autos)
@@ -1423,8 +1528,10 @@ def _search_general(group: AbelianGroup):
 def check_search_guard(group: AbelianGroup, max_order: int | None = None) -> None:
     """Raise SizeGuardError when the group's order exceeds its route's guard,
     or when it takes _search_general and one of its proper quotients has
-    more than AUTOMORPHISM_GUARD automorphisms: the search reads every
-    quotient's morphisms (automorphism_count, so no table is listed).
+    more than AUTOMORPHISM_GUARD automorphisms: the search walks every
+    quotient's finds, and lists its automorphism tables when the capacity
+    rule admits one of order above 1 (_walk); automorphism_count bounds
+    them, so no table is listed here.
     The group's own automorphisms are only counted on this path; reading a
     report's morphisms builds them, under check_expansion_guard.
 

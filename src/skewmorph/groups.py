@@ -367,22 +367,31 @@ def subgroup_generated_by(group: AbelianGroup, gens: Iterable[int]) -> Subgroup:
 
 
 def enumerate_subgroups(group: AbelianGroup) -> list[Subgroup]:
-    """Every subgroup exactly once, sorted by (size, member tuple)."""
+    """Every subgroup exactly once, sorted by (size, member tuple).
+
+    Each subgroup B found is grown to <B, g> for one g per coset g + B
+    other than B, as <B, g> = <B, g + b> for b in B; every subgroup is
+    reached along a chain of such steps from {0}.  A closure of a subgroup
+    is a subgroup (_closure), so each is kept as subgroup_generated_by
+    keeps its span."""
     if group.order > SUBGROUP_GUARD:
         raise SizeGuardError(f"order {group.order} exceeds subgroup guard {SUBGROUP_GUARD}")
+    add = group.add_table
     trivial = frozenset([0])
     seen = {trivial}
     frontier = [trivial]
     while frontier:
         base = frontier.pop()
+        tried = set(base)  # the cosets of base already grown from
         for g in range(1, group.order):
-            if g in base:
+            if g in tried:
                 continue
+            tried.update(add[g][b] for b in base)
             bigger = _closure(group, base, g)
             if bigger not in seen:
                 seen.add(bigger)
                 frontier.append(bigger)
-    subs = [subgroup_from_members(group, s) for s in seen]
+    subs = [Subgroup(group, tuple(sorted(s))) for s in seen]
     subs.sort(key=lambda s: (s.size, s.members))
     return subs
 

@@ -682,7 +682,7 @@ def _seeded_tables(group, rng):
             order, checks = _orbit_plan(group, coset_elems, proj[0], tau)
             regions = _with_regions(checks, proj)
             for _ in range(3):
-                theta = rng.choice(thetas)
+                theta = dict(zip(sub.members, map(sub.members.__getitem__, rng.choice(thetas))))
                 table = list(range(n))
                 for a in sub.members:
                     table[a] = theta[a]
@@ -882,9 +882,9 @@ def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tab
 @pytest.mark.parametrize(
     "factors,tables,conjugates,regions,unexpanded",
     [
-        ((2, 2, 4), 130, (42, 48, 8), 592, (2, 2, 2)),
-        ((5, 5), 32, (240, 0, 36), 761, (0, 0, 0)),
-        ((3, 6), 39, (24, 22, 12), 277, (12, 0, 2)),
+        ((2, 2, 4), 150, (40, 46, 6), 592, (0, 0, 0)),
+        ((5, 5), 36, (240, 0, 36), 761, (0, 0, 0)),
+        ((3, 6), 47, (12, 22, 10), 277, (0, 0, 0)),
     ],
     ids=["Z2xZ2xZ4", "Z5xZ5", "Z3xZ6"],
 )
@@ -899,10 +899,13 @@ def test_general_search_revalidates_a_pinned_number_of_tables(
     placed coset of the pair (the stabilizer chain), in that order.  Each
     conjugate is sorted by what it changes, so a cut that stops expanding
     shows here and not only as lost time.  A fresh cache makes the counts
-    independent of test order.  The report's counts are read first: every
-    table and region check is already done then, and the conjugates are the
-    expanded quotients' alone (unexpanded); reading the morphisms expands the
-    rest."""
+    independent of test order.  The tables include the quotient morphisms
+    that the tau cut searches and that are no leaf of their quotient's
+    finds, each validated once it is searched: 20, 4 and 8 listed
+    automorphisms of the quotients here.  The report's counts are read
+    first: every table and region check is already done then, and no
+    conjugate is built (unexpanded), as no quotient report is expanded;
+    reading the morphisms expands the group's own finds."""
     calls = []
     checked = [0]
     expanded = [0, 0, 0]
@@ -972,11 +975,11 @@ def test_counts_equal_the_expanded_morphisms(monkeypatch, factors):
 @pytest.mark.parametrize("factors,counts", [((5, 5), (768, 480, 288)), ((36,), (60, 12, 32))])
 def test_counts_build_no_top_level_conjugate(monkeypatch, factors, counts):
     """Reading only the counts of Z5xZ5 and Z36 builds no conjugate of a
-    morphism of the group itself (the general route reads its quotients'
-    reports as morphisms, so Z5xZ5's quotients' conjugates are built; the
-    cyclic route reads its quotients' finds and builds at most a leaf's
-    move onto the least perm of its class); reading the morphisms then
-    builds them, which shows that the sentinel is live."""
+    morphism of the group itself (both routes read their quotients'
+    finds: the general route as perms, building no conjugate, and the
+    cyclic route building at most a leaf's move onto the least perm of its
+    class); reading the morphisms then builds them, which shows that the
+    sentinel is live."""
     for name in ("conjugate", "_by_unit"):
         transport = getattr(enumeration, name)
 
@@ -1266,6 +1269,74 @@ def test_cyclic_counts_expand_no_quotient(monkeypatch):
     report = enumerate_skew_morphisms(make_group([36]))
     report.morphisms
     assert expanded and expanded[0] is report.found
+
+
+def test_general_counts_expand_no_quotient(monkeypatch):
+    """The general route reads its quotients' finds as perms (_tau_plans,
+    _walk) and expands no report: counting Z2xZ2xZ4, Z4xZ4, Z5xZ5 and
+    Z2xZ2xZ2xZ4 from a fresh cache calls _expand on nothing, and none of
+    the groups reached takes the coprime split, which reads its factors'
+    morphisms.  Reading Z2xZ2xZ4's morphisms then expands its own finds,
+    which shows the sentinel is live."""
+    expanded = []
+    expand = enumeration._expand
+
+    def recorded(found):
+        expanded.append(found)
+        return expand(found)
+
+    reached = []
+
+    def search(factors):
+        reached.append(factors)
+        return enumeration._search_report(factors)
+
+    monkeypatch.setattr(enumeration, "_expand", recorded)
+    monkeypatch.setattr(enumeration, "_cached_search", lru_cache(maxsize=None)(search))
+    groups_counted = [(2, 2, 4), (4, 4), (5, 5), (2, 2, 2, 4)]
+    counts = [enumerate_skew_morphisms(make_group(factors)).total for factors in groups_counted]
+    assert counts == [288, 120, 768, 36288] and expanded == []
+    assert all(len(factors) > 1 or coprime_split(*factors) is None for factors in reached), reached
+    report = enumerate_skew_morphisms(make_group([2, 2, 4]))
+    report.morphisms
+    assert expanded and expanded[0] is report.found
+
+
+def test_tau_plans_are_the_admitted_morphisms_of_the_expansion():
+    """An independent route to the quotient morphisms that _search_general's
+    tau cut takes: for every proper nontrivial kernel of every multi-factor
+    group of COUNT_GATE, the perms that _tau_plans walks from the
+    quotient's finds are, in the same order and with the same theta keys,
+    those of the quotient's expanded morphisms that admit a theta by the
+    capacity rule, each tested on its own; a plan's leaf, where it has
+    one, is the morphism of its perm; and the walk with every morphism
+    admitted yields the perms of the expansion, each once."""
+    checked = 0
+    for factors in COUNT_GATE:
+        if len(factors) < 2:
+            continue
+        group = make_group(factors)
+        n = group.order
+        for sub in enumerate_subgroups(group):
+            if not 1 < sub.size < n:
+                continue
+            quotient, _ = quotient_group(group, sub)
+            report = cached_enumeration(quotient.factors)
+            thetas = _subgroup_automorphisms(group, sub)
+            theta_orders = {key: perm_order(key) for key in thetas}
+            admitted = {}
+            for tau in report.morphisms:
+                keys = [key for key, o in theta_orders.items() if _powers_fit(n - 1, tau.power[1:], tau.order, o)]
+                if keys:
+                    admitted[tau.perm] = keys
+            plans = enumeration._tau_plans(quotient, n, thetas)
+            assert list(plans) == list(admitted), (factors, sub.members)
+            assert all(plans[perm][0] == keys for perm, keys in admitted.items())
+            assert all(leaf is None or leaf.perm == perm for perm, (_, leaf) in plans.items())
+            walked = [perm for perm, _, _ in enumeration._walk(report.found, quotient.order, lambda *_: True)]
+            assert sorted(walked) == [sm.perm for sm in report.morphisms], (factors, sub.members)
+            checked += 1
+    assert checked == 423
 
 
 # the groups of the benchmark's noncyclic-sweep pool
@@ -1645,6 +1716,6 @@ def test_subgroup_automorphisms_are_the_additive_bijections(factors):
             image = dict(zip(members, (0,) + rest))
             if all(image[add[a][b]] == add[image[a]][image[b]] for a in members for b in members):
                 brute.add(tuple(sorted(image.items())))
-        found = [tuple(sorted(theta.items())) for theta in _subgroup_automorphisms(group, sub)]
+        found = [tuple(zip(members, map(members.__getitem__, key))) for key in _subgroup_automorphisms(group, sub)]
         assert len(found) == len(set(found))
         assert set(found) == brute, sub.members

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd, prod
 
 import pytest
@@ -235,6 +235,32 @@ def test_is_closed_matches_the_pairwise_check():
                     variants.append(members | {rng.choice(outside)})
                 for s in variants:
                     assert _is_closed(g, s) == _closed_by_pairs(g, s), (g.label, sorted(s))
+
+
+def _span_by_pairs(group, gens):
+    """The subgroup gens generate: 0 and gens, closed by adding every
+    pairwise sum until none is new."""
+    add = group.add_table
+    span = {0, *gens}
+    while True:
+        more = {add[x][y] for x in span for y in span} - span
+        if not more:
+            return frozenset(span)
+        span |= more
+
+
+def test_enumerate_subgroups_equals_the_spans_of_element_tuples():
+    """A subgroup of a finite abelian group needs no more generators than
+    the group has invariant factors, so on every group of order <= 16 the
+    subgroups enumerate_subgroups lists, growing each by one element per
+    coset, are exactly the spans of the element tuples of that length,
+    each listed once."""
+    for n in range(1, 17):
+        for g in abelian_group_presentations(n):
+            tuples = combinations_with_replacement(range(g.order), len(g.factors))
+            spans = {_span_by_pairs(g, gens) for gens in tuples}
+            subs = [frozenset(s.members) for s in enumerate_subgroups(g)]
+            assert len(subs) == len(set(subs)) and set(subs) == spans, g.label
 
 
 def test_subgroup_guard():

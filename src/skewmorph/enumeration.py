@@ -44,7 +44,9 @@ Two independent routes produce the same sets:
   time, and after each orbit a region check (_region_holds) tests the
   defining identity on the finished, phi-closed part of the table, read
   at its coset representatives as one CRT system of cycle offsets per
-  test, so most tables die before they are complete.
+  test, so most tables die before they are complete; the last, on the
+  whole group, also refuses a representative of power 1, so every table
+  completed has kernel exactly the candidate.
   Every orbit cut, cyclic or not, is one _orbit_cut call: it searches
   the first point of each orbit under that point's stabilizer and keeps
   the finds with the moves onto the rest of the orbit, their transports
@@ -234,6 +236,13 @@ class EnumerationReport:
             if perm not in least:  # on a split Z_d the least perm is a leaf too
                 least[perm] = _by_unit(sm, u)
         return [least[perm] for perm in sorted(least)]
+
+    @cached_property
+    def _taus(self) -> dict[tuple, SkewMorphism]:
+        # the morphisms of this report, as a quotient, that _search_general's
+        # tau cut validated from their perms, so that each is validated once
+        # however many kernels have this quotient
+        return {}
 
 
 def brute_force_oracle(group: AbelianGroup, guard: int = ORACLE_GUARD) -> EnumerationReport:
@@ -1133,9 +1142,9 @@ def _subgroup_automorphisms(group: AbelianGroup, sub) -> list[tuple[int, ...]]:
     return [tuple(map(iso.__getitem__, back)) for iso in isos]
 
 
-def _tau_plans(quotient: AbelianGroup, n: int, thetas: list) -> dict[tuple, tuple[list, SkewMorphism | None]]:
+def _tau_plans(report: EnumerationReport, n: int, thetas: list) -> dict[tuple, tuple[list, SkewMorphism | None]]:
     """The quotient morphisms tau that _search_general's tau cut takes at a
-    kernel K0 of a group of order n, A/K0 = quotient, whose additive
+    kernel K0 of a group of order n, A/K0 = report.group, whose additive
     bijections are thetas (_subgroup_automorphisms): by perm, ascending,
     each tau that admits a theta by the capacity rule (_powers_fit(n - 1,
     pi_tau on the nonzero cosets, |tau|, |theta|)), with the thetas it
@@ -1161,7 +1170,7 @@ def _tau_plans(quotient: AbelianGroup, n: int, thetas: list) -> dict[tuple, tupl
                 fits[shape] = [key for key in thetas if orders[key] in kept]
         return fits[shape]
 
-    walked = _walk(_cached_search(quotient.factors).found, quotient.order, admit)
+    walked = _walk(report.found, report.group.order, admit)
     return {perm: (keys, leaf) for perm, keys, leaf in sorted(walked, key=itemgetter(0))}
 
 
@@ -1169,13 +1178,14 @@ def _orbit_plan(group: AbelianGroup, coset_elems, zero: int, tau: SkewMorphism):
     """Order the nonzero cosets by tau-orbit, shortest orbit first.
 
     Returns (order, checks).  checks[i] is None unless placing order[i]
-    completes a tau-orbit; then it is the tests of the phi-closed region R =
-    K u (cosets of the orbits placed so far): for every placed coset j with
-    representative r, the triple (r, pi_tau(j), pairs), pairs holding (b, r
-    + b) for each placed coset representative b with r + b in R.  The cosets
-    of the orbit just placed come first, as tests and as pairs, since their
-    entries are the new ones.  All of it depends on tau only, not on the
-    table.
+    completes a tau-orbit; then it is (tests, whole) for the phi-closed
+    region R = K u (cosets of the orbits placed so far): the tests hold, for
+    every placed coset j with representative r, the triple (r, pi_tau(j),
+    pairs), pairs holding (b, r + b) for each placed coset representative b
+    with r + b in R, and whole says whether R is all of A, which holds at
+    the last check alone.  The cosets of the orbit just placed come first,
+    as tests and as pairs, since their entries are the new ones.  All of it
+    depends on tau only, not on the table.
     """
     add = group.add_table
     region = set(coset_elems[zero])
@@ -1193,32 +1203,38 @@ def _orbit_plan(group: AbelianGroup, coset_elems, zero: int, tau: SkewMorphism):
             row = add[r]
             tests.append((r, tau.power[j], tuple((b, row[b]) for b in reps if row[b] in region)))
         checks.extend([None] * (len(orbit) - 1))
-        checks.append(tests)
+        checks.append((tests, len(region) == group.order))
     return order, checks
 
 
-def _region_holds(group: AbelianGroup, table, tests, tau_order: int, o: int) -> bool:
+def _region_holds(group: AbelianGroup, table, check, tau_order: int, o: int) -> bool:
     """The defining identity on the final entries of a phi-closed region R,
     decided at its coset representatives by cycle offsets.
 
-    Each test (r, e0, pairs) of _orbit_plan needs some e with e = e0 (mod
-    tau_order), e = 1 (mod o), o = |theta|, and phi^e(b) = table[r + b] -
-    table[r] at every pair (b, r + b): one CRT merge over the cycles of phi
-    through the representatives b, each traced when first read
-    (morphisms._power_witness).  The order cut then refuses the region when
-    |phi_R| = lcm(o, the cycle lengths of the tests' representatives r,
-    those of R's placed cosets) is |A| or more.  _search_general proves
-    that this is its region condition exactly and that the order cut keeps
-    every skew morphism.
+    Each test (r, e0, pairs) of a check (tests, whole) of _orbit_plan needs
+    some e with e = e0 (mod tau_order), e = 1 (mod o), o = |theta|, and
+    phi^e(b) = table[r + b] - table[r] at every pair (b, r + b): one CRT
+    merge over the cycles of phi through the representatives b, each
+    traced when first read (morphisms._power_witness).  Where R is all of
+    A (whole), the kernel check also refuses a test whose merged class is
+    that of 1.  The order cut then refuses the region when |phi_R| = lcm(o,
+    the cycle lengths of the tests' representatives r, those of R's placed
+    cosets) is |A| or more.  _search_general proves that this is its region
+    condition exactly, that the kernel check refuses only tables whose
+    kernel is not K0, and that the order cut keeps every skew morphism.
     """
     n = group.order
     add = group.add_table
     neg = group.neg_list
     heads, lengths = [-1] * n, {}
     pins = heads, [0] * n, lengths  # the cycles traced so far (_power_witness)
+    tests, whole = check
     for r, e0, pairs in tests:
         start = crt_pair(e0, tau_order, 1, o)
-        if start is None or _power_witness(table, add[neg[table[r]]], pins, pairs, *start) is not None:
+        if start is None:
+            return False
+        b, res, mod = _power_witness(table, add[neg[table[r]]], pins, pairs, *start)
+        if b is not None or (whole and res == 1 % mod):
             return False
     for r, _, _ in tests:
         if heads[r] < 0:
@@ -1324,11 +1340,13 @@ def _search_general(group: AbelianGroup):
     point, the least perm of each, and the same moves and stabilizers, and
     searches the same pairs.  A tau is built only when it is searched: its
     leaf, or try_validate of its perm, which reads the order and power off
-    the perm, as the expansion's revalidation does.  The thetas are keyed
-    straight from isomorphisms (_subgroup_automorphisms), as perms of the
-    positions in K0; a theta's element map is built only where it is
-    searched, and its order is read only there or where the rule refuses
-    some order below |K0|, the bound on |theta|.
+    the perm, as the expansion's revalidation does, once per quotient
+    report however many kernels have that quotient
+    (EnumerationReport._taus).  The thetas are keyed straight from
+    isomorphisms (_subgroup_automorphisms), as perms of the positions in
+    K0; a theta's element map is built only where it is searched, and its
+    order is read only there or where the rule refuses some order below
+    |K0|, the bound on |theta|.
 
     One image per orbit at every placed coset: a stabilizer chain.  Let r_i
     be the representative of the coset j_i = order[i], and for images y_0
@@ -1407,8 +1425,22 @@ def _search_general(group: AbelianGroup):
     every table the search builds, what a scan of the exponents of phi_R
     at every usable b decides.
 
-    Completed tables are still revalidated and filtered by exact kernel, so
-    the check only has to keep every morphism, never to prove one.
+    The kernel check.  At the last check R = A, and it also refuses a
+    table where some test's merged class is that of 1.  That drops only
+    tables whose kernel is not K0.  Each test's pairs hold every nonzero
+    coset representative b, so when they all agree, the merged modulus is
+    lcm(|tau|, o, the cycle length of every representative), which is
+    |phi|: the order cut gives |phi| = lcm(o, those cycle lengths), and
+    |tau| divides |phi|.  A table that passes every test of the last check
+    satisfies the defining identity at every element (the three reasons
+    above, now with R = A), so it is a skew morphism, and the merged class
+    at r is pi(r) mod |phi| exactly.  If that is 1, r lies in Ker phi
+    outside K0, and the table is no find.  Conversely, pi(a + r) = pi(r)
+    for a in K0 and pi = 1 on K0 (D_a = phi there), so a table that passes
+    has kernel exactly K0.  So the check decides, on every table that it
+    completes, both what a revalidation and the exact-kernel filter would:
+    a completed table is still revalidated, and a table that fails either
+    raises, as the check proved it a find.
     """
     n = group.order
     add = group.add_table
@@ -1442,7 +1474,8 @@ def _search_general(group: AbelianGroup):
         # identity tau is always among them, with the identity theta: its
         # power is 0 on every coset, and _powers_fit(n - 1, [0] * (t - 1), 1,
         # 1) is t <= n - 1, as t <= n / 2
-        plans = _tau_plans(quotient, n, thetas)
+        report = _cached_search(quotient.factors)
+        plans = _tau_plans(report, n, thetas)
 
         # what move_tau and move_theta read of sigma in Stab(K0), built once
         # per table: the permutations it induces on the cosets (sigma_bar)
@@ -1474,7 +1507,9 @@ def _search_general(group: AbelianGroup):
         def search_tau(tau_perm, tau_stab, tau_size) -> list[SkewMorphism]:
             # the finds with quotient tau, under its stabilizer in Stab(K0)
             keys, leaf = plans[tau_perm]
-            tau = leaf or try_validate(quotient, tau_perm)  # built once it is searched
+            tau = leaf or report._taus.get(tau_perm)
+            if tau is None:  # built once it is searched, and kept by the quotient's report
+                tau = report._taus[tau_perm] = try_validate(quotient, tau_perm)
             order, checks = _orbit_plan(group, coset_elems, proj[0], tau)
 
             def search_theta(theta_key, pair_stab, pair_size) -> list[SkewMorphism]:
@@ -1491,9 +1526,10 @@ def _search_general(group: AbelianGroup):
                     # phi(r) and its coset by theta, the region check, then
                     # the next level under phi(r)'s stabilizer
                     if idx == len(order):
+                        # the kernel check proved the table a find (_search_general)
                         sm = try_validate(group, tuple(table))
                         if sm is None or {a for a in range(n) if sm.power[a] == 1 % sm.order} != kernel_set:
-                            return []
+                            raise AssertionError(f"{group.label}: a table past the kernel check is no find")
                         return [sm]
                     j = order[idx]
                     r = reps[j]

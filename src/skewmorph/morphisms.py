@@ -114,10 +114,11 @@ def _trace_cycle(perm: tuple[int, ...], b: int, pins) -> None:
     lengths[b] = i
 
 
-def _power_witness(perm: tuple[int, ...], shift, pins, pairs, res: int, mod: int) -> int | None:
-    """The first b of pairs (b, x) at which no e = res (mod mod) has
-    perm**e(b) = shift[perm[x]] there and at every pair before it, or None
-    when some e agrees at every pair.
+def _power_witness(perm: tuple[int, ...], shift, pins, pairs, res: int, mod: int) -> tuple[int | None, int, int]:
+    """(b, res, mod): b the first b of pairs (b, x) at which no e = res
+    (mod mod) has perm**e(b) = shift[perm[x]] there and at every pair
+    before it, or None when some e agrees at every pair; res (mod mod) the
+    class of the e that agree at the pairs before b, or at all of them.
 
     pins = (heads, offsets, lengths) lays out the cycles of perm traced so
     far (_trace_cycle), and each b's cycle is traced when b is first read:
@@ -128,7 +129,8 @@ def _power_witness(perm: tuple[int, ...], shift, pins, pairs, res: int, mod: int
     (mod its length), so the e that agree at the pairs read so far form one
     class, merged by CRT (groups.crt_pair), or none.  The validator's
     explanation reads D_a this way (pairs (b, a + b), validate), and so
-    does the search's region check (enumeration._region_holds).
+    does the search's region check (enumeration._region_holds), which also
+    reads the merged class.
     """
     heads, offsets, lengths = pins
     for b, x in pairs:
@@ -137,17 +139,17 @@ def _power_witness(perm: tuple[int, ...], shift, pins, pairs, res: int, mod: int
         y = shift[perm[x]]
         head = heads[b]
         if heads[y] != head:
-            return b
+            return b, res, mod
         length = lengths[head]
         e = offsets[y] - offsets[b]
         if mod % length:
             merged = crt_pair(res, mod, e, length)
             if merged is None:
-                return b
+                return b, res, mod
             res, mod = merged
         elif (e - res) % length:  # the class mod mod fixes e mod length
-            return b
-    return None
+            return b, res, mod
+    return None, res, mod
 
 
 def try_validate(group: AbelianGroup, perm: Sequence[int]) -> SkewMorphism | None:
@@ -244,7 +246,7 @@ def validate(group: AbelianGroup, perm: Sequence[int]) -> SkewMorphism:
     add = group.add_table
     pins = [-1] * n, [0] * n, {}
     for a in range(1, n):
-        b = _power_witness(perm, add[group.neg_list[perm[a]]], pins, enumerate(add[a]), 0, 1)
+        b, _, _ = _power_witness(perm, add[group.neg_list[perm[a]]], pins, enumerate(add[a]), 0, 1)
         if b is not None:
             raise SkewMorphismRejection("no-power", a, b)
     # unreachable for a rejected table; raised, not asserted, so that it holds under python -O

@@ -482,21 +482,22 @@ def test_cyclic_morphism_sets_pinned(n):
 
 def _with_regions(checks, proj):
     """The region checks of _orbit_plan, in search order, each as (region,
-    tests): the region R as a set, K and the cosets of the tests'
-    representatives, and the tests."""
+    check): the region R as a set, K and the cosets of the tests'
+    representatives, and the check (tests, whole)."""
     out = []
-    for tests in filter(None, checks):
-        placed = {proj[0]} | {proj[r] for r, _, _ in tests}
-        out.append(({x for x, j in enumerate(proj) if j in placed}, tests))
+    for check in filter(None, checks):
+        placed = {proj[0]} | {proj[r] for r, _, _ in check[0]}
+        out.append(({x for x, j in enumerate(proj) if j in placed}, check))
     return out
 
 
-def _region_plan(sm):
+def _region_plan(sm, sub=None):
     """The kernel, the quotient morphism, the order o of sm on the kernel
     and the region checks (_with_regions) that the general search runs for
-    sm's own kernel."""
+    sm's own kernel, or for the kernel candidate sub, a subgroup of it that
+    sm maps onto itself."""
     group = sm.group
-    sub = kernel(sm)
+    sub = sub or kernel(sm)
     quotient, proj = quotient_group(group, sub)
     coset_elems = [[] for _ in range(quotient.order)]
     for x in range(group.order):
@@ -507,7 +508,7 @@ def _region_plan(sm):
 
 
 def _passes_regions(group, table, tau, o, checks):
-    return all(_region_holds(group, table, tests, tau.order, o) for _, tests in checks)
+    return all(_region_holds(group, table, check, tau.order, o) for _, check in checks)
 
 
 def _assert_region_checks_pass(morphisms):
@@ -519,11 +520,11 @@ def _assert_region_checks_pass(morphisms):
         if not sm.is_proper:
             continue
         _, tau, o, checks = _region_plan(sm)
-        for region, tests in checks:
+        for region, check in checks:
             assert all(sm.perm[x] in region for x in region)
             hidden = [sm.perm[x] if x in region else 0 for x in range(len(sm.perm))]
-            assert _region_holds(sm.group, hidden, tests, tau.order, o)
-            assert _region_holds(sm.group, sm.perm, tests, tau.order, o), sm.perm
+            assert _region_holds(sm.group, hidden, check, tau.order, o)
+            assert _region_holds(sm.group, sm.perm, check, tau.order, o), sm.perm
 
 
 @pytest.mark.parametrize("factors", sorted(NONCYCLIC_PINS))
@@ -537,6 +538,40 @@ def test_oracle_morphisms_pass_their_own_region_checks(factors):
     """The same on morphisms found without the search, so a check that
     drops morphisms cannot hide them from this test."""
     _assert_region_checks_pass(brute_force_oracle(make_group(factors)).morphisms)
+
+
+# (proper morphisms, (morphism, candidate) pairs refused) of test_kernel_check_on_the_oracle_morphisms
+KERNEL_CHECKS = {(2, 2): (0, 6), (2, 4): (8, 40), (2, 2, 2): (0, 336), (3, 3): (16, 48)}
+
+
+@pytest.mark.parametrize("factors", list(KERNEL_CHECKS))
+def test_kernel_check_on_the_oracle_morphisms(factors):
+    """The kernel check of the last region check, on morphisms found without
+    the search.  Each proper morphism passes it on the plan of its own
+    kernel.  On the plan of every proper nontrivial K0 strictly inside its
+    kernel that it maps onto itself, where its table has that plan's kernel
+    placement, every morphism passes the earlier region checks and the
+    tests of the last one, and is refused by the kernel check alone."""
+    group = make_group(factors)
+    n = group.order
+    candidates = [sub for sub in enumerate_subgroups(group) if 1 < sub.size < n]
+    own = refused = 0
+    for sm in brute_force_oracle(group).morphisms:
+        if sm.is_proper:
+            _, tau, o, checks = _region_plan(sm)
+            assert _region_holds(group, sm.perm, checks[-1][1], tau.order, o)
+            own += 1
+        members = set(kernel(sm).members)
+        for sub in candidates:
+            if set(sub.members) < members and {sm.perm[a] for a in sub.members} == set(sub.members):
+                _, tau, o, checks = _region_plan(sm, sub)
+                *earlier, (region, (tests, whole)) = checks
+                assert whole and len(region) == n
+                assert _passes_regions(group, sm.perm, tau, o, earlier)
+                assert _region_holds(group, sm.perm, (tests, False), tau.order, o)
+                assert not _region_holds(group, sm.perm, (tests, whole), tau.order, o)
+                refused += 1
+    assert (own, refused) == KERNEL_CHECKS[factors]
 
 
 def _assert_offset_lemma(morphisms) -> int:
@@ -554,7 +589,7 @@ def _assert_offset_lemma(morphisms) -> int:
         group, phi = sm.group, sm.perm
         add, neg = group.add_table, group.neg_list
         sub, _, o, checks = _region_plan(sm)
-        for region, tests in checks:
+        for region, (tests, _) in checks:
             for r, _, _ in tests:
                 shift = add[neg[phi[r]]]  # D_r(b) = shift[phi[r + b]]
                 for b in region:
@@ -604,11 +639,11 @@ def test_region_check_enforces_the_quotient_power():
     checked = 0
     for factors in ((3, 3), (3, 6)):
         for sm, _, tau, o, checks, _ in _moving_quotients(factors):
-            region, tests = checks[-1]
-            assert len(region) == len(sm.perm)
+            region, (tests, whole) = checks[-1]
+            assert len(region) == len(sm.perm) and whole
             shifted = [(r, (e0 + 1) % tau.order, *picks) for r, e0, *picks in tests]
-            assert _region_holds(sm.group, sm.perm, tests, tau.order, o)
-            assert not _region_holds(sm.group, sm.perm, shifted, tau.order, o)
+            assert _region_holds(sm.group, sm.perm, (tests, whole), tau.order, o)
+            assert not _region_holds(sm.group, sm.perm, (shifted, whole), tau.order, o)
             checked += 1
     assert checked == 32
 
@@ -632,13 +667,16 @@ def test_region_check_rejects_swapped_coset_images():
     assert checked == 16
 
 
-def _naive_region_holds(group, table, region, tests, tau_order):
+def _naive_region_holds(group, table, region, check, tau_order):
     """_region_holds by a scan of exponents over every usable b, not only
     the representatives: the order m of the table on region, found by
-    iterating it there, must be below |A|, and each test (r, e0, pairs)
-    needs some e = e0 (mod tau_order) below lcm(tau_order, m) with
-    table[r + b] - table[r] = phi**e(b) at every b in region with r + b in
-    region, iterating phi.  It reads neither the pairs nor |theta|."""
+    iterating it there, must be below |A|, and each test (r, e0, pairs) of
+    the check (tests, whole) needs some e = e0 (mod tau_order) below
+    lcm(tau_order, m) with table[r + b] - table[r] = phi**e(b) at every b
+    in region with r + b in region, iterating phi; where whole, that
+    displacement must also differ from phi itself, the definition of r
+    outside the kernel.  It reads neither the pairs nor |theta|."""
+    tests, whole = check
     n = group.order
     m = 1
     for x in region:
@@ -651,6 +689,8 @@ def _naive_region_holds(group, table, region, tests, tau_order):
     for r, e0, _ in tests:
         bs = [b for b in sorted(region) if group.add(r, b) in region]
         target = [group.sub(table[group.add(r, b)], table[r]) for b in bs]
+        if whole and target == [table[b] for b in bs]:
+            return False
         image = list(bs)  # phi**e(b) for each usable b
         for e in range(lcm(tau_order, m)):
             if e % tau_order == e0 % tau_order and image == target:
@@ -693,8 +733,10 @@ def _seeded_tables(group, rng):
                 yield table, tau, _order_on(table, sub.members), regions
 
 
-# (seeded tables, region checks passed, refused) of _seeded_tables(group, random.Random(2207))
-SEEDED_REGIONS = {(3, 3): (24, 26, 10), (3, 6): (267, 200, 535), (2, 2, 4): (963, 1243, 1619)}
+# (seeded tables, region checks passed, refused) of _seeded_tables(group, random.Random(2207)); the
+# kernel check of each plan's last region check refuses the seeded tables that are skew morphisms
+# with a kernel above the candidate: 12, 8 and 43 of them
+SEEDED_REGIONS = {(3, 3): (24, 14, 22), (3, 6): (267, 192, 543), (2, 2, 4): (963, 1200, 1662)}
 
 
 @pytest.mark.parametrize("factors", list(SEEDED_REGIONS))
@@ -711,14 +753,14 @@ def test_region_check_equals_a_naive_exponent_scan(factors):
     plans = [(sm.perm, *_region_plan(sm)[1:]) for sm in finds]
     verdicts = {True: 0, False: 0}
     for table, tau, o, checks in plans:
-        for region, tests in checks:
-            assert _region_holds(group, table, tests, tau.order, o)
-            assert _naive_region_holds(group, table, region, tests, tau.order)
+        for region, check in checks:
+            assert _region_holds(group, table, check, tau.order, o)
+            assert _naive_region_holds(group, table, region, check, tau.order)
     tables = list(_seeded_tables(group, random.Random(2207)))
     for table, tau, o, checks in tables:
-        for region, tests in checks:
-            verdict = _region_holds(group, table, tests, tau.order, o)
-            assert verdict == _naive_region_holds(group, table, region, tests, tau.order)
+        for region, check in checks:
+            verdict = _region_holds(group, table, check, tau.order, o)
+            assert verdict == _naive_region_holds(group, table, region, check, tau.order)
             verdicts[verdict] += 1
     assert (len(tables), verdicts[True], verdicts[False]) == SEEDED_REGIONS[factors]
 
@@ -747,8 +789,8 @@ def test_region_check_refuses_a_region_of_order_at_least_the_group_order():
                 table[add[a][r]] = add[a][y]
         assert all(table[add[a][x]] == add[a][table[x]] for a in sub.members for x in range(n))
         assert perm_order(table) == order
-        assert _region_holds(group, table, tests, 1, 1) is holds
-        assert _naive_region_holds(group, table, set(range(n)), [], 1) is holds
+        assert _region_holds(group, table, (tests, False), 1, 1) is holds
+        assert _naive_region_holds(group, table, set(range(n)), ([], False), 1) is holds
 
 
 @pytest.mark.parametrize("n", [8, 9, 12, 15, 16, 18, 20, 21, 24, 25, 27, 28, 30, 32, 36])
@@ -882,9 +924,9 @@ def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tab
 @pytest.mark.parametrize(
     "factors,tables,conjugates,regions,unexpanded",
     [
-        ((2, 2, 4), 150, (40, 46, 6), 592, (0, 0, 0)),
-        ((5, 5), 36, (240, 0, 36), 761, (0, 0, 0)),
-        ((3, 6), 47, (12, 22, 10), 277, (0, 0, 0)),
+        ((2, 2, 4), 15, (40, 46, 6), 592, (0, 0, 0)),
+        ((5, 5), 16, (240, 0, 36), 761, (0, 0, 0)),
+        ((3, 6), 13, (12, 22, 10), 277, (0, 0, 0)),
     ],
     ids=["Z2xZ2xZ4", "Z5xZ5", "Z3xZ6"],
 )
@@ -899,10 +941,19 @@ def test_general_search_revalidates_a_pinned_number_of_tables(
     placed coset of the pair (the stabilizer chain), in that order.  Each
     conjugate is sorted by what it changes, so a cut that stops expanding
     shows here and not only as lost time.  A fresh cache makes the counts
-    independent of test order.  The tables include the quotient morphisms
-    that the tau cut searches and that are no leaf of their quotient's
-    finds, each validated once it is searched: 20, 4 and 8 listed
-    automorphisms of the quotients here.  The report's counts are read
+    independent of test order.  The kernel check of the last region check
+    refuses every completed table whose kernel is not the candidate's, so
+    each completed table is a find: 4 + 2 of Z2xZ2xZ4 and its quotient
+    Z2xZ4, 12 of Z5xZ5, and 4 + 2 + 1 of Z3xZ6, its quotient Z3xZ3 and the
+    cyclic search of Z6.  The rest are the quotient morphisms that the tau
+    cut searches and that are no leaf of their quotient's finds, listed
+    automorphisms, each validated once per quotient report however many
+    kernels have that quotient: 9 (Z2 1, Z4 2, Z2xZ2 4, Z2xZ2xZ2 1, Z2xZ4
+    1), 4 (Z5) and 6 (Z2 1, Z3 2, Z6 2, Z3xZ3 1).  So 15 = 6 + 9, 16 = 12 +
+    4 and 13 = 7 + 6; before the kernel check the counts were 150, 36 and
+    47, 128, 32 and 38 of them completed tables that were dropped or kept
+    by their kernel, and the taus were validated once per kernel (20, 4
+    and 8).  The report's counts are read
     first: every table and region check is already done then, and no
     conjugate is built (unexpanded), as no quotient report is expanded;
     reading the morphisms expands the group's own finds."""
@@ -1329,7 +1380,7 @@ def test_tau_plans_are_the_admitted_morphisms_of_the_expansion():
                 keys = [key for key, o in theta_orders.items() if _powers_fit(n - 1, tau.power[1:], tau.order, o)]
                 if keys:
                     admitted[tau.perm] = keys
-            plans = enumeration._tau_plans(quotient, n, thetas)
+            plans = enumeration._tau_plans(report, n, thetas)
             assert list(plans) == list(admitted), (factors, sub.members)
             assert all(plans[perm][0] == keys for perm, keys in admitted.items())
             assert all(leaf is None or leaf.perm == perm for perm, (_, leaf) in plans.items())

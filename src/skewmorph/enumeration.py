@@ -49,7 +49,7 @@ Two independent routes produce the same sets:
   completed has kernel exactly the candidate.
   Every orbit cut, cyclic or not, is one _orbit_cut call: it searches
   the first point of each orbit under that point's stabilizer and keeps
-  the finds with the moves onto the rest of the orbit, their transports
+  the finds with the moves onto the rest of the orbit, their conjugates
   deferred, and _orbit_cut argues once why that is complete, stands for
   each morphism once, and counts each orbit as its size times its first
   point's finds.  So _search_general reads as a chain of cuts, kernel ->
@@ -71,12 +71,14 @@ one cache of reports (_cached_search), which the searches' recursion
 reads too; like make_group, they keep no report of a group above
 SUBGROUP_GUARD that they are asked for.  A report times the search that
 produced it and counts its finds (EnumerationReport.from_search), and
-expands them into morphisms only when those are read, once.  The
-recursion reads its quotients' finds and expands no quotient report: the
-cyclic route one morphism per unit class (_unit_classes), _search_general
-the perms of the quotient morphisms that its capacity rule admits
-(_tau_plans, _walk).  Only the coprime split reads its factors'
-morphisms, so those are expanded.
+expands them into morphisms only when those are read, once.  One reader
+lists the morphisms of a search's finds, as perms (_walk), as _tally
+counts them: the expansion builds every perm it lists (_expand), and the
+recursion reads its quotients' finds through it and expands no quotient
+report, each route taking as its quotient cut's points the perms of the
+quotient morphisms that its capacity rule admits, the cyclic route's
+with the cells they open (_search_cyclic, _tau_plans).  Only the coprime
+split reads its factors' morphisms, so those are expanded.
 
 Orders are always derived from tables.  The searches use two published
 bounds on |phi|, and only to skip work: on Z_n, |phi| divides n*phi(n),
@@ -92,7 +94,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations, permutations, product as _cartesian
 from math import gcd, lcm, prod
 from operator import itemgetter
@@ -103,6 +105,7 @@ from .groups import (
     AbelianGroup,
     Automorphism,
     SizeGuardError,
+    _conjugation,
     _orbit,
     _orbits,
     automorphism_chain,
@@ -125,9 +128,7 @@ from .morphisms import (
     _power_witness,
     _trace_cycle,
     as_skew_morphism,
-    conjugate,
     is_smooth,
-    relabel,
     try_validate,
 )
 
@@ -159,7 +160,7 @@ class _Expansion:
         morphisms = report.__dict__["_morphisms"]
         if morphisms is None:
             check_expansion_guard(report.group)
-            morphisms = tuple(sorted(_expand(report.found), key=lambda sm: sm.perm))
+            morphisms = tuple(sorted(_expand(report.group, report.found), key=lambda sm: sm.perm))
             counts = (report.total, report.automorphisms, report.smooth)
             expanded = _tally(report.group, morphisms)
             if expanded != counts:
@@ -208,40 +209,10 @@ class EnumerationReport:
         return cls(group, total, autos, total - autos, smooth, total - smooth, elapsed_ms, found)
 
     @cached_property
-    def _unit_classes(self) -> list[SkewMorphism]:
-        # _unit_classes(d) of a report of Z_d, read from its finds once
-        d = self.group.order
-        least: dict[tuple, SkewMorphism] = {}
-        leaves: list[SkewMorphism] = []
-
-        def walk(found) -> None:
-            for item in found:
-                if isinstance(item, _Orbit):
-                    walk(item.finds)
-                elif isinstance(item, _Listed):
-                    least.update((table, as_skew_morphism(Automorphism(self.group, table))) for table in item.tables)
-                else:
-                    leaves.append(item)
-
-        walk(self.found)
-        moved: dict[tuple, tuple[SkewMorphism, int]] = {}
-        conjugations = [(u, _unit_conjugation(u, d)) for u in range(1, d) if gcd(u, d) == 1] if leaves else []
-        for sm in leaves:
-            perm, u = min((move(sm.perm), u) for u, move in conjugations)
-            if perm == sm.perm:
-                least[perm] = sm
-            else:
-                moved[perm] = sm, u
-        for perm, (sm, u) in moved.items():
-            if perm not in least:  # on a split Z_d the least perm is a leaf too
-                least[perm] = _by_unit(sm, u)
-        return [least[perm] for perm in sorted(least)]
-
-    @cached_property
     def _taus(self) -> dict[tuple, SkewMorphism]:
-        # the morphisms of this report, as a quotient, that _search_general's
-        # tau cut validated from their perms, so that each is validated once
-        # however many kernels have this quotient
+        # the morphisms of this report, as a quotient, that a quotient cut
+        # validated from their perms (_quotient_morphism), so that each is
+        # validated once however many searches have this quotient
         return {}
 
 
@@ -255,13 +226,13 @@ def brute_force_oracle(group: AbelianGroup, guard: int = ORACLE_GUARD) -> Enumer
 
 
 class _Orbit(NamedTuple):
-    """The finds of one orbit of a symmetry cut, its transports deferred
+    """The finds of one orbit of a symmetry cut, their conjugates deferred
     (_orbit_cut): finds at the orbit's first point, and sigmas, one carrying
-    that point onto each other point of the orbit, applied by transport."""
+    that point onto each other point of the orbit, each an automorphism's
+    table or a unit u of Z_n, the automorphism x -> u*x (_walk)."""
 
     finds: list
     sigmas: tuple
-    transport: Callable
 
 
 class _Listed(NamedTuple):
@@ -270,12 +241,11 @@ class _Listed(NamedTuple):
     Aut(A) (groups.StabilizerChain), whose elements are built only when
     they are expanded; each is checked by as_skew_morphism then."""
 
-    group: AbelianGroup
     order: int
     tables: Iterable[tuple[int, ...]]
 
 
-def _orbit_cut(points, sigmas, order, act, search, transport) -> list:
+def _orbit_cut(points, sigmas, order, act, search) -> list:
     """The finds of a symmetry cut: for each orbit of the group H of the
     given order that sigmas generate, acting on points by act
     (groups._orbits), whose first point x finds something, one _Orbit of
@@ -284,45 +254,44 @@ def _orbit_cut(points, sigmas, order, act, search, transport) -> list:
     stab() returns generators of x's stabilizer and size is its order, |H|
     over the orbit's size; the stabilizer is built only if the search asks
     for it.  The finds of a search are the validated tables it completed,
-    its leaves, and the _Orbits of the cuts below it; _expand builds
-    transport(sm, sigma) of every morphism they stand for, sigma over the
-    orbit's moves.
+    its leaves, and the _Orbits of the cuts below it; every morphism they
+    stand for is a conjugate of a leaf by the orbits' moves, read as perms
+    by _walk and built by _expand.
 
-    Every cut proves that transport by a sigma carrying x to y maps the
+    Every cut proves that conjugation by a sigma carrying x to y maps the
     morphisms at x (those whose kernel, quotient, restriction or image the
     point fixes) one to one onto the morphisms at y.  So the cut is
     complete, as each search is.  It stands for each morphism once: the
-    finds at x are distinct, a one-to-one transport keeps those at y
+    finds at x are distinct, a one-to-one conjugation keeps those at y
     distinct, and morphisms at different points differ.
 
-    The count identity.  The orbits are disjoint, each transport is one to
-    one, and the finds at different points differ, so an orbit stands for
-    1 + len(moves) times as many morphisms as its first point, and, down
-    the nested cuts, a leaf for the product of the orbit sizes above it.
-    Each of them is a conjugate of the leaf by an automorphism sigma, the
-    product of the transports' sigmas down its path (_by_unit's relabel
-    along x -> u*x is the conjugation by that automorphism), and psi =
-    sigma phi sigma^-1 has power pi . sigma^-1 (the lemma of
-    morphisms.conjugate).  So power 1 everywhere carries over
+    The count identity.  The orbits are disjoint, each conjugation is one
+    to one, and the finds at different points differ, so an orbit stands
+    for 1 + len(moves) times as many morphisms as its first point, and,
+    down the nested cuts, a leaf for the product of the orbit sizes above
+    it.  Each of them is a conjugate of the leaf by an automorphism sigma,
+    the product of the moves down its path (a unit u of Z_n standing for
+    x -> u*x), and psi = sigma phi sigma^-1 has power pi . sigma^-1 (the
+    lemma of morphisms.conjugate).  So power 1 everywhere carries over
     from phi to psi, and so does pi constant on phi-orbits: pi(phi(x)) =
     pi(x) for every x gives pi_psi(psi(y)) = pi(phi(sigma^-1 y)) =
     pi(sigma^-1 y) = pi_psi(y); conjugation by sigma^-1 carries both back.
     A leaf's conjugates are therefore automorphisms, and smooth, exactly
     when the leaf is, and a report counts them from its validated leaves
     times proved orbit sizes (_tally).  Every morphism that is built,
-    transport or leaf, is revalidated (relabel, conjugate, try_validate).
+    conjugate or leaf, is revalidated (_expand, try_validate).
     """
     out: list = []
     for x, moves, stab in _orbits(points, sigmas, order, act):
         finds = search(x, stab, order // (1 + len(moves)))
         if finds:  # most points find nothing: keep no empty orbit
-            out.append(_Orbit(finds, tuple(moves.values()), transport))
+            out.append(_Orbit(finds, tuple(moves.values())))
     return out
 
 
 def _tally(group: AbelianGroup, found) -> tuple[int, int, int]:
     """(total, automorphisms, smooth) of the morphisms that a search's finds
-    stand for, no transport built: a leaf counts once, an _Orbit 1 +
+    stand for, no conjugate built: a leaf counts once, an _Orbit 1 +
     len(sigmas) times its finds (the count identity of _orbit_cut), and
     the listed automorphisms once each, all smooth.  Raised, not asserted,
     so that python -O keeps them: a perm met twice among the leaves, a
@@ -355,43 +324,55 @@ def _tally(group: AbelianGroup, found) -> tuple[int, int, int]:
     return counts
 
 
-def _expand(found) -> list[SkewMorphism]:
+def _expand(group: AbelianGroup, found) -> list[SkewMorphism]:
     """Every morphism that a search's finds stand for, each revalidated once
-    it is built: the leaves, the listed automorphisms by as_skew_morphism,
-    and for each _Orbit its expanded finds and their transports by each of
-    its sigmas (relabel, conjugate)."""
-    out: list[SkewMorphism] = []
-    for item in found:
-        if isinstance(item, _Orbit):
-            finds = _expand(item.finds)
-            out += finds
-            out += [item.transport(sm, sigma) for sigma in item.sigmas for sm in finds]
-        elif isinstance(item, _Listed):
-            out += (as_skew_morphism(Automorphism(item.group, table)) for table in item.tables)
-        else:
-            out.append(item)
-    return out
+    it is built: _walk with every morphism admitted, keeping each leaf,
+    and building each other perm, a listed automorphism's table or a
+    conjugate of a leaf, by as_skew_morphism where its power is 1
+    everywhere and by try_validate elsewhere.  A conjugate that does not
+    validate breaks the lemma of morphisms.conjugate, and raises."""
+
+    def automorphism(perm) -> SkewMorphism:
+        return as_skew_morphism(Automorphism(group, perm))
+
+    def conjugate(perm) -> SkewMorphism:
+        sm = try_validate(group, perm)
+        if sm is None:  # raised, not asserted, so that it holds under python -O
+            raise AssertionError(f"{group.label}: a conjugate of a find failed validation")
+        return sm
+
+    def admit(order: int, powers) -> Callable:
+        # a conjugate keeps its leaf's powers, as a multiset
+        return automorphism if powers.count(1 % order) == len(powers) else conjugate
+
+    return [leaf or build(perm) for perm, build, leaf in _walk(found, group.order, admit)]
 
 
 def _walk(found, d: int, admit: Callable) -> list[tuple[tuple, object, SkewMorphism | None]]:
-    """(perm, value, leaf) for every morphism phi of a group of order d >= 2
+    """(perm, value, leaf) for every morphism phi of a group of order d
     that a search's finds stand for and whose value = admit(|phi|, pi on
     the nonzero elements) is truthy, with leaf the find itself at a leaf
-    and None elsewhere; no morphism is built.
+    and None elsewhere; no morphism is built.  The one reader that lists
+    the morphisms of a search's finds: _expand builds them from it, and the
+    quotient cuts of both searches take their points from it (_tau_plans,
+    _search_cyclic).
 
-    The perms are those of _expand's morphisms, each once: a leaf's, a
-    listed table, and for each _Orbit the walked finds and their
-    transports by each of its sigmas, read as the perm conjugation
-    psi[sigma[x]] = sigma[phi[x]] (_conjugation), sigma an automorphism's
-    table (by_automorphism, conjugate) or a unit u of Z_d (_by_unit, the
-    table x -> u*x).  A conjugate has its leaf's order and power pi .
+    The perms are those that the finds stand for, each once (the count
+    identity of _orbit_cut): a leaf's, a listed table, and for each _Orbit
+    the walked finds and their conjugates by each of its sigmas, read as
+    the perm conjugation psi[sigma[x]] = sigma[phi[x]] (groups._conjugation),
+    sigma an automorphism's table or a unit u of Z_d, the table x -> u*x
+    (_unit_conjugation).  A conjugate has its leaf's order and power pi .
     sigma^-1, the same multiset on the nonzero elements, which sigma
-    permutes (the count identity of _orbit_cut), so admit is read once
-    per leaf, and a leaf it refuses is dropped with its conjugates before
-    any is built.  A listed automorphism of order m has power 1 % m
-    everywhere, and m < d (the order bound of try_validate); when admit
-    takes no such m above 1, the identity alone is read and the list is
-    not iterated."""
+    permutes.  admit must give a leaf's conjugates the leaf's own value:
+    each caller's does, as it reads |phi| and that multiset, or a part of
+    pi that the cut proves a class invariant (_search_cyclic).  So admit is
+    read once per leaf, and a leaf it refuses is dropped with its
+    conjugates before any is built.  A listed automorphism of order m has
+    power 1 % m everywhere, and m < d (the order bound of try_validate),
+    or m = 1 on the trivial group; when admit takes no such m above 1, the
+    identity alone is read and the list is not iterated, and when it gives
+    every such m the same value, no table's order is read."""
     out: list = []
     for item in found:
         if isinstance(item, _Orbit):
@@ -401,9 +382,10 @@ def _walk(found, d: int, admit: Callable) -> list[tuple[tuple, object, SkewMorph
                 move = _unit_conjugation(sigma, d) if isinstance(sigma, int) else _conjugation(sigma)
                 out += [(move(perm), value, None) for perm, value, _ in finds]
         elif isinstance(item, _Listed):
-            values = [admit(m, (1 % m,) * (d - 1)) for m in range(1, d)]
+            values = [admit(m, (1 % m,) * (d - 1)) for m in range(1, max(d, 2))]
+            alike = values.count(values[0]) == len(values)
             for table in item.tables if any(values[1:]) else [tuple(range(d))]:
-                value = values[perm_order(table) - 1]
+                value = values[0] if alike else values[perm_order(table) - 1]
                 if value:
                     out.append((table, value, None))
         else:
@@ -413,26 +395,23 @@ def _walk(found, d: int, admit: Callable) -> list[tuple[tuple, object, SkewMorph
     return out
 
 
-def _by_unit(sm: SkewMorphism, u: int) -> SkewMorphism:
-    """The transport of a morphism of Z_n by relabel along x -> u*x, u a
-    unit of Z_n: its conjugate by that automorphism (conjugate)."""
-    n = sm.group.order
-    return relabel(sm, [u * x % n for x in range(n)], sm.group)
-
-
-def _conjugation(sigma) -> Callable:
-    """perm -> sigma perm sigma^-1, sigma a table of degree at least 2: the
-    values sigma(perm(x)), read at x = sigma^-1(z), by C-level
-    itemgetters.  It is the perm of relabel(sm, sigma, sm.group) for sm of
-    that perm (conjugate, _by_unit), built without validating it."""
-    back = itemgetter(*invert(sigma))
-    return lambda perm: back(itemgetter(*perm)(sigma))
-
-
 def _unit_conjugation(u: int, d: int) -> Callable:
-    """perm -> u perm u^-1 on Z_d, u a unit mod d, d >= 2: the perm of
-    _by_unit(sm, u) for sm of that perm (_conjugation)."""
+    """perm -> u perm u^-1 on Z_d, u a unit mod d, d >= 2: the conjugation
+    by the automorphism x -> u*x (groups._conjugation)."""
     return _conjugation(tuple(u * x % d for x in range(d)))
+
+
+def _quotient_morphism(report: EnumerationReport, perm: tuple, leaf: SkewMorphism | None) -> SkewMorphism:
+    """The morphism of a perm that a quotient cut walked from a report's
+    finds (_walk): its leaf, or else its perm validated by try_validate,
+    which reads the order and power off the perm as the expansion's
+    revalidation does, once per report however many searches read it
+    (EnumerationReport._taus)."""
+    if leaf is None:
+        leaf = report._taus.get(perm)
+        if leaf is None:
+            leaf = report._taus[perm] = try_validate(report.group, perm)
+    return leaf
 
 
 def _undo(journal) -> None:
@@ -705,7 +684,7 @@ def _lift_cell(group, q, k, L, solutions, fixing) -> list[SkewMorphism]:
     _search_cyclic's quotient-level cut; they form a group, the preimage
     of q's stabilizer.  For such a u let psi = u.phi.u^-1, a skew morphism
     with power x -> pi(u^-1 x) (conjugate).  The cell cuts twice more, by
-    orbit cuts (_orbit_cut) that transport the finds by relabel along x ->
+    orbit cuts (_orbit_cut) whose finds stand for their conjugates by x ->
     u*x: one web solution per orbit of fixing, and under it, for each seed
     that keeps it, one phi(1) per orbit of the units of fixing = 1 (mod
     k).
@@ -844,7 +823,7 @@ def _lift_cell(group, q, k, L, solutions, fixing) -> list[SkewMorphism]:
         for t, o in seeds:
             if all((c - 1) % o == 0 for c in w):  # the kernel-order rule
                 kernel_images = [m * t * k % n for m in range(size)]
-                finds += _orbit_cut(range(q.perm[1], n, d), ones, len(ones), move_first, seeded, _by_unit)
+                finds += _orbit_cut(range(q.perm[1], n, d), ones, len(ones), move_first, seeded)
         return finds
 
     def seeded(v0: int, *_) -> list[SkewMorphism]:
@@ -871,7 +850,7 @@ def _lift_cell(group, q, k, L, solutions, fixing) -> list[SkewMorphism]:
         if L % o:
             continue
         seeds.append((t, o))
-    return _orbit_cut(solutions, movers, len(movers), move_powers, solved, _by_unit)
+    return _orbit_cut(solutions, movers, len(movers), move_powers, solved)
 
 
 def coprime_split(n: int) -> tuple[int, int] | None:
@@ -937,7 +916,7 @@ def _search_cyclic(group: AbelianGroup):
     solution.
 
     One quotient morphism per unit-conjugation class.  Lemma: for a unit u
-    of Z_n, conjugation by u (relabel along x -> u*x) maps the morphisms of
+    of Z_n, conjugation by u (by x -> u*x) maps the morphisms of
     the cell (q, k, L) with seed t one to one onto those of the cell
     (u q u^-1, k, L) with the same seed t, u read mod d in u q u^-1.
     Proof: let phi lie in the first cell and psi = u.phi.u^-1 (conjugate).
@@ -956,32 +935,26 @@ def _search_cyclic(group: AbelianGroup):
     its least such lift): the search at the first q of a class opens
     every admitted cell of that q whose web has a solution, handing it the
     units of Z_n that reduce into q's stabilizer, least first, for the
-    next levels of the chain, and the finds
-    are transported onto the rest of the class along the lift.  A class
-    is admitted whole: |q| and q's skew type are class invariants, and so
-    is the multiset q.power[1:k] that the capacity rule reads, since u
-    permutes the cosets of q's kernel <k_q> (k_q | k), which 0 .. k - 1
-    meet k/k_q times each.  So the cells and webs of every other q of a
-    class are neither opened nor solved.
+    next levels of the chain, and the finds stand for their conjugates
+    onto the rest of the class along the lift.  A class is admitted
+    whole: |q| and q's skew type are class invariants, and so is the
+    multiset q.power[1:k] that the capacity rule reads, since u permutes
+    the cosets of q's kernel <k_q> (k_q | k), which 0 .. k - 1 meet k/k_q
+    times each.  So the cells and webs of every other q of a class are
+    neither opened nor solved.
 
-    The quotient's classes come from its finds, one point per class
-    (_unit_classes): the listed automorphisms, and each validated leaf
-    moved onto the least perm of its class; no quotient report is
-    expanded.
-    1. Every morphism that Z_d's report stands for is a listed
-       automorphism or a unit conjugate of a leaf: the count identity of
-       _orbit_cut, since every transport of the cyclic search is _by_unit,
-       conjugation by a unit.  On a split Z_d the leaves are all of its
-       morphisms.
-    2. Conjugation by a unit fixes x -> t*x, as Aut(Z_d) is abelian, so
-       each automorphism is its own class.
-    3. So the points meet every class, and once each, as they are keyed by
-       the least perm of their class.  groups._orbits records the moves
-       that fall outside points, so the cut gets the same orbits, moves
-       and stabilizers from them as from every morphism of Z_d.
-    4. The least perm of each class is the first point of its orbit when
-       every morphism is listed in perm order, so the same cells open and
-       the same webs are solved.
+    The q are read from the finds of Z_d's report as perms, as
+    _search_general reads its quotients, and no quotient report is
+    expanded: _walk yields the perm of every morphism of Z_d once, and
+    admit, the admitted cells of a q, gives a leaf's unit conjugates the
+    leaf's value, being a class invariant.  So the points are the
+    admitted morphisms of the expansion, sorted by perm, and since the
+    cut's acting list holds every unit of Z_d, _orbits decides each orbit
+    by its first ring, with the least perm of its class as first point
+    and the same moves and stabilizer whichever other points are listed:
+    the same cells open and the same webs are solved.  A q is built only
+    when it is searched: its leaf, or its perm validated once per
+    quotient report (_quotient_morphism).
 
     Soundness is the revalidation of every completed table and of every
     conjugate that is built; completeness needs only the cell with the
@@ -1011,21 +984,21 @@ def _search_cyclic(group: AbelianGroup):
 
     # the automorphisms, skew type 1, are the maps x -> t*x for the units t
     units = [t for t in range(1, n) if gcd(t, n) == 1]
-    out: list = [_Listed(group, len(units), [tuple(t * x % n for x in range(n)) for t in units])]
-    cells: dict[int, dict[tuple, list]] = {}  # the admitted cells, by d and by q
-    for q, k, L in _cyclic_cells(n):
-        if _powers_fit(L, q.power[1:k], q.order, 1):
-            cells.setdefault(q.group.order, {}).setdefault(q.perm, []).append((q, k, L))
+    out: list = [_Listed(len(units), [tuple(t * x % n for x in range(n)) for t in units])]
     webs: dict[tuple, list[tuple[int, ...]]] = {}  # _power_web by its arguments
+    quotients: dict[int, tuple] = {}  # Z_d's report and its admitted q, by d
 
     def search_q(perm, stab, _) -> list[SkewMorphism]:
-        # the finds of every cell of q, under the units of Z_n, least first,
-        # whose reduction fixes q
+        # the finds of every admitted cell of q, under the units of Z_n,
+        # least first, whose reduction fixes q
         d = len(perm)
+        report, plans = quotients[d]
+        cells, leaf = plans[perm]
+        q = _quotient_morphism(report, perm, leaf)
         residues = {u % d for u in stab()}
         fixing = [u for u in units if u % d in residues]
         finds: list[SkewMorphism] = []
-        for q, k, L in cells[d][perm]:
+        for k, L in cells:
             orbit = [1]  # q^i(1) for i < |q|
             while len(orbit) < q.order:
                 orbit.append(q.perm[orbit[-1]])
@@ -1039,22 +1012,30 @@ def _search_cyclic(group: AbelianGroup):
     def move_q(u, perm):
         return maps[len(perm)][u](perm)  # u q u^-1 on Z_d
 
-    # each unit of Z_d as the least unit u of Z_n over it, with q -> u q u^-1
     maps: dict[int, dict] = {}
-    for d, by_q in cells.items():
+    for d, cells in _cyclic_cells(n).items():
+        report = _cached_search((d,))
+
+        def admit(order: int, powers) -> list[tuple[int, int]]:
+            # the cells of q that the capacity rule admits
+            return [(k, L) for k, L in cells(order, powers) if _powers_fit(L, powers[: k - 1], order, 1)]
+
+        walked = sorted(_walk(report.found, d, admit), key=itemgetter(0))
+        quotients[d] = report, {perm: (admitted, leaf) for perm, admitted, leaf in walked}
+        # each unit of Z_d as the least unit u of Z_n over it, with q -> u q u^-1
         maps[d] = {u: _unit_conjugation(u, d) for u in sorted({u % d: u for u in reversed(units)}.values())}
-        out += _orbit_cut(by_q, list(maps[d]), len(maps[d]), move_q, search_q, _by_unit)
+        out += _orbit_cut(quotients[d][1], list(maps[d]), len(maps[d]), move_q, search_q)
     yield from out
 
 
-def _cyclic_cells(n: int):
-    """The cells (q, k, L) of _lift_cell that _search_cyclic considers for a
-    Z_n with no coprime split, each proper skew type k under one prime p
-    (_search_cyclic): q the least perm of a class of skew morphisms of Z_d,
-    d = n/p, under conjugation by its units (_unit_classes, from Z_d's
-    finds), with skew type dividing k, and L a multiple of |q| that
-    divides n*phi(n).  The skew type is d over the size of q's kernel, its
-    elements of power 1."""
+def _cyclic_cells(n: int) -> dict[int, Callable]:
+    """The cells of _lift_cell that _search_cyclic considers for a Z_n with
+    no coprime split, by the quotient order d = n/p of each prime p that
+    has a proper skew type designated to it (_search_cyclic):
+    cells[d](|q|, q.power[1:]) lists the (k, L) of a skew morphism q of
+    Z_d, k over the types designated to p that q's skew type divides, and
+    L over the multiples of |q| that divide n*phi(n).  The skew type is d
+    over the size of q's kernel, its elements of power 1, 0 among them."""
     bound = n * totient(n)
     primes = sorted(factorint(n))
     # every proper skew type 1 < k < n divides n/p for some prime p;
@@ -1065,29 +1046,14 @@ def _cyclic_cells(n: int):
         if n % k == 0:
             designated.setdefault(next(p for p in primes if (n // k) % p == 0), []).append(k)
 
-    for p, types in sorted(designated.items()):
-        d = n // p
-        for q in _unit_classes(d):
-            k_d = d // q.power.count(1 % q.order)  # d / |Ker q|, Ker q the powers 1
-            for k in types:
-                if k % k_d == 0:
-                    # the orbit of 1 reduces onto its q-orbit, of length |q|,
-                    # and meets each of the p lifts of a residue at most once
-                    for L in range(q.order, min(n, q.order * p + 1), q.order):
-                        if bound % L == 0:
-                            yield q, k, L
+    def cells(p: int, types: list[int], order: int, powers) -> list[tuple[int, int]]:
+        k_d = (len(powers) + 1) // (powers.count(1 % order) + 1)  # d / |Ker q|
+        # the orbit of 1 reduces onto its q-orbit, of length |q|, and meets
+        # each of the p lifts of a residue at most once
+        steps = range(order, min(n, order * p + 1), order)
+        return [(k, L) for k in types if k % k_d == 0 for L in steps if bound % L == 0]
 
-
-def _unit_classes(d: int) -> list[SkewMorphism]:
-    """One skew morphism of Z_d per class under conjugation by the units of
-    Z_d, the least perm of each, sorted by perm, read from the finds of
-    Z_d's report and never from its morphisms (_search_cyclic proves that
-    they meet every class once): each listed automorphism, checked by
-    as_skew_morphism, and each validated leaf, moved onto the least perm of
-    its class by one _by_unit, revalidated, where it is not that perm.
-    They are read once per report and kept on it, as its morphisms are, so
-    that the cache of reports drops them with it."""
-    return _cached_search((d,))._unit_classes
+    return {n // p: partial(cells, p, types) for p, types in sorted(designated.items())}
 
 
 def _search_morphisms(group: AbelianGroup):
@@ -1207,21 +1173,23 @@ def _orbit_plan(group: AbelianGroup, coset_elems, zero: int, tau: SkewMorphism):
     return order, checks
 
 
-def _region_holds(group: AbelianGroup, table, check, tau_order: int, o: int) -> bool:
+def _region_holds(group: AbelianGroup, table, check, starts, o: int) -> bool:
     """The defining identity on the final entries of a phi-closed region R,
     decided at its coset representatives by cycle offsets.
 
     Each test (r, e0, pairs) of a check (tests, whole) of _orbit_plan needs
-    some e with e = e0 (mod tau_order), e = 1 (mod o), o = |theta|, and
+    some e with e = e0 (mod |tau|), e = 1 (mod o), o = |theta|, and
     phi^e(b) = table[r + b] - table[r] at every pair (b, r + b): one CRT
-    merge over the cycles of phi through the representatives b, each
-    traced when first read (morphisms._power_witness).  Where R is all of
-    A (whole), the kernel check also refuses a test whose merged class is
-    that of 1.  The order cut then refuses the region when |phi_R| = lcm(o,
-    the cycle lengths of the tests' representatives r, those of R's placed
-    cosets) is |A| or more.  _search_general proves that this is its region
-    condition exactly, that the kernel check refuses only tables whose
-    kernel is not K0, and that the order cut keeps every skew morphism.
+    merge, from starts[e0], the class (residue, modulus) of the first two
+    congruences or None where they conflict (crt_pair), over the cycles of
+    phi through the representatives b, each traced when first read
+    (morphisms._power_witness).  Where R is all of A (whole), the kernel
+    check also refuses a test whose merged class is that of 1.  The order
+    cut then refuses the region when |phi_R| = lcm(o, the cycle lengths of
+    the tests' representatives r, those of R's placed cosets) is |A| or
+    more.  _search_general proves that this is its region condition
+    exactly, that the kernel check refuses only tables whose kernel is not
+    K0, and that the order cut keeps every skew morphism.
     """
     n = group.order
     add = group.add_table
@@ -1230,7 +1198,7 @@ def _region_holds(group: AbelianGroup, table, check, tau_order: int, o: int) -> 
     pins = heads, [0] * n, lengths  # the cycles traced so far (_power_witness)
     tests, whole = check
     for r, e0, pairs in tests:
-        start = crt_pair(e0, tau_order, 1, o)
+        start = starts[e0]
         if start is None:
             return False
         b, res, mod = _power_witness(table, add[neg[table[r]]], pins, pairs, *start)
@@ -1266,11 +1234,12 @@ def _search_general(group: AbelianGroup):
 
     One candidate per Aut(A)-orbit of subgroups suffices: conjugation by
     sigma in Aut(A) maps the morphisms with kernel K0 one to one onto those
-    with kernel sigma(K0) (conjugate), so the finds for K0 are transported
-    over the orbit (_orbit_cut).  The automorphisms, kernel A, are held
-    as a stabilizer chain (groups.automorphism_chain): a few generators on
-    a primary basis, sifted on the elements of A until the chain's order
-    is |Aut(A)| (automorphism_count), which proves that they generate it.
+    with kernel sigma(K0) (conjugate), so the finds for K0 stand for their
+    conjugates over the orbit (_orbit_cut).  The automorphisms, kernel A,
+    are held as a stabilizer chain (groups.automorphism_chain): a few
+    generators on a primary basis, sifted on the elements of A until the
+    chain's order is |Aut(A)| (automorphism_count), which proves that they
+    generate it.
     The report counts them by that order and builds them only when its
     morphisms are read (_Listed), each checked by as_skew_morphism then.
     Every cut acts by generators: the kernel cut by those of Aut(A), and
@@ -1321,28 +1290,17 @@ def _search_general(group: AbelianGroup):
 
     The taus are read from the quotient's finds as perms, and no quotient
     report is expanded (_tau_plans, _walk).  The walk yields the perm of
-    each morphism of A/K0 exactly once.  The report stands for each
-    morphism once, as a leaf, a listed automorphism, or a transport of an
-    _Orbit's finds by one of its sigmas (the count identity of
-    _orbit_cut).  Both transports are conjugations: by_automorphism is
-    morphisms.conjugate, and _by_unit is the conjugation by x -> u*x; the
-    perm of either is psi[sigma[x]] = sigma[phi[x]], which the walk reads
-    without building psi (_conjugation).  The capacity rule reads |tau| and
-    the multiset of pi_tau on the nonzero cosets, and a conjugate keeps
-    both (its power is pi . sigma^-1, and sigma fixes 0), so the walk
-    tests a leaf once for itself and its conjugates.  A listed
-    automorphism of order m has power 1 % m everywhere, so the rule reads
-    m alone, and m < |A/K0| by the order bound; where the rule admits no m
-    above 1, only the identity can pass, and it is read alone.  So the
-    admitted perms are exactly those of the admitted morphisms of the
-    expanded report, and sorted, they reach the tau cut in the order of
-    the expanded morphisms: it meets the same orbits, with the same first
-    point, the least perm of each, and the same moves and stabilizers, and
-    searches the same pairs.  A tau is built only when it is searched: its
-    leaf, or try_validate of its perm, which reads the order and power off
-    the perm, as the expansion's revalidation does, once per quotient
-    report however many kernels have that quotient
-    (EnumerationReport._taus).  The thetas are keyed straight from
+    each morphism of A/K0 exactly once, and the capacity rule reads |tau|
+    and the multiset of pi_tau on the nonzero cosets, which a conjugate
+    keeps, so the walk tests a leaf once for itself and its conjugates
+    (_walk proves both).  So the admitted perms are exactly those of the
+    admitted morphisms of the expanded report, and sorted, they reach the
+    tau cut in the order of the expanded morphisms: it meets the same
+    orbits, with the same first point, the least perm of each, and the
+    same moves and stabilizers, and searches the same pairs.  A tau is
+    built only when it is searched: its leaf, or its perm validated once
+    per quotient report however many kernels have that quotient
+    (_quotient_morphism).  The thetas are keyed straight from
     isomorphisms (_subgroup_automorphisms), as perms of the positions in
     K0; a theta's element map is built only where it is searched, and its
     order is read only there or where the rule refuses some order below
@@ -1371,8 +1329,8 @@ def _search_general(group: AbelianGroup):
     exactly K0.  Below that, F(y_0 .. y_(i-1)) is the disjoint union of
     F(y_0 .. y_(i-1), y) over y in the coset; place takes one y per
     H_i-orbit, searches it under its stabilizer G_(i+1), which yields F(..,
-    y) by the hypothesis, and transports the finds over the orbit
-    (_orbit_cut).
+    y) by the hypothesis, and its finds stand for their conjugates over
+    the orbit (_orbit_cut).
     The region check between the levels refuses only tables that are no
     find (below), so it drops nothing.  At i = 0 nothing is placed, and F
     is every find of the pair.
@@ -1452,9 +1410,6 @@ def _search_general(group: AbelianGroup):
     def move_subgroup(sigma, members):
         return tuple(sorted(map(sigma.__getitem__, members)))
 
-    def by_automorphism(sm, sigma):
-        return conjugate(sm, Automorphism(group, sigma))
-
     def search_kernel(members, stab, size) -> list[SkewMorphism]:
         # the finds with kernel exactly members, under its stabilizer: stab
         # generates it, and it has size elements
@@ -1507,15 +1462,16 @@ def _search_general(group: AbelianGroup):
         def search_tau(tau_perm, tau_stab, tau_size) -> list[SkewMorphism]:
             # the finds with quotient tau, under its stabilizer in Stab(K0)
             keys, leaf = plans[tau_perm]
-            tau = leaf or report._taus.get(tau_perm)
-            if tau is None:  # built once it is searched, and kept by the quotient's report
-                tau = report._taus[tau_perm] = try_validate(quotient, tau_perm)
+            tau = _quotient_morphism(report, tau_perm, leaf)
             order, checks = _orbit_plan(group, coset_elems, proj[0], tau)
 
             def search_theta(theta_key, pair_stab, pair_size) -> list[SkewMorphism]:
                 # the finds with restriction theta to K0, under the pair's stabilizer
                 theta = dict(zip(members, map(members.__getitem__, theta_key)))
                 o = perm_order(theta_key)
+                # the start e = e0 (mod |tau|), e = 1 (mod o) of each test
+                # (_region_holds), by e0, a value of pi_tau
+                starts = {e0: crt_pair(e0, tau.order, 1, o) for e0 in set(tau.power)}
                 for a, fa in theta.items():
                     table[a] = fa
 
@@ -1541,24 +1497,23 @@ def _search_general(group: AbelianGroup):
                     def search_image(y, y_stab, y_size) -> list[SkewMorphism]:
                         for a, fa in theta.items():
                             table[add[a][r]] = add[fa][y]
-                        if check is None or _region_holds(group, table, check, tau.order, o):
+                        if check is None or _region_holds(group, table, check, starts, o):
                             return place(idx + 1, y_stab, y_size)
                         return []
 
                     moves, fixing = _orbit(j, stab(), size, move_coset)
                     return _orbit_cut(
-                        coset_elems[tau.perm[j]], fixing(), size // (1 + len(moves)), move_image, search_image,
-                        by_automorphism,
+                        coset_elems[tau.perm[j]], fixing(), size // (1 + len(moves)), move_image, search_image
                     )
 
                 return place(0, pair_stab, pair_size)
 
-            return _orbit_cut(keys, tau_stab(), tau_size, move_theta, search_theta, by_automorphism)
+            return _orbit_cut(keys, tau_stab(), tau_size, move_theta, search_theta)
 
-        return _orbit_cut(plans, stab(), size, move_tau, search_tau, by_automorphism)
+        return _orbit_cut(plans, stab(), size, move_tau, search_tau)
 
-    yield _Listed(group, autos.order, autos)
-    yield from _orbit_cut(subgroups, autos.generators, autos.order, move_subgroup, search_kernel, by_automorphism)
+    yield _Listed(autos.order, autos)
+    yield from _orbit_cut(subgroups, autos.generators, autos.order, move_subgroup, search_kernel)
 
 
 def check_search_guard(group: AbelianGroup, max_order: int | None = None) -> None:

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, product as _cartesian
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 SUBGROUP_GUARD = 256
 
@@ -415,6 +416,17 @@ def invert(p: Sequence[int]) -> tuple[int, ...]:
     for x, v in enumerate(p):
         out[v] = x
     return tuple(out)
+
+
+def _conjugation(sigma: Sequence[int]) -> Callable:
+    """perm -> sigma perm sigma^-1, the perm psi with psi[sigma[x]] =
+    sigma[perm[x]]: the values sigma(perm(x)), read at x = sigma^-1(z), by
+    C-level itemgetters, sigma inverted once.  sigma is a table of degree
+    at least 2, as an itemgetter of one index returns a bare value.  On a
+    skew morphism's perm, sigma an automorphism, it is the perm of its
+    conjugate (morphisms.conjugate), built without validating it."""
+    back = itemgetter(*invert(sigma))
+    return lambda perm: back(itemgetter(*perm)(sigma))
 
 
 def cycles(p: Sequence[int]) -> list[list[int]]:

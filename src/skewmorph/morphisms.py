@@ -18,6 +18,7 @@ from .groups import (
     AbelianGroup,
     Automorphism,
     Subgroup,
+    _conjugation,
     _orbits,
     automorphism_chain,
     compose,
@@ -341,16 +342,14 @@ def equivalence_classes(morphisms: Sequence[SkewMorphism]) -> list[list[SkewMorp
     if any(sm.group != group for sm in morphisms):
         raise ValueError("morphisms live on different groups")
     by_perm = {sm.perm: sm for sm in morphisms}
-
-    def move(theta, perm):
-        # theta perm theta^-1, a skew morphism's perm when perm is one
-        # (conjugate)
-        return tuple(theta[perm[x]] for x in invert(theta))
-
     autos = automorphism_chain(group)
+    # theta perm theta^-1 by each generator theta, a skew morphism's perm
+    # when perm is one (conjugate); Aut(A) has order 1 below degree 3, and
+    # then no generator
+    moves = {theta: _conjugation(theta) for theta in autos.generators}
     return [
-        [by_perm[p] for p in sorted(by_perm.keys() & {perm, *moves})]
-        for perm, moves, _ in _orbits(sorted(by_perm), autos.generators, autos.order, move)
+        [by_perm[p] for p in sorted(by_perm.keys() & {perm, *moved})]
+        for perm, moved, _ in _orbits(sorted(by_perm), autos.generators, autos.order, lambda t, p: moves[t](p))
     ]
 
 

@@ -36,6 +36,7 @@ from skewmorph.groups import (
     SizeGuardError,
     abelian_group_presentations,
     automorphism_generators,
+    crt_pair,
     cycles,
     enumerate_automorphisms,
     enumerate_subgroups,
@@ -360,7 +361,8 @@ def test_non_cyclic_enumeration_cross_sections():
 @pytest.mark.parametrize("factors", [(2, 2, 2), (3, 3), (2, 6), (4, 4), (2, 2, 4)])
 def test_general_search_yields_each_morphism_once(factors):
     """One search per Aut(A)-orbit of kernels, exact kernels only: no duplicates."""
-    perms = [sm.perm for sm in _expand(_search_general(make_group(factors)))]
+    group = make_group(factors)
+    perms = [sm.perm for sm in _expand(group, tuple(_search_general(group)))]
     assert len(perms) == len(set(perms)) == cached_enumeration(factors).total
 
 
@@ -507,8 +509,16 @@ def _region_plan(sm, sub=None):
     return sub, tau, _order_on(sm.perm, sub.members), _with_regions(checks, proj)
 
 
+def _holds(group, table, check, tau_order, o):
+    """_region_holds on a check, with the starts that _search_general's
+    search_theta hands it: the class e = e0 (mod tau_order), e = 1 (mod o)
+    of each e0 that the check's tests read, None where they conflict."""
+    starts = {e0: crt_pair(e0, tau_order, 1, o) for _, e0, _ in check[0]}
+    return _region_holds(group, table, check, starts, o)
+
+
 def _passes_regions(group, table, tau, o, checks):
-    return all(_region_holds(group, table, check, tau.order, o) for _, check in checks)
+    return all(_holds(group, table, check, tau.order, o) for _, check in checks)
 
 
 def _assert_region_checks_pass(morphisms):
@@ -523,8 +533,8 @@ def _assert_region_checks_pass(morphisms):
         for region, check in checks:
             assert all(sm.perm[x] in region for x in region)
             hidden = [sm.perm[x] if x in region else 0 for x in range(len(sm.perm))]
-            assert _region_holds(sm.group, hidden, check, tau.order, o)
-            assert _region_holds(sm.group, sm.perm, check, tau.order, o), sm.perm
+            assert _holds(sm.group, hidden, check, tau.order, o)
+            assert _holds(sm.group, sm.perm, check, tau.order, o), sm.perm
 
 
 @pytest.mark.parametrize("factors", sorted(NONCYCLIC_PINS))
@@ -559,7 +569,7 @@ def test_kernel_check_on_the_oracle_morphisms(factors):
     for sm in brute_force_oracle(group).morphisms:
         if sm.is_proper:
             _, tau, o, checks = _region_plan(sm)
-            assert _region_holds(group, sm.perm, checks[-1][1], tau.order, o)
+            assert _holds(group, sm.perm, checks[-1][1], tau.order, o)
             own += 1
         members = set(kernel(sm).members)
         for sub in candidates:
@@ -568,8 +578,8 @@ def test_kernel_check_on_the_oracle_morphisms(factors):
                 *earlier, (region, (tests, whole)) = checks
                 assert whole and len(region) == n
                 assert _passes_regions(group, sm.perm, tau, o, earlier)
-                assert _region_holds(group, sm.perm, (tests, False), tau.order, o)
-                assert not _region_holds(group, sm.perm, (tests, whole), tau.order, o)
+                assert _holds(group, sm.perm, (tests, False), tau.order, o)
+                assert not _holds(group, sm.perm, (tests, whole), tau.order, o)
                 refused += 1
     assert (own, refused) == KERNEL_CHECKS[factors]
 
@@ -642,8 +652,8 @@ def test_region_check_enforces_the_quotient_power():
             region, (tests, whole) = checks[-1]
             assert len(region) == len(sm.perm) and whole
             shifted = [(r, (e0 + 1) % tau.order, *picks) for r, e0, *picks in tests]
-            assert _region_holds(sm.group, sm.perm, (tests, whole), tau.order, o)
-            assert not _region_holds(sm.group, sm.perm, (shifted, whole), tau.order, o)
+            assert _holds(sm.group, sm.perm, (tests, whole), tau.order, o)
+            assert not _holds(sm.group, sm.perm, (shifted, whole), tau.order, o)
             checked += 1
     assert checked == 32
 
@@ -754,12 +764,12 @@ def test_region_check_equals_a_naive_exponent_scan(factors):
     verdicts = {True: 0, False: 0}
     for table, tau, o, checks in plans:
         for region, check in checks:
-            assert _region_holds(group, table, check, tau.order, o)
+            assert _holds(group, table, check, tau.order, o)
             assert _naive_region_holds(group, table, region, check, tau.order)
     tables = list(_seeded_tables(group, random.Random(2207)))
     for table, tau, o, checks in tables:
         for region, check in checks:
-            verdict = _region_holds(group, table, check, tau.order, o)
+            verdict = _holds(group, table, check, tau.order, o)
             assert verdict == _naive_region_holds(group, table, region, check, tau.order)
             verdicts[verdict] += 1
     assert (len(tables), verdicts[True], verdicts[False]) == SEEDED_REGIONS[factors]
@@ -789,7 +799,7 @@ def test_region_check_refuses_a_region_of_order_at_least_the_group_order():
                 table[add[a][r]] = add[a][y]
         assert all(table[add[a][x]] == add[a][table[x]] for a in sub.members for x in range(n))
         assert perm_order(table) == order
-        assert _region_holds(group, table, (tests, False), 1, 1) is holds
+        assert _holds(group, table, (tests, False), 1, 1) is holds
         assert _naive_region_holds(group, table, set(range(n)), ([], False), 1) is holds
 
 
@@ -810,7 +820,7 @@ def test_cyclic_route_equals_general_route(n):
         general = cached_enumeration(split.factors, n).morphisms
         carried = {relabel(sm, back, cyclic).perm for sm in general}
     else:
-        carried = {sm.perm for sm in _expand(_search_general(cyclic))}
+        carried = {sm.perm for sm in _expand(cyclic, tuple(_search_general(cyclic)))}
     assert carried == {sm.perm for sm in cached_enumeration((n,)).morphisms}
 
 
@@ -863,32 +873,44 @@ def test_a_duplicate_fails_loudly_under_python_O():
 
 
 @pytest.mark.parametrize(
-    "n,tables,conjugates,unexpanded",
-    [(30, 17, (12, 0, 5), (0, 0, 0)), (36, 23, (37, 0, 0), (1, 0, 0)), (39, 1, (0, 12, 11), (0, 0, 0))],
+    "n,tables,conjugates",
+    [(30, 22, (12, 0, 5)), (36, 35, (36, 0, 0)), (39, 3, (0, 12, 11))],
     ids=["Z30", "Z36", "Z39"],
 )
-def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tables, conjugates, unexpanded):
+def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tables, conjugates):
     """Pins how hard the lifting cells prune: a cold enumeration, quotients
-    and decomposed products included, revalidates exactly this many
-    completed tables and expands exactly this many finds by unit
-    conjugation, onto another quotient morphism of the class of the cell's
-    q, onto another web solution of the cell and onto another phi(1) under
-    the same solution, in that order.  A conjugate is sorted by whether it
-    changes the reduction mod d = n/p, p the prime its skew type k is
-    designated to (_cyclic_cells), and if not, by whether it changes the
-    coset powers power[:k], so a check that stops firing, or a cut that
-    stops expanding, shows at its own level and not only as lost time or
-    lost morphisms.  The automorphisms are listed, not
-    searched, so no cell has skew type 1.  A fresh cache per n makes the
-    counts independent of test order.  The counts of the report are read
-    first: the same tables are validated, and the only conjugates then are
-    the leaves of quotients that the recursion moves onto the least perm of
-    their unit class (_unit_classes), as it expands no quotient report
-    (unexpanded); reading the morphisms expands the group's own finds."""
+    and decomposed products included, validates exactly this many tables
+    and expands exactly this many finds by unit conjugation, onto another
+    quotient morphism of the class of the cell's q, onto another web
+    solution of the cell and onto another phi(1) under the same solution,
+    in that order.  A conjugate is sorted by whether it changes the
+    reduction mod d = n/p, p the prime its skew type k is designated to
+    (_cyclic_cells), and if not, by whether it changes the coset powers
+    power[:k], so a check that stops firing, or a cut that stops
+    expanding, shows at its own level and not only as lost time or lost
+    morphisms.  The automorphisms are listed, not searched, so no cell has
+    skew type 1.  A fresh cache per n makes the counts independent of test
+    order.  The counts of the report are read first: the same tables are
+    validated, and no conjugate of the group's morphisms is built then, as
+    the recursion reads its quotients' finds as perms (_walk); reading the
+    morphisms expands the group's own finds, each conjugate one move of
+    groups._conjugation, wrapped here to validate both sides.
+
+    The tables are the completed tables of the cells and the decomposed
+    products, 17 on Z30, 23 on Z36 and 1 on Z39, and the quotient
+    morphisms q that a quotient cut searches and that are no leaf of
+    their quotient's finds, each validated once per quotient report
+    (_quotient_morphism): 5, 12 and 2.  Those q were built outside this
+    count before the quotient cut read its points through _walk, as
+    listed automorphisms by as_skew_morphism or as leaves moved onto the
+    least perm of their class, one such move on Z36, which the conjugates
+    counted then (37, 36 of them Z36's own)."""
     calls = []
     expanded = [0, 0, 0]
     cell_types = set()
     lift_cell = enumeration._lift_cell
+    conjugation = enumeration._conjugation
+    group = make_group([n])
 
     def cell(group, q, k, L, solutions, fixing):
         cell_types.add(k)
@@ -898,41 +920,45 @@ def test_cyclic_search_revalidates_a_pinned_number_of_tables(monkeypatch, n, tab
         calls.append(table)
         return try_validate(group, table)
 
-    def transported(sm, iso, target):
-        psi = relabel(sm, iso, target)
-        m = target.order
-        k = skew_type(sm)
-        d = m // min(factorint(m // k))
-        if any(psi.perm[x] % d != sm.perm[x] % d for x in range(d)):
-            expanded[0] += 1
-        else:
-            expanded[1 + (psi.power[:k] == sm.power[:k])] += 1
-        return psi
+    def sorted_conjugation(sigma):
+        move = conjugation(sigma)
+        if len(sigma) != n:
+            return move
+
+        def moved(perm):
+            sm, psi = try_validate(group, perm), try_validate(group, move(perm))
+            k = skew_type(sm)
+            d = n // min(factorint(n // k))
+            if any(psi.perm[x] % d != sm.perm[x] % d for x in range(d)):
+                expanded[0] += 1
+            else:
+                expanded[1 + (psi.power[:k] == sm.power[:k])] += 1
+            return psi.perm
+
+        return moved
 
     monkeypatch.setattr(enumeration, "try_validate", counted)
-    monkeypatch.setattr(enumeration, "relabel", transported)
+    monkeypatch.setattr(enumeration, "_conjugation", sorted_conjugation)
     monkeypatch.setattr(enumeration, "_lift_cell", cell)
     fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
     monkeypatch.setattr(enumeration, "_cached_search", fresh)
-    report = enumerate_skew_morphisms(make_group([n]))
-    assert (len(calls), tuple(expanded)) == (tables, unexpanded)
+    report = enumerate_skew_morphisms(group)
+    assert (len(calls), tuple(expanded)) == (tables, (0, 0, 0))
     report.morphisms
-    assert (len(calls), tuple(expanded)) == (tables, conjugates)
+    assert (len(calls), tuple(expanded)) == (tables + sum(conjugates), conjugates)
     assert cell_types and 1 not in cell_types
 
 
 @pytest.mark.parametrize(
-    "factors,tables,conjugates,regions,unexpanded",
+    "factors,tables,conjugates,regions",
     [
-        ((2, 2, 4), 15, (40, 46, 6), 592, (0, 0, 0)),
-        ((5, 5), 16, (240, 0, 36), 761, (0, 0, 0)),
-        ((3, 6), 13, (12, 22, 10), 277, (0, 0, 0)),
+        ((2, 2, 4), 15, (40, 46, 6), 592),
+        ((5, 5), 16, (240, 0, 36), 761),
+        ((3, 6), 13, (12, 22, 10), 277),
     ],
     ids=["Z2xZ2xZ4", "Z5xZ5", "Z3xZ6"],
 )
-def test_general_search_revalidates_a_pinned_number_of_tables(
-    monkeypatch, factors, tables, conjugates, regions, unexpanded
-):
+def test_general_search_revalidates_a_pinned_number_of_tables(monkeypatch, factors, tables, conjugates, regions):
     """Pins how hard the general route prunes: a cold enumeration, quotients
     included, revalidates exactly this many completed tables, runs exactly
     this many region checks, and conjugates exactly this many finds onto
@@ -953,13 +979,17 @@ def test_general_search_revalidates_a_pinned_number_of_tables(
     4 and 13 = 7 + 6; before the kernel check the counts were 150, 36 and
     47, 128, 32 and 38 of them completed tables that were dropped or kept
     by their kernel, and the taus were validated once per kernel (20, 4
-    and 8).  The report's counts are read
-    first: every table and region check is already done then, and no
-    conjugate is built (unexpanded), as no quotient report is expanded;
-    reading the morphisms expands the group's own finds."""
+    and 8).  The report's counts are read first: every table and region
+    check is already done then, and no conjugate of the group's morphisms
+    is built, as no quotient report is expanded; reading the morphisms
+    expands the group's own finds, each conjugate one move of
+    groups._conjugation, wrapped here to validate both sides, and
+    validated once more by the expansion."""
     calls = []
     checked = [0]
     expanded = [0, 0, 0]
+    conjugation = enumeration._conjugation
+    group = make_group(factors)
 
     def counted(group, table):
         calls.append(table)
@@ -969,28 +999,35 @@ def test_general_search_revalidates_a_pinned_number_of_tables(
         checked[0] += 1
         return _region_holds(*args)
 
-    def transported(sm, sigma):
-        psi = conjugate(sm, sigma)
-        sub = kernel(sm)
-        if kernel(psi) != sub:
-            expanded[0] += 1
-        elif quotient_skew(psi, sub) != quotient_skew(sm, sub) or any(
-            psi.perm[a] != sm.perm[a] for a in sub.members
-        ):
-            expanded[1] += 1
-        else:
-            expanded[2] += 1
-        return psi
+    def sorted_conjugation(sigma):
+        move = conjugation(sigma)
+        if len(sigma) != group.order:
+            return move
+
+        def moved(perm):
+            sm, psi = try_validate(group, perm), try_validate(group, move(perm))
+            sub = kernel(sm)
+            if kernel(psi) != sub:
+                expanded[0] += 1
+            elif quotient_skew(psi, sub) != quotient_skew(sm, sub) or any(
+                psi.perm[a] != sm.perm[a] for a in sub.members
+            ):
+                expanded[1] += 1
+            else:
+                expanded[2] += 1
+            return psi.perm
+
+        return moved
 
     monkeypatch.setattr(enumeration, "try_validate", counted)
     monkeypatch.setattr(enumeration, "_region_holds", region_counted)
-    monkeypatch.setattr(enumeration, "conjugate", transported)
+    monkeypatch.setattr(enumeration, "_conjugation", sorted_conjugation)
     fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
     monkeypatch.setattr(enumeration, "_cached_search", fresh)
-    report = enumerate_skew_morphisms(make_group(factors))
-    assert (len(calls), tuple(expanded), checked[0]) == (tables, unexpanded, regions)
+    report = enumerate_skew_morphisms(group)
+    assert (len(calls), tuple(expanded), checked[0]) == (tables, (0, 0, 0), regions)
     report.morphisms
-    assert (len(calls), tuple(expanded), checked[0]) == (tables, conjugates, regions)
+    assert (len(calls), tuple(expanded), checked[0]) == (tables + sum(conjugates), conjugates, regions)
 
 
 # the groups the count path is gated on: every pinned group, and every
@@ -1025,55 +1062,73 @@ def test_counts_equal_the_expanded_morphisms(monkeypatch, factors):
 
 @pytest.mark.parametrize("factors,counts", [((5, 5), (768, 480, 288)), ((36,), (60, 12, 32))])
 def test_counts_build_no_top_level_conjugate(monkeypatch, factors, counts):
-    """Reading only the counts of Z5xZ5 and Z36 builds no conjugate of a
-    morphism of the group itself (both routes read their quotients'
-    finds: the general route as perms, building no conjugate, and the
-    cyclic route building at most a leaf's move onto the least perm of its
-    class); reading the morphisms then builds them, which shows that the
-    sentinel is live."""
-    for name in ("conjugate", "_by_unit"):
-        transport = getattr(enumeration, name)
+    """Reading only the counts of Z5xZ5 and Z36 moves no morphism of the
+    group itself: both routes read their quotients' finds as perms (_walk),
+    whose moves are of the quotients' degrees, and no conjugate is built;
+    reading the morphisms then conjugates the group's own finds, a move of
+    its degree (groups._conjugation), which shows that the sentinel is
+    live."""
+    conjugation = enumeration._conjugation
 
-        def refuse(sm, sigma, transport=transport):
-            if sm.group.factors == factors:
-                raise AssertionError(f"top-level transport of {sm.group.label}")
-            return transport(sm, sigma)
+    def refuse(sigma):
+        if len(sigma) == prod(factors):
+            raise AssertionError(f"top-level conjugation of {factors}")
+        return conjugation(sigma)
 
-        monkeypatch.setattr(enumeration, name, refuse)
+    monkeypatch.setattr(enumeration, "_conjugation", refuse)
     fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
     monkeypatch.setattr(enumeration, "_cached_search", fresh)
     report = enumerate_skew_morphisms(make_group(factors))
     assert (report.total, report.automorphisms, report.nonsmooth) == counts
-    with pytest.raises(AssertionError, match="top-level transport"):
+    with pytest.raises(AssertionError, match="top-level conjugation"):
         report.morphisms
 
 
-@pytest.mark.parametrize("fault", ["repeated", "corrupted"])
-@pytest.mark.parametrize("name,factors", [("_by_unit", (36,)), ("conjugate", (5, 5))])
-def test_a_faulty_transport_fails_when_the_morphisms_are_read(monkeypatch, fault, name, factors):
-    """The counts never build a transport, so a transport that breaks its
-    lemma shows when the morphisms are built: one that returns its find
-    unchanged (a repeated table), or one whose result claims power 1
-    everywhere (a corrupted table, an automorphism too many), makes
-    reading the morphisms raise, after the counts were returned."""
-    transport = getattr(enumeration, name)
+@pytest.mark.parametrize("fault", ["repeated", "swapped"])
+@pytest.mark.parametrize("factors", [(36,), (5, 5)], ids=["Z36", "Z5xZ5"])
+def test_a_faulty_transport_fails_when_the_morphisms_are_read(monkeypatch, fault, factors):
+    """The counts never conjugate a morphism of the group, so a conjugation
+    that breaks the lemma of morphisms.conjugate shows when the morphisms
+    are built: a move of the group's degree (groups._conjugation) that
+    returns its input (a repeated table) or swaps two entries of its result
+    (a table that is no skew morphism) makes reading the morphisms raise,
+    after the counts were returned: the repeat by the expansion's recount
+    and the swap by its revalidation (_expand)."""
+    conjugation = enumeration._conjugation
 
-    def faulty(sm, sigma):
-        psi = transport(sm, sigma)
-        if sm.group.factors != factors:
-            return psi
+    def faulty(sigma):
+        move = conjugation(sigma)
+        if len(sigma) != prod(factors):
+            return move
         if fault == "repeated":
-            return sm
-        return dataclasses.replace(psi, power=(1 % psi.order,) * len(psi.power))
+            return lambda perm: perm
 
-    monkeypatch.setattr(enumeration, name, faulty)
+        def swapped(perm):
+            psi = list(move(perm))
+            psi[1], psi[2] = psi[2], psi[1]
+            return tuple(psi)
+
+        return swapped
+
+    monkeypatch.setattr(enumeration, "_conjugation", faulty)
     fresh = lru_cache(maxsize=None)(enumeration._cached_search.__wrapped__)
     monkeypatch.setattr(enumeration, "_cached_search", fresh)
     report = enumerate_skew_morphisms(make_group(factors))
     assert report.total == {(36,): 60, (5, 5): 768}[factors]
-    match = "twice" if fault == "repeated" else "expanded"
+    match = "twice" if fault == "repeated" else "a conjugate of a find failed validation"
     with pytest.raises(AssertionError, match=match):
         report.morphisms
+
+
+@pytest.mark.parametrize("factors", [(36,), (5, 5)], ids=["Z36", "Z5xZ5"])
+def test_counts_that_differ_from_the_expansion_fail_when_the_morphisms_are_read(factors):
+    """The expansion recounts the morphisms it builds (_Expansion): a
+    report of the same finds whose counts claim one smooth morphism too
+    few refuses the read, though every morphism validates."""
+    report = cached_enumeration(factors)
+    short = dataclasses.replace(report, smooth=report.smooth - 1, morphisms=None)
+    with pytest.raises(AssertionError, match="expanded"):
+        short.morphisms
 
 
 @pytest.mark.parametrize("factors", [(2, 4), (3, 3), (2, 6)])
@@ -1274,27 +1329,52 @@ def test_cyclic_search_walks_one_leaf_per_class(monkeypatch):
     assert (walked, classes) == (305, 305)
 
 
-def test_quotient_classes_are_the_least_perm_of_each_class():
-    """The quotient morphisms that _cyclic_cells reads for Z_d
-    (_unit_classes, from the report's finds) are, for every d in 2..64,
-    split or not, exactly the least perm of each class that
-    morphisms.equivalence_classes finds among the expanded morphisms of
-    Z_d, each with the order and power of the expanded morphism of that
-    perm.  And the skew type _cyclic_cells reads off the powers, d over
-    the number of powers 1, is skew_type on every morphism of Z2..Z64."""
+def test_quotient_plans_are_the_admitted_morphisms_of_the_expansion(monkeypatch):
+    """The cyclic twin of the test below: for every Z_n, n <= 64, with no
+    coprime split and each quotient order d that a skew type is
+    designated to (_cyclic_cells), the points that _search_cyclic's
+    quotient cut receives from Z_d's finds (_walk) are, in the same order
+    and each with the same cells, the expanded morphisms of Z_d that keep
+    a cell, each read on its own: the cells _cyclic_cells considers for
+    its order and powers that the capacity rule admits.  A point's leaf,
+    where it has one, is the morphism of its perm.  And the skew type
+    that _cyclic_cells reads off the powers, d over the number of powers
+    1, is skew_type on every morphism of Z2..Z64."""
+    received = []  # the points of each quotient cut, in the order of the cuts
+    orbit_cut = enumeration._orbit_cut
+
+    def recorded(points, sigmas, order, act, search):
+        if search.__name__ == "search_q":
+            received.append(dict(points))
+        return orbit_cut(points, sigmas, order, act, search)
+
     for d in range(2, 65):
         morphisms = cached_enumeration((d,)).morphisms
-        by_perm = {sm.perm: sm for sm in morphisms}
-        least = sorted(min(sm.perm for sm in cls) for cls in equivalence_classes(morphisms))
-        read = enumeration._unit_classes(d)
-        assert [sm.perm for sm in read] == least, d
-        assert all((sm.order, sm.power) == (by_perm[sm.perm].order, by_perm[sm.perm].power) for sm in read), d
         assert all(d // sm.power.count(1 % sm.order) == skew_type(sm) for sm in morphisms), d
+    monkeypatch.setattr(enumeration, "_orbit_cut", recorded)
+    points = 0
+    for n in range(2, 65):
+        if coprime_split(n) is not None:
+            continue
+        received.clear()
+        list(_search_cyclic(make_group([n])))
+        assert len(received) == len(_cyclic_cells(n)), n
+        for (d, cells), plans in zip(_cyclic_cells(n).items(), received):
+            admitted = {}
+            for sm in cached_enumeration((d,)).morphisms:
+                kept = [(k, L) for k, L in cells(sm.order, sm.power[1:]) if _powers_fit(L, sm.power[1:k], sm.order, 1)]
+                if kept:
+                    admitted[sm.perm] = kept
+            assert list(plans) == list(admitted), (n, d)
+            assert all(plans[perm][0] == kept for perm, kept in admitted.items()), (n, d)
+            assert all(leaf is None or leaf.perm == perm for perm, (_, leaf) in plans.items())
+            points += len(plans)
+    assert points == 613
 
 
 def test_cyclic_counts_expand_no_quotient(monkeypatch):
-    """The cyclic recursion reads its quotients' finds, one morphism per
-    unit class, and expands no report: counting Z36, Z72 and Z100 from a
+    """The cyclic recursion reads its quotients' finds as perms (_walk),
+    and expands no report: counting Z36, Z72 and Z100 from a
     fresh cache calls _expand on nothing, and none of the groups reached
     takes the coprime split, which reads its factors' morphisms.  Reading
     Z36's morphisms then expands its finds, which shows the sentinel is
@@ -1302,9 +1382,9 @@ def test_cyclic_counts_expand_no_quotient(monkeypatch):
     expanded = []
     expand = enumeration._expand
 
-    def recorded(found):
+    def recorded(group, found):
         expanded.append(found)
-        return expand(found)
+        return expand(group, found)
 
     reached = []
 
@@ -1332,9 +1412,9 @@ def test_general_counts_expand_no_quotient(monkeypatch):
     expanded = []
     expand = enumeration._expand
 
-    def recorded(found):
+    def recorded(group, found):
         expanded.append(found)
-        return expand(found)
+        return expand(group, found)
 
     reached = []
 
@@ -1541,8 +1621,8 @@ def _power_web_by_scan(q, k, L, classes):
 def test_power_web_equals_a_scan_of_its_constraints(monkeypatch):
     """_power_web is exact, and _search_cyclic refuses only empty webs.  On
     every cell (q, k, L) that the search would consider (_cyclic_cells) for
-    Z2..Z40 with q over all the morphisms of Z_d, not one per unit class
-    (_unit_classes), a scan keeps the cvals with cvals[0] = 1, each
+    Z2..Z40 with q over all the morphisms of Z_d, not only the first point
+    of each unit class, a scan keeps the cvals with cvals[0] = 1, each
     cvals[j] in q's power class at j mod |q| within [0, L), and distinct
     values, where svals is the running sum of the slots' powers, svals[L]
     = 0 and cvals[j + 1] = svals[cvals[j]] for every j, indices mod k.
@@ -1552,9 +1632,9 @@ def test_power_web_equals_a_scan_of_its_constraints(monkeypatch):
     opens exactly the admitted cells whose web has a solution and whose q
     is the first point of its class under the units of Z_d, the least of
     the perms u q u^-1, and hands each the web built from its own q,
-    though it solves each web once per signature; _cyclic_cells lists
-    exactly the cells of those first points.  Table walk and revalidation
-    hide a web that keeps too much, so the web is checked on its own."""
+    though it solves each web once per signature.  Table walk and
+    revalidation hide a web that keeps too much, so the web is checked on
+    its own."""
     opened = {}
     lift_cell = enumeration._lift_cell
 
@@ -1572,12 +1652,9 @@ def test_power_web_equals_a_scan_of_its_constraints(monkeypatch):
     for n in range(2, 41):
         list(_search_cyclic(make_group([n])))
         if coprime_split(n) is None:
-            listed = {(q.perm, k, L) for q, k, L in _cyclic_cells(n)}
-            with monkeypatch.context() as every_q:
-                every_q.setattr(enumeration, "_unit_classes", lambda d: cached_enumeration((d,)).morphisms)
-                cells_of_n = {(q.perm, k, L): q for q, k, L in _cyclic_cells(n)}
-            assert listed == {key for key in cells_of_n if first_of_class(key[0])}, n
-            considered.update(cells_of_n)
+            for d, cells in _cyclic_cells(n).items():
+                for q in cached_enumeration((d,)).morphisms:
+                    considered.update(((q.perm, k, L), q) for k, L in cells(q.order, q.power[1:]))
     # cells and scanned cells, by whether the capacity rule admits them
     cells = {True: 0, False: 0}
     scanned = {True: 0, False: 0}
